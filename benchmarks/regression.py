@@ -1,11 +1,8 @@
 """Perf-regression observatory over the committed benchmark baselines.
 
-The repo commits four machine-readable benchmark documents at the root —
-``BENCH_kernels.json`` (pytuple vs numpy wall-clock, written by
-``bench_backends.py``), ``BENCH_parallel.json`` (sequential vs
-worker-pool wall-clock, written by ``bench_parallel.py``; its dense
-≥ 1.5× speedup gate arms only when the document was measured on ≥ 4
-cores at full scale), ``BENCH_planner.json`` (cost-based planner
+The repo commits three machine-readable benchmark documents at the root —
+``BENCH_kernels.json`` (pytuple vs columnar wall-clock, written by
+``bench_backends.py``), ``BENCH_planner.json`` (cost-based planner
 regret sweep, written by ``bench_planner.py``), and ``BENCH_ivm.json``
 (materialized-view maintenance vs recompute loads, written by
 ``bench_ivm.py``; at full scale its small-delta rows must beat recompute
@@ -31,7 +28,7 @@ regression gate:
 
 With no fresh input the script validates the committed baselines alone:
 schema normalization, plus the documents' own internal gates (backend
-reports identical, numpy never slower end-to-end, planner ``vs_auto``
+reports identical, columnar ≥ 2× on dense matmul, planner ``vs_auto``
 within 1.1×).  CI runs ``--run --tiny --report-only``: a tiny-scale fresh
 run is *reported* against the full-scale baseline but can't gate (scales
 are incomparable; the status column says so).
@@ -60,19 +57,11 @@ __all__ = [
     "Finding",
     "normalize_ivm",
     "normalize_kernels",
-    "normalize_parallel",
     "normalize_planner",
     "compare_metrics",
     "validate_baseline",
     "main",
 ]
-
-#: Dense-family speedup the committed full-scale BENCH_parallel.json must
-#: show at 4 workers — armed only when the document was measured on >= 4
-#: cores (PARALLEL_MIN_CORES); a single-core container time-slices the
-#: workers, so its honest numbers are environment-limited, not gated.
-PARALLEL_SPEEDUP_GATE = 1.5
-PARALLEL_MIN_CORES = 4
 
 #: Wall-clock regression factor that fails the gate.
 WALL_FAIL = 1.3
@@ -87,7 +76,6 @@ DETERMINISTIC_FAIL = 1.1
 _ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 KERNELS_BASELINE = os.path.join(_ROOT, "BENCH_kernels.json")
 PLANNER_BASELINE = os.path.join(_ROOT, "BENCH_planner.json")
-PARALLEL_BASELINE = os.path.join(_ROOT, "BENCH_parallel.json")
 IVM_BASELINE = os.path.join(_ROOT, "BENCH_ivm.json")
 
 
@@ -137,34 +125,11 @@ def normalize_kernels(document: Dict[str, Any]) -> List[Metric]:
         base = (f"end_to_end/{row['family']}"
                 f"-n{row['n']}-out{row['out']}-p{row['p']}")
         metrics.append(Metric(f"{base}/pytuple_s", row["pytuple_s"], "wall"))
-        metrics.append(Metric(f"{base}/numpy_s", row["numpy_s"], "wall"))
+        metrics.append(Metric(f"{base}/columnar_s", row["columnar_s"], "wall"))
         metrics.append(
-            Metric(f"{base}/speedup", row["speedup"], "ratio", "higher")
+            Metric(f"{base}/columnar_speedup",
+                   row["columnar_speedup"], "ratio", "higher")
         )
-        if "columnar_s" in row:
-            metrics.append(Metric(f"{base}/columnar_s", row["columnar_s"], "wall"))
-            metrics.append(
-                Metric(f"{base}/columnar_speedup",
-                       row["columnar_speedup"], "ratio", "higher")
-            )
-        metrics.append(Metric(f"{base}/max_load", row["max_load"], "load"))
-    return metrics
-
-
-def normalize_parallel(document: Dict[str, Any]) -> List[Metric]:
-    """Flatten a ``BENCH_parallel.json`` document into metrics."""
-    metrics: List[Metric] = []
-    for row in document.get("rows", ()):
-        base = f"parallel/{row['family']}-n{row['n']}-p{row['p']}"
-        for workers, seconds in sorted(
-            row.get("workers_s", {}).items(), key=lambda kv: int(kv[0])
-        ):
-            metrics.append(Metric(f"{base}/w{workers}_s", seconds, "wall"))
-        for key in sorted(row):
-            if key.startswith("speedup_"):
-                metrics.append(
-                    Metric(f"{base}/{key}", row[key], "ratio", "higher")
-                )
         metrics.append(Metric(f"{base}/max_load", row["max_load"], "load"))
     return metrics
 
@@ -211,61 +176,22 @@ def validate_baseline(suite: str, document: Dict[str, Any]) -> List[str]:
             label = f"{row.get('family', 'matmul')} n={row['n']} out={row['out']}"
             if not row.get("reports_identical", False):
                 problems.append(f"{label}: backends' cost reports differ")
-            if row["speedup"] < 1.0:
-                problems.append(
-                    f"{label}: numpy slower than pytuple "
-                    f"(speedup {row['speedup']:.2f}x)"
-                )
             # The columnar end-to-end gate: in the heavy-aggregation
             # regime (products ≫ OUT) the committed full-scale document
             # must show the columnar backend at ≥ 2x over pytuple —
             # anything less means the array-native execution path has
             # stopped engaging end-to-end.
-            columnar = row.get("columnar_speedup")
+            columnar = row["columnar_speedup"]
             if full_scale and row.get("family") == "matmul-dense":
-                if columnar is None:
-                    problems.append(f"{label}: dense row lacks a columnar measurement")
-                elif columnar < 2.0:
+                if columnar < 2.0:
                     problems.append(
                         f"{label}: columnar end-to-end speedup "
                         f"{columnar:.2f}x below the 2.0x gate"
                     )
-            elif columnar is not None and columnar < 0.8:
+            elif columnar < 0.8:
                 problems.append(
                     f"{label}: columnar badly slower than pytuple "
                     f"(speedup {columnar:.2f}x)"
-                )
-    elif suite == "parallel":
-        full_scale = document.get("scale") == "full"
-        cores = int(document.get("cores", 0))
-        for row in document.get("rows", ()):
-            label = f"{row.get('family', 'matmul')} n={row['n']} p={row['p']}"
-            if not row.get("identical", False):
-                problems.append(
-                    f"{label}: worker counts' answers/reports differ"
-                )
-            speedup = row.get("speedup_4")
-            if speedup is None:
-                problems.append(f"{label}: row lacks a speedup_4 measurement")
-                continue
-            # The wall-clock gate only arms on real parallel hardware at
-            # full scale; a document measured on fewer cores records
-            # honest environment-limited numbers (workers time-slice one
-            # CPU) that no threshold can meaningfully judge.
-            if full_scale and cores >= PARALLEL_MIN_CORES:
-                if row.get("family") == "matmul-dense" and (
-                    speedup < PARALLEL_SPEEDUP_GATE
-                ):
-                    problems.append(
-                        f"{label}: process-mode speedup {speedup:.2f}x at 4 "
-                        f"workers below the {PARALLEL_SPEEDUP_GATE}x gate "
-                        f"on {cores} cores"
-                    )
-            elif speedup < 0.5:
-                problems.append(
-                    f"{label}: process mode {1 / speedup:.1f}x slower than "
-                    "sequential — dispatch overhead out of control even "
-                    "for a time-sliced environment"
                 )
     elif suite == "planner":
         if document["worst_vs_auto"] > 1.1:
@@ -370,7 +296,7 @@ def _run_bench(script: str, out_path: str, tiny: bool,
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(command, env=env, capture_output=True, text=True)
     if completed.returncode not in (0, 1):
-        # 1 is the scripts' own gate (e.g. numpy slower) — still produces a
+        # 1 is the scripts' own gate (e.g. columnar slower) — still produces a
         # document we can diff; anything else is a crash.
         raise RuntimeError(
             f"{script} failed ({completed.returncode}):\n{completed.stderr}"
@@ -448,7 +374,6 @@ def _record_trend(harness, findings: List[Finding], caption: str) -> None:
 _SUITES = {
     "ivm": ("bench_ivm.py", IVM_BASELINE, normalize_ivm),
     "kernels": ("bench_backends.py", KERNELS_BASELINE, normalize_kernels),
-    "parallel": ("bench_parallel.py", PARALLEL_BASELINE, normalize_parallel),
     "planner": ("bench_planner.py", PLANNER_BASELINE, normalize_planner),
 }
 
@@ -467,15 +392,11 @@ def main(argv=None) -> int:
                         "report-only by construction)")
     parser.add_argument("--fresh-kernels", default=None, metavar="PATH",
                         help="pre-made fresh BENCH_kernels.json to compare")
-    parser.add_argument("--fresh-parallel", default=None, metavar="PATH",
-                        help="pre-made fresh BENCH_parallel.json to compare")
     parser.add_argument("--fresh-planner", default=None, metavar="PATH",
                         help="pre-made fresh BENCH_planner.json to compare")
     parser.add_argument("--fresh-ivm", default=None, metavar="PATH",
                         help="pre-made fresh BENCH_ivm.json to compare")
     parser.add_argument("--baseline-kernels", default=KERNELS_BASELINE,
-                        metavar="PATH", help=argparse.SUPPRESS)
-    parser.add_argument("--baseline-parallel", default=PARALLEL_BASELINE,
                         metavar="PATH", help=argparse.SUPPRESS)
     parser.add_argument("--baseline-planner", default=PLANNER_BASELINE,
                         metavar="PATH", help=argparse.SUPPRESS)
@@ -493,11 +414,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     fresh_paths = {"kernels": args.fresh_kernels,
-                   "parallel": args.fresh_parallel,
                    "planner": args.fresh_planner,
                    "ivm": args.fresh_ivm}
     baseline_paths = {"kernels": args.baseline_kernels,
-                      "parallel": args.baseline_parallel,
                       "planner": args.baseline_planner,
                       "ivm": args.baseline_ivm}
     all_findings: List[Finding] = []

@@ -43,7 +43,7 @@ from .semiring import (
     Semiring,
 )
 
-__version__ = "1.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "run_query",

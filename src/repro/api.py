@@ -26,7 +26,7 @@ query service (:mod:`repro.service`) can do by importing
 
 **Contract.**  ``__all__`` is the surface: everything in it is covered by
 the compatibility promise tracked by :data:`__version__` (semantic
-versioning of the *facade*, independent of the package release).  Every
+versioning; the package release carries the same number).  Every
 function takes a config object (:class:`ExecutionConfig` for the
 executor-shaped entry points, :class:`~repro.conformance.FuzzConfig` for
 the campaigns) and returns structured data — no printing, no process exit
@@ -36,16 +36,16 @@ codes.  Failures raise from the typed hierarchy in :mod:`repro.errors`
 which is how the service maps exceptions to HTTP statuses.
 
 Results, cost reports, and traces are backend-independent: an
-``ExecutionConfig(backend="numpy")`` run is bit-identical to the default
-``"pytuple"`` one, only faster.  The same contract covers the process
-execution mode: ``ExecutionConfig(workers=4)`` dispatches the
-data-parallel kernels to a persistent OS worker pool
-(:mod:`repro.mpc.pool`) and stays bit-identical to ``workers=1``.
+``ExecutionConfig(backend="columnar")`` run is bit-identical to the
+default ``"pytuple"`` one, only faster.
 
 Version 2.0 removed the transitional paths of the 1.x facade: the loose
 ``run_query(**kwargs)`` keywords and the deprecated forwarders
 ``repro.reporting.table1_report``/``compare_on`` and
-``repro.testing.fuzz_differential`` (see CHANGELOG.md).
+``repro.testing.fuzz_differential``.  Version 3.0 removed the process
+execution mode and the ``"numpy"`` backend value: one sequential engine,
+two backends (``"pytuple"`` reference, ``"columnar"`` arrays) plus
+``"auto"`` (see CHANGELOG.md).
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ from .core.executor import QueryResult
 from .core.executor import run_query as _executor_run_query
 from .data.query import Instance
 
-#: Version of the *facade contract* (what ``__all__`` promises), bumped
-#: independently of the package release: 2.0 dropped the loose-keyword
-#: ``run_query`` path and the deprecated ``reporting``/``testing``
-#: forwarders; 2.1 added incremental view maintenance
-#: (``materialize``/``apply_delta``).
-__version__ = "2.1.0"
+#: Version of the *facade contract* (what ``__all__`` promises); since
+#: 3.0.0 the package release (``repro.__version__``, pyproject.toml)
+#: carries the same number.  2.0 dropped the loose-keyword ``run_query``
+#: path and the deprecated ``reporting``/``testing`` forwarders; 2.1 added
+#: incremental view maintenance (``materialize``/``apply_delta``); 3.0
+#: removed the process execution mode and the ``"numpy"`` backend.
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -272,7 +273,7 @@ def fuzz(config: Optional["FuzzConfig"] = None, **overrides: Any) -> "FuzzSummar
 
     ``config`` is a :class:`repro.conformance.FuzzConfig`; keyword
     ``overrides`` replace individual fields of it (or of the default
-    config), so ``fuzz(iterations=100, backend="numpy")`` works without
+    config), so ``fuzz(iterations=100, backend="columnar")`` works without
     constructing one explicitly.  Never raises on invariant failures —
     they come back shrunk inside the summary.
     """

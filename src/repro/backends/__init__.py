@@ -1,30 +1,31 @@
-"""Execution backends (vectorized columnar kernels vs. pure-Python tuples).
+"""Execution backends (array-native columnar vs. pure-Python tuples).
 
-The simulator has two interchangeable kernel implementations:
+The simulator has two interchangeable execution paths:
 
 * ``pytuple`` — the original tuple-at-a-time Python kernels; always
   available, always the reference semantics.
-* ``numpy`` — columnar kernels (:mod:`repro.backends.columnar`,
+* ``columnar`` — array kernels (:mod:`repro.backends.columnar`,
   :mod:`repro.backends.kernels`) that batch the hot per-server loops
   (pre/final aggregation, local joins, KMV sketch construction, splitter
-  selection) into array operations.
+  selection) into array operations, with relations loaded as code columns
+  and exchanges shipping :class:`~repro.backends.batch.ColumnarBatch`
+  arrays (:meth:`~repro.mpc.cluster.ClusterView.exchange_batches`).
 
-The backends differ **only in wall-clock time**.  Every communication round
-still goes through :meth:`repro.mpc.cluster.ClusterView.exchange` with the
-same items in the same order and the same destinations, so the metered load
-``L``, the :class:`~repro.mpc.stats.CostReport`, and the JSONL trace are
-bit-identical across backends — the columnar kernels are constructed to
-reproduce the tuple kernels' *first-occurrence* output order exactly (see
-docs/performance.md).  Semiring profiles without a numeric dtype
-(provenance, opaque, ad-hoc semirings) and fault-injection runs fall back
-to ``pytuple`` automatically.
+The backends differ **only in wall-clock time**.  Every communication
+round delivers the same rows in the same order to the same destinations,
+so the metered load ``L``, the :class:`~repro.mpc.stats.CostReport`, and
+the JSONL trace are bit-identical across backends — the columnar kernels
+are constructed to reproduce the tuple kernels' *first-occurrence* output
+order exactly (see docs/performance.md).  Semiring profiles without a
+numeric dtype (provenance, opaque, ad-hoc semirings) and fault-injection
+runs fall back to ``pytuple`` automatically.
 """
 
 from .dispatch import (
     BACKENDS,
     HAS_NUMPY,
-    numpy_enabled,
+    columnar_enabled,
     resolve_backend,
 )
 
-__all__ = ["BACKENDS", "HAS_NUMPY", "numpy_enabled", "resolve_backend"]
+__all__ = ["BACKENDS", "HAS_NUMPY", "columnar_enabled", "resolve_backend"]

@@ -1,8 +1,7 @@
 """Columnar value coding and the numeric semiring profiles.
 
-The columnar backend never ships arrays between servers — communication
-stays item-at-a-time through ``exchange`` so metering is untouched — but
-*within* a server it re-represents tuple batches as arrays:
+The columnar backend re-represents tuple batches as arrays, within a
+server and (as :class:`~repro.backends.batch.ColumnarBatch`) on the wire:
 
 * a :class:`ValueCodec` (one per cluster) interns every attribute/key value
   into a dense ``int64`` code, and memoizes the per-salt ``stable_hash`` of
@@ -11,10 +10,7 @@ stays item-at-a-time through ``exchange`` so metering is untouched — but
   dtype plus ufuncs (counting → int64 +/×, boolean → bool ∨/∧, the
   tropical/max family → float64 or int64 min-max/+/×).  ``profile_of``
   recognizes the standard semirings **by identity**, so a user-built
-  semiring — whose ⊕/⊗ could be anything — never silently vectorizes;
-* :class:`ColumnarPartition` / :class:`ColumnarRelation` hold one server's
-  (or one logical relation's) tuples as per-attribute code columns plus a
-  dtype-typed annotation array.
+  semiring — whose ⊕/⊗ could be anything — never silently vectorizes.
 
 Exactness contract: every profile's operations are bit-exact against the
 scalar semiring.  Integer annotations stay in int64 ranges where +, × and
@@ -44,8 +40,6 @@ from .dispatch import HAS_NUMPY, np
 
 __all__ = [
     "AnnotationProfile",
-    "ColumnarPartition",
-    "ColumnarRelation",
     "FLOAT_MAX_PROFILE",
     "ValueCodec",
     "encode_annotations",
@@ -324,139 +318,3 @@ def encode_annotations(
 def decode_annotations(array: Any) -> List[Any]:
     """Back to Python scalars (int/bool/float) for the wire format."""
     return array.tolist()
-
-
-class ColumnarPartition:
-    """One server's annotated tuples in columnar form.
-
-    ``columns[j]`` holds the codec codes of attribute ``j`` for every local
-    tuple; ``annotations`` is the profile-typed array.  ``to_items`` decodes
-    back to the ``(values, annotation)`` wire format in row order.
-    """
-
-    __slots__ = ("columns", "annotations", "size")
-
-    def __init__(self, columns: Tuple[Any, ...], annotations: Any, size: int) -> None:
-        self.columns = columns
-        self.annotations = annotations
-        self.size = size
-
-    @classmethod
-    def from_items(
-        cls,
-        items: Sequence[Tuple[Tuple[Any, ...], Any]],
-        width: int,
-        codec: ValueCodec,
-        profile: AnnotationProfile,
-    ) -> Optional["ColumnarPartition"]:
-        """Encode ``(values, annotation)`` items; None when annotations do
-        not fit the profile (the caller falls back to tuple kernels)."""
-        annotations = encode_annotations([item[1] for item in items], profile)
-        if annotations is None:
-            return None
-        columns = tuple(
-            codec.encode_many([item[0][j] for item in items]) for j in range(width)
-        )
-        return cls(columns, annotations, len(items))
-
-    def to_items(self, codec: ValueCodec) -> List[Tuple[Tuple[Any, ...], Any]]:
-        decoded = [codec.decode_many(column) for column in self.columns]
-        annotations = decode_annotations(self.annotations)
-        return [
-            (tuple(column[i] for column in decoded), annotations[i])
-            for i in range(self.size)
-        ]
-
-
-class ColumnarRelation:
-    """A logical :class:`~repro.data.relation.Relation` in columnar form.
-
-    The distributed kernels work on :class:`ColumnarPartition` batches
-    directly; this wrapper is the whole-relation variant used by local
-    transformations, the benchmarks, and tests.  Round-trips exactly:
-    ``from_relation(r).to_relation()`` preserves tuple order, value
-    identity, and annotations.
-    """
-
-    __slots__ = ("schema", "partition", "codec", "profile", "semiring")
-
-    def __init__(
-        self,
-        schema: Tuple[str, ...],
-        partition: ColumnarPartition,
-        codec: ValueCodec,
-        profile: AnnotationProfile,
-        semiring: Semiring,
-    ) -> None:
-        self.schema = schema
-        self.partition = partition
-        self.codec = codec
-        self.profile = profile
-        self.semiring = semiring
-
-    @classmethod
-    def from_relation(
-        cls,
-        relation,
-        semiring: Semiring,
-        codec: Optional[ValueCodec] = None,
-    ) -> Optional["ColumnarRelation"]:
-        """None when the semiring has no profile or annotations do not fit."""
-        if not HAS_NUMPY:
-            return None
-        profile = profile_of(semiring)
-        if profile is None:
-            return None
-        codec = codec or ValueCodec()
-        partition = ColumnarPartition.from_items(
-            list(relation), len(relation.schema), codec, profile
-        )
-        if partition is None:
-            return None
-        return cls(tuple(relation.schema), partition, codec, profile, semiring)
-
-    @property
-    def size(self) -> int:
-        return self.partition.size
-
-    def to_relation(self, name: str = "columnar"):
-        from ..data.relation import Relation
-
-        return Relation(
-            name, self.schema, self.partition.to_items(self.codec), self.semiring
-        )
-
-    def column_codes(self, attribute: str):
-        return self.partition.columns[self.schema.index(attribute)]
-
-    def semijoin_codes(self, attribute: str, allowed_codes) -> "ColumnarRelation":
-        """Keep tuples whose ``attribute`` code is in ``allowed_codes``
-        (vectorized semijoin filter; row order preserved)."""
-        mask = np.isin(self.column_codes(attribute), allowed_codes)
-        part = ColumnarPartition(
-            tuple(column[mask] for column in self.partition.columns),
-            self.partition.annotations[mask],
-            int(mask.sum()),
-        )
-        return ColumnarRelation(self.schema, part, self.codec, self.profile, self.semiring)
-
-    def aggregate(self, group_attrs: Sequence[str]) -> "ColumnarRelation":
-        """``Σ_{−group_attrs}`` via sort-and-segment-reduce, groups in
-        first-occurrence order (the dict-fold order of the tuple backend)."""
-        from .kernels import combine_columns, group_reduce, split_codes
-
-        indices = [self.schema.index(a) for a in group_attrs]
-        keys, base = combine_columns(
-            [self.partition.columns[i] for i in indices], len(self.codec),
-            self.partition.size,
-        )
-        if keys is None:
-            raise OverflowError("key space too large to pack into int64")
-        uniq, reduced = group_reduce(
-            keys, self.partition.annotations, self.profile.add_ufunc
-        )
-        columns = tuple(split_codes(uniq, base, len(indices)))
-        part = ColumnarPartition(columns, reduced, int(uniq.shape[0]))
-        return ColumnarRelation(
-            tuple(group_attrs), part, self.codec, self.profile, self.semiring
-        )

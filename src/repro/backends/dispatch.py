@@ -1,16 +1,18 @@
-"""Backend resolution: which kernel implementation a run uses.
+"""Backend resolution: which execution path a run uses.
 
 ``backend`` is a three-valued knob threaded from the public entry points
 (:mod:`repro.api`, :func:`repro.core.executor.run_query`, the CLI) down to
 the cluster:
 
 * ``"pytuple"`` — the reference tuple-at-a-time kernels;
-* ``"numpy"`` — the columnar kernels (raises when numpy is missing);
-* ``"auto"`` — ``numpy`` when numpy is importable and the instance is big
-  enough for vectorization to pay (``AUTO_MIN_TUPLES``), else ``pytuple``.
+* ``"columnar"`` — array kernels plus array-shipping exchanges (raises
+  when numpy is missing);
+* ``"auto"`` — ``columnar`` when numpy is importable and the instance is
+  big enough for vectorization to pay (``AUTO_MIN_TUPLES``), else
+  ``pytuple``.
 
 The resolved name lives on :class:`~repro.mpc.cluster.MPCCluster` as
-``cluster.backend``; primitives consult :func:`numpy_enabled` per view.
+``cluster.backend``; primitives consult :func:`columnar_enabled` per view.
 Fault injection always forces the tuple kernels (the injector mutates
 per-server item lists in place), which keeps chaos runs on the reference
 path without any per-primitive special-casing.
@@ -19,6 +21,8 @@ path without any per-primitive special-casing.
 from __future__ import annotations
 
 from typing import Optional
+
+from ..errors import ConfigError
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -34,15 +38,13 @@ __all__ = [
     "HAS_NUMPY",
     "np",
     "columnar_enabled",
-    "numpy_enabled",
-    "process_enabled",
     "resolve_backend",
 ]
 
 #: The legal ``backend=`` values at every public entry point.
-BACKENDS = ("pytuple", "numpy", "auto", "columnar")
+BACKENDS = ("pytuple", "columnar", "auto")
 
-#: ``auto`` only picks numpy above this total input size: below it the
+#: ``auto`` only picks columnar above this total input size: below it the
 #: per-call array setup costs more than the loops it replaces.
 AUTO_MIN_TUPLES = 256
 
@@ -52,81 +54,36 @@ def resolve_backend(backend: Optional[str], total_size: Optional[int] = None) ->
     if backend is None:
         return "pytuple"
     if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
+        hint = (
+            '; the "numpy" backend was removed, use "columnar"'
+            if backend == "numpy"
+            else ""
         )
-    if backend in ("numpy", "columnar") and not HAS_NUMPY:
-        raise RuntimeError(
-            f"backend={backend!r} requested but numpy is not installed"
+        raise ConfigError(
+            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}{hint}"
+        )
+    if backend == "columnar" and not HAS_NUMPY:
+        raise ConfigError(
+            "backend='columnar' requested but numpy is not installed"
         )
     if backend == "auto":
         if not HAS_NUMPY:
             return "pytuple"
         if total_size is not None and total_size < AUTO_MIN_TUPLES:
             return "pytuple"
-        return "numpy"
+        return "columnar"
     return backend
 
 
-def numpy_enabled(view) -> bool:
-    """True when primitives on ``view`` should take their vectorized path.
-
-    Requires numpy, a cluster resolved to the numpy or columnar backend,
-    and no fault injector (the injector rewrites inboxes item-at-a-time).
-    """
-    if not HAS_NUMPY:
-        return False
-    cluster = view.cluster
-    return (
-        getattr(cluster, "backend", "pytuple") in ("numpy", "columnar")
-        and cluster.faults is None
-    )
-
-
-def process_enabled(view) -> bool:
-    """True when kernels on ``view`` may dispatch to the OS worker pool.
-
-    The ``"process"`` execution mode (``ExecutionConfig(workers=…)``)
-    chunks the data-parallel kernels — vectorized local joins and
-    ``exchange_batches`` splits — across spawned workers.  It composes
-    with :func:`numpy_enabled`/:func:`columnar_enabled` (the pool only
-    ever accelerates their array paths) and falls back to fully
-    sequential execution whenever:
-
-    * fault injection is active (the injector rewrites inboxes
-      item-at-a-time on the tuple path);
-    * a profiler is attached or activated — ``Profiler`` activation is a
-      module global and kernel spans recorded inside a worker process
-      would be invisible to the parent's profile (and to the
-      ``MetricsRegistry`` counters fed from it), so profiled runs are
-      pinned to the sequential engine rather than silently dropping
-      spans (see ``docs/observability.md``);
-    * the semiring has no annotation profile — opaque/unpicklable ⊕/⊗
-      callables never reach a worker because only profile-vectorized
-      kernels dispatch (this falls out of the ``vec``-context gates).
-
-    Meters cannot move either way: routing, codec interning, and load
-    accounting stay in the parent unconditionally.
-    """
-    if not HAS_NUMPY:
-        return False
-    cluster = view.cluster
-    if getattr(cluster, "workers", 1) <= 1:
-        return False
-    if cluster.faults is not None or cluster.tracker.profiler is not None:
-        return False
-    from ..obs import profile as _profile
-
-    return _profile._ACTIVE is None
-
-
 def columnar_enabled(view) -> bool:
-    """True when primitives on ``view`` may also move *arrays* end-to-end.
+    """True when primitives on ``view`` take their array paths.
 
-    The ``"columnar"`` backend is ``"numpy"`` plus array-shipping exchanges
-    (:meth:`~repro.mpc.cluster.ClusterView.exchange_batches`): datasets stay
-    as :class:`~repro.mpc.columnar.ColumnarData` batches across rounds and
-    only decode at boundaries that still need tuples.  Routing decisions,
+    Requires numpy, a cluster resolved to the columnar backend, and no
+    fault injector (the injector rewrites inboxes item-at-a-time).  The
+    array paths run vectorized local kernels and ship
+    :class:`~repro.mpc.columnar.ColumnarData` batches through
+    :meth:`~repro.mpc.cluster.ClusterView.exchange_batches`; datasets only
+    decode at boundaries that still need tuples.  Routing decisions,
     delivery order, and per-server counts are identical to the item path,
     so meters and traces are bit-identical by construction.
     """

@@ -67,7 +67,7 @@ def _profiled(items_fn: Callable[[Tuple[Any, ...]], int] = _rows):
             profiler = _profile._ACTIVE
             if profiler is None:
                 return fn(*args, **kwargs)
-            profiler.start(label, kind="kernel", backend="numpy")
+            profiler.start(label, kind="kernel", backend="columnar")
             try:
                 result = fn(*args, **kwargs)
             except BaseException:

@@ -51,10 +51,8 @@ algorithm's runs), and ``--profile`` / ``--profile-out PATH`` (wall-clock
 hotspot table / speedscope profile of every run the command makes; with
 profiling off the outputs are byte-identical to earlier releases).  Every
 command takes ``--backend`` to select the kernel implementation
-(``pytuple``/``numpy``/``auto``) — outputs are identical across backends,
-only wall-clock differs — and ``--workers N`` to enable the process
-execution mode (a persistent OS worker pool runs the data-parallel
-kernels; outputs stay bit-identical at any worker count).
+(``pytuple``/``columnar``/``auto``) — outputs are identical across
+backends, only wall-clock differs.
 
 The commands are thin argparse shells: all the work happens in
 :mod:`repro.api`, so anything printed here is available as structured data
@@ -150,11 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_backend(p: argparse.ArgumentParser) -> None:
         p.add_argument("--backend", choices=BACKENDS, default="pytuple",
                        help="kernel backend (results and meters are "
-                       "identical; numpy is faster on large instances)")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="OS worker processes for the process execution "
-                       "mode (default: 1 = sequential; answers, meters, and "
-                       "traces are bit-identical at any worker count)")
+                       "identical; columnar is faster on large instances)")
 
     def add_export(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true",
@@ -428,7 +422,7 @@ def _command_compare(args: argparse.Namespace) -> int:
               f"class={instance.query.classify()}")
     config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
                              backend=args.backend, tracer=tracer,
-                             profiler=profiler, workers=args.workers)
+                             profiler=profiler)
     try:
         result = api.compare(instance, config, scope=args.family)
     except AssertionError:
@@ -476,7 +470,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     profiler = _profiler_for(args)
     config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
                              backend=args.backend, tracer=tracer,
-                             profiler=profiler, workers=args.workers)
+                             profiler=profiler)
     matmul = args.family == "matmul"
     knob_name = "OUT" if matmul else "tuples"
     points: List[Dict[str, Any]] = []
@@ -552,7 +546,7 @@ def _command_table1(args: argparse.Namespace) -> int:
     tracer = _tracer_for(args)
     profiler = _profiler_for(args)
     config = ExecutionConfig(p=args.p, backend=args.backend, tracer=tracer,
-                             profiler=profiler, workers=args.workers)
+                             profiler=profiler)
     try:
         rows = api.table1(scale=args.scale, config=config, families=args.families)
     except (AssertionError, ValueError) as error:
@@ -591,7 +585,7 @@ def _command_explain(args: argparse.Namespace) -> int:
     """Print the planner's candidate table for one instance, no execution."""
     instance = _families()[args.family](args)
     config = ExecutionConfig(p=args.p, backend=args.backend,
-                             stats_mode=args.stats_mode, workers=args.workers)
+                             stats_mode=args.stats_mode)
     plan = api.explain(instance, config)
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
@@ -611,8 +605,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         sinks.append(JsonlSink(args.trace_out))
     tracer = Tracer(sinks, scope=args.family)
     config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, tracer=tracer,
-                             workers=args.workers)
+                             backend=args.backend, tracer=tracer)
     try:
         result = api.run_query(instance, config)
     except (KeyError, ValueError) as error:
@@ -701,8 +694,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     instance = _families()[args.family](args)
     profiler = Profiler()
     config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, profiler=profiler,
-                             workers=args.workers)
+                             backend=args.backend, profiler=profiler)
     try:
         result = api.run_query(instance, config)
     except (KeyError, ValueError) as error:
@@ -790,7 +782,6 @@ def _run_campaign(args: argparse.Namespace, invariants, label: str,
         shrink=not args.no_shrink,
         fail_fast=args.fail_fast,
         backend=args.backend,
-        workers=args.workers,
         **extra,
     )
     summary = api.chaos(config) if label == "chaos" else api.fuzz(config)
@@ -842,8 +833,7 @@ def _command_ivm(args: argparse.Namespace) -> int:
     except (OSError, ReproError, ValueError, KeyError) as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
-    config = ExecutionConfig(p=args.p, backend=args.backend,
-                             workers=args.workers)
+    config = ExecutionConfig(p=args.p, backend=args.backend)
     try:
         view = api.materialize(instance, config)
         results = [view.apply(batch) for batch in batches]
@@ -859,7 +849,7 @@ def _command_ivm(args: argparse.Namespace) -> int:
         for batch in batches:
             mutated = mutate_instance(mutated, batch)
         recompute = api.run_query(mutated, ExecutionConfig(
-            p=args.p, backend=args.backend, workers=args.workers))
+            p=args.p, backend=args.backend))
         check = {
             "identical": _answer_map(answer) == _answer_map(recompute.relation),
             "recompute_load": recompute.report.max_load,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from .backends.dispatch import BACKENDS, resolve_backend
+from .backends.dispatch import resolve_backend
 from .errors import ConfigError
 from .mpc.cluster import MPCCluster
 
@@ -27,14 +27,13 @@ class ExecutionConfig:
     """Everything an execution needs besides the instance itself.
 
     ``backend`` is one of ``"pytuple"`` (portable reference kernels,
-    default), ``"numpy"`` (vectorized columnar kernels, identical results
-    and meters), ``"columnar"`` (end-to-end array execution: relations
-    load as code columns and exchanges ship batches — still identical
-    results and meters), or ``"auto"`` (numpy when available and the
-    instance is large enough to amortize encoding).  ``fault_schedule``
-    (a :class:`~repro.mpc.faults.FaultSchedule`) forces the pytuple
-    kernels for the faulted run — recovery replays inboxes
-    item-at-a-time.
+    default), ``"columnar"`` (end-to-end array execution: vectorized
+    kernels, relations load as code columns and exchanges ship batches —
+    identical results and meters), or ``"auto"`` (columnar when numpy is
+    available and the instance is large enough to amortize encoding).
+    ``fault_schedule`` (a :class:`~repro.mpc.faults.FaultSchedule`)
+    forces the pytuple kernels for the faulted run — recovery replays
+    inboxes item-at-a-time.
     """
 
     p: int = 8
@@ -54,43 +53,31 @@ class ExecutionConfig:
     #: ``"offline"`` (free ANALYZE-style scan) or ``"in-model"`` (collected
     #: on the cluster with metered load, charged to the run's report).
     stats_mode: str = "offline"
-    #: OS worker processes for the ``"process"`` execution mode.  ``1``
-    #: (the default) is fully sequential; ``workers > 1`` lets the
-    #: data-parallel kernels (vectorized local joins, batch splits)
-    #: dispatch in deterministic chunks to a persistent spawn-based pool
-    #: (:mod:`repro.mpc.pool`).  Answers, CostReports, and traces are
-    #: bit-identical at any worker count; faults, profiling, and
-    #: profile-less semirings silently fall back to sequential execution.
+    #: Residue of the deleted process execution mode: accepts only ``1``
+    #: and nothing reads it.  It stays because ``benchmarks/e2e/`` (frozen
+    #: by BENCHMARK.json) builds ``ExecutionConfig(**workload.config)``
+    #: with ``"workers": 1``; once a benchmark PR drops that key, delete
+    #: this field and its check.
     workers: int = 1
 
     def __post_init__(self) -> None:
         """Eager validation: a bad config never reaches the executor.
 
-        Every rejected combination raises :class:`~repro.errors.ConfigError`
-        (a ``ValueError`` subclass) at *construction* time — including the
-        faults + process-mode pairing, which has no coherent meaning:
-        recovery replays inboxes item-at-a-time, so a faulted run could
-        never dispatch to the worker pool anyway.
+        Every rejected value raises :class:`~repro.errors.ConfigError`
+        (a ``ValueError`` subclass) at *construction* time.
         """
         if self.p < 1:
             raise ConfigError("ExecutionConfig needs p >= 1")
-        if self.workers < 1:
-            raise ConfigError("ExecutionConfig needs workers >= 1")
-        if self.backend is not None and self.backend not in BACKENDS:
+        if self.workers != 1:
             raise ConfigError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+                "the process execution mode was removed; "
+                "ExecutionConfig accepts only workers=1"
             )
+        resolve_backend(self.backend)  # rejects unknown / unavailable backends
         if self.stats_mode not in ("offline", "in-model"):
             raise ConfigError(
                 f"unknown stats_mode {self.stats_mode!r}; "
                 "expected 'offline' or 'in-model'"
-            )
-        if self.fault_schedule is not None and self.workers > 1:
-            raise ConfigError(
-                "fault injection and the process execution mode are "
-                "mutually exclusive: recovery replays inboxes "
-                "item-at-a-time on the sequential engine; use workers=1 "
-                "with a fault_schedule (or drop the schedule)"
             )
 
     def with_backend(self, backend: Optional[str]) -> "ExecutionConfig":
@@ -109,5 +96,4 @@ class ExecutionConfig:
             faults=self.fault_schedule,
             backend=resolve_backend(self.backend, total_size),
             profiler=self.profiler,
-            workers=self.workers,
         )

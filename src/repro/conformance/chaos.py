@@ -16,7 +16,7 @@ and stragglers — and asserts that under each one
 
 Finally it plants one deliberately *unrecoverable* schedule (a crash with
 no spare server) and asserts the run fails loudly with an
-:class:`~repro.mpc.errors.UnrecoverableFaultError` naming the failing
+:class:`~repro.errors.UnrecoverableFaultError` naming the failing
 round.
 
 The invariant registers itself in the catalog under ``"chaos"`` but is

@@ -22,10 +22,6 @@ Every invariant is a function ``check(case, config) -> None`` raising
   *bit-identical* to the ``"pytuple"`` reference: every applicable
   algorithm produces the same answer, the same serialized cost report,
   and the same trace event stream on both backends;
-* ``process-identity`` (opt-in) — the ``"process"`` execution mode
-  (``workers > 1``, an OS worker pool) is *bit-identical* to the
-  sequential simulator: same answer, same serialized cost report, same
-  trace event stream at every worker count;
 * ``planner-choice`` (opt-in, like ``chaos`` — registered in
   :data:`INVARIANTS` but not :data:`DEFAULT_INVARIANTS`) — cost-based
   dispatch picks an algorithm from ``applicable_algorithms``, reproduces
@@ -62,7 +58,6 @@ __all__ = [
     "check_opaque_discipline",
     "check_columnar_identity",
     "check_planner_choice",
-    "check_process_identity",
     "check_ivm_identity",
 ]
 
@@ -345,57 +340,6 @@ def check_columnar_identity(case: FuzzCase, config) -> None:
                 )
 
 
-def check_process_identity(case: FuzzCase, config) -> None:
-    """The ``"process"`` execution mode is bit-identical to sequential.
-
-    Every applicable algorithm runs under ``workers=1`` and under
-    ``workers=N`` (``config.workers`` clamped to ≥ 2) on the ``"columnar"``
-    backend — the mode's full parallel surface: chunked local joins *and*
-    array-shipping exchange splits — and the answers (tuples and
-    annotations), serialized cost reports, and full trace event streams
-    must match exactly.  Opt-in like ``columnar-identity``, and a no-op
-    without numpy (no pool without array kernels).  Small fuzz cases
-    exercise the gating/fallback logic; the test battery additionally
-    forces dispatch by shrinking :mod:`repro.mpc.pool` thresholds.
-    """
-    from ..backends.dispatch import HAS_NUMPY
-    from ..config import ExecutionConfig
-    from ..obs.events import RingBufferSink, Tracer, event_to_dict
-
-    if not HAS_NUMPY:
-        return
-    instance = materialize(case)
-    workers = max(2, getattr(config, "workers", 2) or 2)
-    for algorithm in applicable_algorithms(case.query):
-        outcomes = {}
-        for worker_count in (1, workers):
-            sink = RingBufferSink()
-            result = run_query(
-                instance,
-                config=ExecutionConfig(
-                    p=config.p,
-                    algorithm=algorithm,
-                    backend="columnar",
-                    tracer=Tracer((sink,)),
-                    workers=worker_count,
-                ),
-            )
-            outcomes[worker_count] = (
-                _result_map(result.relation),
-                result.report.to_dict(),
-                [event_to_dict(event) for event in sink.events],
-            )
-        sequential, process = outcomes[1], outcomes[workers]
-        for what, index in (("answer", 0), ("cost report", 1), ("trace", 2)):
-            if sequential[index] != process[index]:
-                raise InvariantViolation(
-                    "process-identity",
-                    algorithm,
-                    f"workers={workers} {what} diverges from sequential "
-                    f"over {case.profile}/{case.skew}",
-                )
-
-
 def check_planner_choice(case: FuzzCase, config) -> None:
     """Cost-based dispatch is sound: legal choice, oracle-exact answer,
     self-consistent plan metadata.
@@ -560,8 +504,8 @@ def check_ivm_identity(case: FuzzCase, config) -> None:
 #: Name → checker; the runner cycles through this catalog.  The chaos tier
 #: (:mod:`repro.conformance.chaos`) registers its ``"chaos"`` invariant
 #: here too, so corpus replay resolves it by name.  ``planner-choice``,
-#: ``columnar-identity``, ``process-identity``, and ``ivm-identity`` are
-#: registered but opt-in (absent from :data:`DEFAULT_INVARIANTS`).
+#: ``columnar-identity``, and ``ivm-identity`` are registered but opt-in
+#: (absent from :data:`DEFAULT_INVARIANTS`).
 INVARIANTS: Dict[str, Callable[[FuzzCase, Any], None]] = {
     "differential": check_differential,
     "homomorphism": check_homomorphism,
@@ -569,7 +513,6 @@ INVARIANTS: Dict[str, Callable[[FuzzCase, Any], None]] = {
     "scaling": check_scaling,
     "opaque-discipline": check_opaque_discipline,
     "columnar-identity": check_columnar_identity,
-    "process-identity": check_process_identity,
     "planner-choice": check_planner_choice,
     "ivm-identity": check_ivm_identity,
 }

@@ -24,7 +24,6 @@ from ..mpc.faults import FaultInjector
 __all__ = [
     "planted_exchange_off_by_one",
     "planted_drop_blackhole",
-    "planted_unordered_merge",
 ]
 
 
@@ -52,56 +51,6 @@ def planted_exchange_off_by_one() -> Iterator[None]:
         yield
     finally:
         ClusterView.exchange = original
-
-
-@contextmanager
-def planted_unordered_merge() -> Iterator[None]:
-    """Monkeypatch the pool's chunk merge into a lost-update reduce.
-
-    The ``"process"`` mode's determinism rests on ⊕-merging every chunk's
-    partial for a group key.  While active, a key that appears in more
-    than one chunk keeps only its *first* chunk's partial — the classic
-    nondeterministic-reduce race, where the merge takes whichever worker
-    "won" instead of combining, and concurrent updates are lost.  Any
-    group whose product stream spans a chunk boundary now reduces to a
-    wrong annotation, so the ``process-identity`` differential oracle
-    must flag the divergence.  Sequential runs are untouched.
-    """
-    from ..mpc import pool as pool_mod
-
-    original = pool_mod.parallel_join_reduce
-
-    def buggy_join_reduce(pool, **kwargs):
-        sound_wave = pool_mod.WorkerPool.run_wave
-
-        def lossy_wave(self, kernel, calls, label=None):
-            results = sound_wave(self, kernel, calls, label=label)
-            seen: set = set()
-            for result in results:
-                keys = result["unique"].tolist()
-                fresh = pool_mod.np.fromiter(
-                    (key not in seen for key in keys),
-                    dtype=bool,
-                    count=len(keys),
-                )
-                seen.update(keys)
-                # the planted lost update: drop repeat keys instead of
-                # letting the parent ⊕-combine them
-                result["unique"] = result["unique"][fresh]
-                result["reduced"] = result["reduced"][fresh]
-            return results
-
-        pool_mod.WorkerPool.run_wave = lossy_wave
-        try:
-            return original(pool, **kwargs)
-        finally:
-            pool_mod.WorkerPool.run_wave = sound_wave
-
-    pool_mod.parallel_join_reduce = buggy_join_reduce
-    try:
-        yield
-    finally:
-        pool_mod.parallel_join_reduce = original
 
 
 @contextmanager

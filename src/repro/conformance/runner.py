@@ -56,7 +56,7 @@ class FuzzConfig:
     corpus: Optional[str] = None
     shrink: bool = True
     fail_fast: bool = False
-    #: Kernel backend every invariant's runs use (``"pytuple"``/``"numpy"``/
+    #: Kernel backend every invariant's runs use (``"pytuple"``/``"columnar"``/
     #: ``"auto"``/None, see :mod:`repro.backends`).  Results and meters are
     #: backend-independent, so summaries stay byte-identical across
     #: backends — the field is deliberately absent from the JSON summary.
@@ -65,12 +65,6 @@ class FuzzConfig:
     #: recoverable schedules per (case, algorithm) and faults per schedule.
     chaos_schedules: int = 2
     chaos_faults: int = 3
-    #: Worker count the opt-in ``process-identity`` invariant compares
-    #: against sequential execution (the process execution mode,
-    #: :mod:`repro.mpc.pool`); clamped to ≥ 2 there, since comparing
-    #: ``workers=1`` with itself would be vacuous.  Every other
-    #: invariant runs sequentially regardless.
-    workers: int = 2
     #: Clock used for the ``seconds`` deadline: a zero-arg callable returning
     #: monotonic seconds (default ``time.monotonic``).  Injectable so tests
     #: can drive wall-clock budgets deterministically — the same contract as

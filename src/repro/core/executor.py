@@ -97,8 +97,8 @@ def run_query(
 
     ``config`` (an :class:`~repro.config.ExecutionConfig`) supplies every
     knob not given explicitly; explicit arguments win.  ``backend`` selects
-    the kernel implementation (``"pytuple"``/``"numpy"``/``"columnar"``/
-    ``"auto"``, see :mod:`repro.backends`) — results, cost reports, and
+    the kernel implementation (``"pytuple"``/``"columnar"``/``"auto"``,
+    see :mod:`repro.backends`) — results, cost reports, and
     traces are identical across backends, only wall-clock differs.
 
     ``validate=True`` cross-checks the distributed answer against the

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backends.dispatch import np, numpy_enabled, process_enabled
+from ..backends.dispatch import columnar_enabled, np
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from ..mpc.hashing import hash_to_bucket, stable_hash
@@ -130,16 +130,11 @@ def join_aggregate_pair(
     keep_sources = _keep_sources(left.schema, right.schema, keep)
     tracker = view.tracker
     profile = vector_profile(view, semiring)
-    pool = (
-        view.cluster.pool
-        if profile is not None and process_enabled(view)
-        else None
-    )
 
     def local_join(part: List[Any]) -> List[Any]:
         if profile is not None:
             vectorized = _local_join_cells_vec(
-                part, view.cluster.codec, profile, keep_sources, pool=pool
+                part, view.cluster.codec, profile, keep_sources
             )
             if vectorized is not None:
                 partials, products = vectorized
@@ -210,7 +205,7 @@ def _keep_sources(
     return sources
 
 
-# -- vectorized local-join kernels (numpy backend) ----------------------------
+# -- vectorized local-join kernels (columnar backend) -------------------------
 #
 # These replay the dict kernels' elementary-product stream with array ops
 # (see repro.backends.kernels): same products, same partials order, so the
@@ -231,9 +226,6 @@ class _VectorJoinSpec:
     """What a vectorized local join needs to know about the tuple layout:
     the single join-key column on each side and where each output attribute
     is read from (``("L"/"R", column index)``, as in :func:`_keep_sources`).
-    ``pool`` (a :class:`~repro.mpc.pool.WorkerPool`, optional) lets large
-    joins chunk their product stream across OS workers in ``"process"``
-    mode — same stream, same partials, same meters.
     """
 
     codec: Any
@@ -241,7 +233,6 @@ class _VectorJoinSpec:
     left_key_col: int
     right_key_col: int
     out_sources: Tuple[Tuple[str, int], ...]
-    pool: Any = None
 
 
 def vector_join_context(
@@ -257,17 +248,15 @@ def vector_join_context(
     profile = vector_profile(view, semiring)
     if profile is None:
         return None
-    pool = view.cluster.pool if process_enabled(view) else None
     return _VectorJoinSpec(
-        view.cluster.codec, profile, left_key_col, right_key_col,
-        tuple(out_sources), pool,
+        view.cluster.codec, profile, left_key_col, right_key_col, tuple(out_sources)
     )
 
 
 def vector_profile(view: Any, semiring: Semiring) -> Optional[Any]:
     """The reduce/join vectorization profile of ``semiring`` on this view's
     cluster, or None (tuple backend, faults active, or no profile)."""
-    if not numpy_enabled(view):
+    if not columnar_enabled(view):
         return None
     from ..backends.columnar import profile_of
 
@@ -299,110 +288,19 @@ def _aggregate_product_stream(
     Returns the partials dict in key-first-occurrence order — exactly the
     dict the scalar kernels build — or None when the key space cannot pack
     into int64."""
-    from ..backends.kernels import combine_columns, group_reduce
+    from ..backends.kernels import combine_columns, group_reduce, split_codes
 
     packed, base = combine_columns(out_columns, len(codec), weights.shape[0])
     if packed is None:
         return None
     unique, reduced = group_reduce(packed, weights, profile.add_ufunc)
-    return _decode_partials(codec, unique, reduced, base, len(out_columns))
-
-
-def _decode_partials(
-    codec: Any, unique: Any, reduced: Any, base: int, width: int
-) -> Dict[Tuple, Any]:
-    """Unpack ⊕-folded (packed-key, value) arrays into the partials dict
-    (key first-occurrence order is the arrays' order already)."""
-    from ..backends.kernels import split_codes
-
-    if width == 0:
+    if not out_columns:
         return {(): value for value in reduced.tolist()}
     decoded = [
-        codec.decode_many(column) for column in split_codes(unique, base, width)
+        codec.decode_many(column)
+        for column in split_codes(unique, base, len(out_columns))
     ]
     return dict(zip(zip(*decoded), reduced.tolist()))
-
-
-#: :func:`_parallel_local_join` verdict: the call is too small to chunk —
-#: run the sequential vectorized kernel instead.
-_RUN_SEQUENTIAL = object()
-
-
-def _parallel_local_join(
-    codec: Any,
-    profile: Any,
-    pool: Any,
-    *,
-    build_codes: Any,
-    probe_codes: Any,
-    build_ann: Any,
-    probe_ann: Any,
-    probe_is_left: bool,
-    sources: Sequence[Tuple[str, int]],
-    left_items: Sequence[Any],
-    right_items: Sequence[Any],
-    probe_perm: Any = None,
-) -> Any:
-    """The ``"process"``-mode branch of a vectorized local join-aggregate.
-
-    Prices the join with a count-only pre-join (no streams materialized),
-    takes exactly the sequential kernel's fallback decisions (zero
-    products, ⊗/⊕ exactness, key packability — all functions of counts
-    and dtypes, so the decision is identical at any worker count), then
-    chunks the probe side by product mass across the pool and ⊕-merges
-    the chunk partials (:func:`repro.mpc.pool.parallel_join_reduce`).
-
-    Returns the final ``(partials, products)`` / ``None`` verdict, or
-    :data:`_RUN_SEQUENTIAL` when the join is below the dispatch threshold.
-    Interning side effects on ``codec`` are identical to the sequential
-    kernel in every case: out-key columns are encoded in source order
-    only after the product/exactness checks pass, exactly as
-    :func:`_gather_out_columns` would.
-    """
-    from ..mpc import pool as pool_mod
-
-    counts, products = pool_mod.count_products(build_codes, probe_codes)
-    if products == 0:
-        return {}, 0
-    left_ann, right_ann = (
-        (probe_ann, build_ann) if probe_is_left else (build_ann, probe_ann)
-    )
-    if not _mul_safe(profile, left_ann, right_ann, products):
-        return None
-    if products < pool_mod.DISPATCH_MIN_PRODUCTS:
-        return _RUN_SEQUENTIAL
-    out_sides: List[str] = []
-    out_columns: List[Any] = []
-    for side, index in sources:
-        items = left_items if side == "L" else right_items
-        column = codec.encode_many([item[0][index] for item in items])
-        if (side == "L") == probe_is_left:
-            out_sides.append("P")
-            out_columns.append(
-                column if probe_perm is None else column[probe_perm]
-            )
-        else:
-            out_sides.append("B")
-            out_columns.append(column)
-    base = max(1, len(codec))
-    if not pool_mod.pack_feasible(len(out_columns), base):
-        return None
-    unique, reduced = pool_mod.parallel_join_reduce(
-        pool,
-        build_codes=build_codes,
-        probe_codes=probe_codes,
-        build_ann=build_ann,
-        probe_ann=probe_ann,
-        out_sides=out_sides,
-        out_columns=out_columns,
-        probe_is_left=probe_is_left,
-        profile=profile,
-        pack_base=base,
-        counts=counts,
-        products=products,
-    )
-    partials = _decode_partials(codec, unique, reduced, base, len(out_columns))
-    return partials, products
 
 
 def _local_join_vec(
@@ -424,19 +322,6 @@ def _local_join_vec(
     right_codes = codec.encode_many(
         [item[0][vec.right_key_col] for item in right_items]
     )
-    if vec.pool is not None:
-        from ..mpc import pool as pool_mod
-
-        if len(right_items) >= pool_mod.DISPATCH_MIN_ROWS:
-            parallel = _parallel_local_join(
-                codec, profile, vec.pool,
-                build_codes=left_codes, probe_codes=right_codes,
-                build_ann=left_ann, probe_ann=right_ann,
-                probe_is_left=False, sources=vec.out_sources,
-                left_items=left_items, right_items=right_items,
-            )
-            if parallel is not _RUN_SEQUENTIAL:
-                return parallel
     l_pos, r_pos = hash_join(left_codes, right_codes, outer="right")
     products = int(l_pos.shape[0])
     if products == 0:
@@ -458,7 +343,6 @@ def _local_join_cells_vec(
     codec: Any,
     profile: Any,
     keep_sources: Sequence[Tuple[str, int]],
-    pool: Any = None,
 ) -> Optional[Tuple[Dict[Tuple, Any], int]]:
     """Vectorized cell-grouped local join (the fragment-replicate kernel of
     :func:`join_aggregate_pair`).
@@ -491,23 +375,6 @@ def _local_join_cells_vec(
     first_order = np.argsort(firsts, kind="stable")
     ranks = first_order[np.searchsorted(firsts[first_order], left_codes)]
     perm = np.argsort(ranks, kind="stable")
-    if pool is not None:
-        from ..mpc import pool as pool_mod
-
-        if len(left_rows) >= pool_mod.DISPATCH_MIN_ROWS:
-            # The permuted left side is the probe (its contiguous chunks
-            # replay the cell-blocked stream); pre-permuting the probe
-            # annotations and out-columns keeps workers codec-free.
-            parallel = _parallel_local_join(
-                codec, profile, pool,
-                build_codes=right_codes, probe_codes=left_codes[perm],
-                build_ann=right_ann, probe_ann=left_ann[perm],
-                probe_is_left=True, sources=keep_sources,
-                left_items=left_rows, right_items=right_rows,
-                probe_perm=perm,
-            )
-            if parallel is not _RUN_SEQUENTIAL:
-                return parallel
     l_block, r_pos = hash_join(left_codes[perm], right_codes, outer="left")
     products = int(l_block.shape[0])
     if products == 0:
@@ -577,7 +444,7 @@ def local_join_aggregate(
     Returns ``(partials, elementary_product_count)``; used by every algorithm
     that arranges tuples so products can be aggregated in place (the paper's
     "locality").  ``vec`` (a :func:`vector_join_context` result, optional)
-    lets the numpy backend run the same join as array kernels; the caller
+    lets the columnar backend run the same join as array kernels; the caller
     guarantees it describes the same keys and out-key as the callables.
     """
     if vec is not None:

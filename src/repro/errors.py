@@ -16,12 +16,8 @@ The hierarchy::
     └── MPCError(RuntimeError)           — simulated-cluster failures
         ├── RoutingError                 — message to a server outside the view
         ├── AllocationError              — server-allocation request unsatisfiable
-        ├── FaultError                   — injected-fault failures
-        │   └── UnrecoverableFaultError  — fault the recovery policy cannot repair
-        └── WorkerCrashError             — process-mode OS worker died
-
-:mod:`repro.mpc.errors` re-exports the MPC branch for compatibility with
-the historical import paths; new code should import from here.
+        └── FaultError                   — injected-fault failures
+            └── UnrecoverableFaultError  — fault the recovery policy cannot repair
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ __all__ = [
     "AllocationError",
     "FaultError",
     "UnrecoverableFaultError",
-    "WorkerCrashError",
 ]
 
 
@@ -48,9 +43,8 @@ class ConfigError(ReproError, ValueError):
     """An invalid configuration value or combination of values.
 
     Raised eagerly — :class:`~repro.config.ExecutionConfig` rejects
-    unknown backends, ``workers < 1``, ``p < 1``, bad ``stats_mode``
-    values, and the faults + process-mode combination at *construction*
-    time, so a bad config never reaches the executor.
+    unknown backends, ``p < 1``, and bad ``stats_mode`` values at
+    *construction* time, so a bad config never reaches the executor.
     """
 
 
@@ -109,24 +103,3 @@ class UnrecoverableFaultError(FaultError):
     round — the run is torn down loudly instead of silently producing a
     wrong answer.
     """
-
-
-class WorkerCrashError(MPCError):
-    """An OS worker of the ``"process"`` execution mode died or failed.
-
-    Carries the identifying coordinates of the failure so harnesses can
-    assert *which* dispatch fired: the ``wave`` label (one label per
-    kernel-dispatch batch, e.g. ``"join-reduce:3"`` or ``"exchange:r5"``),
-    the ``kernel`` name, and the pool ``worker`` index.  ``detail`` holds
-    the remote traceback when the worker survived long enough to send one
-    (a Python-level kernel failure); hard deaths (signal, ``os._exit``)
-    leave it empty.
-    """
-
-    def __init__(self, message: str, *, wave: str = "", kernel: str = "",
-                 worker: int = -1, detail: str = "") -> None:
-        super().__init__(message)
-        self.wave = wave
-        self.kernel = kernel
-        self.worker = worker
-        self.detail = detail

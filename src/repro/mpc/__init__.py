@@ -7,24 +7,20 @@ at seeded ``(round, server)`` coordinates, answers survive every
 recoverable schedule, and the repair cost is metered separately under the
 ``recovery`` tag of :class:`CostReport`.
 
-The ``"process"`` execution mode (:mod:`repro.mpc.pool`, enabled by
-``ExecutionConfig(workers=N)``) additionally maps the data-parallel
-kernels of a simulated round onto a persistent pool of OS worker
-processes; answers, meters, and traces stay bit-identical to the
-sequential simulator, and a dead worker raises
-:class:`WorkerCrashError` naming the wave.
+A round always executes sequentially in the calling process: the model's
+cost is the metered load ``L``, which does not depend on how the host
+schedules a round's local work.
 """
 
-from .cluster import ClusterView, MPCCluster
-from .distributed import Distributed, transfer
-from .errors import (
+from ..errors import (
     AllocationError,
     FaultError,
     MPCError,
     RoutingError,
     UnrecoverableFaultError,
-    WorkerCrashError,
 )
+from .cluster import ClusterView, MPCCluster
+from .distributed import Distributed, transfer
 from .faults import FAULT_KINDS, Fault, FaultInjector, FaultSchedule
 from .hashing import hash_to_bucket, hash_to_unit, stable_hash
 from .recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
@@ -42,7 +38,6 @@ __all__ = [
     "AllocationError",
     "FaultError",
     "UnrecoverableFaultError",
-    "WorkerCrashError",
     "FAULT_KINDS",
     "Fault",
     "FaultSchedule",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import AllocationError, RoutingError
+from ..errors import AllocationError, RoutingError
 from .stats import CostReport, LoadTracker
 
 __all__ = ["MPCCluster", "ClusterView"]
@@ -42,10 +42,10 @@ class MPCCluster:
     it (the default) every delivering operation pays a single ``None``
     check and all meters are bit-identical to a fault-free build.
 
-    ``backend`` (``"pytuple"``, ``"numpy"``, or ``"columnar"``, default
-    ``"pytuple"``) selects the kernel implementation the primitives use
-    for their local work; ``"columnar"`` additionally ships encoded
-    arrays through ``exchange_batches`` instead of item lists.  No choice
+    ``backend`` (``"pytuple"`` or ``"columnar"``, default ``"pytuple"``)
+    selects the kernel implementation the primitives use for their local
+    work; ``"columnar"`` runs array kernels and ships encoded arrays
+    through ``exchange_batches`` instead of item lists.  Neither choice
     changes what is delivered or metered (see :mod:`repro.backends`).
     ``cluster.codec`` is the backend's shared value codec, created lazily
     on first use.
@@ -55,29 +55,16 @@ class MPCCluster:
     ``run_parallel`` wave records its elapsed time and items moved.  With
     none attached (the default), operations pay a single ``None`` check
     and results/meters/traces are bit-identical to an unprofiled run.
-
-    ``workers`` (default 1) turns on the ``"process"`` execution mode:
-    with ``workers > 1`` the data-parallel kernels — vectorized local
-    join-aggregates and ``exchange_batches`` destination splits — may
-    dispatch in deterministic chunks to a persistent OS worker pool
-    (:mod:`repro.mpc.pool`).  All routing, codec interning, metering, and
-    tracing stay in this (parent) process, so answers, CostReports, and
-    trace streams are bit-identical to ``workers=1``; faults, profiling,
-    and profile-less semirings fall back to sequential execution
-    (:func:`~repro.backends.dispatch.process_enabled`).
     """
 
     def __init__(self, p: int, seed: int = 0, tracer: Optional[Any] = None,
                  faults: Optional[Any] = None, backend: str = "pytuple",
-                 profiler: Optional[Any] = None, workers: int = 1) -> None:
+                 profiler: Optional[Any] = None) -> None:
         if p < 1:
             raise ValueError("cluster needs at least one server")
-        if workers < 1:
-            raise ValueError("cluster needs at least one worker")
         self.p = p
         self.seed = seed
         self.backend = backend
-        self.workers = workers
         self._codec: Optional[Any] = None
         self.tracker = LoadTracker(tracer=tracer, profiler=profiler)
         if faults is None:
@@ -86,19 +73,6 @@ class MPCCluster:
             from .faults import as_injector
 
             self.faults = as_injector(faults)
-
-    @property
-    def pool(self) -> Optional[Any]:
-        """The shared :class:`~repro.mpc.pool.WorkerPool` this cluster's
-        kernels dispatch to, or ``None`` in sequential mode.  Pools are
-        borrowed from the module cache (warm workers survive across
-        clusters), never owned: tearing one down is
-        :func:`repro.mpc.pool.shutdown_pools`'s job."""
-        if self.workers <= 1:
-            return None
-        from .pool import get_pool
-
-        return get_pool(self.workers, self.seed)
 
     @property
     def codec(self) -> Any:
@@ -261,64 +235,16 @@ class ClusterView:
                     raise RoutingError(
                         f"destination {bad} outside view of size {self.p}"
                     )
-            # Per source: the batch's rows gathered into stable destination
-            # order plus per-destination bounds.  Large sources may compute
-            # this on the worker pool ("process" mode); the math (stable
-            # argsort + bincount) is identical either way, and fragment
-            # slices of the gathered batch equal ``take(order[start:stop])``
-            # row for row, so inboxes — and the meters charged from their
-            # lengths — cannot depend on where the split ran.
-            split_of: List[Optional[Tuple[Any, Any]]] = [None] * self.p
-            pool = None
-            from ..backends.dispatch import process_enabled
-
-            if process_enabled(self):
-                from .pool import DISPATCH_MIN_ROWS
-
-                pool = self.cluster.pool
-                calls = []
-                call_sources = []
-                for source, (dest_array, batch) in enumerate(zip(dests, batches)):
-                    # Object-dtype annotations (opaque semirings) may hold
-                    # unpicklable values; those sources split inline below.
-                    if batch.annotations is not None and (
-                        batch.annotations.dtype.kind == "O"
-                    ):
-                        continue
-                    if batch.size >= DISPATCH_MIN_ROWS:
-                        arrays = {"dest": dest_array}
-                        for position, column in enumerate(batch.columns):
-                            arrays[f"col{position}"] = column
-                        if batch.annotations is not None:
-                            arrays["ann"] = batch.annotations
-                        calls.append((arrays, {"p": self.p}))
-                        call_sources.append(source)
-                if calls:
-                    results = pool.run_wave(
-                        "split-batch", calls, label=f"{op}:r{self.round}"
-                    )
-                    for source, result in zip(call_sources, results):
-                        batch = batches[source]
-                        gathered = ColumnarBatch(
-                            tuple(
-                                result[f"col{position}"]
-                                for position in range(len(batch.columns))
-                            ),
-                            result.get("ann"),
-                            batch.size,
-                            batch.kind,
-                        )
-                        split_of[source] = (gathered, result["bounds"])
+            # Per source: gather the batch's rows into stable destination
+            # order (rows keep their outbox order), then slice per inbox.
             fragments: List[List[Any]] = [[] for _ in range(self.p)]
-            for source, (dest_array, batch) in enumerate(zip(dests, batches)):
+            for dest_array, batch in zip(dests, batches):
                 if batch.size == 0:
                     continue
-                if split_of[source] is None:
-                    order = np.argsort(dest_array, kind="stable")
-                    counts = np.bincount(dest_array, minlength=self.p)
-                    bounds = np.concatenate(([0], np.cumsum(counts)))
-                    split_of[source] = (batch.take(order), bounds)
-                gathered, bounds = split_of[source]
+                order = np.argsort(dest_array, kind="stable")
+                counts = np.bincount(dest_array, minlength=self.p)
+                bounds = np.concatenate(([0], np.cumsum(counts)))
+                gathered = batch.take(order)
                 for local in range(self.p):
                     start, stop = int(bounds[local]), int(bounds[local + 1])
                     if stop > start:
@@ -364,11 +290,7 @@ class ClusterView:
 
     def broadcast_batches(self, batches: Sequence[Any]) -> Any:
         """Batch form of :meth:`broadcast`: every server receives the
-        concatenation of all parts; charged the total row count each.
-
-        Always parent-side, even in ``"process"`` mode: a broadcast is one
-        ``concatenate`` — allocation-bound, with no per-row compute for a
-        worker to absorb — so shipping it would only add copies."""
+        concatenation of all parts; charged the total row count each."""
         from ..backends.batch import ColumnarBatch
 
         if self.cluster.faults is not None:
@@ -526,14 +448,6 @@ class ClusterView:
         Tasks are first-fit packed into waves of total size ≤ p; each wave's
         branches start at the same base round, and the cursor advances by the
         deepest branch.  Results are returned in task order.
-
-        Branch tasks always execute sequentially within a wave — even in
-        ``"process"`` mode.  They are arbitrary closures mutating shared
-        simulator state (tracker, codec, cursor), so forking them would
-        either fork that state or race on it; instead, the worker pool
-        parallelizes the *data-parallel kernels inside* each branch
-        (chunked local joins, batch splits), which is where the wall-clock
-        actually goes and where chunk merges are provably bit-exact.
         """
         if not tasks:
             return []

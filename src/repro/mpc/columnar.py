@@ -13,15 +13,6 @@ therefore identical meters and traces, either way.
 ``total_size``/``part_sizes`` read array lengths directly, so the logical
 tuple counts the load meter and the algorithms' statistics consume never
 require a decode.
-
-Because the payload is already numpy arrays, this is also the
-representation the ``"process"`` execution mode parallelizes:
-``exchange_batches`` hands large destination splits — and the columnar
-local join its chunked reduce waves — to the OS worker pool of
-:mod:`repro.mpc.pool` when :func:`repro.backends.dispatch.process_enabled`
-says the run qualifies.  The handoff is invisible here by design: batches,
-routing, meters, and traces are bit-identical whether a wave ran in the
-parent or across workers.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from ..backends.batch import ColumnarBatch
 from ..backends.dispatch import np
 from .cluster import ClusterView
 from .distributed import Distributed
-from .errors import RoutingError
+from ..errors import RoutingError
 
 __all__ = ["ColumnarData", "columnar_parts"]
 

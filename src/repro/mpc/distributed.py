@@ -5,10 +5,9 @@ Every repartitioning physically moves items via the view's ``exchange`` and
 is therefore metered.  Initial input placement (the model's round-0 state,
 ``N/p`` tuples per server) is free, matching §1.3.
 
-Item-path datasets always execute in the parent process: the ``"process"``
-execution mode (:mod:`repro.mpc.pool`) only parallelizes array-batch
-subclasses (:class:`~repro.mpc.columnar.ColumnarData`), whose payloads can
-cross a process boundary without touching a Python object per row.
+This class is the reference item representation; the ``"columnar"``
+backend's :class:`~repro.mpc.columnar.ColumnarData` subclass stores array
+batches instead and decays to these item lists on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, List, Sequence, TypeVar
 
 from .cluster import ClusterView
-from .errors import RoutingError
+from ..errors import RoutingError
 
 __all__ = ["Distributed", "transfer"]
 

@@ -22,7 +22,7 @@ intended ones — algorithms still compute exact answers — while the repair
 cost (retries, replays, checkpoint restores, stalls) is metered separately
 under the ``recovery`` tag (see :mod:`repro.mpc.recovery` and
 :class:`~repro.mpc.stats.CostReport`).  Unrecoverable schedules raise
-:class:`~repro.mpc.errors.UnrecoverableFaultError` naming the round.
+:class:`~repro.errors.UnrecoverableFaultError` naming the round.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ cluster would do (the paper's §1.3 model assumes none of this is needed):
   tag — the base load ``L`` is never touched.
 * **Unrecoverable faults** — a crash with no spare left, a crash with
   checkpointing disabled, or a drop with no retry budget raises
-  :class:`~repro.mpc.errors.UnrecoverableFaultError` naming the failing
+  :class:`~repro.errors.UnrecoverableFaultError` naming the failing
   round, instead of silently corrupting the answer.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from .errors import UnrecoverableFaultError
+from ..errors import UnrecoverableFaultError
 
 __all__ = ["RecoveryPolicy", "CheckpointStore", "RecoveryManager"]
 

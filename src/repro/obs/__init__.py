@@ -28,14 +28,12 @@ from .events import (
     LOAD_OPS,
     MAINTENANCE_OP,
     PLAN_OP,
-    POOL_OP,
     RingBufferSink,
     TraceEvent,
     TraceSink,
     Tracer,
     event_from_dict,
     event_to_dict,
-    pool_events,
 )
 from .heatmap import render_heatmap
 from .metrics import (
@@ -95,9 +93,7 @@ __all__ = [
     "LOAD_OPS",
     "FAULT_OPS",
     "PLAN_OP",
-    "POOL_OP",
     "MAINTENANCE_OP",
-    "pool_events",
     "event_to_dict",
     "event_from_dict",
     "SkewStats",

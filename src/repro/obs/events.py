@@ -33,9 +33,7 @@ __all__ = [
     "LOAD_OPS",
     "FAULT_OPS",
     "PLAN_OP",
-    "POOL_OP",
     "MAINTENANCE_OP",
-    "pool_events",
 ]
 
 #: Operations whose ``received`` counts are charged against the load meter.
@@ -56,15 +54,6 @@ FAULT_OPS = frozenset({"fault", "recovery", "checkpoint"})
 #: :data:`LOAD_OPS`, so trace-rebuilt aggregates ignore it.
 PLAN_OP = "plan"
 
-#: Worker-pool dispatch event (:mod:`repro.mpc.pool`): one ``pool-wave``
-#: event per dispatched wave, rendered *after the fact* from the pool's
-#: ``dispatch_log`` by :func:`pool_events`.  These events are never
-#: emitted into a cluster's tracer — the process mode's contract is that
-#: trace streams are bit-identical to sequential execution, so
-#: worker attribution lives in this out-of-band stream (round ``-1``,
-#: outside :data:`LOAD_OPS`, like :data:`PLAN_OP`).
-POOL_OP = "pool-wave"
-
 #: Incremental-view-maintenance summary event (:mod:`repro.ivm`): a
 #: :class:`~repro.ivm.MaterializedView` with a traced config emits one
 #: ``maintenance`` event per applied delta batch (round ``-1``, no
@@ -73,41 +62,6 @@ POOL_OP = "pool-wave"
 #: cluster events through the same tracer.  Outside :data:`LOAD_OPS`,
 #: like :data:`PLAN_OP`, so trace-rebuilt aggregates ignore it.
 MAINTENANCE_OP = "maintenance"
-
-
-def pool_events(pool: Any, *, scope: str = "") -> List["TraceEvent"]:
-    """Render a worker pool's ``dispatch_log`` as worker-attributed events.
-
-    Each entry of :attr:`repro.mpc.pool.WorkerPool.dispatch_log` becomes
-    one :data:`POOL_OP` event: ``servers`` are the *worker indices* that
-    ran calls in the wave (not cluster server ids), ``received[i]`` is the
-    number of items worker ``servers[i]`` processed, and ``detail`` carries
-    the wave label, kernel name, and call count.  Feed the result to any
-    :class:`TraceSink` for dashboards or drop it into a JSONL file next to
-    the cluster trace — by construction it never interleaves with (or
-    perturbs) the bit-identical cluster trace stream.
-    """
-    events: List[TraceEvent] = []
-    for entry in getattr(pool, "dispatch_log", ()):
-        per_worker: Dict[int, int] = {}
-        for worker, items in zip(entry.get("workers", ()), entry.get("items", ())):
-            per_worker[worker] = per_worker.get(worker, 0) + items
-        workers = tuple(sorted(per_worker))
-        events.append(
-            TraceEvent(
-                op=POOL_OP,
-                round=-1,
-                servers=workers,
-                received=tuple(per_worker[w] for w in workers),
-                scope=scope,
-                detail={
-                    "wave": entry.get("wave", ""),
-                    "kernel": entry.get("kernel", ""),
-                    "calls": entry.get("calls", 0),
-                },
-            )
-        )
-    return events
 
 
 @dataclass(frozen=True)

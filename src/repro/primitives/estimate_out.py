@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..backends.dispatch import np, numpy_enabled
+from ..backends.dispatch import columnar_enabled, np
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from .degrees import attach_by_key
@@ -42,7 +42,7 @@ def sketch_column(
     ``counted_attr`` values: ``(key_value, bundle)`` pairs."""
     counted_index = relation.attr_index(counted_attr)
     key_index = relation.attr_index(key_attr)
-    if numpy_enabled(relation.view):
+    if columnar_enabled(relation.view):
         return _sketch_column_vec(
             relation, counted_index, key_index, k, repetitions, base_salt
         )

@@ -7,21 +7,22 @@ repartitioning of the ≤ p·K partials, then a final local combine.  The
 pre-aggregation is what caps the per-key fan-in at p and keeps heavy keys
 harmless.
 
-When the cluster runs the numpy backend and the caller identifies the
+When the cluster runs the columnar backend and the caller identifies the
 combiner via a ``profile`` (an :class:`~repro.backends.columnar
 .AnnotationProfile`, or ``"distinct"`` for dedup-only reductions), both
 aggregation stages run as sort-and-segment-reduce kernels instead of dict
-folds.  The vectorized path emits partials in the same first-occurrence
-order, routes them to the same hashed destinations through the same
-``exchange``, and therefore meters identically; anything it cannot encode
-exactly falls back to the dict kernels before any communication happens.
+folds and the partials ship as array batches.  The vectorized path emits
+partials in the same first-occurrence order and routes them to the same
+hashed destinations in the same delivery order, and therefore meters
+identically; anything it cannot encode exactly falls back to the dict
+kernels before any communication happens.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..backends.dispatch import numpy_enabled
+from ..backends.dispatch import columnar_enabled
 from ..mpc.distributed import Distributed
 from ..mpc.hashing import hash_to_bucket
 
@@ -30,7 +31,6 @@ __all__ = ["reduce_by_key", "count_by_key", "distinct_keys"]
 #: Pre-aggregated partials may be much larger than raw annotations; the
 #: final stage admits ints below 2^40 (sums of ≤ 2^22 of them stay exact).
 _FINAL_INT_LIMIT = 1 << 40
-_FINAL_MAX_ITEMS = 1 << 22
 
 
 def reduce_by_key(
@@ -44,7 +44,7 @@ def reduce_by_key(
     """Return a dataset of ``(key, combined_value)`` pairs, one per distinct key,
     hash-partitioned by key.
 
-    ``profile`` (optional) declares what ``combine`` computes so the numpy
+    ``profile`` (optional) declares what ``combine`` computes so the columnar
     backend may vectorize: pass the semiring's
     :func:`~repro.backends.columnar.profile_of` result, or ``"distinct"``
     when ``combine`` just keeps the first value.  The caller is responsible
@@ -54,7 +54,7 @@ def reduce_by_key(
     view = dist.view
     p = view.p
 
-    if profile is not None and numpy_enabled(view):
+    if profile is not None and columnar_enabled(view):
         result = _reduce_by_key_columnar(dist, key_fn, value_fn, combine, salt, profile)
         if result is not None:
             return result
@@ -96,7 +96,6 @@ def _reduce_by_key_columnar(
     """The vectorized both-stages path; None ⇒ caller falls back (and no
     communication has happened yet)."""
     from ..backends.columnar import encode_annotations
-    from ..backends.dispatch import columnar_enabled
     from ..backends.kernels import first_occurrence_unique, group_reduce
 
     view = dist.view
@@ -116,6 +115,8 @@ def _reduce_by_key_columnar(
             if values is None and part:
                 return None
         staged.append((keys, values))
+    if not _uniform_dtype([values for _keys, values in staged]):
+        return None
 
     reduced_parts: List[tuple] = []
     for keys, values in staged:
@@ -128,63 +129,23 @@ def _reduce_by_key_columnar(
         destinations = codec.buckets(unique_ids, p, salt)
         reduced_parts.append((unique_ids, reduced, destinations))
 
-    if columnar_enabled(view) and _uniform_dtype(reduced_parts):
-        # Array-shipping path: the per-part partials go through the wire as
-        # one (key-code column, value array) batch per server — same
-        # destinations, same delivery order, same per-server counts.
-        return _ship_columnar(view, codec, profile, distinct, combine,
-                              reduced_parts)
-
-    outboxes: List[List[Any]] = []
-    for unique_ids, reduced, destinations in reduced_parts:
-        dest_list = destinations.tolist()
-        unique_keys = codec.decode_many(unique_ids)
-        if distinct:
-            outboxes.append(
-                [(dest, (key, None)) for dest, key in zip(dest_list, unique_keys)]
-            )
-        else:
-            outboxes.append(
-                [
-                    (dest, (key, value))
-                    for dest, key, value in zip(
-                        dest_list, unique_keys, reduced.tolist()
-                    )
-                ]
-            )
-
-    inboxes = view.exchange(outboxes)
-
-    # Stage 2 (local): same kernel per inbox; a partial that no longer fits
-    # the dtype falls back to the dict fold *locally* — the exchange already
-    # happened and is identical either way.
-    final_parts: List[List[Any]] = []
-    for inbox in inboxes:
-        vectorized = None
-        if len(inbox) < _FINAL_MAX_ITEMS:
-            vectorized = _final_columnar(inbox, codec, profile, distinct)
-        if vectorized is None:
-            totals: Dict[Any, Any] = {}
-            for key, value in inbox:
-                if key in totals:
-                    totals[key] = combine(totals[key], value)
-                else:
-                    totals[key] = value
-            vectorized = list(totals.items())
-        final_parts.append(vectorized)
-    return Distributed(view, final_parts)
+    # The per-part partials go through the wire as one (key-code column,
+    # value array) batch per server — same destinations, same delivery
+    # order, same per-server counts as the item path.
+    return _ship_columnar(view, codec, profile, distinct, combine,
+                          reduced_parts)
 
 
-def _uniform_dtype(reduced_parts: List[tuple]) -> bool:
-    """True when every non-empty partial array shares one dtype.
+def _uniform_dtype(value_arrays: List[Any]) -> bool:
+    """True when every non-empty annotation array shares one dtype.
 
     Mixed dtypes (a "number" profile may encode one part as int64 and
     another as float64) must not concatenate — promotion would turn ints
     into floats where the reference path keeps the original objects."""
     dtypes = {
-        reduced.dtype
-        for _ids, reduced, _dests in reduced_parts
-        if reduced is not None and reduced.shape[0]
+        values.dtype
+        for values in value_arrays
+        if values is not None and values.shape[0]
     }
     return len(dtypes) <= 1
 
@@ -254,26 +215,6 @@ def _ship_columnar(
                 totals[key] = value
         final_parts.append(list(totals.items()))
     return Distributed(view, final_parts)
-
-
-def _final_columnar(
-    inbox: List[Any], codec: Any, profile: Any, distinct: bool
-) -> Optional[List[Any]]:
-    from ..backends.columnar import encode_annotations
-    from ..backends.kernels import first_occurrence_unique, group_reduce
-
-    keys = [pair[0] for pair in inbox]
-    key_ids = codec.encode_many(keys)
-    if distinct:
-        unique_keys = codec.decode_many(first_occurrence_unique(key_ids))
-        return [(key, None) for key in unique_keys]
-    values = encode_annotations(
-        [pair[1] for pair in inbox], profile, int_limit=_FINAL_INT_LIMIT
-    )
-    if values is None and inbox:
-        return None
-    unique_ids, reduced = group_reduce(key_ids, values, profile.add_ufunc)
-    return list(zip(codec.decode_many(unique_ids), reduced.tolist()))
 
 
 def count_by_key(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..backends.dispatch import np, numpy_enabled
+from ..backends.dispatch import columnar_enabled, np
 from ..mpc.distributed import Distributed
 
 __all__ = ["distributed_sort", "splitters_for"]
@@ -59,7 +59,7 @@ def distributed_sort(
     ``i < j``.  One data round (plus control traffic).
     """
     if not split_ties:
-        if numpy_enabled(dist.view):
+        if columnar_enabled(dist.view):
             from ..mpc.columnar import ColumnarData
 
             if isinstance(dist, ColumnarData):

@@ -14,10 +14,9 @@ that could change that body:
 * the **config fingerprint** (:func:`config_fingerprint`) — only the
   *semantic* :class:`~repro.config.ExecutionConfig` fields.  Observers
   (``tracer``, ``profiler``) never change answers, reports, or traces, so
-  they are excluded; so are ``backend`` and ``workers``, which the
-  backend-differential battery proves bit-identical by contract — a
-  result computed under ``backend="numpy"`` legally serves a
-  ``"pytuple"`` request.
+  they are excluded; so is ``backend``, which the backend-differential
+  battery proves bit-identical by contract — a result computed under
+  ``backend="columnar"`` legally serves a ``"pytuple"`` request.
 
 Entries are evicted least-recently-used once the byte budget is
 exceeded, and dropped eagerly when their instance is mutated or
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 #: ``ExecutionConfig`` fields that can change a response body.  Everything
-#: else (tracer, profiler, backend, workers, fault_schedule — the service
+#: else (tracer, profiler, backend, fault_schedule — the service
 #: rejects schedules outright) is non-semantic under the library's
 #: bit-identity contracts.
 SEMANTIC_CONFIG_FIELDS = ("p", "algorithm", "seed", "validate", "stats_mode")
@@ -110,9 +109,9 @@ def config_fingerprint(config: ExecutionConfig) -> str:
     """The semantic fields of ``config`` as a canonical JSON string.
 
     Ignores the observer fields (``tracer``, ``profiler``) and the
-    backend/worker knobs — none of them can change the response body (the
-    backend-differential and process-identity batteries are the proof),
-    so including them would only fragment the cache.
+    backend knob — none of them can change the response body (the
+    backend-differential battery is the proof), so including them would
+    only fragment the cache.
     """
     return json.dumps(
         {field: getattr(config, field) for field in SEMANTIC_CONFIG_FIELDS},

@@ -48,7 +48,6 @@ from ..errors import (
     MPCError,
     ReproError,
     UnsupportedDeltaError,
-    WorkerCrashError,
 )
 from ..io import delta_from_json, instance_from_json
 from ..ivm import mutate_instance
@@ -77,7 +76,6 @@ ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (UnsupportedDeltaError, 422),
     (ConfigError, 400),
     (ApplicabilityError, 422),
-    (WorkerCrashError, 503),
     (FaultError, 500),
     (MPCError, 500),
     (ReproError, 500),
@@ -98,7 +96,7 @@ def status_for(error: BaseException) -> int:
 #: Config keys a request body may set.  Observer objects (tracer,
 #: profiler) and fault schedules are server-side concerns and rejected.
 ALLOWED_CONFIG_KEYS = ("p", "algorithm", "backend", "seed", "validate",
-                       "stats_mode", "workers")
+                       "stats_mode")
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4; charset=utf-8"

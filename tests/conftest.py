@@ -88,8 +88,7 @@ def backend(request) -> str:
     Modules opt in with a one-line autouse fixture requesting ``backend``;
     every test in them then runs twice — once on the reference tuple
     backend and once on the array-native columnar backend — with a single
-    test body.  (The ``"numpy"`` middle tier shares the columnar kernels
-    and stays covered by the modules' default-backend runs elsewhere.)
+    test body.
     """
     if request.param != "pytuple":
         from repro.backends.dispatch import HAS_NUMPY

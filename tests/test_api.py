@@ -25,11 +25,13 @@ def test_facade_exposes_every_entrypoint():
 
 
 def test_facade_all_contract_is_exact():
-    """``__all__`` is the surface: every name resolves, and the facade is
-    versioned independently of the package release."""
+    """``__all__`` is the surface: every name resolves, and the facade
+    carries the package release's version."""
+    import repro
+
     for name in api.__all__:
         assert hasattr(api, name), name
-    assert api.__version__.startswith("2."), api.__version__
+    assert api.__version__ == repro.__version__ == "3.0.0"
     # The 1.x transitional paths are gone.
     from repro import reporting, testing
 

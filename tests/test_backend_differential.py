@@ -1,4 +1,4 @@
-"""The mode-differential battery: every execution mode, bit for bit.
+"""The backend-differential battery: columnar ≡ pytuple, bit for bit.
 
 The columnar backend's contract is not "same answer, roughly" — it is
 *bit-identical observables*: the answer relation (tuples and annotations),
@@ -9,14 +9,6 @@ contract over the whole conformance grid — every query family × every
 semiring profile × every skew — by running the ``columnar-identity``
 invariant (which itself runs every applicable algorithm per case), and
 separately pins the Table-1 load meters at benchmark scale.
-
-The ``"process"`` execution mode extends the same contract across OS
-process boundaries: ``workers > 1`` dispatches the data-parallel kernels
-to a spawn-based worker pool (:mod:`repro.mpc.pool`) and must still be
-bit-identical to sequential execution.  The process half of the battery
-runs the ``process-identity`` invariant over the full grid with the
-pool's dispatch thresholds forced to zero, so every cell really crosses
-the process boundary instead of falling back.
 """
 
 from __future__ import annotations
@@ -33,26 +25,9 @@ from repro.conformance.generators import (
     GeneratorConfig,
     random_case,
 )
-from repro.conformance.invariants import (
-    check_columnar_identity,
-    check_process_identity,
-)
+from repro.conformance.invariants import check_columnar_identity
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-
-@pytest.fixture
-def forced_dispatch(monkeypatch):
-    """Shrink the pool's dispatch thresholds so tiny fuzz cases dispatch.
-
-    Production thresholds keep IPC overhead away from small inputs; the
-    battery's cases are deliberately small, so without this every cell
-    would exercise only the (already-tested) sequential fallback."""
-    from repro.mpc import pool as pool_mod
-
-    monkeypatch.setattr(pool_mod, "DISPATCH_MIN_PRODUCTS", 1)
-    monkeypatch.setattr(pool_mod, "DISPATCH_MIN_ROWS", 1)
-    monkeypatch.setattr(pool_mod, "SHM_MIN_BYTES", 1 << 6)
 
 
 class _GridConfig:
@@ -106,32 +81,6 @@ def test_columnar_identical_under_seed_sweep():
 
 
 @needs_numpy
-@pytest.mark.parametrize(
-    "family,profile,skew", GRID, ids=["-".join(cell) for cell in GRID]
-)
-def test_process_identical_across_grid(family, profile, skew, forced_dispatch):
-    """The process-mode half of the battery: the same 5 × 5 × 3 grid,
-    every applicable algorithm, answers + cost reports + traces identical
-    between ``workers=1`` and ``workers=2`` with dispatch forced on."""
-    case = _case_for(family, profile, skew, seed=0xD1FF ^ hash((family, profile, skew)) % 4096)
-    check_process_identity(case, _GridConfig())
-
-
-@needs_numpy
-def test_process_identity_exercises_real_dispatch(forced_dispatch):
-    """The grid above is not vacuous: under forced thresholds the pool
-    really receives waves (a fallback-only run would log nothing)."""
-    from repro.mpc.pool import get_pool
-
-    pool = get_pool(2)
-    before = len(pool.dispatch_log)
-    case = _case_for("matmul", "counting", "uniform", seed=7)
-    check_process_identity(case, _GridConfig())
-    assert len(pool.dispatch_log) > before
-    assert pool.started
-
-
-@needs_numpy
 def test_table1_loads_identical_at_benchmark_scale():
     """Satellite meter check: the Table-1 experiment at scale=300 reports
     the same loads/rounds/communication on both backends, derived on the
@@ -152,26 +101,3 @@ def test_table1_loads_identical_at_benchmark_scale():
     reference = rows("pytuple")
     columnar = rows("columnar")
     assert reference == columnar
-
-
-@needs_numpy
-def test_table1_identical_with_two_workers():
-    """The CI smoke in library form: Table 1 at benchmark scale is
-    bit-identical between sequential and 2-worker process execution with
-    the *production* dispatch thresholds in force — whatever mix of
-    dispatched and threshold-gated kernels that yields (forced-dispatch
-    coverage lives in the grid above)."""
-    from repro.api import table1
-    from repro.config import ExecutionConfig
-
-    def rows(workers: int):
-        return [
-            row.to_dict()
-            for row in table1(
-                scale=300,
-                config=ExecutionConfig(p=16, backend="columnar", workers=workers),
-                families=("matmul",),
-            )
-        ]
-
-    assert rows(1) == rows(2)

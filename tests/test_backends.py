@@ -1,6 +1,6 @@
 """Backend equivalence: columnar kernels vs the reference tuple kernels.
 
-The numpy backend is a pure wall-clock optimization — every observable
+The columnar backend is a pure wall-clock optimization — every observable
 (answer relations including annotation *types*, cost reports, trace event
 streams, fuzz summaries) must be bit-identical to the pytuple reference.
 These tests pin that contract at three levels: the codec, the individual
@@ -22,6 +22,7 @@ from repro.backends.dispatch import (
 )
 from repro.config import ExecutionConfig
 from repro.core.executor import applicable_algorithms, run_query
+from repro.errors import ConfigError
 from repro.mpc import FaultInjector, FaultSchedule, MPCCluster, RecoveryPolicy
 from repro.mpc.hashing import hash_to_bucket, hash_to_unit, stable_hash
 from repro.obs import RingBufferSink, Tracer
@@ -57,20 +58,25 @@ def test_resolve_backend_default_is_pytuple():
 
 
 def test_resolve_backend_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         resolve_backend("fortran")
+    # The removed middle tier gets pointed at its replacement.
+    with pytest.raises(ConfigError, match="use \"columnar\""):
+        resolve_backend("numpy")
 
 
 def test_resolve_backend_auto_thresholds_on_size():
     assert resolve_backend("auto", AUTO_MIN_TUPLES - 1) == "pytuple"
-    assert resolve_backend("auto", AUTO_MIN_TUPLES) == "numpy"
-    assert resolve_backend("auto", None) == "numpy"
+    assert resolve_backend("auto", AUTO_MIN_TUPLES) == "columnar"
+    assert resolve_backend("auto", 10_000) == "columnar"
+    assert resolve_backend("auto", None) == "columnar"
 
 
 def test_backends_tuple_matches_config_validation():
+    assert BACKENDS == ("pytuple", "columnar", "auto")
     for backend in BACKENDS:
         ExecutionConfig(backend=backend)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExecutionConfig(backend="fortran")
 
 
@@ -277,7 +283,7 @@ def test_every_algorithm_is_backend_invariant(shape_name, query, semiring, sampl
     instance = random_instance(query, 25, 6, rng, semiring, sampler)
     for algorithm in applicable_algorithms(query):
         reference, ref_events = _run(instance, algorithm, "pytuple")
-        vectorized, vec_events = _run(instance, algorithm, "numpy")
+        vectorized, vec_events = _run(instance, algorithm, "columnar")
         assert _exact_tuples(reference.relation) == _exact_tuples(
             vectorized.relation
         ), (shape_name, semiring.name, algorithm)
@@ -288,22 +294,22 @@ def test_every_algorithm_is_backend_invariant(shape_name, query, semiring, sampl
 
 
 def test_real_semiring_runs_identically_via_fallback():
-    # REAL has no annotation profile: the numpy backend must fall back to
+    # REAL has no annotation profile: the columnar backend must fall back to
     # the tuple kernels wherever annotations flow, and still agree.
     rng = random.Random(9)
     instance = random_instance(
         MATMUL_QUERY, 30, 5, rng, REAL, lambda r: r.random()
     )
     reference, ref_events = _run(instance, "auto", "pytuple")
-    vectorized, vec_events = _run(instance, "auto", "numpy")
+    vectorized, vec_events = _run(instance, "auto", "columnar")
     assert _exact_tuples(reference.relation) == _exact_tuples(vectorized.relation)
     assert reference.report.to_dict() == vectorized.report.to_dict()
     assert ref_events == vec_events
 
 
 def test_backend_invariant_under_recoverable_faults():
-    # Fault injection forces the tuple kernels (numpy_enabled is False with
-    # an injector attached), so a numpy-configured faulted run must equal
+    # Fault injection forces the tuple kernels (columnar_enabled is False with
+    # an injector attached), so a columnar-configured faulted run must equal
     # the pytuple faulted run *exactly* — recovery metering included.
     instance = planted_out_matmul(n=60, out=240)
     clean_cluster = MPCCluster(4)
@@ -320,7 +326,7 @@ def test_backend_invariant_under_recoverable_faults():
         return _run(instance, "matmul", backend, faults=injector)
 
     reference, ref_events = faulted_run("pytuple")
-    vectorized, vec_events = faulted_run("numpy")
+    vectorized, vec_events = faulted_run("columnar")
     assert _exact_tuples(reference.relation) == _exact_tuples(vectorized.relation)
     assert reference.report.to_dict() == vectorized.report.to_dict()
     assert ref_events == vec_events
@@ -339,5 +345,5 @@ def test_executor_resolves_auto_backend_by_size():
     big_cluster = ExecutionConfig(p=4, backend="auto").make_cluster(
         AUTO_MIN_TUPLES * 2
     )
-    assert big_cluster.backend == "numpy"
+    assert big_cluster.backend == "columnar"
     assert result.out_size == len(result.relation)

@@ -212,16 +212,16 @@ def test_default_run_covers_the_acceptance_grid():
         summary.coverage["semiring"]
     )
     # The default catalog, exactly: opt-in registrations (the chaos tier,
-    # the planner-choice, columnar-identity, process-identity and
-    # ivm-identity invariants) must not leak into default campaigns.
+    # the planner-choice, columnar-identity and ivm-identity
+    # invariants) must not leak into default campaigns.
     assert set(summary.coverage["invariant"]) == set(DEFAULT_INVARIANTS)
     assert set(DEFAULT_INVARIANTS) | {
         "chaos",
         "planner-choice",
         "columnar-identity",
-        "process-identity",
         "ivm-identity",
     } == set(INVARIANTS)
+    assert not any("process" in name for name in INVARIANTS)
 
 
 def test_seconds_budget_checks_at_least_one_case():

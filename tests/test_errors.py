@@ -7,8 +7,8 @@ Three contracts:
   ``RuntimeError``), so both ``except ReproError`` and pre-hierarchy
   ``except ValueError`` call sites work;
 * :class:`~repro.config.ExecutionConfig` validates eagerly — every bad
-  knob (and the faults + process-mode combination) raises
-  :class:`~repro.errors.ConfigError` at construction, never later;
+  knob raises :class:`~repro.errors.ConfigError` at construction, never
+  later;
 * the service's :func:`repro.service.status_for` maps exception class →
   HTTP status deterministically, first :data:`~repro.service.ERROR_STATUS`
   match in MRO-sensitive order winning.
@@ -29,7 +29,6 @@ from repro.errors import (
     ReproError,
     RoutingError,
     UnrecoverableFaultError,
-    WorkerCrashError,
 )
 from repro.service import AdmissionRejected, UnknownInstanceError, status_for
 
@@ -50,29 +49,25 @@ def test_leaves_keep_their_historical_builtin_bases():
     # …and except RuntimeError sites keep catching cluster failures.
     assert issubclass(MPCError, RuntimeError)
     for leaf in (RoutingError, AllocationError, FaultError,
-                 UnrecoverableFaultError, WorkerCrashError):
+                 UnrecoverableFaultError):
         assert issubclass(leaf, MPCError), leaf
         assert issubclass(leaf, RuntimeError), leaf
     assert issubclass(UnrecoverableFaultError, FaultError)
 
 
-def test_mpc_errors_module_reexports_the_same_classes():
-    """The historical import path stays valid and identical (not copies)."""
-    from repro.mpc import errors as mpc_errors
+def test_mpc_package_exports_the_same_classes():
+    """``repro.mpc`` re-exports the MPC branch: identical classes, not
+    copies."""
+    from repro import mpc
 
     for name in ("MPCError", "RoutingError", "AllocationError", "FaultError",
-                 "UnrecoverableFaultError", "WorkerCrashError"):
-        assert getattr(mpc_errors, name) is getattr(errors, name), name
+                 "UnrecoverableFaultError"):
+        assert getattr(mpc, name) is getattr(errors, name), name
 
 
-def test_fault_and_worker_errors_carry_coordinates():
+def test_fault_errors_carry_coordinates():
     fault = FaultError("boom", kind="drop", round_index=3, server=7)
     assert (fault.kind, fault.round, fault.server) == ("drop", 3, 7)
-    crash = WorkerCrashError("died", wave="exchange:r2", kernel="exchange",
-                             worker=1, detail="tb")
-    assert (crash.wave, crash.kernel, crash.worker, crash.detail) == (
-        "exchange:r2", "exchange", 1, "tb"
-    )
 
 
 # -- eager ExecutionConfig validation ----------------------------------------
@@ -82,7 +77,9 @@ def test_fault_and_worker_errors_carry_coordinates():
     {"p": 0},
     {"p": -3},
     {"workers": 0},
+    {"workers": 2},
     {"backend": "fortran"},
+    {"backend": "numpy"},
     {"stats_mode": "psychic"},
 ])
 def test_execution_config_rejects_bad_knobs_at_construction(kwargs):
@@ -93,16 +90,6 @@ def test_execution_config_rejects_bad_knobs_at_construction(kwargs):
         ExecutionConfig(**kwargs)
 
 
-def test_execution_config_rejects_faults_with_process_mode():
-    from repro.mpc.faults import Fault, FaultSchedule
-
-    schedule = FaultSchedule([Fault("drop", 0, 1)])
-    with pytest.raises(ConfigError):
-        ExecutionConfig(fault_schedule=schedule, workers=2)
-    assert ExecutionConfig(fault_schedule=schedule, workers=1).workers == 1
-    assert ExecutionConfig(workers=2).workers == 2
-
-
 # -- exception class → HTTP status -------------------------------------------
 
 
@@ -111,7 +98,7 @@ def test_execution_config_rejects_faults_with_process_mode():
     (UnknownInstanceError("ghost"), 404),
     (ConfigError("bad"), 400),
     (ApplicabilityError("shape"), 422),
-    (WorkerCrashError("died"), 503),
+    (Exception("anything"), 500),
     (FaultError("injected"), 500),
     (UnrecoverableFaultError("fatal"), 500),
     (RoutingError("lost"), 500),
@@ -121,17 +108,14 @@ def test_execution_config_rejects_faults_with_process_mode():
     (KeyError("missing"), 404),
     (ValueError("plain"), 400),
     (RuntimeError("unlisted"), 500),
-    (Exception("anything"), 500),
 ])
 def test_status_for_is_deterministic(error, status):
     assert status_for(error) == status
 
 
 def test_specific_statuses_beat_ancestor_entries():
-    """Listing order is MRO-aware: WorkerCrashError gets its own 503 even
-    though it is an MPCError (500), and UnknownInstanceError gets 404 even
+    """Listing order is MRO-aware: UnknownInstanceError gets 404 even
     though it is a ReproError (500) and a KeyError."""
-    assert status_for(WorkerCrashError("x")) != status_for(MPCError("x"))
     assert status_for(UnknownInstanceError("x")) == 404
     # A ConfigError is a ValueError, but the typed entry (400) wins anyway
     # and agrees with the legacy catch-all, so the mapping is stable.

@@ -112,9 +112,9 @@ def test_render_hotspots_is_a_table():
 def _profiled_fixture():
     profiler = Profiler(clock=FakeClock())
     with profiler.span("run:matmul", kind="run"):
-        with profiler.span("exchange", kind="op", backend="numpy"):
+        with profiler.span("exchange", kind="op", backend="columnar"):
             pass
-        with profiler.span("hash_join", kind="kernel", backend="numpy"):
+        with profiler.span("hash_join", kind="kernel", backend="columnar"):
             pass
     return profiler
 
@@ -130,7 +130,7 @@ def test_speedscope_round_trip_matches_span_walls():
     (run,) = profiler.root.children.values()
     assert totals["run:run:matmul"] == pytest.approx(run.wall)
     for child in run.children.values():
-        name = f"{child.kind}:{child.label} [numpy]"
+        name = f"{child.kind}:{child.label} [columnar]"
         assert totals[name] == pytest.approx(child.wall)
 
 
@@ -176,7 +176,7 @@ def test_write_json_round_trips(tmp_path):
 
 # -- bit-identity: profiling on vs off -----------------------------------------
 
-@pytest.mark.parametrize("backend", ["pytuple"] + (["numpy"] if HAS_NUMPY else []))
+@pytest.mark.parametrize("backend", ["pytuple"] + (["columnar"] if HAS_NUMPY else []))
 def test_profiled_run_is_bit_identical(backend):
     instance = planted_out_matmul(n=120, out=480)
     plain = run_query(instance, config=ExecutionConfig(p=4, backend=backend))
@@ -232,16 +232,16 @@ def test_profiled_run_is_bit_identical_under_faults():
     assert profiler.open_depth == 0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-def test_numpy_run_records_kernel_spans():
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_columnar_run_records_kernel_spans():
     instance = planted_out_matmul(n=200, out=800)
     profiler = Profiler()
-    run_query(instance, config=ExecutionConfig(p=4, backend="numpy",
+    run_query(instance, config=ExecutionConfig(p=4, backend="columnar",
                                                profiler=profiler))
     kernels = {node.label for node, _ in profiler.root.walk()
                if node.kind == "kernel"}
-    assert kernels, "numpy run recorded no kernel spans"
-    assert all(node.backend == "numpy" for node, _ in profiler.root.walk()
+    assert kernels, "columnar run recorded no kernel spans"
+    assert all(node.backend == "columnar" for node, _ in profiler.root.walk()
                if node.kind == "kernel")
 
 

@@ -34,7 +34,7 @@ def _kernels_doc(**overrides):
         "end_to_end": [
             {"family": "matmul", "n": 1000, "out": 16000, "p": 16,
              "input_size": 2000, "max_load": 500,
-             "pytuple_s": 0.10, "numpy_s": 0.09, "speedup": 1.11,
+             "pytuple_s": 0.10, "columnar_s": 0.09, "columnar_speedup": 1.11,
              "reports_identical": True},
         ],
     }
@@ -148,7 +148,7 @@ def test_validate_baseline_gates():
     regression = _load()
     bad_kernels = _kernels_doc()
     bad_kernels["end_to_end"][0]["reports_identical"] = False
-    bad_kernels["end_to_end"][0]["speedup"] = 0.9
+    bad_kernels["end_to_end"][0]["columnar_speedup"] = 0.7
     problems = regression.validate_baseline("kernels", bad_kernels)
     assert len(problems) == 2
     assert regression.validate_baseline(

@@ -277,10 +277,13 @@ def test_http_status_mapping_end_to_end():
     status, document = post("/query", {"instance": "ghost"})
     assert (status, document["error"]) == (404, "UnknownInstanceError")
 
-    # 400: unknown config key (observers are server-side concerns)
-    status, document = post("/query", {"instance": "star",
-                                       "config": {"tracer": "yes"}})
-    assert (status, document["error"]) == (400, "ConfigError")
+    # 400: unknown config key (observers are server-side concerns, and
+    # ``workers`` is not a service knob)
+    for key, value in (("tracer", "yes"), ("workers", 1)):
+        status, document = post("/query", {"instance": "star",
+                                           "config": {key: value}})
+        assert (status, document["error"]) == (400, "ConfigError")
+        assert "unsupported config key" in document["message"]
 
     # 400: bad knob value, rejected eagerly at ExecutionConfig construction
     status, document = post("/query", {"instance": "star",

@@ -9,9 +9,8 @@ a *pure function of the request's semantics*:
   interns every value into per-cluster codecs — leaves it untouched);
 * :func:`~repro.service.config_fingerprint` must ignore the non-semantic
   :class:`~repro.config.ExecutionConfig` fields: observers (``tracer``,
-  ``profiler``) and the ``backend``/``workers`` knobs, which the
-  backend-differential and process-identity batteries prove cannot change
-  a response body.
+  ``profiler``) and the ``backend`` knob, which the backend-differential
+  battery proves cannot change a response body.
 """
 
 from __future__ import annotations
@@ -109,14 +108,12 @@ def test_fingerprint_ignores_observers_and_execution_mode():
         tracer=Tracer([RingBufferSink()]),
         profiler=Profiler(),
     )
-    process_mode = ExecutionConfig(p=4, workers=4)
     assert config_fingerprint(base) == config_fingerprint(observed)
-    assert config_fingerprint(base) == config_fingerprint(process_mode)
 
 
 @needs_numpy
 def test_fingerprint_ignores_backend():
-    assert config_fingerprint(ExecutionConfig(p=4, backend="numpy")) == \
+    assert config_fingerprint(ExecutionConfig(p=4, backend="columnar")) == \
         config_fingerprint(ExecutionConfig(p=4, backend="pytuple"))
 
 
