@@ -45,7 +45,7 @@ from .cache import (
     config_fingerprint,
     instance_digest,
 )
-from .handlers import ERROR_STATUS, ServiceState, status_for
+from .handlers import ERROR_STATUS, PayloadTooLarge, ServiceState, status_for
 from .registry import InstanceRegistry, RegisteredInstance, UnknownInstanceError
 from .server import ReproServer, serve
 from .views import RegisteredView, UnknownViewError, ViewRegistry
@@ -55,6 +55,7 @@ __all__ = [
     "AdmissionRejected",
     "ERROR_STATUS",
     "InstanceRegistry",
+    "PayloadTooLarge",
     "RegisteredInstance",
     "RegisteredView",
     "ReproServer",

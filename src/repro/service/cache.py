@@ -29,15 +29,20 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..config import ExecutionConfig
 from ..data.query import Instance, TreeQuery
+from ..data.relation import Relation
 
 __all__ = [
     "canonical_query",
     "canonical_value",
     "config_fingerprint",
+    "RowSums",
+    "row_sums",
+    "moved_sums",
     "instance_digest",
     "cache_key",
     "ResultCache",
@@ -74,34 +79,95 @@ def canonical_query(query: TreeQuery) -> str:
     )
 
 
-def instance_digest(instance: Instance) -> str:
-    """A content digest of the instance: query shape, semiring name, and
-    every relation's tuples in *sorted* order.
+#: The digest's per-relation state: name → (row count, sum of the row
+#: hashes mod 2²⁵⁶, whether every key value is an exact ``int`` or ``str``).
+RowSums = Dict[str, Tuple[int, int, bool]]
 
-    Stable under tuple insertion order (tuples are sorted by their
-    canonical JSON encoding before hashing) and under any codec interning
-    order (the digest never looks at encoded columns, only at the logical
-    values).  Two instances with the same digest produce byte-identical
-    responses for the same request, which is what makes the digest a
-    sound cache-key component.
+_SUM_MODULUS = 1 << 256
+_encode_row = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=repr
+).encode
+
+
+def _row_hash(values: Tuple[Any, ...], annotation: Any) -> int:
+    """256-bit BLAKE2b of one row's canonical JSON, as an integer."""
+    text = _encode_row([canonical_value(v) for v in (*values, annotation)])
+    return int.from_bytes(
+        hashlib.blake2b(text.encode("utf-8"), digest_size=32).digest(), "big")
+
+
+def _plain(keys: Iterable[Tuple[Any, ...]]) -> bool:
+    """Whether every value in ``keys`` (tuples flattened) is an exact
+    ``int`` or ``str``.  Such a key can only equal a key with the same
+    canonical text; ``1 == 1.0 == True`` share a dict slot but not JSON."""
+    types = set(map(type, chain.from_iterable(keys)))
+    if tuple in types:
+        nested = [v for v in chain.from_iterable(keys) if type(v) is tuple]
+        return types <= {int, str, tuple} and _plain(nested)
+    return types <= {int, str}
+
+
+def _relation_sums(relation: Relation) -> Tuple[int, int, bool]:
+    total = sum(_row_hash(values, annotation) for values, annotation in relation)
+    return len(relation), total % _SUM_MODULUS, _plain(relation.tuples)
+
+
+def row_sums(instance: Instance) -> RowSums:
+    """The digest state of ``instance``, from scratch: O(N)."""
+    return {name: _relation_sums(instance.relation(name))
+            for name, _attrs in instance.query.relations}
+
+
+def moved_sums(sums: RowSums, before: Instance, after: Instance,
+               touched: Iterable[Tuple[str, Tuple[Any, ...]]]) -> RowSums:
+    """``sums`` (the state of ``before``) advanced to ``after``, which
+    differs from it at most on the ``touched`` (relation, key) pairs.
+
+    For each distinct key the row it had leaves the sum and the row it has
+    now joins it, which covers deletes, fresh inserts and ⊕-combining
+    inserts alike.  A relation with a key that is not plain is re-summed:
+    its stored key may spell differently from the equal key the delta names.
+    """
+    keys: Dict[str, set] = {}
+    for name, key in touched:
+        keys.setdefault(name, set()).add(key)
+    moved = dict(sums)
+    for name, relation_keys in keys.items():
+        count, total, plain = sums[name]
+        if not (plain and _plain(relation_keys)):
+            moved[name] = _relation_sums(after.relation(name))
+            continue
+        old, new = before.relation(name).tuples, after.relation(name).tuples
+        for key in relation_keys:
+            if key in old:
+                count -= 1
+                total -= _row_hash(key, old[key])
+            if key in new:
+                count += 1
+                total += _row_hash(key, new[key])
+        moved[name] = (count, total % _SUM_MODULUS, True)
+    return moved
+
+
+def instance_digest(instance: Instance, sums: Optional[RowSums] = None) -> str:
+    """A content digest of the instance: query shape, semiring name and,
+    per relation, the row count and the sum mod 2²⁵⁶ of a 256-bit hash of
+    each row's canonical JSON (``sums``; computed here when not passed).
+
+    A sum ignores order and the rows are logical values, never encoded
+    columns, so the digest is stable under tuple insertion order and under
+    any codec interning order.  Two instances with the same digest produce
+    byte-identical responses for the same request, which is what makes it
+    a sound cache-key component — against accident, not against a client
+    who crafts colliding multisets (docs/service.md).
     """
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(canonical_query(instance.query).encode("utf-8"))
     hasher.update(instance.semiring.name.encode("utf-8"))
-    for name, _attrs in sorted(instance.query.relations):
-        hasher.update(name.encode("utf-8"))
-        rows = [
-            json.dumps(
-                [canonical_value(v) for v in values] + [canonical_value(w)],
-                sort_keys=True,
-                separators=(",", ":"),
-                default=repr,
-            )
-            for values, w in instance.relation(name)
-        ]
-        for row in sorted(rows):
-            hasher.update(row.encode("utf-8"))
-            hasher.update(b"\n")
+    triples = sorted(
+        (name, count, f"{total:x}")
+        for name, (count, total, _) in (sums or row_sums(instance)).items())
+    hasher.update(json.dumps(triples).encode("utf-8"))
     return hasher.hexdigest()
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import api
@@ -56,21 +57,28 @@ from ..obs.registry import MetricsRegistry
 from ..planner import plan_query
 from ..planner.stats import StatisticsCatalog
 from .admission import AdmissionController, AdmissionRejected
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, cache_key, moved_sums
 from .registry import InstanceRegistry, UnknownInstanceError
 from .views import UnknownViewError, ViewRegistry
 
 __all__ = [
     "ERROR_STATUS",
+    "PayloadTooLarge",
     "status_for",
     "ServiceState",
 ]
+
+
+class PayloadTooLarge(ReproError):
+    """A request announced a body over the server's cap (HTTP 413)."""
+
 
 #: Deterministic exception-class → HTTP status mapping, checked in MRO
 #: order (first match wins).  Subclasses inherit their nearest ancestor's
 #: status unless listed themselves.
 ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (AdmissionRejected, 429),
+    (PayloadTooLarge, 413),
     (UnknownInstanceError, 404),
     (UnknownViewError, 404),
     (UnsupportedDeltaError, 422),
@@ -116,6 +124,11 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
+#: The sort key of an answer row: its JSON text.  One encoder for every
+#: row — ``json.dumps`` with these arguments builds a new one per call.
+_row_key = json.JSONEncoder(sort_keys=True, default=repr).encode
+
+
 def _answer_rows(relation: Any) -> List[List[Any]]:
     """The answer relation as sorted JSON rows (values…, annotation).
 
@@ -125,7 +138,9 @@ def _answer_rows(relation: Any) -> List[List[Any]]:
         [_jsonify(v) for v in values] + [_jsonify(annotation)]
         for values, annotation in relation
     ]
-    rows.sort(key=lambda row: json.dumps(row, sort_keys=True, default=repr))
+    # Rows of exact ints print the same under ``repr`` as under JSON.
+    all_ints = set(map(type, chain.from_iterable(rows))) == {int}
+    rows.sort(key=repr if all_ints else _row_key)
     return rows
 
 
@@ -157,8 +172,8 @@ class ServiceState:
     * an :class:`AdmissionController` (429 before work, never after);
     * a :class:`~repro.planner.stats.StatisticsCatalog` keyed by instance
       digest — the planner's statistics are collected once per registered
-      dataset and reused by every ``/query`` admission estimate and
-      ``/explain`` request;
+      dataset and reused by every budgeted ``/query`` admission estimate
+      and ``/explain`` request;
     * a :class:`~repro.obs.registry.MetricsRegistry` rendered by
       ``GET /metrics``.
 
@@ -228,15 +243,20 @@ class ServiceState:
     # -- request-level plumbing ------------------------------------------------
 
     def handle(
-        self, method: str, path: str, body: Optional[bytes]
+        self, method: str, path: str, body: Optional[bytes],
+        refused: Optional[ReproError] = None,
     ) -> Tuple[int, str, bytes, Dict[str, str]]:
         """Route one request; never raises.
 
         Returns ``(status, content_type, body_bytes, extra_headers)``.
+        ``refused`` is an error the HTTP shell found before reading the
+        body; it is answered and counted like one a handler raised.
         """
         endpoint, handler, needs_body = self._route(method, path)
         headers: Dict[str, str] = {}
         try:
+            if refused is not None:
+                raise refused
             if handler is None:
                 raise LookupError(f"no route for {method} {path}")
             document = self._parse_json(body) if needs_body else None
@@ -459,7 +479,11 @@ class ServiceState:
                 raise
             raise ConfigError(f"malformed delta document: {error}")
         mutated = mutate_instance(entry.instance, batch)
-        new_entry, old_digest = self.registry.replace(name, mutated)
+        sums = moved_sums(
+            entry.sums, entry.instance, mutated,
+            ((change.relation, change.values) for change in batch),
+        )
+        new_entry, old_digest = self.registry.replace(name, mutated, sums)
         if old_digest is not None:
             self.cache.invalidate(old_digest)
             self.statistics.entries.pop(old_digest, None)
@@ -558,12 +582,13 @@ class ServiceState:
             self._cache_hits.inc(endpoint=endpoint)
             return 200, cached, {"X-Repro-Cache": "hit"}
         self._cache_misses.inc(endpoint=endpoint)
-        # Admission: budget first (cheap, uses cached statistics), then a
-        # slot — both reject with 429 before any cluster work.
-        self.admission.check_load(
-            self._predicted_load(entry, config),
-            request_budget=budget,
-        )
+        # Admission: budget first, then a slot; both reject with 429 before any
+        # cluster work.  Predicting is O(N) after a delta: only if a budget asks.
+        if budget is not None or self.admission.load_budget is not None:
+            self.admission.check_load(
+                self._predicted_load(entry, config),
+                request_budget=budget,
+            )
         with self.admission.slot():
             body = runner(endpoint, entry, config)
         self.cache.put(key, entry.digest, body)

@@ -8,7 +8,8 @@ result cache and the planner's statistics catalog — across requests.
 Every registration computes the instance's content digest
 (:func:`~repro.service.cache.instance_digest`); re-registering a name
 with different data yields a different digest, which is the cache- and
-statistics-invalidation signal.
+statistics-invalidation signal.  The entry keeps the digest's
+per-relation state, so a delta moves it in O(|Δ|).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional
 
 from ..data.query import Instance
 from ..errors import ReproError
-from .cache import instance_digest
+from .cache import RowSums, instance_digest, row_sums
 
 __all__ = ["UnknownInstanceError", "RegisteredInstance", "InstanceRegistry"]
 
@@ -45,6 +46,8 @@ class RegisteredInstance:
     digest: str
     #: How many times this name has been (re-)registered.
     generation: int
+    #: The digest's per-relation state (never mutated in place).
+    sums: RowSums
 
     def describe(self) -> Dict[str, object]:
         """A JSON-able summary (no tuple data)."""
@@ -86,18 +89,22 @@ class InstanceRegistry:
         return self.replace(name, instance)[0]
 
     def replace(
-        self, name: str, instance: Instance
+        self, name: str, instance: Instance, sums: Optional[RowSums] = None
     ) -> "tuple[RegisteredInstance, Optional[str]]":
         """Register ``name``, returning ``(entry, old_digest)`` where
         ``old_digest`` is the digest the name previously pointed at (None
-        for a first registration, or when the data is unchanged)."""
-        digest = instance_digest(instance)
+        for a first registration, or when the data is unchanged).
+        ``sums`` is the digest state of ``instance`` when the caller holds
+        it already (the delta path moved it); otherwise it is recomputed."""
+        if sums is None:
+            sums = row_sums(instance)
+        digest = instance_digest(instance, sums)
         with self._lock:
             previous = self._instances.get(name)
             generation = previous.generation + 1 if previous else 1
             entry = RegisteredInstance(
                 name=name, instance=instance, digest=digest,
-                generation=generation,
+                generation=generation, sums=sums,
             )
             self._instances[name] = entry
             old_digest = None

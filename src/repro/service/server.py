@@ -21,9 +21,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .handlers import ServiceState
+from ..errors import ConfigError, ReproError
+from .handlers import PayloadTooLarge, ServiceState
 
-__all__ = ["ReproServer", "serve"]
+__all__ = ["MAX_BODY_BYTES", "ReproServer", "serve"]
+
+#: Largest request body the shell will read (the default cache budget).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -31,6 +35,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # One write per response (``handle_one_request`` flushes the buffer), and
+    # a body past the buffer does not wait for the ACK of the headers.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # The ThreadingHTTPServer subclass carries the state.
     @property
@@ -38,11 +46,23 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.state  # type: ignore[attr-defined]
 
     def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else None
+        announced = self.headers.get("Content-Length") or "0"
+        digits = announced.isascii() and announced.isdigit() and len(announced) < 20
+        length = int(announced) if digits else None  # int() alone takes "1_0"
+        refused: Optional[ReproError] = None
+        if length is None:
+            refused = ConfigError("Content-Length must be a non-negative integer "
+                                  f"under 20 digits, not {announced[:32]!r}")
+        elif length > MAX_BODY_BYTES:
+            refused = PayloadTooLarge(
+                f"a {length}-byte body exceeds the {MAX_BODY_BYTES}-byte cap")
+        body = self.rfile.read(length) if length and refused is None else None
         status, content_type, payload, headers = self.state.handle(
-            method, self.path, body
+            method, self.path, body, refused
         )
+        if refused is not None:
+            # The body was not read, so the next request cannot be found.
+            headers["Connection"] = "close"
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))

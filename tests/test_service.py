@@ -17,6 +17,7 @@ and a live :class:`~repro.service.ReproServer` socket:
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -262,6 +263,22 @@ def test_request_level_budget_tightens_the_server_budget():
     assert status == 400  # budget must be a number
 
 
+def test_no_budget_means_no_plan_and_no_statistics(monkeypatch):
+    """Without a budget nobody judges the prediction, so a miss must not
+    pay the planner's O(N) ANALYZE for it."""
+    from repro.service import handlers
+
+    def no_planning(*args, **kwargs):
+        raise AssertionError("plan_query called with no budget in force")
+
+    monkeypatch.setattr(handlers, "plan_query", no_planning)
+    state = ServiceState()
+    _register(state, "mm", planted_out_matmul(n=40, out=80))
+    status, _, _, headers = _query(state, {"instance": "mm", "config": {"p": 4}})
+    assert status == 200 and headers["X-Repro-Cache"] == "miss"
+    assert state.statistics.entries == {}
+
+
 # -- error mapping end to end -------------------------------------------------
 
 
@@ -409,6 +426,53 @@ def test_delta_endpoint_refreshes_views_and_invalidates_precisely():
     assert "repro_service_view_refresh_seconds" in text
 
 
+def test_delta_digest_is_the_digest_of_the_content():
+    """The delta path moves the digest in O(|Δ|); it must land where a
+    from-scratch registration of the same content lands."""
+    from repro.data.query import Instance
+    from repro.data.relation import Relation
+    from repro.ivm import DeltaBatch, delete, insert
+    from repro.workloads import zipf_matmul
+
+    def post_delta(*changes) -> dict:
+        status, _, payload, _ = state.handle(
+            "POST", "/instances/m/deltas",
+            _body({"delta": _delta_document(DeltaBatch(changes))}))
+        assert status == 200, payload
+        return json.loads(payload)
+
+    state = ServiceState()
+    original = zipf_matmul(40, 40, 6, seed=2)
+    registered = _register(state, "m", original)
+    (gone, weight), (kept, kept_weight) = list(original.relation("R1"))[:2]
+
+    moved = post_delta(delete("R1", gone), insert("R1", (801, 802), 3),
+                       insert("R1", kept, 2))
+    assert moved["cache_invalidated"] is True
+    assert moved["digest"] != registered["digest"]
+    assert _query(state, {"instance": "m"})[3]["X-Repro-Cache"] == "miss"
+
+    # equal content, rows in another order, registered from scratch
+    mutated = state.registry.get("m").instance
+    reordered = Instance(mutated.query, {
+        name: Relation(name, relation.schema, reversed(list(relation)))
+        for name, relation in mutated.relations.items()
+    }, mutated.semiring)
+    assert _register(state, "m", reordered)["digest"] == moved["digest"]
+    assert _query(state, {"instance": "m"})[3]["X-Repro-Cache"] == "hit"
+
+    # a batch that leaves every row as it was invalidates nothing
+    same = post_delta(delete("R1", (801, 802)), insert("R1", (801, 802), 3))
+    assert same["cache_invalidated"] is False
+    assert same["digest"] == moved["digest"]
+    assert _query(state, {"instance": "m"})[3]["X-Repro-Cache"] == "hit"
+
+    # and the way back ends on the digest it started from
+    back = post_delta(delete("R1", (801, 802)), insert("R1", gone, weight),
+                      delete("R1", kept), insert("R1", kept, kept_weight))
+    assert back["digest"] == registered["digest"]
+
+
 def test_unsupported_delta_maps_to_422():
     from repro.ivm import DeltaBatch, delete
     from repro.workloads import line_instance
@@ -549,3 +613,81 @@ def test_live_server_concurrent_clients_under_cap():
         stats = state.admission.stats()
         assert stats["admitted"] == 5
         assert stats["peak_active"] <= 2
+
+
+def test_response_leaves_in_one_write_on_a_nodelay_socket():
+    """Headers and body in separate writes on a Nagle socket cost a 40 ms
+    delayed-ACK stall per small response."""
+    import socket
+    import statistics
+
+    from repro.service.server import _Handler
+
+    writes, nodelay = [], []
+
+    class Recording(_Handler):
+        def setup(self):
+            super().setup()
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            write = self.wfile.raw.write  # what a flush of the buffer calls
+
+            def recording(data):
+                writes.append(len(data))
+                return write(data)
+
+            self.wfile.raw.write = recording
+
+    with ReproServer(ServiceState()) as server:
+        server._server.RequestHandlerClass = Recording
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200 and response.read()
+            latencies.append(time.perf_counter() - started)
+        connection.close()
+    assert nodelay == [1]
+    assert len(writes) == 20  # one per response
+    assert statistics.median(latencies) < 0.020  # the stall is 0.040
+
+
+def _raw_request(port: int, head: str) -> "tuple[int, dict, dict, bytes]":
+    """Send a request head verbatim (no body) and read until the server
+    closes: ``(status, headers, JSON body, whatever came after it)``."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head.encode("ascii"))
+        received = b""
+        while chunk := sock.recv(65536):  # b"" = closed by the server
+            received += chunk
+    top, _, rest = received.partition(b"\r\n\r\n")
+    status_line, *header_lines = top.decode("ascii").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    body = rest[:int(headers["Content-Length"])]
+    return (int(status_line.split()[1]), headers, json.loads(body),
+            rest[len(body):])
+
+
+@pytest.mark.parametrize("announced, status, error", [
+    ("-1", 400, "ConfigError"),        # was: rfile.read(-1) blocks the thread
+    ("twelve", 400, "ConfigError"),    # was: ValueError drops the connection
+    ("1_0", 400, "ConfigError"),       # int() would take it
+    ("9" * 5000, 400, "ConfigError"),  # int() would raise on it
+    (str(64 * 1024 * 1024 + 1), 413, "PayloadTooLarge"),
+])
+def test_bad_content_length_is_refused_without_reading(announced, status, error):
+    state = ServiceState()
+    with ReproServer(state) as server:
+        got, headers, document, trailing = _raw_request(
+            server.port,
+            f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {announced}\r\n\r\n")
+    assert got == status == document["status"]
+    assert document["error"] == error
+    # the body was never read, so the connection cannot carry another request
+    assert headers["Connection"] == "close" and trailing == b""
+    assert f'repro_service_requests_total{{endpoint="query",status="{status}"}} 1' \
+        in state.metrics.render()

@@ -211,3 +211,80 @@ def test_cache_zero_budget_disables_storage():
     # an empty body fits a zero budget; anything real does not
     cache.put("k2", "d", b"body")
     assert cache.get("k2") is None
+
+
+# -- the digest moved by deltas ------------------------------------------------
+
+
+def _random_batch(rng, instance: Instance):
+    """One batch mixing the cases a (relation, key) can go through: fresh
+    insert, ⊕-combining insert, delete, delete-then-reinsert in one batch,
+    and the same key twice in one batch."""
+    from repro.ivm import DeltaBatch, delete, insert
+
+    changes = []
+    for name, _attrs in instance.query.relations:
+        present = list(instance.relation(name).tuples)
+        fresh = (rng.randrange(10**6, 10**7), rng.randrange(5))
+        for kind in rng.sample(["fresh", "combine", "delete", "reinsert", "twice"],
+                               rng.randrange(1, 4)):
+            if kind == "fresh":
+                changes.append(insert(name, fresh, rng.randrange(1, 9)))
+            elif kind == "twice":
+                changes += [insert(name, fresh, 1), insert(name, fresh, 2)]
+            elif not present:
+                continue
+            else:
+                key = present.pop(rng.randrange(len(present)))
+                if kind != "combine":
+                    changes.append(delete(name, key))
+                if kind != "delete":
+                    # 0 keeps a combined annotation, so the row is unchanged
+                    changes.append(insert(name, key, rng.randrange(0, 9)))
+    rng.shuffle(changes)
+    return DeltaBatch(changes)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_moved_digest_equals_the_from_scratch_digest_at_every_step(seed):
+    import random
+
+    from repro.ivm import mutate_instance
+    from repro.service.cache import moved_sums, row_sums
+    from repro.workloads import zipf_matmul
+
+    rng = random.Random(seed)
+    instance = (planted_out_matmul(n=12, out=24) if seed % 2
+                else zipf_matmul(20, 20, 5, seed=seed))
+    sums = row_sums(instance)
+    for _ in range(12):
+        batch = _random_batch(rng, instance)
+        mutated = mutate_instance(instance, batch)
+        sums = moved_sums(sums, instance, mutated,
+                          [(change.relation, change.values) for change in batch])
+        assert sums == row_sums(mutated)
+        assert instance_digest(mutated, sums) == instance_digest(mutated)
+        instance = mutated
+
+
+def test_moved_digest_survives_keys_that_are_equal_but_spell_differently():
+    """``(1, 2) == (1.0, True)`` share a dict slot; the stored spelling is
+    what responses print, so it is what the digest must keep hashing."""
+    from repro.ivm import DeltaBatch, delete, insert, mutate_instance
+    from repro.service.cache import moved_sums, row_sums
+    from repro.workloads import zipf_matmul
+
+    instance = zipf_matmul(10, 10, 3, seed=1)
+    key = next(iter(instance.relation("R1").tuples))
+    alias = tuple(float(v) for v in key)
+    sums = row_sums(instance)
+    for batch in (
+        DeltaBatch((insert("R1", alias, 4),)),                       # combines
+        DeltaBatch((delete("R1", alias), insert("R1", alias, 1))),   # respells
+        DeltaBatch((insert("R1", key, 2),)),                         # plain again
+    ):
+        mutated = mutate_instance(instance, batch)
+        sums = moved_sums(sums, instance, mutated,
+                          [(change.relation, change.values) for change in batch])
+        assert instance_digest(mutated, sums) == instance_digest(mutated)
+        instance = mutated
