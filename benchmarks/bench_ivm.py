@@ -13,10 +13,10 @@ near-diagonal matmul family where a tuple's join neighbourhood is O(1):
 
 Both runs are deterministic (the simulator is seeded and the workload is
 constructed, not sampled), so every number in the committed
-``BENCH_ivm.json`` is reproducible bit for bit and the regression
-observatory (``benchmarks/regression.py``) holds them to the tight
-deterministic thresholds.  Every row also re-checks the metamorphic
-contract: the incremental answer must equal the recompute answer exactly.
+``BENCH_ivm.json`` is reproducible bit for bit and CI requires the
+regenerated document to be byte-identical to it.  Every row also
+re-checks the metamorphic contract: the incremental answer must equal the
+recompute answer exactly.
 
 The committed full-scale document gates the headline claim: small-delta
 maintenance must beat recompute by at least :data:`ADVANTAGE_GATE` (5x).

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..obs import profile as _profile
+from ..obs.profile import active_profiler
 from .dispatch import np
 
 __all__ = [
@@ -54,7 +54,7 @@ def _profiled(items_fn: Callable[[Tuple[Any, ...]], int] = _rows):
 
     The active profiler is the one the executor activated for the current
     run (:func:`repro.obs.profile.activate`); with none active — the
-    default — the wrapper costs one module-attribute load and one ``None``
+    default — the wrapper costs one context-variable read and one ``None``
     check, and the kernel's behaviour is untouched.  ``items_fn`` maps the
     call's positional arguments to the item count credited to the span.
     """
@@ -64,16 +64,12 @@ def _profiled(items_fn: Callable[[Tuple[Any, ...]], int] = _rows):
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            profiler = _profile._ACTIVE
+            profiler = active_profiler()
             if profiler is None:
                 return fn(*args, **kwargs)
-            profiler.start(label, kind="kernel", backend="columnar")
-            try:
+            with profiler.span(label, "kernel", "columnar") as span:
                 result = fn(*args, **kwargs)
-            except BaseException:
-                profiler.stop()
-                raise
-            profiler.stop(items=items_fn(args))
+                span.add_items(items_fn(args))
             return result
 
         return wrapper

@@ -46,13 +46,10 @@ Commands aimed at kicking the tires without writing code:
   JSON files (the ``repro.io`` format) at startup.
 
 ``compare``/``sweep``/``table1`` accept ``--json`` (machine-readable
-output on stdout), ``--trace-out PATH`` (JSONL trace of the paper
-algorithm's runs), and ``--profile`` / ``--profile-out PATH`` (wall-clock
-hotspot table / speedscope profile of every run the command makes; with
-profiling off the outputs are byte-identical to earlier releases).  Every
-command takes ``--backend`` to select the kernel implementation
-(``pytuple``/``columnar``/``auto``) — outputs are identical across
-backends, only wall-clock differs.
+output on stdout) and ``--trace-out PATH`` (JSONL trace of the paper
+algorithm's runs).  Every command takes ``--backend`` to select the kernel
+implementation (``pytuple``/``columnar``/``auto``) — outputs are identical
+across backends, only wall-clock differs.
 
 The commands are thin argparse shells: all the work happens in
 :mod:`repro.api`, so anything printed here is available as structured data
@@ -155,12 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print a machine-readable JSON document instead of tables")
         p.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write a JSONL trace of the paper algorithm's run(s)")
-        p.add_argument("--profile", action="store_true",
-                       help="record wall-clock spans over every run and print "
-                       "a hotspot table (answers and meters are unchanged)")
-        p.add_argument("--profile-out", default=None, metavar="PATH",
-                       help="write a speedscope flamegraph JSON of the runs "
-                       "(implies --profile)")
 
     def add_algorithm(p: argparse.ArgumentParser) -> None:
         p.add_argument("--algorithm", default="auto",
@@ -370,59 +361,14 @@ def _tracer_for(args: argparse.Namespace) -> Optional[Tracer]:
     return Tracer([JsonlSink(args.trace_out)])
 
 
-def _profiler_for(args: argparse.Namespace) -> Optional[Profiler]:
-    """A :class:`Profiler` when ``--profile``/``--profile-out`` was given.
-
-    ``None`` otherwise, which keeps the command's output byte-identical to
-    a build without the profiler at all.
-    """
-    if getattr(args, "profile", False) or getattr(args, "profile_out", None):
-        return Profiler()
-    return None
-
-
-def _finish_profile(args: argparse.Namespace, profiler: Optional[Profiler],
-                    top: int = 15) -> Optional[Dict[str, Any]]:
-    """Write ``--profile-out`` and build the profile's JSON payload.
-
-    Returns ``None`` when profiling was off — callers only attach the
-    ``"profile"`` key (or print the hotspot table) when a payload exists,
-    so the default output stays unchanged.
-    """
-    if profiler is None:
-        return None
-    if args.profile_out:
-        write_json(profiler.to_speedscope(name=f"repro {args.command}"),
-                   args.profile_out)
-    return {
-        "total_wall_s": profiler.total_wall,
-        "hotspots": [row.to_dict() for row in profiler.hotspots(top)],
-        "profile_out": args.profile_out,
-    }
-
-
-def _print_profile(args: argparse.Namespace, profiler: Optional[Profiler],
-                   top: int = 15) -> None:
-    """Human-readable tail of a ``--profile`` run (hotspots + file notes)."""
-    if profiler is None:
-        return
-    print()
-    print(f"wall-clock profile ({profiler.total_wall:.3f}s total):")
-    print(profiler.render_hotspots(top))
-    if args.profile_out:
-        print(f"speedscope profile written to {args.profile_out}")
-
-
 def _command_compare(args: argparse.Namespace) -> int:
     instance = _families()[args.family](args)
     tracer = _tracer_for(args)
-    profiler = _profiler_for(args)
     if not args.json:
         print(f"family={args.family}  N={instance.total_size}  p={args.p}  "
               f"class={instance.query.classify()}")
     config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, tracer=tracer,
-                             profiler=profiler)
+                             backend=args.backend, tracer=tracer)
     try:
         result = api.compare(instance, config, scope=args.family)
     except AssertionError:
@@ -436,7 +382,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             tracer.close()
     baseline, ours = result.baseline, result.ours
     speedup = result.speedup
-    payload = _finish_profile(args, profiler)
     if args.json:
         document = {
             "family": args.family,
@@ -450,8 +395,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             "speedup": speedup,
             "trace_out": args.trace_out,
         }
-        if payload is not None:
-            document["profile"] = payload
         print(json.dumps(document, indent=2))
         return 0
     print(f"OUT={ours.out_size}")
@@ -460,17 +403,14 @@ def _command_compare(args: argparse.Namespace) -> int:
     print(f"load speedup: {speedup:.2f}×")
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
-    _print_profile(args, profiler)
     return 0
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
     """Sweep OUT for ``matmul``; sweep ``--tuples`` (doubling) otherwise."""
     tracer = _tracer_for(args)
-    profiler = _profiler_for(args)
     config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, tracer=tracer,
-                             profiler=profiler)
+                             backend=args.backend, tracer=tracer)
     matmul = args.family == "matmul"
     knob_name = "OUT" if matmul else "tuples"
     points: List[Dict[str, Any]] = []
@@ -518,7 +458,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if not points:
         return 1
 
-    payload = _finish_profile(args, profiler)
     if args.json:
         document = {
             "family": args.family,
@@ -527,8 +466,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             "points": points,
             "trace_out": args.trace_out,
         }
-        if payload is not None:
-            document["profile"] = payload
         print(json.dumps(document, indent=2))
         return 0
     print(f"{knob_name:>10} {'L(yann)':>10} {'L(ours)':>10} {'speedup':>8}")
@@ -537,16 +474,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
               f"{point['new_load']:>10} {point['speedup']:>8.2f}")
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
-    _print_profile(args, profiler)
     return 0
 
 
 def _command_table1(args: argparse.Namespace) -> int:
     """One adversarial instance per Table-1 row, baseline vs new algorithm."""
     tracer = _tracer_for(args)
-    profiler = _profiler_for(args)
-    config = ExecutionConfig(p=args.p, backend=args.backend, tracer=tracer,
-                             profiler=profiler)
+    config = ExecutionConfig(p=args.p, backend=args.backend, tracer=tracer)
     try:
         rows = api.table1(scale=args.scale, config=config, families=args.families)
     except (AssertionError, ValueError) as error:
@@ -555,7 +489,6 @@ def _command_table1(args: argparse.Namespace) -> int:
     finally:
         if tracer is not None:
             tracer.close()
-    payload = _finish_profile(args, profiler)
     if args.json:
         document = {
             "p": args.p,
@@ -563,8 +496,6 @@ def _command_table1(args: argparse.Namespace) -> int:
             "rows": [row.to_dict() for row in rows],
             "trace_out": args.trace_out,
         }
-        if payload is not None:
-            document["profile"] = payload
         print(json.dumps(document, indent=2))
         return 0
     print(f"Table 1 reproduction (p={args.p}, scale={args.scale}); "
@@ -577,7 +508,6 @@ def _command_table1(args: argparse.Namespace) -> int:
         )
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
-    _print_profile(args, profiler)
     return 0
 
 

@@ -45,9 +45,8 @@ class ExecutionConfig:
     validate: bool = False
     #: Optional :class:`~repro.obs.profile.Profiler` recording wall-clock
     #: spans (phases, cluster ops, kernels, executor steps) of every run
-    #: made under this config.  ``None`` (the default) keeps hot paths at
-    #: a single ``None`` check; answers, CostReports, and traces are
-    #: bit-identical either way.
+    #: made under this config; answers, CostReports, and traces are
+    #: bit-identical with and without one.
     profiler: Optional[Any] = None
     #: How ``algorithm="cost"`` collects its planner statistics:
     #: ``"offline"`` (free ANALYZE-style scan) or ``"in-model"`` (collected

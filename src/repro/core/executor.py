@@ -23,7 +23,7 @@ from ..data.relation import DistRelation, Relation
 from ..errors import ApplicabilityError
 from ..mpc.cluster import ClusterView, MPCCluster
 from ..mpc.stats import CostReport
-from ..obs import profile as _obs_profile
+from ..obs.profile import activate
 from ..semiring import Semiring
 from .line import line_query
 from .star import star_query
@@ -124,7 +124,7 @@ def run_query(
     semiring = instance.semiring
     query_class = query.classify()
 
-    profiler = cluster.tracker.profiler
+    tracker = cluster.tracker
     chosen = algorithm
     plan = None
     if algorithm == "auto":
@@ -133,9 +133,7 @@ def run_query(
         from ..planner import plan_query
 
         stats_mode = getattr(config, "stats_mode", "offline") if config else "offline"
-        if profiler is not None:
-            profiler.start("plan", kind="step")
-        try:
+        with tracker.span("plan", "step"):
             plan = plan_query(
                 instance,
                 p=cluster.p,
@@ -143,12 +141,9 @@ def run_query(
                 view=view if stats_mode == "in-model" else None,
                 backend=cluster.backend,
             )
-        finally:
-            if profiler is not None:
-                profiler.stop()
         chosen = plan.algorithm
 
-    tracer = cluster.tracker.tracer
+    tracer = tracker.tracer
     if tracer is not None:
         tracer.label = chosen
         if plan is not None:
@@ -158,30 +153,23 @@ def run_query(
             tracer.emit("plan", -1, (), detail=plan.summary())
 
     out_schema = tuple(sorted(query.output))
-    if profiler is None:
-        distributed = _dispatch(chosen, instance, view)
-        if distributed.schema != out_schema:
-            distributed = aggregate_relation(distributed, out_schema, semiring)
-        relation = distributed.collect("result", semiring)
-    else:
-        # Root span per run (one profiler may observe many runs, e.g. a
-        # table1 sweep); activation makes the profiler visible to the
-        # vectorized kernels, which receive bare arrays and cannot reach
-        # the cluster through their arguments.
-        token = _obs_profile.activate(profiler)
-        profiler.start(f"run:{chosen}", kind="run", backend=cluster.backend)
-        try:
+    # Activation makes this run's profiler (or its absence) visible to the
+    # vectorized kernels, which receive bare arrays and cannot reach the
+    # cluster through their arguments.  One root span per run: a profiler
+    # may observe many runs (a table1 sweep, a view's delta batches).
+    previous = activate(tracker.profiler)
+    try:
+        with tracker.span(f"run:{chosen}", "run", cluster.backend):
             distributed = _dispatch(chosen, instance, view)
             if distributed.schema != out_schema:
-                with profiler.span("finalize", kind="step"):
+                with tracker.span("finalize", "step"):
                     distributed = aggregate_relation(
                         distributed, out_schema, semiring
                     )
-            with profiler.span("collect", kind="step"):
+            with tracker.span("collect", "step"):
                 relation = distributed.collect("result", semiring)
-        finally:
-            profiler.stop()
-            _obs_profile.activate(token)
+    finally:
+        activate(previous)
     if validate:
         from ..ram.evaluate import evaluate
 
@@ -372,20 +360,14 @@ def _dispatch(chosen: str, instance: Instance, view: ClusterView) -> DistRelatio
             f"is {query.classify()}; applicable here: "
             f"{', '.join(applicable_algorithms(query))}"
         )
-    profiler = view.tracker.profiler
+    tracker = view.tracker
     semiring = instance.semiring
-    if profiler is None:
+    with tracker.span("load", "step"):
         loaded: Dict[str, DistRelation] = {
             name: DistRelation.load(view, instance.relation(name), semiring)
             for name, _ in query.relations
         }
-        return spec.run(instance, view, loaded)
-    with profiler.span("load", kind="step"):
-        loaded = {
-            name: DistRelation.load(view, instance.relation(name), semiring)
-            for name, _ in query.relations
-        }
-    with profiler.span("execute", kind="step"):
+    with tracker.span("execute", "step"):
         return spec.run(instance, view, loaded)
 
 

@@ -47,7 +47,7 @@ from ..core.executor import run_query
 from ..data.query import Instance, TreeQuery
 from ..data.relation import Relation
 from ..errors import ConfigError
-from ..mpc.stats import CostReport
+from ..mpc.stats import TAGGED_FIELDS, CostReport
 from ..obs.events import MAINTENANCE_OP
 from .delta import (
     DELETE,
@@ -136,10 +136,10 @@ class MaterializedView:
         )
         #: The materialization run's report — the view's base meters.
         self.base_report: CostReport = result.report
-        self._maintenance_load = 0
-        self._maintenance_communication = 0
-        self._maintenance_rounds = 0
-        self._maintenance_products = 0
+        #: The accumulated ``maintenance`` tag, by :class:`CostReport` field.
+        self._maintenance: Dict[str, int] = dict.fromkeys(
+            TAGGED_FIELDS["maintenance"], 0
+        )
         self.deltas_applied = 0
         self.changes_applied = 0
         #: Bumped on every applied batch; lets callers detect staleness.
@@ -177,13 +177,7 @@ class MaterializedView:
 
     def report(self) -> CostReport:
         """Base meters from materialization + accumulated maintenance tag."""
-        return dc_replace(
-            self.base_report,
-            maintenance_load=self._maintenance_load,
-            maintenance_communication=self._maintenance_communication,
-            maintenance_rounds=self._maintenance_rounds,
-            maintenance_products=self._maintenance_products,
-        )
+        return dc_replace(self.base_report, **self._maintenance)
 
     def to_summary(self) -> Dict[str, Any]:
         """JSON-ready description (used by the CLI and the service)."""
@@ -239,10 +233,11 @@ class MaterializedView:
             self._apply_state(rel_name, deletions, insertions)
             if delta_answer:
                 self._merge_answer(delta_answer)
-        self._maintenance_load = max(self._maintenance_load, load)
-        self._maintenance_communication += communication
-        self._maintenance_rounds += rounds
-        self._maintenance_products += products
+        tag = self._maintenance
+        tag["maintenance_load"] = max(tag["maintenance_load"], load)
+        tag["maintenance_communication"] += communication
+        tag["maintenance_rounds"] += rounds
+        tag["maintenance_products"] += products
         self.deltas_applied += 1
         self.changes_applied += len(batch)
         self.generation += 1

@@ -52,9 +52,9 @@ class MPCCluster:
 
     ``profiler`` (a :class:`~repro.obs.profile.Profiler`, optional) turns
     on wall-clock span profiling: every delivering operation and
-    ``run_parallel`` wave records its elapsed time and items moved.  With
-    none attached (the default), operations pay a single ``None`` check
-    and results/meters/traces are bit-identical to an unprofiled run.
+    ``run_parallel`` wave records its elapsed time and items moved
+    (through :meth:`~repro.mpc.stats.LoadTracker.span`).  Results, meters
+    and traces are bit-identical with and without one.
     """
 
     def __init__(self, p: int, seed: int = 0, tracer: Optional[Any] = None,
@@ -137,51 +137,36 @@ class ClusterView:
         the cursor.  ``op`` only labels the trace event (``gather`` routes
         through here and tags itself).
         """
-        profiler = self.tracker.profiler
-        if profiler is None:
-            return self._exchange(outboxes, op)
-        profiler.start(op, kind="op", backend=self.cluster.backend)
-        try:
-            inboxes = self._exchange(outboxes, op)
-        except BaseException:
-            profiler.stop()
-            raise
-        profiler.stop(items=sum(len(inbox) for inbox in inboxes))
-        return inboxes
-
-    def _exchange(
-        self, outboxes: Sequence[Iterable[Tuple[int, Any]]], op: str
-    ) -> List[List[Any]]:
-        if len(outboxes) != self.p:
-            raise RoutingError(f"expected {self.p} outboxes, got {len(outboxes)}")
-        inboxes: List[List[Any]] = [[] for _ in range(self.p)]
         tracker = self.tracker
-        round_index = self.round
-        for outbox in outboxes:
-            for dest, item in outbox:
-                if not 0 <= dest < self.p:
-                    raise RoutingError(f"destination {dest} outside view of size {self.p}")
-                inboxes[dest].append(item)
-        injector = self.cluster.faults
-        if injector is not None:
-            self.round = injector.deliver(
-                self, round_index, tuple(len(inbox) for inbox in inboxes), op,
-                inboxes,
-            )
-            return inboxes
-        for local_index, inbox in enumerate(inboxes):
-            tracker.record_receive(round_index, self.servers[local_index], len(inbox))
-        tracker.note_round(round_index)
-        tracer = tracker.tracer
-        if tracer is not None and tracer.active:
-            tracer.emit(
-                op,
-                round_index,
-                self.servers,
-                tuple(len(inbox) for inbox in inboxes),
-                tracker.phase_path(),
-            )
-        self.round = round_index + 1
+        with tracker.span(op, "op", self.cluster.backend) as span:
+            if len(outboxes) != self.p:
+                raise RoutingError(f"expected {self.p} outboxes, got {len(outboxes)}")
+            inboxes: List[List[Any]] = [[] for _ in range(self.p)]
+            round_index = self.round
+            for outbox in outboxes:
+                for dest, item in outbox:
+                    if not 0 <= dest < self.p:
+                        raise RoutingError(f"destination {dest} outside view of size {self.p}")
+                    inboxes[dest].append(item)
+            sizes = tuple(map(len, inboxes))
+            injector = self.cluster.faults
+            if injector is not None:
+                self.round = injector.deliver(self, round_index, sizes, op, inboxes)
+            else:
+                for server, size in zip(self.servers, sizes):
+                    tracker.record_receive(round_index, server, size)
+                tracker.note_round(round_index)
+                tracer = tracker.tracer
+                if tracer is not None and tracer.active:
+                    tracer.emit(
+                        op,
+                        round_index,
+                        self.servers,
+                        sizes,
+                        tracker.phase_path(),
+                    )
+                self.round = round_index + 1
+            span.add_items(sum(sizes))
         return inboxes
 
     def exchange_batches(
@@ -218,10 +203,8 @@ class ClusterView:
                 "exchange_batches under fault injection: the injector "
                 "replays item lists; columnar paths must be gated off"
             )
-        profiler = self.tracker.profiler
-        if profiler is not None:
-            profiler.start(op, kind="op", backend=self.cluster.backend)
-        try:
+        tracker = self.tracker
+        with tracker.span(op, "op", self.cluster.backend) as span:
             # Validate every source before any work (all-or-nothing, like
             # the item path's routing checks).
             for dest_array, batch in zip(dests, batches):
@@ -263,12 +246,10 @@ class ClusterView:
                 )
                 for parts in fragments
             ]
-            tracker = self.tracker
             round_index = self.round
-            for local_index, inbox in enumerate(inboxes):
-                tracker.record_receive(
-                    round_index, self.servers[local_index], inbox.size
-                )
+            sizes = tuple(inbox.size for inbox in inboxes)
+            for server, size in zip(self.servers, sizes):
+                tracker.record_receive(round_index, server, size)
             tracker.note_round(round_index)
             tracer = tracker.tracer
             if tracer is not None and tracer.active:
@@ -276,16 +257,11 @@ class ClusterView:
                     op,
                     round_index,
                     self.servers,
-                    tuple(inbox.size for inbox in inboxes),
+                    sizes,
                     tracker.phase_path(),
                 )
             self.round = round_index + 1
-        except BaseException:
-            if profiler is not None:
-                profiler.stop()
-            raise
-        if profiler is not None:
-            profiler.stop(items=sum(inbox.size for inbox in inboxes))
+            span.add_items(sum(sizes))
         return inboxes
 
     def broadcast_batches(self, batches: Sequence[Any]) -> Any:
@@ -298,13 +274,10 @@ class ClusterView:
                 "broadcast_batches under fault injection: columnar paths "
                 "must be gated off"
             )
-        profiler = self.tracker.profiler
-        if profiler is not None:
-            profiler.start("broadcast", kind="op", backend=self.cluster.backend)
-        try:
+        tracker = self.tracker
+        with tracker.span("broadcast", "op", self.cluster.backend) as span:
             everything = ColumnarBatch.concat(list(batches))
             round_index = self.round
-            tracker = self.tracker
             for server in self.servers:
                 tracker.record_receive(round_index, server, everything.size)
             tracker.note_round(round_index)
@@ -318,12 +291,7 @@ class ClusterView:
                     tracker.phase_path(),
                 )
             self.round = round_index + 1
-        except BaseException:
-            if profiler is not None:
-                profiler.stop()
-            raise
-        if profiler is not None:
-            profiler.stop(items=everything.size * self.p)
+            span.add_items(everything.size * self.p)
         return everything
 
     def route(
@@ -354,41 +322,29 @@ class ClusterView:
         One round; each server's incoming load is the total item count, which
         is how the paper charges a broadcast.
         """
-        profiler = self.tracker.profiler
-        if profiler is None:
-            return self._broadcast(parts)
-        profiler.start("broadcast", kind="op", backend=self.cluster.backend)
-        try:
-            everything = self._broadcast(parts)
-        except BaseException:
-            profiler.stop()
-            raise
-        profiler.stop(items=len(everything) * self.p)
-        return everything
-
-    def _broadcast(self, parts: Sequence[Sequence[Any]]) -> List[Any]:
-        everything = [item for part in parts for item in part]
-        round_index = self.round
         tracker = self.tracker
-        injector = self.cluster.faults
-        if injector is not None:
-            self.round = injector.deliver(
-                self, round_index, (len(everything),) * self.p, "broadcast"
-            )
-            return everything
-        for server in self.servers:
-            tracker.record_receive(round_index, server, len(everything))
-        tracker.note_round(round_index)
-        tracer = tracker.tracer
-        if tracer is not None and tracer.active:
-            tracer.emit(
-                "broadcast",
-                round_index,
-                self.servers,
-                (len(everything),) * self.p,
-                tracker.phase_path(),
-            )
-        self.round = round_index + 1
+        with tracker.span("broadcast", "op", self.cluster.backend) as span:
+            everything = [item for part in parts for item in part]
+            round_index = self.round
+            sizes = (len(everything),) * self.p
+            injector = self.cluster.faults
+            if injector is not None:
+                self.round = injector.deliver(self, round_index, sizes, "broadcast")
+            else:
+                for server in self.servers:
+                    tracker.record_receive(round_index, server, len(everything))
+                tracker.note_round(round_index)
+                tracer = tracker.tracer
+                if tracer is not None and tracer.active:
+                    tracer.emit(
+                        "broadcast",
+                        round_index,
+                        self.servers,
+                        sizes,
+                        tracker.phase_path(),
+                    )
+                self.round = round_index + 1
+            span.add_items(len(everything) * self.p)
         return everything
 
     def gather(self, parts: Sequence[Sequence[Any]], dest: int = 0) -> List[Any]:
@@ -459,7 +415,6 @@ class ClusterView:
 
         results: List[Any] = [None] * len(tasks)
         pending = list(range(len(tasks)))
-        profiler = self.tracker.profiler
         while pending:
             wave: List[int] = []
             used = 0
@@ -477,10 +432,7 @@ class ClusterView:
             base_round = self.round
             deepest = base_round
             offset = 0
-            if profiler is not None:
-                profiler.start("parallel-wave", kind="op",
-                               backend=self.cluster.backend)
-            try:
+            with self.tracker.span("parallel-wave", "op", self.cluster.backend):
                 for task_index in wave:
                     width = clamped[task_index]
                     branch = self.subview(range(offset, offset + width))
@@ -488,9 +440,6 @@ class ClusterView:
                     results[task_index] = tasks[task_index](branch)
                     deepest = max(deepest, branch.round)
                     offset += width
-            finally:
-                if profiler is not None:
-                    profiler.stop()
             tracer = self.tracker.tracer
             if tracer is not None and tracer.active:
                 tracer.emit(

@@ -136,56 +136,39 @@ def transfer(
     The two views' cursors are synchronized to ``max(src, dst) + 1``, which is
     what a globally synchronous cluster would observe.
     """
-    profiler = dest_view.tracker.profiler
-    if profiler is None:
-        return _transfer(source, dest_view, dest_fn)
-    profiler.start("transfer", kind="op", backend=dest_view.cluster.backend)
-    try:
-        moved = _transfer(source, dest_view, dest_fn)
-    except BaseException:
-        profiler.stop()
-        raise
-    profiler.stop(items=moved.total_size)
-    return moved
-
-
-def _transfer(
-    source: Distributed,
-    dest_view: ClusterView,
-    dest_fn: Callable[[Any], int],
-) -> Distributed:
-    if source.view.cluster is not dest_view.cluster:
-        raise RoutingError("transfer requires views of the same cluster")
-    round_index = max(source.view.round, dest_view.round)
     tracker = dest_view.tracker
-    inboxes: List[List[Any]] = [[] for _ in range(dest_view.p)]
-    for part in source.parts:
-        for item in part:
-            dest = dest_fn(item)
-            if not 0 <= dest < dest_view.p:
-                raise RoutingError(f"destination {dest} outside view of size {dest_view.p}")
-            inboxes[dest].append(item)
-    injector = dest_view.cluster.faults
-    if injector is not None:
-        next_round = injector.deliver(
-            dest_view, round_index, tuple(len(inbox) for inbox in inboxes),
-            "transfer", inboxes,
-        )
+    with tracker.span("transfer", "op", dest_view.cluster.backend) as span:
+        if source.view.cluster is not dest_view.cluster:
+            raise RoutingError("transfer requires views of the same cluster")
+        round_index = max(source.view.round, dest_view.round)
+        inboxes: List[List[Any]] = [[] for _ in range(dest_view.p)]
+        for part in source.parts:
+            for item in part:
+                dest = dest_fn(item)
+                if not 0 <= dest < dest_view.p:
+                    raise RoutingError(f"destination {dest} outside view of size {dest_view.p}")
+                inboxes[dest].append(item)
+        sizes = tuple(map(len, inboxes))
+        injector = dest_view.cluster.faults
+        if injector is not None:
+            next_round = injector.deliver(
+                dest_view, round_index, sizes, "transfer", inboxes
+            )
+        else:
+            for server, size in zip(dest_view.servers, sizes):
+                tracker.record_receive(round_index, server, size)
+            tracker.note_round(round_index)
+            tracer = tracker.tracer
+            if tracer is not None and tracer.active:
+                tracer.emit(
+                    "transfer",
+                    round_index,
+                    dest_view.servers,
+                    sizes,
+                    tracker.phase_path(),
+                )
+            next_round = round_index + 1
         source.view.round = next_round
         dest_view.round = next_round
-        return Distributed(dest_view, inboxes)
-    for local_index, inbox in enumerate(inboxes):
-        tracker.record_receive(round_index, dest_view.servers[local_index], len(inbox))
-    tracker.note_round(round_index)
-    tracer = tracker.tracer
-    if tracer is not None and tracer.active:
-        tracer.emit(
-            "transfer",
-            round_index,
-            dest_view.servers,
-            tuple(len(inbox) for inbox in inboxes),
-            tracker.phase_path(),
-        )
-    source.view.round = round_index + 1
-    dest_view.round = round_index + 1
+        span.add_items(sum(sizes))
     return Distributed(dest_view, inboxes)

@@ -29,7 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["LoadTracker", "CostReport"]
+__all__ = ["LoadTracker", "CostReport", "TAGGED_FIELDS"]
+
+#: The overhead tags of :class:`CostReport`: ``tag → fields``.  A tag's
+#: fields are metered apart from the base meters and absent from
+#: :meth:`CostReport.to_dict` until one of them is nonzero, so exports of
+#: runs that never charged the tag stay byte-identical to releases that
+#: did not have it.
+TAGGED_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "recovery": ("recovery_load", "recovery_communication", "recovery_rounds"),
+    "maintenance": ("maintenance_load", "maintenance_communication",
+                    "maintenance_rounds", "maintenance_products"),
+}
 
 
 @dataclass
@@ -96,16 +107,10 @@ class CostReport:
             "elementary_products": self.elementary_products,
             "phases": [[label, load] for label, load in self.phases],
         }
-        if self.recovery_load or self.recovery_communication or self.recovery_rounds:
-            record["recovery_load"] = self.recovery_load
-            record["recovery_communication"] = self.recovery_communication
-            record["recovery_rounds"] = self.recovery_rounds
-        if (self.maintenance_load or self.maintenance_communication
-                or self.maintenance_rounds or self.maintenance_products):
-            record["maintenance_load"] = self.maintenance_load
-            record["maintenance_communication"] = self.maintenance_communication
-            record["maintenance_rounds"] = self.maintenance_rounds
-            record["maintenance_products"] = self.maintenance_products
+        for fields in TAGGED_FIELDS.values():
+            values = [getattr(self, name) for name in fields]
+            if any(values):
+                record.update(zip(fields, values))
         if self.algorithm:
             record["algorithm"] = self.algorithm
         if self.plan is not None:
@@ -124,26 +129,44 @@ class CostReport:
             phases=tuple(
                 (str(label), int(load)) for label, load in record.get("phases", ())
             ),
-            recovery_load=int(record.get("recovery_load", 0)),
-            recovery_communication=int(record.get("recovery_communication", 0)),
-            recovery_rounds=int(record.get("recovery_rounds", 0)),
-            maintenance_load=int(record.get("maintenance_load", 0)),
-            maintenance_communication=int(record.get("maintenance_communication", 0)),
-            maintenance_rounds=int(record.get("maintenance_rounds", 0)),
-            maintenance_products=int(record.get("maintenance_products", 0)),
             algorithm=str(record.get("algorithm", "")),
             plan=record.get("plan"),
+            **{
+                name: int(record.get(name, 0))
+                for fields in TAGGED_FIELDS.values()
+                for name in fields
+            },
         )
 
 
 class _PhaseFrame:
-    """One open phase: its label and its own (round, server) → count cells."""
+    """One open phase: its label, its own (round, server) → count cells, and
+    its open wall-clock span."""
 
-    __slots__ = ("label", "cells")
+    __slots__ = ("label", "cells", "span")
 
-    def __init__(self, label: str) -> None:
+    def __init__(self, label: str, span: Any) -> None:
         self.label = label
         self.cells: Dict[Tuple[int, int], int] = {}
+        self.span = span
+
+
+class _NoSpan:
+    """What :meth:`LoadTracker.span` hands out with no profiler attached."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NoSpan":
+        return self
+
+    def __exit__(self, *_exc) -> bool:
+        return False
+
+    def add_items(self, count: int) -> None:
+        pass
+
+
+_NO_SPAN = _NoSpan()
 
 
 class LoadTracker:
@@ -165,11 +188,25 @@ class LoadTracker:
         #: structured events through it when present (duck-typed so the mpc
         #: layer has no import dependency on :mod:`repro.obs`).
         self.tracer = tracer
-        #: Optional :class:`repro.obs.profile.Profiler`; phase open/close
-        #: and cluster operations record wall-clock spans into it when
-        #: present (same duck-typing as ``tracer``; ``None`` — the default
-        #: — keeps every hot path at a single ``None`` check).
+        #: Optional :class:`repro.obs.profile.Profiler` (same duck-typing
+        #: as ``tracer``); everything records into it through :meth:`span`.
         self.profiler = profiler
+
+    # -- wall-clock ---------------------------------------------------------
+
+    def span(self, label: str, kind: str, backend: str = "") -> Any:
+        """The one wall-clock hook: a context manager timing its block as a
+        ``kind`` span of the attached profiler.
+
+        ``with tracker.span(...) as span`` binds an object whose
+        ``add_items(count)`` credits items moved to the span.  With no
+        profiler attached (the default) it is one shared inert object, so
+        an instrumented function has one body either way.
+        """
+        profiler = self.profiler
+        if profiler is None:
+            return _NO_SPAN
+        return profiler.span(label, kind, backend)
 
     # -- recording -----------------------------------------------------------
 
@@ -237,16 +274,19 @@ class LoadTracker:
         return _Phase(self, label)
 
     def push_phase(self, label: str) -> None:
-        self._phase_stack.append(_PhaseFrame(label))
-        if self.profiler is not None:
-            self.profiler.start(label, kind="phase")
+        frame = _PhaseFrame(label, self.span(label, "phase"))
+        self._phase_stack.append(frame)
+        frame.span.__enter__()
 
-    def pop_phase(self) -> None:
+    def pop_phase(self, failed: bool = False) -> None:
+        """Close the innermost phase; a ``failed`` one (an exception is
+        unwinding through it) records no load, only leaves the stacks
+        consistent."""
         frame = self._phase_stack.pop()
-        load = max(frame.cells.values()) if frame.cells else 0
-        self._phases.append((frame.label, load))
-        if self.profiler is not None:
-            self.profiler.stop()
+        if not failed:
+            load = max(frame.cells.values()) if frame.cells else 0
+            self._phases.append((frame.label, load))
+        frame.span.__exit__(None, None, None)
 
     def phase_path(self) -> Tuple[str, ...]:
         """Labels of the currently-open phases, outermost first."""
@@ -331,10 +371,5 @@ class _Phase:
         self._tracker.push_phase(self._label)
 
     def __exit__(self, exc_type, _exc, _tb) -> bool:
-        if exc_type is None:
-            self._tracker.pop_phase()
-        else:  # keep the stack consistent on error paths
-            self._tracker._phase_stack.pop()
-            if self._tracker.profiler is not None:
-                self._tracker.profiler.stop()
+        self._tracker.pop_phase(failed=exc_type is not None)
         return False

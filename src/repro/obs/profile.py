@@ -1,13 +1,13 @@
 """Hierarchical wall-clock span profiler for the simulated cluster.
 
 The paper's cost model is one scalar per run — the load ``L`` — and the
-tracer already attributes *that* to phases and operations.  What nothing in
-the repo could answer before this module is where the **wall-clock** goes:
-``BENCH_kernels.json`` shows individual kernels 3.5–23× faster yet
-end-to-end matmul only 1.04–1.12×, so the time must be hiding between tuple
-materialization, exchange bookkeeping, metering, and the kernels
-themselves.  The :class:`Profiler` records exactly that attribution, as a
-tree of *spans* aligned with the structures the repo already has:
+tracer already attributes *that* to phases and operations.  This module
+answers the other question, where the **wall-clock** of a run goes: between
+tuple materialization, exchange bookkeeping, metering, and the kernels
+themselves (the end-to-end ledger, ``benchmarks/e2e/``, is the benchmark
+that says *how much* wall-clock there is; see docs/performance.md).  The
+:class:`Profiler` records that attribution as a tree of *spans* aligned
+with the structures the repo already has:
 
 * ``phase`` spans — one per :meth:`LoadTracker.phase` label, nested the way
   the algorithm opened them;
@@ -16,16 +16,20 @@ tree of *spans* aligned with the structures the repo already has:
   items the operation delivered and the cluster's backend label;
 * ``kernel`` spans — one per vectorized kernel call in
   :mod:`repro.backends.kernels`;
-* ``step`` spans — the executor's coarse stages (``load`` / ``execute`` /
-  ``finalize`` / ``collect``), which is where tuple materialization shows;
+* ``step`` spans — the executor's coarse stages (``plan`` / ``load`` /
+  ``execute`` / ``finalize`` / ``collect``), which is where tuple
+  materialization shows;
 * a ``run`` root span per executed query, labelled with the dispatched
   algorithm.
 
-Profiling is strictly opt-in and inert by default: a cluster built without
-a profiler (the default) pays a single ``None`` check per operation, so
-answers, :class:`CostReport`\\ s, traces, and every committed JSON artifact
-are bit-identical to a profiler-free build — the same invariant the tracer
-and the fault injector already honour.
+Everything that holds a tracker records through one hook,
+:meth:`repro.mpc.stats.LoadTracker.span`, which hands back
+:meth:`Profiler.span` or — with no profiler attached, the default — one
+shared inert object.  Kernels receive bare arrays and reach the run's
+profiler through :func:`active_profiler` instead.  Either way profiling is
+strictly opt-in: answers, :class:`CostReport`\\ s, traces, and every
+committed JSON artifact are bit-identical to a profiler-free run — the same
+invariant the tracer and the fault injector already honour.
 
 The clock is injectable (any zero-argument callable returning seconds) so
 tests drive the profiler deterministically; the default is
@@ -41,12 +45,12 @@ Exports:
 * :meth:`Profiler.to_chrome_trace` — Chrome ``about://tracing`` /
   Perfetto JSON;
 * :func:`replay_speedscope` — recompute per-frame totals from a
-  speedscope document (the round-trip oracle used by the tests and the
-  regression tooling).
+  speedscope document (the exporters' round-trip oracle in the tests).
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import time
 from typing import Any, Callable, Dict, IO, List, Optional, Tuple, Union
@@ -162,10 +166,9 @@ class Profiler:
 
     Attach a profiler to a run via
     ``ExecutionConfig(profiler=...)`` (or ``MPCCluster(profiler=...)``
-    directly); the executor, tracker phases, cluster operations and numpy
+    directly); the executor, tracker phases, cluster operations and array
     kernels all record into it.  One profiler may observe several runs —
-    each ``run_query`` adds its own ``run:<algorithm>`` root child, which
-    is how ``repro table1 --profile`` builds one profile over four rows.
+    each ``run_query`` adds its own ``run:<algorithm>`` root child.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
@@ -407,26 +410,28 @@ class _Span:
 # Vectorized kernels (repro.backends.kernels) receive bare arrays, not a
 # view, so they cannot reach a cluster's profiler through their arguments.
 # The executor instead *activates* the run's profiler for the duration of
-# the run; the kernels check this module attribute — one global load and
-# one None check when profiling is off.
+# the run.  The slot is a context variable, not a module global: a thread
+# starts with an empty context, so a profiled run in one thread of the
+# service never records another thread's kernels.
 
-_ACTIVE: Optional[Profiler] = None
+_ACTIVE: "contextvars.ContextVar[Optional[Profiler]]" = contextvars.ContextVar(
+    "repro_active_profiler", default=None
+)
 
 
 def active_profiler() -> Optional[Profiler]:
     """The profiler kernel calls record into, or None (profiling off)."""
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 def activate(profiler: Optional[Profiler]) -> Optional[Profiler]:
-    """Install ``profiler`` as the kernel-visible profiler.
+    """Install ``profiler`` as the kernel-visible profiler of this context.
 
     Returns the previously active one so callers can restore it in a
     ``finally`` block (runs may nest, e.g. validate-mode oracles).
     """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = profiler
+    previous = _ACTIVE.get()
+    _ACTIVE.set(profiler)
     return previous
 
 

@@ -81,10 +81,8 @@ class InstanceRegistry:
     def register(self, name: str, instance: Instance) -> RegisteredInstance:
         """Register (or replace) ``name``; returns the new entry.
 
-        The caller learns about a replaced digest via
-        :meth:`previous_digest` semantics: register returns the *new*
-        entry and stores it; use the return value of :meth:`replace` when
-        the old digest is needed for invalidation.
+        Use :meth:`replace` when the digest the name pointed at before is
+        needed for invalidation.
         """
         return self.replace(name, instance)[0]
 

@@ -238,6 +238,11 @@ def test_profile_command_json_and_exports(capsys, tmp_path):
                  "--top", "5", "--json"])
     document = json.loads(capsys.readouterr().out)
     assert code == 0
+    assert list(document) == [
+        "family", "p", "backend", "algorithm", "query_class", "input_size",
+        "out_size", "report", "total_wall_s", "hotspots", "tree",
+        "profile_out", "chrome_out", "metrics_out",
+    ]
     assert document["total_wall_s"] > 0
     assert len(document["hotspots"]) <= 5
     assert document["tree"][0]["label"].startswith("run:")
@@ -256,38 +261,18 @@ def test_profile_command_rejects_bad_algorithm(capsys, tmp_path):
     assert "ERROR" in capsys.readouterr().err
 
 
-def test_compare_profile_flag(capsys):
-    code = main(["compare", "--family", "matmul", "--tuples", "100",
-                 "--p", "4", "--profile"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "wall-clock profile" in captured.out
-    assert "self_s" in captured.out
-
-
-def test_table1_profile_json_key_only_when_on(capsys, tmp_path):
-    code = main(["table1", "--scale", "60", "--p", "4", "--json"])
-    plain = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert "profile" not in plain
-
-    out = str(tmp_path / "t.speedscope.json")
-    code = main(["table1", "--scale", "60", "--p", "4", "--json",
-                 "--profile-out", out])
-    profiled = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert profiled["rows"] == plain["rows"]  # answers unchanged
-    assert profiled["profile"]["hotspots"]
-    assert profiled["profile"]["profile_out"] == out
-    json.load(open(out))
-
-
-def test_sweep_profile_flag_json(capsys):
-    code = main(["sweep", "--family", "matmul", "--tuples", "40",
-                 "--points", "2", "--p", "4", "--json", "--profile"])
-    document = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert document["profile"]["total_wall_s"] > 0
+@pytest.mark.parametrize("command", [
+    ["compare", "--family", "matmul", "--tuples", "40"],
+    ["sweep", "--family", "matmul", "--tuples", "40", "--points", "1"],
+    ["table1", "--scale", "40"],
+])
+@pytest.mark.parametrize("flag", [["--profile"], ["--profile-out", "p.json"]])
+def test_profile_is_the_only_profiling_entry(command, flag, capsys):
+    """``repro profile`` is the one way to ask the CLI for a profile."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--p", "4"] + flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- trace filters and per-phase table ------------------------------------------

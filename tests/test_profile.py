@@ -7,12 +7,15 @@ driven by a deterministic fake clock.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.backends.dispatch import HAS_NUMPY
 from repro.config import ExecutionConfig
 from repro.core.executor import run_query
+from repro.errors import ApplicabilityError, RoutingError
 from repro.mpc import FaultInjector, FaultSchedule, MPCCluster, RecoveryPolicy
 from repro.obs import (
     MetricsRegistry,
@@ -26,7 +29,7 @@ from repro.obs import (
     replay_speedscope,
 )
 from repro.obs.profile import SPEEDSCOPE_SCHEMA, activate, write_json
-from repro.workloads import line_instance, planted_out_matmul
+from repro.workloads import line_instance, planted_out_matmul, star_instance
 
 
 class FakeClock:
@@ -263,6 +266,201 @@ def test_kernel_activation_restores_after_errors():
         assert active_profiler() is sentinel
     finally:
         activate(token)
+
+
+def test_kernel_activation_is_per_thread():
+    """A profiler activated in one thread is invisible to a thread started
+    afterwards (a module-global slot would leak it)."""
+    seen = []
+    token = activate(Profiler())
+    try:
+        thread = threading.Thread(target=lambda: seen.append(active_profiler()))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    finally:
+        activate(token)
+    assert seen == [None]
+
+
+def _kernel_calls(profiler):
+    return sorted((node.label, node.calls) for node, _ in profiler.root.walk()
+                  if node.kind == "kernel")
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_concurrent_profiled_runs_keep_their_own_kernel_spans():
+    """Two threads, each with its own profiler, interleave columnar runs:
+    every kernel call lands in the profiler of the run that made it."""
+    instance = planted_out_matmul(n=200, out=800)
+
+    def profiled_run():
+        profiler = Profiler()
+        run_query(instance, config=ExecutionConfig(p=4, backend="columnar",
+                                                   profiler=profiler))
+        return profiler
+
+    alone = _kernel_calls(profiled_run())
+    assert alone, "columnar run recorded no kernel spans"
+
+    barrier = threading.Barrier(2)
+    outcomes = []
+
+    def worker():
+        barrier.wait(timeout=30)
+        try:
+            for _ in range(3):
+                profiler = profiled_run()
+                outcomes.append((profiler.open_depth, _kernel_calls(profiler)))
+        except BaseException as error:  # surfaced by the assertion below
+            outcomes.append(error)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the two runs finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [(0, alone)] * 6
+
+
+# -- error paths through the hook: spans stay balanced ---------------------------
+
+def _routing_error_exchange(profiler):
+    view = MPCCluster(4, profiler=profiler).view()
+    view.exchange([[(9, "x")], [], [], []])  # destination out of range
+
+
+def _routing_error_batches_mismatch(profiler):
+    from repro.backends.batch import ColumnarBatch
+    from repro.backends.dispatch import np
+
+    view = MPCCluster(2, backend="columnar", profiler=profiler).view()
+    batch = ColumnarBatch((np.arange(3, dtype=np.int64),), None, 3)
+    dests = np.zeros(2, dtype=np.int64)  # two destinations for three rows
+    view.exchange_batches([dests, dests], [batch, batch])
+
+
+def _faulted_view(profiler):
+    schedule = FaultSchedule.random(seed=0, cells=[(0, 0)], count=1)
+    return MPCCluster(2, faults=schedule, backend="columnar",
+                      profiler=profiler).view()
+
+
+def _routing_error_batches_faulted(profiler):
+    _faulted_view(profiler).exchange_batches([None, None], [None, None])
+
+
+def _routing_error_broadcast_batches_faulted(profiler):
+    _faulted_view(profiler).broadcast_batches([None, None])
+
+
+def _applicability_error_dispatch(profiler):
+    # A star algorithm on a matmul-shaped line of three relations.
+    run_query(line_instance(3, 60, 8, seed=0),
+              config=ExecutionConfig(p=4, algorithm="star", profiler=profiler))
+
+
+@pytest.mark.parametrize("failing, error", [
+    (_routing_error_exchange, RoutingError),
+    pytest.param(_routing_error_batches_mismatch, RoutingError,
+                 marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")),
+    (_routing_error_batches_faulted, RoutingError),
+    (_routing_error_broadcast_batches_faulted, RoutingError),
+    (_applicability_error_dispatch, ApplicabilityError),
+])
+def test_errors_leave_spans_balanced_and_activation_restored(failing, error):
+    profiler = Profiler()
+    sentinel = Profiler()
+    token = activate(sentinel)
+    try:
+        with pytest.raises(error):
+            failing(profiler)
+        assert profiler.open_depth == 0
+        assert active_profiler() is sentinel
+    finally:
+        activate(token)
+
+
+def test_error_inside_a_phase_closes_its_span():
+    cluster = MPCCluster(4, profiler=Profiler())
+    view = cluster.view()
+    with pytest.raises(RoutingError):
+        with cluster.tracker.phase("doomed"):
+            view.exchange([[(9, "x")], [], [], []])
+    assert cluster.tracker.profiler.open_depth == 0
+    assert cluster.tracker.phase_path() == ()
+    assert cluster.report().phases == ()  # a failed phase records no load
+
+
+# -- shape golden: what the hook records, span by span ---------------------------
+#
+# (depth, kind, label, backend, calls, items) of every span, pre-order,
+# captured from the hand-wired profiler.start/stop calls the tracker hook
+# replaced.  Wall seconds are left out (FakeClock ticks count clock reads,
+# which is not a contract); everything else a reader of ``repro profile``
+# sees is pinned.
+
+def _span_shape(instance, **config):
+    profiler = Profiler(clock=FakeClock())
+    run_query(instance, config=ExecutionConfig(p=4, profiler=profiler, **config))
+    assert profiler.open_depth == 0
+    return [(depth, node.kind, node.label, node.backend, node.calls, node.items)
+            for node, depth in profiler.root.walk() if node is not profiler.root]
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_span_shape_golden_planted_matmul_columnar():
+    assert _span_shape(planted_out_matmul(n=200, out=800), backend="columnar") == [
+        (1, "run", "run:line", "columnar", 1, 0),
+        (2, "step", "load", "", 1, 0),
+        (2, "step", "execute", "", 1, 0),
+        (3, "kernel", "first_occurrence_unique", "columnar", 20, 704),
+        (3, "op", "exchange", "columnar", 7, 1106),
+        (3, "phase", "matmul-wc/statistics", "", 1, 0),
+        (4, "kernel", "group_reduce", "columnar", 16, 800),
+        (4, "op", "exchange", "columnar", 2, 400),
+        (3, "phase", "matmul-wc/light-light", "", 1, 0),
+        (4, "op", "exchange", "columnar", 4, 1800),
+        (4, "kernel", "hash_join", "columnar", 16, 1600),
+        (4, "kernel", "combine_columns", "columnar", 16, 800),
+        (4, "kernel", "group_reduce", "columnar", 16, 800),
+        (4, "kernel", "split_codes", "columnar", 16, 800),
+        (2, "step", "collect", "", 1, 0),
+    ]
+
+
+def test_span_shape_golden_three_arm_star_pytuple():
+    assert _span_shape(star_instance(3, 40, 8, 6, seed=0), backend="pytuple") == [
+        (1, "run", "run:star", "pytuple", 1, 0),
+        (2, "step", "load", "", 1, 0),
+        (2, "step", "execute", "", 1, 0),
+        (3, "op", "exchange", "pytuple", 62, 2375),
+        (3, "op", "broadcast", "pytuple", 5, 164),
+        (2, "step", "collect", "", 1, 0),
+    ]
+
+
+def test_span_shape_golden_cost_dispatch():
+    shape = _span_shape(planted_out_matmul(n=120, out=480), backend="pytuple",
+                        algorithm="cost")
+    assert shape == [
+        (1, "step", "plan", "", 1, 0),
+        (1, "run", "run:matmul-worst-case", "pytuple", 1, 0),
+        (2, "step", "load", "", 1, 0),
+        (2, "step", "execute", "", 1, 0),
+        (3, "op", "exchange", "pytuple", 4, 364),
+        (3, "phase", "matmul-wc/statistics", "", 1, 0),
+        (4, "op", "exchange", "pytuple", 2, 240),
+        (3, "phase", "matmul-wc/light-light", "", 1, 0),
+        (4, "op", "exchange", "pytuple", 4, 1200),
+        (2, "step", "collect", "", 1, 0),
+    ]
 
 
 def test_one_profiler_observes_multiple_runs():
