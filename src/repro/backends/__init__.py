@@ -6,8 +6,9 @@ The simulator has two interchangeable execution paths:
   available, always the reference semantics.
 * ``columnar`` — array kernels (:mod:`repro.backends.columnar`,
   :mod:`repro.backends.kernels`) that batch the hot per-server loops
-  (pre/final aggregation, local joins, KMV sketch construction, splitter
-  selection) into array operations, with relations loaded as code columns
+  (pre/final aggregation, local joins, splitter selection) into array
+  operations and run KMV sketch propagation and multi-search once per call
+  for every server together, with relations loaded as code columns
   and exchanges shipping :class:`~repro.backends.batch.ColumnarBatch`
   arrays (:meth:`~repro.mpc.cluster.ClusterView.exchange_batches`).
 

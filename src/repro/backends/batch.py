@@ -48,15 +48,6 @@ class ColumnarBatch:
         self.size = size
         self.kind = kind
 
-    @classmethod
-    def empty(cls, width: int, annotations: bool, kind: str = "items",
-              ann_dtype: Any = None) -> "ColumnarBatch":
-        columns = tuple(np.empty(0, dtype=np.int64) for _ in range(width))
-        ann = None
-        if annotations:
-            ann = np.empty(0, dtype=ann_dtype if ann_dtype is not None else np.int64)
-        return cls(columns, ann, 0, kind)
-
     def take(self, indices: Any) -> "ColumnarBatch":
         """The rows at ``indices`` (in that order), as a new batch."""
         return ColumnarBatch(

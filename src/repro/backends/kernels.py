@@ -15,9 +15,15 @@ which these kernels reconstruct with one stable argsort:
 * :func:`combine_columns` / :func:`split_codes` — pack multi-column keys
   into one int64 (mixed-radix over the codec size) and back;
 * :func:`select_splitters` — regular-sampling splitter selection;
-* :func:`isin_filter` — the semijoin membership filter.
+* :func:`isin_filter` — the semijoin membership filter;
+* :func:`k_smallest_distinct` — the fold of ``KMV.merge`` per group, for
+  every group, repetition and simulated server in one value sort;
+* :func:`sample_sort_routes` — the tie-split sample sort's order, samples,
+  splitters and destinations for every simulated server at once.
 
-All inputs are int64 code arrays from a :class:`~.columnar.ValueCodec`.
+All inputs are int64 code arrays from a :class:`~.columnar.ValueCodec`
+(the last two also take the server index as one more column: a call per
+simulated server is p tiny numpy calls where one suffices).
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ __all__ = [
     "group_reduce",
     "hash_join",
     "isin_filter",
+    "k_smallest_distinct",
+    "sample_sort_routes",
     "segment_gather",
     "select_splitters",
     "split_codes",
@@ -42,6 +50,12 @@ __all__ = [
 
 #: Packed multi-column keys must stay well inside int64.
 _PACK_LIMIT = 1 << 62
+
+#: Cells :func:`k_smallest_distinct` gathers and sorts at a time (1 MB of
+#: uint32 composites, ~10 MB with the int64 positions beside them): bounds
+#: the working set whatever the input size — 6.4 M cells in one piece put
+#: a dense run's peak RSS 9 % up, slabs of this size leave it where it was.
+_SLAB_CELLS = 1 << 18
 
 
 def _rows(args: Tuple[Any, ...]) -> int:
@@ -276,3 +290,99 @@ def select_splitters(samples: Any, p: int) -> Any:
         return samples[:0]
     step = max(1, samples.shape[0] // p)
     return samples[step::step][: p - 1]
+
+
+@_profiled()
+def k_smallest_distinct(
+    groups: Any, values: Any, k: int, sentinel: int, rows: Optional[Any] = None
+) -> Tuple[Any, Any]:
+    """Per group and repetition, the ``k`` smallest distinct values.
+
+    Input row ``i`` belongs to group ``groups[i]`` and contributes the
+    cells ``values[rows[i]]`` (``rows=None``: ``values[i]``), a
+    ``(repetitions, width)`` block of non-negative ints padded with
+    ``sentinel``, which no real value reaches.  Returns ``(firsts, out)``:
+    ``firsts`` lists, ascending, the input row at which each distinct group
+    first occurs, and ``out[g]`` is the ``(repetitions, k)`` block of that
+    group's smallest distinct values, ascending and sentinel-padded — with
+    hash ranks for values, the fold of ``KMV.merge`` over the group.
+
+    One value sort per slab of whole groups: the cells are keyed
+    ``(group·repetitions + repetition) << bits | value`` in the narrowest
+    unsigned dtype that holds it, sorted, adjacent duplicates dropped, and
+    the first k of every (group, repetition) run are the answer.
+    """
+    n = groups.shape[0]
+    repetitions, width = values.shape[1:]
+    if n == 0:
+        return (np.empty(0, dtype=np.int64),
+                np.empty((0, repetitions, k), dtype=values.dtype))
+    order, _, starts, counts = group_index(groups)
+    dense = np.repeat(np.arange(starts.shape[0]), counts)
+    source = order if rows is None else rows[order]
+    out = np.empty((starts.shape[0] * repetitions, k), dtype=values.dtype)
+    bits = int(sentinel).bit_length()
+    reps = np.arange(repetitions)
+    offsets = np.arange(k)
+    slab_rows = max(1, _SLAB_CELLS // (repetitions * width))
+    low = 0
+    while low < n:
+        # The slab ends at the first group boundary at or past its budget.
+        beyond = int(np.searchsorted(starts, low + slab_rows))
+        high = int(starts[beyond]) if beyond < starts.shape[0] else n
+        base = int(dense[low]) * repetitions
+        runs = (dense[low:high] - dense[low])[:, None] * repetitions + reps
+        count = int(runs[-1, -1]) + 1
+        ctype = np.uint32 if (count - 1).bit_length() + bits <= 32 else np.uint64
+        cells = (
+            (runs.astype(ctype) << bits)[:, :, None] | values[source[low:high]]
+        ).ravel()
+        cells.sort()
+        cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+        # Every run holds a cell, so run r spans bounds[r]:bounds[r + 1] of
+        # the distinct cells and its answer is the first k of that span.
+        bounds = np.append(
+            np.searchsorted(cells, np.arange(count, dtype=ctype) << bits),
+            cells.shape[0],
+        )
+        at = bounds[:-1, None] + offsets
+        picked = cells[np.minimum(at, cells.shape[0] - 1)] & ((1 << bits) - 1)
+        out[base : base + count] = np.where(at < bounds[1:, None], picked, sentinel)
+        low = high
+    firsts = order[starts]  # stable sort: a group's first row leads its run
+    arrival = np.argsort(firsts)
+    return firsts[arrival], out.reshape(-1, repetitions, k)[arrival]
+
+
+@_profiled()
+def sample_sort_routes(keys: Any, sources: Any, p: int) -> Tuple[Any, Any, int, int]:
+    """The routing of a tie-split regular-sampling sort, from ranks.
+
+    Row ``i`` has sort key ``keys[i]`` and starts on server ``sources[i]``
+    (any integer dtype; the narrowest sorts fastest);
+    rows are listed in tiebreak order, so one stable argsort is the total
+    order the tuple path reaches by sorting ``(key, tiebreak)`` tuples.
+    Every server samples its rows at ``step = max(1, len // p)`` in that
+    order (at most ``p`` samples), the splitters are
+    :func:`select_splitters` of the merged samples, and a row goes to the
+    server numbered by the splitters at or before it.
+
+    Returns ``(order, dests, sampled, splitters)``: the rows in sorted
+    order, the (non-decreasing) destination of each row of ``order``, and
+    the sample and splitter counts the control channel is charged for.
+    """
+    n = keys.shape[0]
+    order = np.argsort(keys, kind="stable")
+    if n == 0:
+        return order, order, 0, 0
+    # Sorted positions grouped by source server, ascending within each (a
+    # stable sort of ≤ 16-bit server numbers is numpy's radix sort).
+    counts = np.bincount(sources, minlength=p)
+    positions = np.argsort(sources[order], kind="stable")
+    within = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    steps = np.repeat(np.maximum(1, counts // p), counts)
+    sampled = (within % steps == 0) & (within // steps < p)
+    samples = np.sort(positions[sampled])
+    splitters = select_splitters(samples, p)
+    dests = np.searchsorted(splitters, np.arange(n), side="right")
+    return order, dests, int(samples.shape[0]), int(splitters.shape[0])

@@ -139,14 +139,17 @@ class ClusterView:
         """
         tracker = self.tracker
         with tracker.span(op, "op", self.cluster.backend) as span:
-            if len(outboxes) != self.p:
-                raise RoutingError(f"expected {self.p} outboxes, got {len(outboxes)}")
-            inboxes: List[List[Any]] = [[] for _ in range(self.p)]
+            p = self.p
+            if len(outboxes) != p:
+                raise RoutingError(f"expected {p} outboxes, got {len(outboxes)}")
+            inboxes: List[List[Any]] = [[] for _ in range(p)]
             round_index = self.round
             for outbox in outboxes:
                 for dest, item in outbox:
-                    if not 0 <= dest < self.p:
-                        raise RoutingError(f"destination {dest} outside view of size {self.p}")
+                    # Checked per message: a negative index would otherwise
+                    # deliver to a server counted from the end.
+                    if not 0 <= dest < p:
+                        raise RoutingError(f"destination {dest} outside view of size {p}")
                     inboxes[dest].append(item)
             sizes = tuple(map(len, inboxes))
             injector = self.cluster.faults
@@ -183,9 +186,10 @@ class ClusterView:
         parallel int64 array of destination local indices (one per row).
         Returns the per-server inbound batches.
 
-        Delivery order is identical to :meth:`exchange`: each source batch
-        is stably split by destination (rows keep their outbox order) and
-        every inbox concatenates its fragments in source order.  Each
+        Delivery order is identical to :meth:`exchange`: the sources are
+        concatenated in order and stably split by destination, so every
+        inbox holds its fragments in source order, rows in outbox order —
+        one sort for the whole view, not one per server.  Each
         server is charged the *logical tuple count* it receives — the sum
         of its fragments' array lengths — at the current round, so the
         load/communication meters and the trace event are bit-identical to
@@ -204,48 +208,44 @@ class ClusterView:
                 "replays item lists; columnar paths must be gated off"
             )
         tracker = self.tracker
+        p = self.p
         with tracker.span(op, "op", self.cluster.backend) as span:
             # Validate every source before any work (all-or-nothing, like
             # the item path's routing checks).
+            sending = []
             for dest_array, batch in zip(dests, batches):
                 if batch.size == 0:
                     continue
                 if dest_array.shape[0] != batch.size:
                     raise RoutingError("destination array does not match batch")
-                low, high = int(dest_array.min()), int(dest_array.max())
-                if low < 0 or high >= self.p:
+                sending.append((dest_array, batch))
+            if sending:
+                routes = np.concatenate([dest_array for dest_array, _ in sending])
+                low, high = int(routes.min()), int(routes.max())
+                if low < 0 or high >= p:
                     bad = low if low < 0 else high
                     raise RoutingError(
-                        f"destination {bad} outside view of size {self.p}"
+                        f"destination {bad} outside view of size {p}"
                     )
-            # Per source: gather the batch's rows into stable destination
-            # order (rows keep their outbox order), then slice per inbox.
-            fragments: List[List[Any]] = [[] for _ in range(self.p)]
-            for dest_array, batch in zip(dests, batches):
-                if batch.size == 0:
-                    continue
-                order = np.argsort(dest_array, kind="stable")
-                counts = np.bincount(dest_array, minlength=self.p)
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                gathered = batch.take(order)
-                for local in range(self.p):
-                    start, stop = int(bounds[local]), int(bounds[local + 1])
-                    if stop > start:
-                        fragments[local].append(gathered.slice(start, stop))
-            template = next(b for b in batches if b is not None)
-            inboxes = [
-                ColumnarBatch.concat(parts)
-                if parts
-                else ColumnarBatch.empty(
-                    len(template.columns),
-                    template.annotations is not None,
-                    template.kind,
-                    None
-                    if template.annotations is None
-                    else template.annotations.dtype,
+                # One stable sort by destination over the sources in order:
+                # every inbox gets its fragments in source order, rows in
+                # outbox order (16-bit destinations take the radix sort).
+                order = np.argsort(
+                    routes.astype(np.min_scalar_type(p), copy=False), kind="stable"
                 )
-                for parts in fragments
-            ]
+                bounds = np.concatenate(
+                    ([0], np.cumsum(np.bincount(routes, minlength=p)))
+                ).tolist()
+                delivered = ColumnarBatch.concat(
+                    [batch for _, batch in sending]
+                ).take(order)
+                inboxes = [
+                    delivered.slice(bounds[local], bounds[local + 1])
+                    for local in range(p)
+                ]
+            else:
+                # Nothing moved: empty inboxes in the batches' own layout.
+                inboxes = [batches[0].slice(0, 0) for _ in range(p)]
             round_index = self.round
             sizes = tuple(inbox.size for inbox in inboxes)
             for server, size in zip(self.servers, sizes):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..backends.dispatch import np
 from ..mpc.distributed import Distributed
-from .multi_search import multi_search_items
+from .multi_search import multi_search_reference, multi_search_rows
 from .reduce_by_key import count_by_key
 
 __all__ = ["degree_table", "attach_by_key", "lookup_table"]
@@ -40,7 +41,16 @@ def attach_by_key(
     keys get ``default``.  The result is key-sorted with ties split.
     """
     del salt  # kept for API stability; the sorted formulation needs no hash
-    matched = multi_search_items(dist, table, key_fn, lambda pair: pair[0])
+    rows = multi_search_rows(dist, table, key_fn, lambda pair: pair[0])
+    if rows is not None:
+        items = dist.collect()
+        entries = [pair[1] for pair in table.items()] + [default]  # row −1
+        matches = np.where(rows.exact, rows.predecessors, -1)
+        return rows.spread(dist.view, [
+            (items[q], entries[r])
+            for q, r in zip(rows.queries.tolist(), matches.tolist())
+        ])
+    matched = multi_search_reference(dist, table, key_fn, lambda pair: pair[0])
     return matched.map_items(
         lambda row: (
             row[0],

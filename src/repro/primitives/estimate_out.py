@@ -9,17 +9,28 @@ the sketch merge as the "sum".
 
 Sketch bundles are metered as one communication unit each: their true size
 is O(k log N) = Õ(1), absorbed by the paper's Õ notation (see DESIGN.md).
+
+:class:`KMV`/:class:`MultiKMV` bundles folded by ``reduce_by_key`` are the
+item path and the oracle.  Under the columnar backend one estimate carries
+its sketches as a table of hash *ranks* instead (:class:`_SketchTable`) and
+both stages of every bundle reduce-by-key are one
+:func:`~repro.backends.kernels.k_smallest_distinct` call over all servers
+(:func:`_fold`): the same partials in the same first-occurrence order to
+the same hashed destinations, so meters and traces do not move, and the
+same floats at the end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..backends.batch import ColumnarBatch
 from ..backends.dispatch import columnar_enabled, np
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from .degrees import attach_by_key
 from .kmv import KMV, MultiKMV
+from .multi_search import multi_search_rows
 from .reduce_by_key import reduce_by_key
 
 __all__ = ["estimate_path_out", "sketch_column", "propagate_sketches"]
@@ -42,10 +53,16 @@ def sketch_column(
     ``counted_attr`` values: ``(key_value, bundle)`` pairs."""
     counted_index = relation.attr_index(counted_attr)
     key_index = relation.attr_index(key_attr)
-    if columnar_enabled(relation.view):
-        return _sketch_column_vec(
-            relation, counted_index, key_index, k, repetitions, base_salt
+    view = relation.view
+    if columnar_enabled(view) and k >= 2 and repetitions >= 1:
+        codec = view.cluster.codec
+        items = relation.data.collect()
+        key_ids = codec.encode_many([item[0][key_index] for item in items])
+        order, ranks = _hash_order(
+            codec, [item[0][counted_index] for item in items], k, repetitions, base_salt
         )
+        servers = np.repeat(np.arange(view.p), relation.data.part_sizes())
+        return _fold(view, codec, order, servers, key_ids, ranks[:, :, None])
     singles = relation.data.map_items(
         lambda item: (
             item[0][key_index],
@@ -60,93 +77,153 @@ def sketch_column(
     )
 
 
-def _sketch_column_vec(
-    relation: DistRelation,
-    counted_index: int,
-    key_index: int,
-    k: int,
-    repetitions: int,
-    base_salt: int,
-) -> Distributed:
-    """The vectorized sketch build: equals the tuple path's reduce-by-key
-    over singleton bundles (same partial bundles, same first-occurrence
-    emission order, same exchange, same final merge).
-
-    Folding singleton :class:`MultiKMV` merges per key leaves exactly the
-    ``k`` smallest *distinct* hash units of the key's counted values, per
-    repetition — computed here with one lexsort per repetition instead of
-    one sketch allocation per tuple.
+class _HashOrder(NamedTuple):
+    """The hash order one estimate fixes, once per repetition: sketches hold
+    the dense *rank* of a value's ``hash_to_unit`` among the counted values
+    instead of the unit itself.  Equal units share a rank, so "distinct"
+    keeps meaning distinct unit, as :meth:`KMV.add` defines it, and the k
+    smallest ranks are the k smallest units; floats return at the very end.
     """
-    from ..backends.kernels import first_occurrence_unique
 
-    view = relation.view
+    k: int
+    base_salt: int
+    #: Pads a sketch holding fewer than k values; above every rank.
+    sentinel: int
+    #: ``units[repetition, rank]``; the sentinel column is never an
+    #: estimate, 1.0 keeps the vectorized division quiet.
+    units: Any
+
+
+def _hash_order(
+    codec: Any, counted: List[Any], k: int, repetitions: int, base_salt: int
+) -> Tuple[_HashOrder, Any]:
+    """The order over ``counted``'s values and their ``(rows, repetitions)``
+    ranks in it."""
+    ids, row_of = np.unique(codec.encode_many(counted), return_inverse=True)
+    sentinel = int(ids.shape[0])
+    units = np.ones((repetitions, sentinel + 1))
+    rank_of = np.empty((sentinel, repetitions), dtype=np.min_scalar_type(sentinel))
+    for repetition in range(repetitions):
+        distinct, rank_of[:, repetition] = np.unique(
+            codec.units(ids, base_salt + repetition), return_inverse=True
+        )
+        units[repetition, : distinct.shape[0]] = distinct
+    return _HashOrder(k, base_salt, sentinel, units), rank_of[row_of]
+
+
+class _SketchTable(Distributed):
+    """``(key, MultiKMV)`` pairs as arrays: per server one ``"pairs"`` batch
+    of key codes annotated with a ``(rows, repetitions, k)`` matrix of hash
+    ranks, ascending and sentinel-padded (see :class:`_HashOrder`).  Like a
+    :class:`~repro.mpc.columnar.ColumnarData` it decays to the item pairs
+    when something reads :attr:`parts`.
+    """
+
+    def __init__(self, view: Any, batches: List[ColumnarBatch], codec: Any,
+                 order: _HashOrder) -> None:
+        self.view = view
+        self.batches = batches
+        self.codec = codec
+        self.order = order
+        self._decoded: Optional[List[List[Any]]] = None
+
+    @property
+    def total_size(self) -> int:
+        return sum(batch.size for batch in self.batches)
+
+    def part_sizes(self) -> List[int]:
+        return [batch.size for batch in self.batches]
+
+    @property
+    def parts(self) -> List[List[Any]]:  # type: ignore[override]
+        if self._decoded is None:
+            self._decoded = [
+                list(zip(self.codec.decode_many(batch.columns[0]),
+                         map(self._bundle, batch.annotations)))
+                for batch in self.batches
+            ]
+        return self._decoded
+
+    def _bundle(self, ranks: Any) -> MultiKMV:
+        k, base_salt, sentinel, units = self.order
+        return MultiKMV(tuple(
+            KMV(k, base_salt + repetition,
+                tuple(units[repetition, held[held != sentinel]].tolist()))
+            for repetition, held in enumerate(ranks)
+        ))
+
+    def keys(self) -> Distributed:
+        """The key values alone, placed as the pairs are."""
+        return Distributed(
+            self.view,
+            [self.codec.decode_many(batch.columns[0]) for batch in self.batches],
+        )
+
+    def estimates(self) -> Distributed:
+        """``(key, estimate)`` pairs, the estimate being
+        :meth:`MultiKMV.estimate`: per repetition the number of values held
+        or, once k are held, ``(k − 1) / unit`` of the k-th; then the median
+        over repetitions."""
+        k, _salt, sentinel, units = self.order
+        table = ColumnarBatch.concat(self.batches)
+        ranks = table.annotations
+        repetitions = ranks.shape[1]
+        held = (ranks != sentinel).sum(axis=2)
+        kth = units[np.arange(repetitions), ranks[:, :, k - 1]]
+        ordered = np.sort(np.where(held < k, held, (k - 1) / kth), axis=1)
+        middle = repetitions // 2
+        if repetitions % 2:
+            medians = ordered[:, middle]
+        else:
+            medians = (ordered[:, middle - 1] + ordered[:, middle]) / 2
+        pairs = list(zip(self.codec.decode_many(table.columns[0]), medians.tolist()))
+        cuts = np.cumsum([0] + self.part_sizes()).tolist()
+        return Distributed(
+            self.view, [pairs[cuts[i] : cuts[i + 1]] for i in range(self.view.p)]
+        )
+
+
+def _fold(
+    view: Any,
+    codec: Any,
+    order: _HashOrder,
+    servers: Any,
+    key_ids: Any,
+    ranks: Any,
+    rows: Optional[Any] = None,
+) -> _SketchTable:
+    """Reduce-by-key with the sketch merge as the sum, each stage one
+    kernel call over every server: row ``i`` sits on ``servers[i]``
+    (non-decreasing), is keyed ``key_ids[i]`` and brings the sketch
+    ``ranks[rows[i]]``.  Partials leave each server in first-occurrence key
+    order for ``hash_to_bucket(key, p)`` and the receivers emit totals in
+    first-arrival order, exactly as :func:`reduce_by_key`'s dict folds do.
+    """
+    from ..backends.kernels import k_smallest_distinct
+
     p = view.p
-    codec = view.cluster.codec
+    span = len(codec)
 
-    outboxes: List[List[Tuple[int, Tuple]]] = []
-    for part in relation.data.parts:
-        key_ids = codec.encode_many([item[0][key_index] for item in part])
-        counted_ids = codec.encode_many([item[0][counted_index] for item in part])
-        unique_ids = first_occurrence_unique(key_ids)
-        per_rep: List[Dict[int, Tuple[float, ...]]] = []
-        for repetition in range(repetitions):
-            units = codec.units(counted_ids, base_salt + repetition)
-            per_rep.append(_k_smallest_distinct(key_ids, units, k))
-        destinations = codec.buckets(unique_ids, p, 0).tolist()
-        unique_keys = codec.decode_many(unique_ids)
-        outbox = []
-        for dest, key, key_id in zip(destinations, unique_keys, unique_ids.tolist()):
-            bundle = MultiKMV(
-                tuple(
-                    KMV(k, base_salt + repetition, per_rep[repetition].get(key_id, ()))
-                    for repetition in range(repetitions)
-                )
-            )
-            outbox.append((dest, (key, bundle)))
-        outboxes.append(outbox)
+    def stage(servers, key_ids, ranks, rows=None):
+        firsts, folded = k_smallest_distinct(
+            servers * span + key_ids, ranks, order.k, order.sentinel, rows
+        )
+        key_ids = key_ids[firsts]
+        cuts = np.searchsorted(servers[firsts], np.arange(p + 1)).tolist()
+        return key_ids, cuts, [
+            ColumnarBatch((key_ids[a:b],), folded[a:b], b - a, "pairs")
+            for a, b in zip(cuts, cuts[1:])
+        ]
 
-    inboxes = view.exchange(outboxes)
-    final_parts: List[List[Tuple]] = []
-    for inbox in inboxes:
-        totals: Dict[Tuple, MultiKMV] = {}
-        for key, bundle in inbox:
-            if key in totals:
-                totals[key] = totals[key].merge(bundle)
-            else:
-                totals[key] = bundle
-        final_parts.append(list(totals.items()))
-    return Distributed(view, final_parts)
-
-
-def _k_smallest_distinct(
-    key_ids, units, k: int
-) -> Dict[int, Tuple[float, ...]]:
-    """Per key id, the ``k`` smallest distinct unit hashes (ascending) —
-    the ``tuple(sorted(set(...)))[:k]`` of :meth:`KMV.merge`, batched."""
-    if key_ids.shape[0] == 0:
-        return {}
-    order = np.lexsort((units, key_ids))
-    ks = key_ids[order]
-    us = units[order]
-    fresh = np.concatenate(([True], (ks[1:] != ks[:-1]) | (us[1:] != us[:-1])))
-    ks = ks[fresh]
-    us = us[fresh]
-    starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-    counts = np.diff(np.concatenate((starts, [ks.shape[0]])))
-    ranks = np.arange(ks.shape[0], dtype=np.int64) - np.repeat(starts, counts)
-    keep = ranks < k
-    ks = ks[keep]
-    us = us[keep]
-    result: Dict[int, Tuple[float, ...]] = {}
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], ks[1:] != ks[:-1]))
-    ).tolist() + [ks.shape[0]]
-    key_list = ks.tolist()
-    unit_list = us.tolist()
-    for i in range(len(boundaries) - 1):
-        start, end = boundaries[i], boundaries[i + 1]
-        result[key_list[start]] = tuple(unit_list[start:end])
-    return result
+    key_ids, cuts, partials = stage(servers, key_ids, ranks, rows)
+    dests = codec.buckets(key_ids, p, 0)
+    inboxes = view.exchange_batches(
+        [dests[a:b] for a, b in zip(cuts, cuts[1:])], partials
+    )
+    arrived = ColumnarBatch.concat(inboxes)
+    servers = np.repeat(np.arange(p), [inbox.size for inbox in inboxes])
+    _, _, totals = stage(servers, arrived.columns[0], arrived.annotations)
+    return _SketchTable(view, totals, codec, order)
 
 
 def propagate_sketches(
@@ -162,6 +239,24 @@ def propagate_sketches(
 
     # Skew-safe attachment: a heavy `from` value must not pile its tuples
     # onto one server, so the bundles are joined in via multi-search.
+    if isinstance(sketches, _SketchTable):
+        rows = multi_search_rows(
+            relation.data, sketches.keys(),
+            lambda item: item[0][from_index], lambda key: key,
+        )
+        if rows is not None:
+            # The same attach → filter → reduce on row numbers: a tuple
+            # points at its `from` value's row of the sketch table.
+            hit = rows.exact
+            to_ids = sketches.codec.encode_many(
+                [item[0][to_index] for item in relation.data.collect()]
+            )
+            return _fold(
+                relation.view, sketches.codec, sketches.order, rows.servers[hit],
+                to_ids[rows.queries[hit]],
+                ColumnarBatch.concat(sketches.batches).annotations,
+                rows.predecessors[hit],
+            )
     tagged = attach_by_key(
         relation.data, sketches, lambda item: item[0][from_index], default=None
     )
@@ -202,7 +297,10 @@ def estimate_path_out(
     )
     for i in range(len(relations) - 2, -1, -1):
         sketches = propagate_sketches(sketches, relations[i], attrs[i + 1], attrs[i])
-    per_value = sketches.map_items(lambda pair: (pair[0], pair[1].estimate()))
+    if isinstance(sketches, _SketchTable):
+        per_value = sketches.estimates()
+    else:
+        per_value = sketches.map_items(lambda pair: (pair[0], pair[1].estimate()))
     local_sums = [sum(est for _value, est in part) for part in per_value.parts]
     per_value.view.control_gather(local_sums)
     return float(sum(local_sums)), per_value

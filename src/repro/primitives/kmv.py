@@ -13,9 +13,10 @@ hash functions and taking the median boosts the success probability to
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from typing import Any, Iterable, Tuple
 
-from ..mpc.hashing import hash_to_unit
+from ..mpc.hashing import encode_key, hash_to_unit, stable_hash_encoded
 
 __all__ = ["KMV", "MultiKMV", "median_estimate"]
 
@@ -40,12 +41,17 @@ class KMV:
         return sketch
 
     def add(self, element: Any) -> "KMV":
-        value = hash_to_unit(element, self.salt)
-        if len(self.values) == self.k and value >= self.values[-1]:
+        return self.add_unit(hash_to_unit(element, self.salt))
+
+    def add_unit(self, value: float) -> "KMV":
+        """Insert an element given its hash unit under this sketch's salt."""
+        values = self.values
+        if len(values) == self.k and value >= values[-1]:
             return self
-        if value in self.values:
+        position = bisect_left(values, value)
+        if position < len(values) and values[position] == value:
             return self
-        merged = tuple(sorted(set(self.values) | {value}))[: self.k]
+        merged = values[:position] + (value,) + values[position : self.k - 1]
         return KMV(self.k, self.salt, merged)
 
     def merge(self, other: "KMV") -> "KMV":
@@ -105,13 +111,15 @@ class MultiKMV:
     def of(
         cls, elements: Iterable[Any], k: int, repetitions: int, base_salt: int = 0
     ) -> "MultiKMV":
-        elements = list(elements)
-        return cls(
-            tuple(
-                KMV.of(elements, k, base_salt + repetition)
-                for repetition in range(repetitions)
-            )
-        )
+        # One canonical encoding per element, hashed under every salt.
+        encoded = [encode_key(element) for element in elements]
+        sketches = []
+        for repetition in range(repetitions):
+            sketch = KMV(k, base_salt + repetition)
+            for hashed in stable_hash_encoded(encoded, sketch.salt):
+                sketch = sketch.add_unit(hashed / float(1 << 64))
+            sketches.append(sketch)
+        return cls(tuple(sketches))
 
     def merge(self, other: "MultiKMV") -> "MultiKMV":
         return MultiKMV(
@@ -120,11 +128,6 @@ class MultiKMV:
 
     def estimate(self) -> float:
         return median_estimate(sketch.estimate() for sketch in self.sketches)
-
-    @property
-    def size(self) -> int:
-        """Communication size of the bundle in units (values held)."""
-        return sum(len(sketch.values) for sketch in self.sketches)
 
 
 def median_estimate(estimates: Iterable[float]) -> float:

@@ -10,16 +10,114 @@ so a heavily duplicated key spreads over many servers instead of landing on
 one (the skew case where hash co-partitioning fails and the paper reaches
 for multi-search).  The per-server boundary is stitched by carrying each
 server's last reference record across the control channel.
+
+Under the columnar backend, keys that are plain numbers (or 1-tuples of
+them) take the array path, :func:`multi_search_rows`: the same sort, the
+same samples, splitters, destinations and control charges, computed on row
+numbers for every server at once.  Any other key returns to the item path,
+:func:`multi_search_reference`, before anything is communicated.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
+from ..backends.batch import ColumnarBatch
+from ..backends.dispatch import columnar_enabled, np
 from ..mpc.distributed import Distributed
-from .sort import distributed_sort
+from .sort import _scalar_keys, distributed_sort
 
-__all__ = ["multi_search", "multi_search_items"]
+__all__ = ["multi_search", "multi_search_items", "multi_search_rows",
+           "multi_search_reference", "SearchRows"]
+
+
+class SearchRows(NamedTuple):
+    """A multi-search result on row numbers, one entry per query, in the
+    order the result is laid out (server by server, key-sorted within).
+
+    A row number counts through a dataset's parts in order
+    (``dist.collect()[row]``).
+    """
+
+    #: Server holding each result row (non-decreasing).
+    servers: Any
+    #: The query's row number.
+    queries: Any
+    #: Row number of the predecessor reference, −1 when there is none.
+    predecessors: Any
+    #: True where the predecessor exists and carries the query's own key.
+    exact: Any
+
+    def spread(self, view: Any, rows: List[Any], keep: Any = None) -> Distributed:
+        """``rows`` (one per result row, or per kept one) as a dataset."""
+        servers = self.servers if keep is None else self.servers[keep]
+        bounds = np.searchsorted(servers, np.arange(view.p + 1)).tolist()
+        return Distributed(
+            view, [rows[bounds[i] : bounds[i + 1]] for i in range(view.p)]
+        )
+
+
+def multi_search_rows(
+    queries: Distributed,
+    references: Distributed,
+    query_key: Callable[[Any], Any],
+    reference_key: Callable[[Any], Any],
+) -> Optional[SearchRows]:
+    """The array multi-search, or None (nothing communicated) when the view
+    is not columnar or the keys are not all plain numbers of one type.
+
+    Rows are laid out references first, then queries, each in part order:
+    array position is then the item path's ``(rank, part, position)``
+    tiebreak, and one stable sort by key is its total order.  Metering,
+    control charges and the resulting distribution equal the item path's.
+    """
+    view = queries.view
+    if not columnar_enabled(view):
+        return None
+    reference_keys = [reference_key(item) for part in references.parts for item in part]
+    # One check over both sides: (1,) == 1 is False and 1 == 1.0 is not an
+    # int64 comparison, so a mix of shapes or types is the item path's.
+    keys = _scalar_keys(
+        reference_keys + [query_key(item) for part in queries.parts for item in part]
+    )
+    if keys is None:
+        return None
+    from ..backends.kernels import sample_sort_routes
+
+    p = view.p
+    sizes = references.part_sizes() + queries.part_sizes()
+    servers = np.arange(p, dtype=np.min_scalar_type(p))
+    sources = np.repeat(np.concatenate((servers, servers)), sizes)
+    order, dests, sampled, splitters = sample_sort_routes(keys, sources, p)
+    view.control_gather([None] * sampled)
+    view.control_scatter(splitters)
+
+    # The exchange moves row numbers, each server's in one batch.  Its
+    # inboxes go unread: destinations never decrease along `order`, so
+    # every server's sorted inbox is a contiguous run of `order`, and the
+    # predecessor scan — with the last reference of the servers before
+    # carried in over the control channel — is one running maximum.
+    leaving = np.argsort(sources, kind="stable")
+    dest_of = np.empty(order.shape[0], dtype=np.int64)
+    dest_of[order] = dests
+    cuts = np.cumsum([0] + [a + b for a, b in zip(sizes[:p], sizes[p:])]).tolist()
+    view.exchange_batches(
+        [dest_of[leaving[a:b]] for a, b in zip(cuts, cuts[1:])],
+        [ColumnarBatch((leaving[a:b],), None, b - a, "pairs")
+         for a, b in zip(cuts, cuts[1:])],
+    )
+    view.control_gather([None] * p)
+    view.control_scatter(1)
+    held = len(reference_keys)
+    is_reference = order < held
+    at = np.flatnonzero(~is_reference)
+    last = np.maximum.accumulate(
+        np.where(is_reference, np.arange(order.shape[0]), -1)
+    )[at]
+    found = last >= 0
+    predecessors = np.where(found, order[last], -1)
+    exact = found & (keys[predecessors] == keys[order[at]])
+    return SearchRows(dests[at], order[at] - held, predecessors, exact)
 
 
 def multi_search_items(
@@ -33,6 +131,25 @@ def multi_search_items(
     Both datasets must live on the same view.  The result keeps the sorted
     (by key, ties split) distribution of the queries.
     """
+    rows = multi_search_rows(queries, references, query_key, reference_key)
+    if rows is None:
+        return multi_search_reference(queries, references, query_key, reference_key)
+    asked = queries.collect()
+    held = references.collect() + [None]  # row −1: no predecessor
+    return rows.spread(queries.view, [
+        (asked[q], held[r])
+        for q, r in zip(rows.queries.tolist(), rows.predecessors.tolist())
+    ])
+
+
+def multi_search_reference(
+    queries: Distributed,
+    references: Distributed,
+    query_key: Callable[[Any], Any],
+    reference_key: Callable[[Any], Any],
+) -> Distributed:
+    """The item path of :func:`multi_search_items` (every backend's
+    reference, and the only path for non-numeric keys)."""
     view = queries.view
 
     def tag(dist: Distributed, rank: int, key_fn) -> Distributed:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..mpc.distributed import Distributed
-from .multi_search import multi_search_items
+from .multi_search import multi_search_reference, multi_search_rows
 from .reduce_by_key import distinct_keys
 
 __all__ = ["semijoin", "anti_semijoin"]
@@ -27,7 +27,14 @@ def _filtered(
     salt: int,
 ) -> Distributed:
     keys = distinct_keys(source, source_key_fn, salt)
-    matched = multi_search_items(
+    rows = multi_search_rows(target, keys, key_fn, lambda key: key)
+    if rows is not None:
+        items = target.collect()
+        keep = rows.exact == keep_present
+        return rows.spread(
+            target.view, [items[q] for q in rows.queries[keep].tolist()], keep
+        )
+    matched = multi_search_reference(
         target, keys, key_fn, lambda key: key
     )
     return matched.filter_items(

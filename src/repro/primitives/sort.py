@@ -105,24 +105,28 @@ def _scalar_keys(keys: List[Any]) -> Optional[Any]:
     or None (non-scalar keys, mixed types, NaN, oversized ints).
 
     1-tuples are unwrapped — comparing ``(k,)`` tuples is comparing ``k``.
+    The type sweeps run at C level (``map(type, …)``): this sits in front
+    of every array sort and multi-search.
     """
-    scalars: List[Any] = []
-    for key in keys:
-        if isinstance(key, tuple):
-            if len(key) != 1:
-                return None
-            key = key[0]
-        if type(key) is bool:
+    types = set(map(type, keys))
+    if types == {tuple}:
+        if set(map(len, keys)) != {1}:
             return None
-        scalars.append(key)
-    if all(type(key) is int for key in scalars):
-        if any(not -_SORT_INT_LIMIT < key < _SORT_INT_LIMIT for key in scalars):
+        keys = [key[0] for key in keys]
+        types = set(map(type, keys))
+    if types <= {int}:  # bool is its own type and is refused
+        try:
+            array = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        except OverflowError:
             return None
-        return np.asarray(scalars, dtype=np.int64)
-    if all(type(key) is float for key in scalars):
-        if any(key != key for key in scalars):
+        if keys and not (
+            -_SORT_INT_LIMIT < int(array.min()) and int(array.max()) < _SORT_INT_LIMIT
+        ):
             return None
-        return np.asarray(scalars, dtype=np.float64)
+        return array
+    if types == {float}:
+        array = np.fromiter(keys, dtype=np.float64, count=len(keys))
+        return None if np.isnan(array).any() else array
     return None
 
 

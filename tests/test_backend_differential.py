@@ -101,3 +101,57 @@ def test_table1_loads_identical_at_benchmark_scale():
     reference = rows("pytuple")
     columnar = rows("columnar")
     assert reference == columnar
+
+
+def _heavy_aggregation_run(backend: str, **config):
+    """One run of the heavy-aggregation matmul: every B joins 80 > k = 64
+    C values, so each server folds dozens of *full* sketches per key — the
+    shape the whole-view sketch and multi-search paths exist for, which the
+    grid above (≤ 12 tuples) and the Table-1 sweeps (sparse output) never
+    reach."""
+    from repro.api import run_query
+    from repro.config import ExecutionConfig
+    from repro.obs import RingBufferSink, Tracer, event_to_dict
+    from repro.workloads import random_sparse_matmul
+
+    instance = random_sparse_matmul(
+        n1=6400, n2=6400, rows=80, inner=80, cols=80, seed=7
+    )
+    sink = RingBufferSink()
+    result = run_query(
+        instance,
+        ExecutionConfig(p=16, backend=backend, tracer=Tracer((sink,)), **config),
+    )
+    return (
+        result.relation.tuples,
+        result.report.to_dict(),
+        [event_to_dict(event) for event in sink.events],
+    )
+
+
+@needs_numpy
+def test_heavy_aggregation_cell_identical_across_backends():
+    """Answers, serialized cost reports (control messages included) and
+    trace streams agree where the sketch fold dominates the run."""
+    reference = _heavy_aggregation_run("pytuple")
+    assert reference[1]["control_messages"] > 0
+    assert _heavy_aggregation_run("columnar") == reference
+
+
+@needs_numpy
+def test_heavy_aggregation_cell_under_faults_runs_the_item_path():
+    """With a fault schedule the one gate sends a columnar cluster down the
+    item path: no kernel runs, and the faulted run equals pytuple's."""
+    from repro.mpc import Fault, FaultSchedule
+    from repro.obs import Profiler
+
+    # Round 1 is the first semijoin's multi-search exchange, round 6 the
+    # propagated sketch partials' — one crash lands in each.
+    schedule = FaultSchedule([Fault("crash", 1, 3), Fault("crash", 6, 9)])
+    profiler = Profiler()
+    faulted = _heavy_aggregation_run(
+        "columnar", fault_schedule=schedule, profiler=profiler
+    )
+    assert faulted[1]["recovery_rounds"] > 0
+    assert not [node.label for node, _ in profiler.root.walk() if node.kind == "kernel"]
+    assert faulted == _heavy_aggregation_run("pytuple", fault_schedule=schedule)

@@ -29,7 +29,12 @@ from repro.obs import (
     replay_speedscope,
 )
 from repro.obs.profile import SPEEDSCOPE_SCHEMA, activate, write_json
-from repro.workloads import line_instance, planted_out_matmul, star_instance
+from repro.workloads import (
+    line_instance,
+    planted_out_matmul,
+    random_sparse_matmul,
+    star_instance,
+)
 
 
 class FakeClock:
@@ -248,6 +253,23 @@ def test_columnar_run_records_kernel_spans():
                if node.kind == "kernel")
 
 
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_dense_columnar_run_records_sketch_and_search_kernels():
+    """The two whole-view kernels are profiled like the per-server ones: an
+    undecorated kernel would read as plumbing in every attribution."""
+    instance = random_sparse_matmul(n1=900, n2=900, rows=30, inner=30, cols=30)
+    profiler = Profiler()
+    run_query(instance, config=ExecutionConfig(p=4, backend="columnar",
+                                               profiler=profiler))
+    # sketch_column and one propagate step, two stages each; two semijoins
+    # and three attach_by_key calls.
+    for label, calls in (("k_smallest_distinct", 4), ("sample_sort_routes", 5)):
+        spans = [node for node, _ in profiler.root.walk() if node.label == label]
+        assert {(node.kind, node.backend) for node in spans} == {("kernel", "columnar")}
+        assert sum(node.calls for node in spans) == calls
+        assert all(node.items > 0 for node in spans)
+
+
 def test_kernel_activation_is_restored_after_run():
     assert active_profiler() is None
     instance = planted_out_matmul(n=60, out=240)
@@ -420,8 +442,9 @@ def test_span_shape_golden_planted_matmul_columnar():
         (1, "run", "run:line", "columnar", 1, 0),
         (2, "step", "load", "", 1, 0),
         (2, "step", "execute", "", 1, 0),
-        (3, "kernel", "first_occurrence_unique", "columnar", 20, 704),
+        (3, "kernel", "first_occurrence_unique", "columnar", 16, 504),
         (3, "op", "exchange", "columnar", 7, 1106),
+        (3, "kernel", "k_smallest_distinct", "columnar", 2, 252),
         (3, "phase", "matmul-wc/statistics", "", 1, 0),
         (4, "kernel", "group_reduce", "columnar", 16, 800),
         (4, "op", "exchange", "columnar", 2, 400),
