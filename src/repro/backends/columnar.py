@@ -24,6 +24,7 @@ of the REAL semiring is order-sensitive and has no profile on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..mpc.hashing import encode_key, stable_hash_encoded
@@ -43,6 +44,7 @@ __all__ = [
     "FLOAT_MAX_PROFILE",
     "ValueCodec",
     "encode_annotations",
+    "interns_exactly",
     "profile_of",
 ]
 
@@ -62,24 +64,24 @@ class ValueCodec:
     round is never re-hashed in a later round under the same salt — the
     blake2b evaluations that dominate the tuple backend's repartitioning
     cost are paid once per (value, salt).
+
+    Interning is by dict equality, so values that are equal across types
+    (``1``, ``1.0``, ``True``) would share a code and a hash: the executor
+    only runs the array paths on instances that :func:`interns_exactly`.
     """
 
-    __slots__ = ("_codes", "_values", "_encoded", "_hash_tables",
-                 "_int_table", "_int_state")
+    __slots__ = ("_codes", "_values", "_hash_tables", "_int_table", "_int_state")
 
     def __init__(self) -> None:
         self._codes: Dict[Any, int] = {}
         self._values: List[Any] = []
-        #: code -> canonical hash-input bytes, filled lazily on first hash
-        #: so a value hashed under several salts is byte-encoded only once.
-        self._encoded: Dict[int, bytes] = {}
         #: salt -> (uint64 hash table, bool "known" mask), aligned to codes.
         self._hash_tables: Dict[int, Tuple[Any, Any]] = {}
         #: lazy int64 *value* table for value-ordered sorts: per code, the
         #: value itself when it is a plain bounded int (state 1), else a
         #: "not numeric" marker (state 2); state 0 = not probed yet.
-        self._int_table: Any = None
-        self._int_state: Any = None
+        self._int_table: Any = np.zeros(0, dtype=np.int64)
+        self._int_state: Any = np.zeros(0, dtype=np.int8)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -118,29 +120,18 @@ class ValueCodec:
     def hashes(self, ids: Any, salt: int) -> Any:
         """``stable_hash(value, salt)`` of each id, as uint64 (memoized)."""
         entry = self._hash_tables.get(salt)
-        size = len(self._values)
-        if entry is None or entry[0].shape[0] < size:
-            grown = np.zeros(size, dtype=np.uint64)
-            known = np.zeros(size, dtype=bool)
-            if entry is not None and entry[0].shape[0]:
-                grown[: entry[0].shape[0]] = entry[0]
-                known[: entry[1].shape[0]] = entry[1]
-            entry = (grown, known)
-            self._hash_tables[salt] = entry
+        if entry is None or entry[0].shape[0] < len(self._values):
+            entry = self._hash_tables[salt] = _grown(
+                len(self._values),
+                entry or (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)),
+            )
         table, known = entry
         unknown = ~known[ids]
         if unknown.any():
             missing = np.unique(ids[unknown])
-            store = self._values
-            encoded = self._encoded
-            raw: List[bytes] = []
-            for code in missing.tolist():
-                cached = encoded.get(code)
-                if cached is None:
-                    cached = encode_key(store[code])
-                    encoded[code] = cached
-                raw.append(cached)
-            table[missing] = stable_hash_encoded(raw, salt)
+            table[missing] = stable_hash_encoded(
+                map(encode_key, map(self._values.__getitem__, missing.tolist())), salt
+            )
             known[missing] = True
         return table[ids]
 
@@ -155,14 +146,10 @@ class ValueCodec:
         the caller fall back to Python comparison).  Sorting these arrays
         orders identically to sorting the original values.
         """
-        size = len(self._values)
-        if self._int_state is None or self._int_state.shape[0] < size:
-            table = np.zeros(size, dtype=np.int64)
-            state = np.zeros(size, dtype=np.int8)
-            if self._int_state is not None and self._int_state.shape[0]:
-                table[: self._int_table.shape[0]] = self._int_table
-                state[: self._int_state.shape[0]] = self._int_state
-            self._int_table, self._int_state = table, state
+        if self._int_state.shape[0] < len(self._values):
+            self._int_table, self._int_state = _grown(
+                len(self._values), (self._int_table, self._int_state)
+            )
         table, state = self._int_table, self._int_state
         probe = state[ids] == 0
         if probe.any():
@@ -189,6 +176,48 @@ class ValueCodec:
         is an exact exponent shift.
         """
         return self.hashes(ids, salt).astype(np.float64) * 2.0**-64
+
+
+#: What :func:`interns_exactly` admits: leaves that equal only values of
+#: their own type, and the containers it looks inside.
+_EXACT_LEAVES = frozenset((int, str, bytes, type(None)))
+_EXACT_NESTS = frozenset((tuple, frozenset))
+
+
+def interns_exactly(values: Sequence[Any]) -> bool:
+    """True when a :class:`ValueCodec` can intern ``values`` without
+    conflating any two of them: each is exactly an ``int``, ``str``,
+    ``bytes`` or ``None``, or a tuple / frozenset of such, recursively.
+
+    The codec interns by dict equality, under which ``1``, ``1.0`` and
+    ``True`` (``0.0`` and ``-0.0``, ``(1,)`` and ``(1.0,)``) are one key:
+    the later one would decode, and *hash*, as the earlier one, while the
+    tuple kernels route each by its own ``stable_hash``.  Any float, bool
+    or subclass leaf therefore sends the whole run to the tuple kernels.
+    The type sweeps run at C level, one per nesting depth.
+    """
+    kinds = set(map(type, values))
+    nests = kinds & _EXACT_NESTS
+    if not kinds - nests <= _EXACT_LEAVES:
+        return False
+    if not nests:
+        return True
+    if kinds != nests:
+        values = [value for value in values if type(value) in nests]
+    return interns_exactly(list(chain.from_iterable(values)))
+
+
+def _grown(size: int, tables: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """``tables`` (parallel, code-indexed) copied into zero-filled arrays of
+    at least ``size`` entries and at least twice their length: a codec that
+    interns a few values between every lookup reallocates O(log n) times,
+    not once per lookup."""
+    held = tables[0].shape[0]
+    capacity = max(size, 2 * held)
+    grown = tuple(np.zeros(capacity, dtype=table.dtype) for table in tables)
+    for new, table in zip(grown, tables):
+        new[:held] = table
+    return grown
 
 
 @dataclass(frozen=True)

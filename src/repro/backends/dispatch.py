@@ -15,7 +15,11 @@ The resolved name lives on :class:`~repro.mpc.cluster.MPCCluster` as
 ``cluster.backend``; primitives consult :func:`columnar_enabled` per view.
 Fault injection always forces the tuple kernels (the injector mutates
 per-server item lists in place), which keeps chaos runs on the reference
-path without any per-primitive special-casing.
+path without any per-primitive special-casing.  So does an instance with a
+float, bool or subclass attribute value: the codec interns by dict
+equality, under which ``1``, ``1.0`` and ``True`` are one value, so the
+executor resolves such a run to ``pytuple`` before loading anything
+(:func:`~repro.backends.columnar.interns_exactly`).
 """
 
 from __future__ import annotations

@@ -21,9 +21,12 @@ which these kernels reconstruct with one stable argsort:
 * :func:`sample_sort_routes` — the tie-split sample sort's order, samples,
   splitters and destinations for every simulated server at once.
 
-All inputs are int64 code arrays from a :class:`~.columnar.ValueCodec`
-(the last two also take the server index as one more column: a call per
-simulated server is p tiny numpy calls where one suffices).
+All inputs are int64 code arrays from a :class:`~.columnar.ValueCodec`.
+A call per simulated server is p tiny numpy calls where one suffices, so
+the primitives make the server one more digit of the id: reduce-by-key
+folds ``server · len(codec) + code`` with one :func:`group_reduce` /
+:func:`first_occurrence_unique` per stage, and the last two kernels take
+the server index as a column of their own.
 """
 
 from __future__ import annotations

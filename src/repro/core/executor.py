@@ -119,6 +119,17 @@ def run_query(
         from ..backends.dispatch import resolve_backend
 
         cluster = MPCCluster(p, backend=resolve_backend(backend, instance.total_size))
+    if cluster.backend == "columnar":
+        from ..backends.columnar import interns_exactly
+
+        # Decided once, before anything is loaded or communicated: attribute
+        # values the codec would conflate (a float or bool equal to an int)
+        # put the whole run on the tuple kernels, like a fault schedule does.
+        if not all(
+            interns_exactly(list(relation.tuples))
+            for relation in instance.relations.values()
+        ):
+            cluster.backend = "pytuple"
     view = cluster.view()
     query = instance.query
     semiring = instance.semiring

@@ -12,15 +12,17 @@ for multi-search).  The per-server boundary is stitched by carrying each
 server's last reference record across the control channel.
 
 Under the columnar backend, keys that are plain numbers (or 1-tuples of
-them) take the array path, :func:`multi_search_rows`: the same sort, the
-same samples, splitters, destinations and control charges, computed on row
-numbers for every server at once.  Any other key returns to the item path,
+them), strings, or tuples of one shape over strings and ints take the
+array path, :func:`multi_search_rows`: the same sort, the same samples,
+splitters, destinations and control charges, computed on row numbers for
+every server at once (strings and tuples through their rank among the
+call's distinct keys).  Any other key returns to the item path,
 :func:`multi_search_reference`, before anything is communicated.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..backends.batch import ColumnarBatch
 from ..backends.dispatch import columnar_enabled, np
@@ -64,7 +66,8 @@ def multi_search_rows(
     reference_key: Callable[[Any], Any],
 ) -> Optional[SearchRows]:
     """The array multi-search, or None (nothing communicated) when the view
-    is not columnar or the keys are not all plain numbers of one type.
+    is not columnar or the keys of both sides together are neither plain
+    numbers of one type nor rankable (:func:`_ranked_keys`).
 
     Rows are laid out references first, then queries, each in part order:
     array position is then the item path's ``(rank, part, position)``
@@ -77,11 +80,12 @@ def multi_search_rows(
     reference_keys = [reference_key(item) for part in references.parts for item in part]
     # One check over both sides: (1,) == 1 is False and 1 == 1.0 is not an
     # int64 comparison, so a mix of shapes or types is the item path's.
-    keys = _scalar_keys(
-        reference_keys + [query_key(item) for part in queries.parts for item in part]
-    )
+    both = reference_keys + [query_key(item) for part in queries.parts for item in part]
+    keys = _scalar_keys(both)
     if keys is None:
-        return None
+        keys = _ranked_keys(both)
+        if keys is None:
+            return None
     from ..backends.kernels import sample_sort_routes
 
     p = view.p
@@ -120,6 +124,33 @@ def multi_search_rows(
     return SearchRows(dests[at], order[at] - held, predecessors, exact)
 
 
+def _ranked_keys(keys: List[Any]) -> Optional[Any]:
+    """The dense rank of every key among the distinct keys, or None.
+
+    Rank order is Python's order and equal ranks are equal keys only when
+    one comparison rule covers all of them: every key exactly a ``str``, or
+    every key a tuple of one shape (:func:`_one_shape`).  Bare numbers are
+    :func:`~repro.primitives.sort._scalar_keys`' to take or refuse.  The
+    ranks are of this list alone, so the caller passes both sides at once.
+    """
+    kinds = set(map(type, keys))
+    if kinds != {str} and not (kinds == {tuple} and _one_shape(keys)):
+        return None
+    rank = {key: index for index, key in enumerate(sorted(set(keys)))}
+    return np.fromiter(map(rank.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _one_shape(values: Sequence[Any]) -> bool:
+    """True when ``values`` are all exactly ``str``, all exactly ``int``, or
+    all tuples of one length whose every position is, in turn, of one
+    shape: no bool, no float beside an int, no ``(k,)`` beside ``k``, no
+    ragged tuples — comparing any two of them compares like with like."""
+    kinds = set(map(type, values))
+    if kinds == {tuple}:
+        return len(set(map(len, values))) == 1 and all(map(_one_shape, zip(*values)))
+    return kinds == {str} or kinds == {int}
+
+
 def multi_search_items(
     queries: Distributed,
     references: Distributed,
@@ -149,7 +180,7 @@ def multi_search_reference(
     reference_key: Callable[[Any], Any],
 ) -> Distributed:
     """The item path of :func:`multi_search_items` (every backend's
-    reference, and the only path for non-numeric keys)."""
+    reference, and the only path for keys of mixed types or shapes)."""
     view = queries.view
 
     def tag(dist: Distributed, rank: int, key_fn) -> Distributed:

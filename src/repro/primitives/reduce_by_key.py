@@ -72,17 +72,19 @@ def reduce_by_key(
 
     partials = dist.map_parts(pre_aggregate)
     routed = partials.repartition(lambda pair: hash_to_bucket(pair[0], p, salt))
+    return routed.map_parts(lambda part: _fold_pairs(part, combine))
 
-    def final_aggregate(part: List[Any]) -> List[Any]:
-        totals: Dict[Any, Any] = {}
-        for key, value in part:
-            if key in totals:
-                totals[key] = combine(totals[key], value)
-            else:
-                totals[key] = value
-        return list(totals.items())
 
-    return routed.map_parts(final_aggregate)
+def _fold_pairs(pairs: List[Any], combine: Callable[[Any, Any], Any]) -> List[Any]:
+    """The final local combine: ``(key, value)`` pairs folded per key, keys
+    in first-arrival order."""
+    totals: Dict[Any, Any] = {}
+    for key, value in pairs:
+        if key in totals:
+            totals[key] = combine(totals[key], value)
+        else:
+            totals[key] = value
+    return list(totals.items())
 
 
 def _reduce_by_key_columnar(
@@ -94,127 +96,78 @@ def _reduce_by_key_columnar(
     profile: Any,
 ) -> Optional[Distributed]:
     """The vectorized both-stages path; None ⇒ caller falls back (and no
-    communication has happened yet)."""
+    communication has happened yet).
+
+    Each stage folds every server's rows in one kernel call on the
+    composite id ``server · len(codec) + key code``.  Rows are laid out
+    server by server, so the first occurrences of the composite are each
+    server's first occurrences in turn and the folded rows come out grouped
+    by server: one ``searchsorted`` cuts them back into the p batches.
+    """
+    from ..backends.batch import ColumnarBatch
     from ..backends.columnar import encode_annotations
+    from ..backends.dispatch import np
     from ..backends.kernels import first_occurrence_unique, group_reduce
+    from ..mpc.columnar import ColumnarData
 
     view = dist.view
     p = view.p
     codec = view.cluster.codec
     distinct = profile == "distinct"
 
-    # Stage 1 (local): encode every part before touching the network, so a
-    # non-encodable annotation anywhere aborts cleanly into the dict path.
-    staged: List[tuple] = []
-    for part in dist.parts:
-        keys = [key_fn(item) for item in part]
+    # Encode everything before touching the network, so a non-encodable
+    # annotation anywhere aborts cleanly into the dict path.  One array for
+    # all servers also refuses what must not concatenate: a "number"
+    # profile's ints on one server and floats on another would promote to
+    # floats where the reference path keeps the original objects.
+    items = dist.collect()
+    values = None
+    if not distinct:
+        values = encode_annotations([value_fn(item) for item in items], profile)
+        if values is None:
+            return None
+    key_ids = codec.encode_many([key_fn(item) for item in items])
+    span = len(codec)
+
+    def stage(sizes: List[int], key_ids: Any, values: Any) -> tuple:
+        """The rows of p servers (``sizes`` apiece) ⊕-folded per server and
+        key, in first-occurrence order: ``(key codes, cuts, batches)`` with
+        server ``i``'s rows at ``cuts[i]:cuts[i + 1]``."""
+        composite = np.repeat(np.arange(p) * span, sizes) + key_ids
         if distinct:
-            values = None
+            composite, folded = first_occurrence_unique(composite), None
         else:
-            values = encode_annotations([value_fn(item) for item in part], profile)
-            if values is None and part:
-                return None
-        staged.append((keys, values))
-    if not _uniform_dtype([values for _keys, values in staged]):
-        return None
+            composite, folded = group_reduce(composite, values, profile.add_ufunc)
+        servers, key_ids = np.divmod(composite, span)
+        cuts = np.searchsorted(servers, np.arange(p + 1)).tolist()
+        folded = ColumnarBatch((key_ids,), folded, int(key_ids.shape[0]), "pairs")
+        return key_ids, cuts, [folded.slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    reduced_parts: List[tuple] = []
-    for keys, values in staged:
-        key_ids = codec.encode_many(keys)
-        if distinct:
-            unique_ids = first_occurrence_unique(key_ids)
-            reduced = None
-        else:
-            unique_ids, reduced = group_reduce(key_ids, values, profile.add_ufunc)
-        destinations = codec.buckets(unique_ids, p, salt)
-        reduced_parts.append((unique_ids, reduced, destinations))
+    # The partials go through the wire as one (key-code column, value array)
+    # batch per server — same destinations, same delivery order, same
+    # per-server counts as the item path.
+    key_ids, cuts, partials = stage(dist.part_sizes(), key_ids, values)
+    destinations = codec.buckets(key_ids, p, salt)
+    inboxes = view.exchange_batches(
+        [destinations[a:b] for a, b in zip(cuts, cuts[1:])], partials
+    )
 
-    # The per-part partials go through the wire as one (key-code column,
-    # value array) batch per server — same destinations, same delivery
-    # order, same per-server counts as the item path.
-    return _ship_columnar(view, codec, profile, distinct, combine,
-                          reduced_parts)
-
-
-def _uniform_dtype(value_arrays: List[Any]) -> bool:
-    """True when every non-empty annotation array shares one dtype.
-
-    Mixed dtypes (a "number" profile may encode one part as int64 and
-    another as float64) must not concatenate — promotion would turn ints
-    into floats where the reference path keeps the original objects."""
-    dtypes = {
-        values.dtype
-        for values in value_arrays
-        if values is not None and values.shape[0]
-    }
-    return len(dtypes) <= 1
-
-
-def _ship_columnar(
-    view: Any,
-    codec: Any,
-    profile: Any,
-    distinct: bool,
-    combine: Callable[[Any, Any], Any],
-    reduced_parts: List[tuple],
-) -> Distributed:
-    """Stage 1→2 over batches: partials ship as arrays, the final fold is
-    the same segment-reduce, and the result stays array-native (consumers
-    that need tuples decode lazily)."""
-    from ..backends.batch import ColumnarBatch
-    from ..backends.dispatch import np
-    from ..backends.kernels import first_occurrence_unique, group_reduce
-    from ..mpc.columnar import ColumnarData
-
-    dests = []
-    batches = []
-    for unique_ids, reduced, destinations in reduced_parts:
-        dests.append(destinations)
-        batches.append(
-            ColumnarBatch((unique_ids,), reduced, int(unique_ids.shape[0]),
-                          "pairs")
+    arrived = ColumnarBatch.concat(inboxes)
+    values = arrived.annotations
+    if (
+        not distinct
+        and values.dtype == np.int64
+        and values.shape[0]
+        and max(abs(int(values.max())), abs(int(values.min()))) >= _FINAL_INT_LIMIT
+    ):
+        # Oversized partials: the reference stage 2 over the decoded pairs,
+        # after the (already identical) exchange.
+        return Distributed(
+            view, [_fold_pairs(inbox.to_items(codec), combine) for inbox in inboxes]
         )
-    inboxes = view.exchange_batches(dests, batches)
-
-    final_batches: List[Any] = []
-    for inbox in inboxes:
-        key_ids = inbox.columns[0]
-        if distinct:
-            unique_ids = first_occurrence_unique(key_ids)
-            final_batches.append(
-                ColumnarBatch((unique_ids,), None, int(unique_ids.shape[0]),
-                              "pairs")
-            )
-            continue
-        values = inbox.annotations
-        if (
-            values.dtype == np.int64
-            and values.shape[0]
-            and max(abs(int(values.max())), abs(int(values.min())))
-            >= _FINAL_INT_LIMIT
-        ):
-            final_batches = None  # oversized partials: dict-fold everywhere
-            break
-        unique_ids, reduced = group_reduce(key_ids, values, profile.add_ufunc)
-        final_batches.append(
-            ColumnarBatch((unique_ids,), reduced, int(unique_ids.shape[0]),
-                          "pairs")
-        )
-    if final_batches is not None:
-        return ColumnarData(view, final_batches, codec)
-
-    # Local fallback after the (already identical) exchange: dict folds over
-    # the decoded pairs, exactly the reference stage 2.
-    final_parts: List[List[Any]] = []
-    for inbox in inboxes:
-        totals: Dict[Any, Any] = {}
-        for key, value in inbox.to_items(codec):
-            if key in totals:
-                totals[key] = combine(totals[key], value)
-            else:
-                totals[key] = value
-        final_parts.append(list(totals.items()))
-    return Distributed(view, final_parts)
+    # The result stays array-native; consumers that need tuples decode lazily.
+    _, _, totals = stage([inbox.size for inbox in inboxes], arrived.columns[0], values)
+    return ColumnarData(view, totals, codec)
 
 
 def count_by_key(

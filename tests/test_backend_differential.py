@@ -155,3 +155,50 @@ def test_heavy_aggregation_cell_under_faults_runs_the_item_path():
     assert faulted[1]["recovery_rounds"] > 0
     assert not [node.label for node, _ in profiler.root.walk() if node.kind == "kernel"]
     assert faulted == _heavy_aggregation_run("pytuple", fault_schedule=schedule)
+
+
+# -- values the codec would conflate ----------------------------------------------
+
+def _lookalike_run(backend: str, b_of_r1, b_of_r2, inner: int):
+    """The full 40 × inner × 40 matmul with the join attribute spelled
+    ``b_of_r1(b)`` in R1 and ``b_of_r2(b)`` in R2."""
+    from repro.api import run_query
+    from repro.config import ExecutionConfig
+    from repro.data import Instance, Relation
+    from repro.obs import RingBufferSink, Tracer, event_to_dict
+    from repro.semiring import COUNTING
+    from repro.workloads import MATMUL_QUERY
+
+    r1 = Relation("R1", ("A", "B"),
+                  [((a, b_of_r1(b)), 1) for a in range(40) for b in range(inner)])
+    r2 = Relation("R2", ("B", "C"),
+                  [((b_of_r2(b), c), 1) for b in range(inner) for c in range(40)])
+    sink = RingBufferSink()
+    result = run_query(
+        Instance(MATMUL_QUERY, {"R1": r1, "R2": r2}, COUNTING),
+        ExecutionConfig(p=8, backend=backend, tracer=Tracer((sink,))),
+    )
+    return (
+        result.relation.tuples,
+        result.report.to_dict(),
+        [event_to_dict(event) for event in sink.events],
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("b_of_r1,b_of_r2,inner,communication", [
+    (int, float, 10, 5571),                       # 3 in R1 joins 3.0 in R2
+    (float, float, 10, 5573),                     # 3.0 beside the 3 of A and C
+    (bool, bool, 2, 1238),                        # True beside the 1 of A and C
+    (lambda b: b + 0.5, lambda b: b + 0.5, 10, 5571),  # floats equal to no int
+], ids=["int-vs-float", "float-beside-int", "bool-beside-int", "float-disjoint"])
+def test_lookalike_values_route_by_their_own_hash(b_of_r1, b_of_r2, inner, communication):
+    """``1``, ``1.0`` and ``True`` are one dict key, so a codec would give
+    them one code and one hash where ``pytuple`` routes each by its own:
+    instances holding a float or bool attribute value run the item kernels
+    (before this rule the first three cells metered 5575 / 5575 / 1240 on
+    ``columnar``)."""
+    reference = _lookalike_run("pytuple", b_of_r1, b_of_r2, inner)
+    assert reference[1]["total_communication"] == communication
+    assert len(reference[0]) == 1600
+    assert _lookalike_run("columnar", b_of_r1, b_of_r2, inner) == reference

@@ -22,7 +22,7 @@ if HAS_NUMPY:
     import numpy as np
 
     from repro.backends.batch import ColumnarBatch
-    from repro.backends.columnar import ValueCodec
+    from repro.backends.columnar import ValueCodec, interns_exactly
     from repro.backends.kernels import (
         first_occurrence_unique,
         group_reduce,
@@ -75,6 +75,22 @@ def test_codec_round_trip_adversarial():
         for value, code in zip(values, codes.tolist()):
             assert by_value.setdefault(value, code) == code
         assert len({code for code in codes.tolist()}) == len(by_value)
+
+
+def test_interns_exactly_admits_only_self_equal_types():
+    """Exact int/str/bytes/None leaves at any depth pass; anything equal to
+    a value of another type — or able to be — does not."""
+    import enum
+
+    class Colour(enum.IntEnum):
+        RED = 1
+
+    assert interns_exactly([])
+    assert interns_exactly([(1, "a"), (b"y", None), ((2, ("x",)), frozenset({3, "z"}))])
+    for lookalike in (1.0, True, -0.0, Colour.RED, float("nan")):
+        assert not interns_exactly([(1, "a"), (lookalike, "b")])
+        assert not interns_exactly([(0, ((lookalike,),))])
+        assert not interns_exactly([("a", frozenset({lookalike}))])
 
 
 def test_codec_int_values_orders_like_python():

@@ -34,6 +34,7 @@ from repro.workloads import (
     planted_out_matmul,
     random_sparse_matmul,
     star_instance,
+    twig_instance,
 )
 
 
@@ -438,17 +439,26 @@ def _span_shape(instance, **config):
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_span_shape_golden_planted_matmul_columnar():
+    # Re-captured when reduce-by-key went whole-batch and tuple keys took
+    # the array multi-search: only `kernel` rows moved (one call per
+    # primitive stage instead of one per server; the searches and the
+    # sketch propagation they feed now record kernels at all).  `step`,
+    # `op` and `phase` rows are the parent's.
     assert _span_shape(planted_out_matmul(n=200, out=800), backend="columnar") == [
         (1, "run", "run:line", "columnar", 1, 0),
         (2, "step", "load", "", 1, 0),
         (2, "step", "execute", "", 1, 0),
-        (3, "kernel", "first_occurrence_unique", "columnar", 16, 504),
+        (3, "kernel", "first_occurrence_unique", "columnar", 4, 504),
         (3, "op", "exchange", "columnar", 7, 1106),
-        (3, "kernel", "k_smallest_distinct", "columnar", 2, 252),
+        (3, "kernel", "sample_sort_routes", "columnar", 3, 750),
+        (4, "kernel", "select_splitters", "columnar", 3, 48),
+        (3, "kernel", "k_smallest_distinct", "columnar", 4, 652),
         (3, "phase", "matmul-wc/statistics", "", 1, 0),
-        (4, "kernel", "group_reduce", "columnar", 16, 800),
+        (4, "kernel", "group_reduce", "columnar", 4, 800),
         (4, "op", "exchange", "columnar", 2, 400),
         (3, "phase", "matmul-wc/light-light", "", 1, 0),
+        (4, "kernel", "sample_sort_routes", "columnar", 2, 800),
+        (5, "kernel", "select_splitters", "columnar", 2, 32),
         (4, "op", "exchange", "columnar", 4, 1800),
         (4, "kernel", "hash_join", "columnar", 16, 1600),
         (4, "kernel", "combine_columns", "columnar", 16, 800),
@@ -456,6 +466,30 @@ def test_span_shape_golden_planted_matmul_columnar():
         (4, "kernel", "split_codes", "columnar", 16, 800),
         (2, "step", "collect", "", 1, 0),
     ]
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
+    """The primitives call a kernel once per stage, not once per simulated
+    server: the ledger's twig at p=16 recorded 12,788 kernel spans while
+    reduce-by-key looped over the servers and records 4,670 now (the count
+    is deterministic).  A per-server loop creeping back roughly triples
+    it; the exchanges do not move either way."""
+    def observed(backend):
+        profiler = Profiler()
+        run_query(twig_instance(tuples=100, domain=30, seed=2020),
+                  config=ExecutionConfig(p=16, backend=backend, profiler=profiler))
+        spans = [node for node, _ in profiler.root.walk()]
+        return (sum(node.calls for node in spans if node.kind == "kernel"),
+                sorted((node.label, node.calls, node.items)
+                       for node in spans if node.kind == "op"))
+
+    kernels, ops = observed("columnar")
+    assert kernels == 4670
+    assert kernels <= 12788 // 2
+    assert observed("pytuple") == (0, ops)
+    assert (sum(calls for _, calls, _ in ops),
+            sum(items for _, _, items in ops)) == (721, 89395)  # the parent's
 
 
 def test_span_shape_golden_three_arm_star_pytuple():

@@ -226,13 +226,14 @@ def test_array_search_orders_floats_and_negative_zero_like_python():
 
 @pytest.mark.parametrize("query_keys,reference_keys", [
     ([True, False], [True]),                    # bool
-    (["a", "b"], ["a"]),                        # str
-    ([(1, 2), (0, 1)], [(1, 2)]),               # 2-tuple
     ([1, 2], [1.0]),                            # int against float
     ([(1,), (2,)], [1]),                        # 1-tuple against bare
     ([float("nan"), 1.0], [1.0]),               # NaN orders by accident
     ([1 << 62], [0]),                           # does not fit the sort's int64
-], ids=["bool", "str", "2-tuple", "int-float", "tuple-bare", "nan", "oversized"])
+    ([("a", 1), ("b",)], [("a", 1)]),           # tuples of two lengths
+    ([("a", 1), ("b", 2)], [(1, "a")]),         # str and int in one position
+], ids=["bool", "int-float", "tuple-bare", "nan", "oversized", "ragged-tuple",
+        "str-int-position-mix"])
 def test_other_keys_take_the_item_path_before_any_exchange(query_keys, reference_keys):
     cluster = MPCCluster(3, backend="columnar")
     view = cluster.view()
@@ -241,6 +242,23 @@ def test_other_keys_take_the_item_path_before_any_exchange(query_keys, reference
     assert multi_search_rows(queries, references, lambda k: k, lambda k: k) is None
     report = cluster.report()
     assert (report.rounds, report.total_communication, report.control_messages) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("query_keys,reference_keys", [
+    (["a", "b"], ["a"]),
+    ([(1, 2), (0, 1)], [(1, 2)]),
+], ids=["str", "2-tuple"])
+def test_ranked_keys_take_the_array_path(query_keys, reference_keys):
+    """Refusals until keys were ranked: strings and same-shape tuples now
+    search as arrays, observably equal to the item path."""
+    def search(view, call):
+        return call(Distributed.from_items(view, query_keys),
+                    Distributed.from_items(view, reference_keys),
+                    lambda k: k, lambda k: k)
+
+    assert search(MPCCluster(3, backend="columnar").view(), multi_search_rows) is not None
+    assert (_observed("columnar", 3, lambda view: search(view, multi_search_items))
+            == _observed("pytuple", 3, lambda view: search(view, multi_search_items)))
 
 
 def test_item_path_is_what_pytuple_and_faulted_views_run():
@@ -262,8 +280,8 @@ _EDGES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
 @given(_EDGES, _EDGES, _EDGES, st.integers(2, 4), st.integers(1, 4),
        st.sampled_from([int, str]))
 def test_estimate_path_out_identical_across_backends(e1, e2, e3, k, repetitions, cast):
-    """Small k fills sketches; ``str`` values make the table decay to
-    bundles at the first propagate step (no array multi-search)."""
+    """Small k fills sketches; ``str`` values reach the array multi-search
+    through their ranks, as ``int`` values do directly."""
     relations = [
         Relation(name, schema, [((cast(a), cast(b)), 1) for a, b in edges])
         for name, schema, edges in (
