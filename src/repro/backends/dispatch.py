@@ -85,7 +85,7 @@ def columnar_enabled(view) -> bool:
     Requires numpy, a cluster resolved to the columnar backend, and no
     fault injector (the injector rewrites inboxes item-at-a-time).  The
     array paths run vectorized local kernels and ship
-    :class:`~repro.mpc.columnar.ColumnarData` batches through
+    :class:`~repro.backends.batch.ColumnarBatch` payloads through
     :meth:`~repro.mpc.cluster.ClusterView.exchange_batches`; datasets only
     decode at boundaries that still need tuples.  Routing decisions,
     delivery order, and per-server counts are identical to the item path,

@@ -24,7 +24,6 @@ from ..errors import ApplicabilityError
 from ..mpc.cluster import ClusterView, MPCCluster
 from ..mpc.stats import CostReport
 from ..obs.profile import activate
-from ..semiring import Semiring
 from .line import line_query
 from .star import star_query
 from .starlike import starlike_query
@@ -232,10 +231,7 @@ def _run_line(
 ) -> DistRelation:
     query = instance.query
     order = query.path_order()
-    rels = [
-        loaded[_rel_between(query, order[i], order[i + 1])]
-        for i in range(len(order) - 1)
-    ]
+    rels = [loaded[query.relation_between(x, y)] for x, y in zip(order, order[1:])]
     return line_query(rels, order, instance.semiring,
                       matmul_strategy=matmul_strategy)
 
@@ -380,10 +376,3 @@ def _dispatch(chosen: str, instance: Instance, view: ClusterView) -> DistRelatio
         }
     with tracker.span("execute", "step"):
         return spec.run(instance, view, loaded)
-
-
-def _rel_between(query, left: str, right: str) -> str:
-    for name, attrs in query.relations:
-        if set(attrs) == {left, right}:
-            return name
-    raise KeyError((left, right))

@@ -17,13 +17,13 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..data.query import TreeQuery
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from ..primitives.dangling import remove_dangling
-from ..primitives.degrees import attach_by_key, degree_table
+from ..primitives.degrees import degree_table, label_tuples, select_labelled
 from ..primitives.estimate_out import estimate_path_out
 from ..semiring import Semiring
 from .matmul import sparse_matmul
@@ -50,7 +50,9 @@ def line_query(
     """
     if len(relations) != len(attrs) - 1 or len(relations) < 1:
         raise ValueError("need m relations for m+1 line attributes")
-    relations = [_oriented(rel, attrs[i], attrs[i + 1]) for i, rel in enumerate(relations)]
+    relations = [
+        rel.reordered((attrs[i], attrs[i + 1])) for i, rel in enumerate(relations)
+    ]
 
     if len(relations) == 1:
         # Degenerate: a single binary relation, both attributes output.
@@ -76,15 +78,10 @@ def line_query(
     degree_pairs = degrees.map_items(lambda pair: (pair[0][0], pair[1]))
 
     def split(rel: DistRelation, heavy: bool) -> DistRelation:
-        index = rel.attr_index(a2)
-        tagged = attach_by_key(
-            rel.data, degree_pairs, lambda item: item[0][index], default=0,
-            salt=salt + 2,
+        labelled = label_tuples(rel, degree_pairs, a2, default=0)
+        return select_labelled(
+            rel, labelled, lambda degree: (degree >= threshold) == heavy
         )
-        kept = tagged.filter_items(
-            lambda entry: (entry[1] >= threshold) == heavy
-        ).map_items(lambda entry: entry[0])
-        return DistRelation(rel.schema, kept)
 
     outputs: List[Distributed] = []
     out_schema = (attrs[0], attrs[-1])
@@ -120,26 +117,8 @@ def line_query(
             outputs.append(light_result.data)
 
     # ---- Step 4: ⊕-combine by (A1, A_{n+1}). --------------------------------
-    view = relations[0].view
-    union = Distributed.empty(view)
-    for output in outputs:
-        union = union.concat(output)
-    combined = DistRelation(out_schema, union)
+    combined = DistRelation(out_schema, Distributed.union(relations[0].view, outputs))
     return aggregate_relation(combined, out_schema, semiring, salt + 60)
-
-
-def _oriented(rel: DistRelation, left: str, right: str) -> DistRelation:
-    """Ensure the relation's schema is exactly ``(left, right)`` (reorder the
-    stored value tuples locally if needed)."""
-    if rel.schema == (left, right):
-        return rel
-    if set(rel.schema) != {left, right}:
-        raise ValueError(f"relation schema {rel.schema!r} is not ({left}, {right})")
-    li, ri = rel.attr_index(left), rel.attr_index(right)
-    data = rel.data.map_items(
-        lambda item: ((item[0][li], item[0][ri]), item[1])
-    )
-    return DistRelation((left, right), data)
 
 
 def _reduce_line(

@@ -11,11 +11,10 @@ w.h.p. — optimal in the semiring MPC model (Theorems 2–3).
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Tuple
+from typing import Literal
 
 from ..data.query import TreeQuery
 from ..data.relation import DistRelation
-from ..mpc.cluster import ClusterView
 from ..primitives.dangling import remove_dangling
 from ..primitives.estimate_out import estimate_path_out
 from ..semiring import Semiring

@@ -33,7 +33,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
-from ..primitives.degrees import attach_by_key, degree_table, lookup_table
+from ..mpc.hashing import hash_to_bucket
+from ..primitives.degrees import (
+    attach_by_key,
+    degree_table,
+    label_tuples,
+    lookup_table,
+    select_labelled,
+)
 from ..primitives.estimate_out import estimate_path_out
 from ..primitives.kmv import MultiKMV
 from ..primitives.packing import parallel_packing, scoped_parallel_packing
@@ -41,12 +48,7 @@ from ..primitives.reduce_by_key import reduce_by_key
 from ..semiring import Semiring
 from .allocation import RangeAllocation
 from .matmul_worst_case import _matmul_attrs
-from .two_way_join import (
-    join_aggregate_pair,
-    local_join_aggregate,
-    vector_join_context,
-    vector_profile,
-)
+from .two_way_join import JoinLayout, join_aggregate_pair, join_tasked
 
 __all__ = ["linear_sparse_mm", "matmul_output_sensitive", "output_sensitive_load_target"]
 
@@ -72,50 +74,19 @@ def linear_sparse_mm(
     a_attr, b_attr, c_attr = _matmul_attrs(r1, r2)
     b1_index = r1.attr_index(b_attr)
     b2_index = r2.attr_index(b_attr)
-    a_index = r1.attr_index(a_attr)
-    c_index = r2.attr_index(c_attr)
-    tracker = view.tracker
 
-    left = r1.data.map_items(lambda item: ("L", item)).repartition(
-        lambda msg: _bucket(msg[1][0][b1_index], p, salt)
+    # One task spanning the view; each side is routed in its own exchange.
+    left = r1.data.map_items(lambda item: ("L", None, item)).repartition(
+        lambda msg: hash_to_bucket(msg[2][0][b1_index], p, salt)
     )
-    right = r2.data.map_items(lambda item: ("R", item)).repartition(
-        lambda msg: _bucket(msg[1][0][b2_index], p, salt)
+    right = r2.data.map_items(lambda item: ("R", None, item)).repartition(
+        lambda msg: hash_to_bucket(msg[2][0][b2_index], p, salt)
     )
-    merged = left.concat(right)
-    vec = vector_join_context(
-        view, semiring, b1_index, b2_index, (("L", a_index), ("R", c_index))
-    )
-
-    def compute(part: List[Any]) -> List[Any]:
-        left_items = [item for tag, item in part if tag == "L"]
-        right_items = [item for tag, item in part if tag == "R"]
-        partials, products = local_join_aggregate(
-            left_items,
-            right_items,
-            lambda it: (it[0][b1_index],),
-            lambda it: (it[0][b2_index],),
-            lambda lv, rv: (lv[a_index], rv[c_index]),
-            semiring,
-            vec=vec,
-        )
-        tracker.record_products(products)
-        return list(partials.items())
-
-    partials = merged.map_parts(compute)
-    reduced = reduce_by_key(
-        partials, lambda pair: pair[0], lambda pair: pair[1], semiring.add, salt + 1,
-        profile=vector_profile(view, semiring),
-    )
+    layout = JoinLayout(view, semiring, r1.schema, r2.schema, (a_attr, c_attr))
+    reduced = join_tasked(left.concat(right), layout, semiring, salt + 1)
     return DistRelation(
         (a_attr, c_attr), reduced.map_items(lambda pair: (tuple(pair[0]), pair[1]))
     )
-
-
-def _bucket(value: Any, p: int, salt: int) -> int:
-    from ..mpc.hashing import hash_to_bucket
-
-    return hash_to_bucket(value, p, salt)
 
 
 def matmul_output_sensitive(
@@ -128,8 +99,10 @@ def matmul_output_sensitive(
 ) -> DistRelation:
     """§3.2: the (N1N2·OUT)^{1/3}/p^{2/3} algorithm (dangling tuples removed).
 
-    ``out_estimate``/``out_a_table`` are the §2.2 statistics; when omitted
-    they are computed here (one KMV pass, linear load).
+    ``out_estimate``/``out_a_table`` are the §2.2 statistics as
+    :func:`~repro.primitives.estimate_out.estimate_path_out` returns them
+    (``(a, OUT_a)`` pairs keyed by the bare ``A`` value); when omitted they
+    are computed here (one KMV pass, linear load).
     """
     view = r1.view
     p = view.p
@@ -154,42 +127,54 @@ def matmul_output_sensitive(
     b1_index = r1.attr_index(b_attr)
     b2_index = r2.attr_index(b_attr)
     c_index = r2.attr_index(c_attr)
-    a_key = r1.key_fn((a_attr,))
     c_key = r2.key_fn((c_attr,))
-    tracker = view.tracker
-
-    # ---- Step 1: split rows by OUT_a. -------------------------------------
-    # out_a_table holds ((a,), est) per §2.2 keyed by the bare value.
-    out_a_pairs = out_a_table.map_items(lambda pair: (_bare(pair[0]), pair[1]))
-    r1_tagged = attach_by_key(
-        r1.data, out_a_pairs, lambda item: item[0][a_index], default=1.0, salt=salt
-    )
-    r1_heavy_data = r1_tagged.filter_items(
-        lambda entry: entry[1] >= heavy_row_threshold
-    ).map_items(lambda entry: entry[0])
-    r1_light_tagged = r1_tagged.filter_items(
-        lambda entry: entry[1] < heavy_row_threshold
-    )
-    r1_light_data = r1_light_tagged.map_items(lambda entry: entry[0])
+    layout = JoinLayout(view, semiring, r1.schema, r2.schema, (a_attr, c_attr))
 
     outputs: List[Distributed] = []
 
-    # ---- Step 2: heavy rows via the baseline join-then-aggregate. ----------
-    if r1_heavy_data.total_size:
-        heavy_rel = DistRelation(r1.schema, r1_heavy_data)
-        joined = join_aggregate_pair(
-            heavy_rel, r2, (a_attr, c_attr), semiring, salt=salt + 1
-        )
-        outputs.append(
-            joined.data.map_items(lambda pair: (tuple(pair[0]), pair[1]))
+    def answer() -> DistRelation:
+        """The disjoint parts' union; keys normalised to tuples."""
+        return DistRelation(
+            (a_attr, c_attr),
+            Distributed.union(view, outputs).map_items(
+                lambda pair: (tuple(pair[0]), pair[1])
+            ),
         )
 
-    if r1_light_data.total_size == 0:
-        return _union(view, (a_attr, c_attr), outputs)
+    def tasked(
+        alloc: RangeAllocation, left_msgs: Distributed, right_msgs: Distributed,
+        route_salt: int,
+    ) -> None:
+        """One family of tagged subqueries: each side's ("L"/"R", task, item)
+        messages hashed by B inside their task's range (one exchange a
+        side), joined within tasks."""
+        routed = left_msgs.repartition(
+            lambda msg: alloc.dest(msg[1], msg[2][0][b1_index], route_salt)
+        ).concat(
+            right_msgs.repartition(
+                lambda msg: alloc.dest(msg[1], msg[2][0][b2_index], route_salt)
+            )
+        )
+        outputs.append(join_tasked(routed, layout, semiring, route_salt + 1))
+
+    # ---- Step 1: split rows by OUT_a. -------------------------------------
+    r1_labelled = label_tuples(r1, out_a_table, a_attr, default=1.0)
+    r1_heavy = select_labelled(r1, r1_labelled, lambda est: est >= heavy_row_threshold)
+    r1_light = select_labelled(r1, r1_labelled, lambda est: est < heavy_row_threshold)
+
+    # ---- Step 2: heavy rows via the baseline join-then-aggregate. ----------
+    if r1_heavy.total_size:
+        outputs.append(
+            join_aggregate_pair(
+                r1_heavy, r2, (a_attr, c_attr), semiring, salt=salt + 1
+            ).data
+        )
+
+    if r1_light.total_size == 0:
+        return answer()
 
     # ---- Step 3a: pack light rows into groups A_i by OUT_a. ----------------
-    light_rows = out_a_pairs  # (a, est); restrict to light values
-    light_rows = light_rows.filter_items(
+    light_rows = out_a_table.filter_items(  # (a, est) of the light values
         lambda pair: pair[1] < heavy_row_threshold
     )
     packed, _k1 = parallel_packing(
@@ -197,10 +182,9 @@ def matmul_output_sensitive(
         lambda pair: min(1.0, max(pair[1], 1.0) / heavy_row_threshold),
     )
     group_table = packed.map_items(lambda entry: (entry[0][0], entry[1]))
-    r1_grouped = attach_by_key(
-        r1_light_data, group_table, lambda item: item[0][a_index],
-        default=None, salt=salt + 2,
-    ).filter_items(lambda entry: entry[1] is not None)
+    r1_grouped = label_tuples(r1_light, group_table, a_attr).filter_items(
+        lambda entry: entry[1] is not None
+    )
 
     # Group input sizes s_i = |σ_{A∈A_i} R1| (coordinator table, O(#groups)).
     group_sizes = {
@@ -301,33 +285,24 @@ def matmul_output_sensitive(
         for i, c in heavy_cols:
             heavy_by_group.setdefault(i, []).append(c)
 
-        hc_routed = (
+        tasked(
+            hc_alloc,
             r1_grouped.map_parts(
                 lambda part: [
                     ("L", (entry[1], c), entry[0])
                     for entry in part
                     for c in heavy_by_group.get(entry[1], ())
                 ]
-            )
-            .repartition(
-                lambda msg: hc_alloc.dest(msg[1], msg[2][0][b1_index], salt + 7)
-            )
-            .concat(
-                r2.data.map_parts(
-                    lambda part: [
-                        ("R", (i, item[0][c_index]), item)
-                        for item in part
-                        for i in group_sizes
-                        if (i, item[0][c_index]) in heavy_cols
-                    ]
-                ).repartition(
-                    lambda msg: hc_alloc.dest(msg[1], msg[2][0][b2_index], salt + 7)
-                )
-            )
-        )
-        outputs.append(
-            _join_tasked(hc_routed, b1_index, b2_index, a_index, c_index,
-                         semiring, tracker, salt + 8)
+            ),
+            r2.data.map_parts(
+                lambda part: [
+                    ("R", (i, item[0][c_index]), item)
+                    for item in part
+                    for i in group_sizes
+                    if (i, item[0][c_index]) in heavy_cols
+                ]
+            ),
+            salt + 7,
         )
 
     # ---- Step 4: light columns, packed per group, via LinearSparseMM. ------
@@ -356,7 +331,6 @@ def matmul_output_sensitive(
             bundle_table,
             lambda pair: pair[0],
             default=None,
-            salt=salt + 9,
         ).filter_items(lambda entry: entry[1] is not None)
         # entries: (((i, c), item), j)
         bundle_sizes = {
@@ -381,90 +355,19 @@ def matmul_output_sensitive(
         for i, j in task_sizes:
             bundles_by_group.setdefault(i, []).append(j)
 
-        ll_routed = (
+        tasked(
+            ll_alloc,
             r1_grouped.map_parts(
                 lambda part: [
                     ("L", (entry[1], j), entry[0])
                     for entry in part
                     for j in bundles_by_group.get(entry[1], ())
                 ]
-            )
-            .repartition(
-                lambda msg: ll_alloc.dest(msg[1], msg[2][0][b1_index], salt + 11)
-            )
-            .concat(
-                r2_bundled.map_items(
-                    lambda entry: ("R", (entry[0][0][0], entry[1]), entry[0][1])
-                ).repartition(
-                    lambda msg: ll_alloc.dest(msg[1], msg[2][0][b2_index], salt + 11)
-                )
-            )
-        )
-        outputs.append(
-            _join_tasked(ll_routed, b1_index, b2_index, a_index, c_index,
-                         semiring, tracker, salt + 12)
+            ),
+            r2_bundled.map_items(
+                lambda entry: ("R", (entry[0][0][0], entry[1]), entry[0][1])
+            ),
+            salt + 11,
         )
 
-    return _union(view, (a_attr, c_attr), outputs)
-
-
-def _bare(key: Any) -> Any:
-    """§2.2 tables key by 1-tuples; unwrap to the bare value."""
-    if isinstance(key, tuple) and len(key) == 1:
-        return key[0]
-    return key
-
-
-def _join_tasked(
-    routed: Distributed,
-    b1_index: int,
-    b2_index: int,
-    a_index: int,
-    c_index: int,
-    semiring: Semiring,
-    tracker,
-    salt: int,
-) -> Distributed:
-    """Join ("L"/"R", task, item) messages within tasks (colocated by B) and
-    ⊕-reduce the (a, c) partials."""
-    vec = vector_join_context(
-        routed.view, semiring, b1_index, b2_index, (("L", a_index), ("R", c_index))
-    )
-
-    def compute(part: List[Any]) -> List[Any]:
-        lefts: Dict[Any, List[Any]] = {}
-        rights: Dict[Any, List[Any]] = {}
-        for tag, task, item in part:
-            (lefts if tag == "L" else rights).setdefault(task, []).append(item)
-        rows: List[Any] = []
-        for task, left_items in lefts.items():
-            right_items = rights.get(task)
-            if not right_items:
-                continue
-            partials, products = local_join_aggregate(
-                left_items,
-                right_items,
-                lambda it: (it[0][b1_index],),
-                lambda it: (it[0][b2_index],),
-                lambda lv, rv: (lv[a_index], rv[c_index]),
-                semiring,
-                vec=vec,
-            )
-            tracker.record_products(products)
-            rows.extend(partials.items())
-        return rows
-
-    partials = routed.map_parts(compute)
-    return reduce_by_key(
-        partials, lambda pair: pair[0], lambda pair: pair[1], semiring.add, salt,
-        profile=vector_profile(routed.view, semiring),
-    )
-
-
-def _union(view, schema: Tuple[str, str], outputs: List[Distributed]) -> DistRelation:
-    result = Distributed.empty(view)
-    for output in outputs:
-        result = result.concat(output)
-    return DistRelation(
-        schema, result.map_items(lambda pair: (tuple(pair[0]), pair[1]))
-    )
+    return answer()

@@ -36,11 +36,10 @@ from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from ..primitives.degrees import attach_by_key, degree_table, lookup_table
 from ..primitives.packing import parallel_packing
-from ..primitives.reduce_by_key import reduce_by_key
 from ..primitives.sort import distributed_sort
 from ..semiring import Semiring
 from .allocation import RangeAllocation
-from .two_way_join import local_join_aggregate, vector_join_context, vector_profile
+from .two_way_join import JoinLayout, join_tasked, local_join_aggregate
 
 __all__ = ["matmul_worst_case", "matmul_unbalanced", "worst_case_load_target"]
 
@@ -81,41 +80,16 @@ def matmul_unbalanced(
     ordered = distributed_sort(big.data, big.key_fn((big_out,)), split_ties=False)
     small_items = small.data.broadcast()
 
-    small_b = small.attr_index(b_attr)
-    big_b = big.attr_index(b_attr)
-    small_out_index = small.attr_index(a_attr if big is r2 else c_attr)
-    big_out_index = big.attr_index(big_out)
     tracker = r1.view.tracker
-    big_is_right = big is r2  # result key order must be (a, c)
-    vec = vector_join_context(
-        r1.view,
-        semiring,
-        small_b,
-        big_b,
-        (("L", small_out_index), ("R", big_out_index))
-        if big_is_right
-        else (("R", big_out_index), ("L", small_out_index)),
-    )
+    # The small side probes as the left input; the out-key stays (a, c).
+    layout = JoinLayout(r1.view, semiring, small.schema, big.schema, (a_attr, c_attr))
 
     def compute(part: List[Any]) -> List[Any]:
-        partials, products = local_join_aggregate(
-            small_items,
-            part,
-            lambda item: (item[0][small_b],),
-            lambda item: (item[0][big_b],),
-            lambda s_values, b_values: (
-                (s_values[small_out_index], b_values[big_out_index])
-                if big_is_right
-                else (b_values[big_out_index], s_values[small_out_index])
-            ),
-            semiring,
-            vec=vec,
-        )
+        partials, products = local_join_aggregate(small_items, part, layout, semiring)
         tracker.record_products(products)
         return list(partials.items())
 
-    result = Distributed(ordered.view, [compute(part) for part in ordered.parts])
-    return DistRelation((a_attr, c_attr), result)
+    return DistRelation((a_attr, c_attr), ordered.map_parts(compute))
 
 
 def matmul_worst_case(
@@ -148,10 +122,7 @@ def matmul_worst_case(
     a_index = r1.attr_index(a_attr)
     c_index = r2.attr_index(c_attr)
     tracker = view.tracker
-    vec = vector_join_context(
-        view, semiring, b1_index, b2_index, (("L", a_index), ("R", c_index))
-    )
-    profile = vector_profile(view, semiring)
+    layout = JoinLayout(view, semiring, r1.schema, r2.schema, (a_attr, c_attr))
 
     # Step 1: degrees and the heavy/light split.  Heavy lists have size
     # ≤ N/L ≤ p and live at the coordinator (control channel).
@@ -179,108 +150,65 @@ def matmul_worst_case(
     n1_light = r1_light.total_size
     tracker.pop_phase()
 
-    def join_tasked(routed: Distributed) -> Distributed:
-        """Join ("L"/"R", task, item) messages within each task, colocated
-        by B; then ⊕-reduce (a, c) partials globally."""
-
-        def compute(part: List[Any]) -> List[Any]:
-            lefts: Dict[Any, List[Any]] = {}
-            rights: Dict[Any, List[Any]] = {}
-            for tag, task, item in part:
-                (lefts if tag == "L" else rights).setdefault(task, []).append(item)
-            rows: List[Any] = []
-            for task, left_items in lefts.items():
-                right_items = rights.get(task)
-                if not right_items:
-                    continue
-                partials, products = local_join_aggregate(
-                    left_items,
-                    right_items,
-                    lambda it: (it[0][b1_index],),
-                    lambda it: (it[0][b2_index],),
-                    lambda lv, rv: (lv[a_index], rv[c_index]),
-                    semiring,
-                    vec=vec,
-                )
-                tracker.record_products(products)
-                rows.extend(partials.items())
-            return rows
-
-        partials = routed.map_parts(compute)
-        return reduce_by_key(
-            partials, lambda pair: pair[0], lambda pair: pair[1], semiring.add,
-            profile=profile,
-        )
-
     outputs: List[Distributed] = []
+
+    def tasked(
+        phase: str,
+        sizes: Dict[Any, int],
+        left_msgs: Distributed,
+        right_msgs: Distributed,
+        route_salt: int,
+    ) -> None:
+        """One tagged subquery: ``⌈size/L⌉`` servers per task, both sides'
+        ("L"/"R", task, item) messages hashed by B inside their task's
+        range in one exchange, joined within tasks."""
+        tracker.push_phase(phase)
+        alloc = RangeAllocation(view, sizes, load)
+        routed = left_msgs.concat(right_msgs).repartition(
+            lambda msg: alloc.dest(
+                msg[1], msg[2][0][b1_index if msg[0] == "L" else b2_index], route_salt
+            )
+        )
+        outputs.append(join_tasked(routed, layout, semiring))
+        tracker.pop_phase()
 
     # Step 2: heavy-heavy — one task per heavy (a, c) pair.
     if heavy_a and heavy_c:
-        tracker.push_phase("matmul-wc/heavy-heavy")
-        sizes = {(a, c): heavy_a[a] + heavy_c[c] for a in heavy_a for c in heavy_c}
-        alloc = RangeAllocation(view, sizes, load)
-        routed = _route_tagged(
-            view,
-            r1_heavy.map_parts(
-                lambda part: [
-                    ("L", (item[0][a_index], c), item)
-                    for item in part
-                    for c in heavy_c
-                ]
-            ),
-            r2_heavy.map_parts(
-                lambda part: [
-                    ("R", (a, item[0][c_index]), item)
-                    for item in part
-                    for a in heavy_a
-                ]
-            ),
-            lambda msg: alloc.dest(
-                msg[1], msg[2][0][b1_index if msg[0] == "L" else b2_index], salt + 2
-            ),
+        tasked(
+            "matmul-wc/heavy-heavy",
+            {(a, c): heavy_a[a] + heavy_c[c] for a in heavy_a for c in heavy_c},
+            r1_heavy.map_parts(lambda part: [
+                ("L", (item[0][a_index], c), item) for item in part for c in heavy_c
+            ]),
+            r2_heavy.map_parts(lambda part: [
+                ("R", (a, item[0][c_index]), item) for item in part for a in heavy_a
+            ]),
+            salt + 2,
         )
-        outputs.append(join_tasked(routed))
-        tracker.pop_phase()
 
     # Step 3: heavy-light — one task per heavy a; light R2 replicated to all.
     if heavy_a and n2_light:
-        tracker.push_phase("matmul-wc/heavy-light")
-        sizes_a = {a: heavy_a[a] + n2_light for a in heavy_a}
-        alloc_a = RangeAllocation(view, sizes_a, load)
-        routed = _route_tagged(
-            view,
-            r1_heavy.map_parts(
-                lambda part: [("L", item[0][a_index], item) for item in part]
-            ),
+        tasked(
+            "matmul-wc/heavy-light",
+            {a: heavy_a[a] + n2_light for a in heavy_a},
+            r1_heavy.map_items(lambda item: ("L", item[0][a_index], item)),
             r2_light.map_parts(
                 lambda part: [("R", a, item) for item in part for a in heavy_a]
             ),
-            lambda msg: alloc_a.dest(
-                msg[1], msg[2][0][b1_index if msg[0] == "L" else b2_index], salt + 3
-            ),
+            salt + 3,
         )
-        outputs.append(join_tasked(routed))
-        tracker.pop_phase()
 
     # Light-heavy (symmetric).
     if heavy_c and n1_light:
-        tracker.push_phase("matmul-wc/light-heavy")
-        sizes_c = {c: heavy_c[c] + n1_light for c in heavy_c}
-        alloc_c = RangeAllocation(view, sizes_c, load)
-        routed = _route_tagged(
-            view,
+        tasked(
+            "matmul-wc/light-heavy",
+            {c: heavy_c[c] + n1_light for c in heavy_c},
             r1_light.map_parts(
                 lambda part: [("L", c, item) for item in part for c in heavy_c]
             ),
-            r2_heavy.map_parts(
-                lambda part: [("R", item[0][c_index], item) for item in part]
-            ),
-            lambda msg: alloc_c.dest(
-                msg[1], msg[2][0][b1_index if msg[0] == "L" else b2_index], salt + 4
-            ),
+            r2_heavy.map_items(lambda item: ("R", item[0][c_index], item)),
+            salt + 4,
         )
-        outputs.append(join_tasked(routed))
-        tracker.pop_phase()
 
     # Step 4: light-light — degree-packed groups on a k × l grid.
     if n1_light and n2_light:
@@ -296,12 +224,8 @@ def matmul_worst_case(
         a_group_table = a_packed.map_items(lambda entry: (entry[0][0], entry[1]))
         c_group_table = c_packed.map_items(lambda entry: (entry[0][0], entry[1]))
 
-        r1_grouped = attach_by_key(
-            r1_light, a_group_table, a_key, default=None, salt=salt + 5
-        )
-        r2_grouped = attach_by_key(
-            r2_light, c_group_table, c_key, default=None, salt=salt + 6
-        )
+        r1_grouped = attach_by_key(r1_light, a_group_table, a_key, default=None)
+        r2_grouped = attach_by_key(r2_light, c_group_table, c_key, default=None)
 
         def cell_server(i: int, j: int) -> int:
             return (i * l_groups + j) % p
@@ -333,13 +257,7 @@ def matmul_worst_case(
                     if cell_server(i, j) != server_index:
                         continue
                     partials, products = local_join_aggregate(
-                        left_items,
-                        right_items,
-                        lambda it: (it[0][b1_index],),
-                        lambda it: (it[0][b2_index],),
-                        lambda lv, rv: (lv[a_index], rv[c_index]),
-                        semiring,
-                        vec=vec,
+                        left_items, right_items, layout, semiring
                     )
                     tracker.record_products(products)
                     rows.extend(partials.items())
@@ -352,21 +270,9 @@ def matmul_worst_case(
         outputs.append(Distributed(view, parts))
         tracker.pop_phase()
 
-    result = Distributed.empty(view)
-    for output in outputs:
-        result = result.concat(output)
     return DistRelation(
         (a_attr, c_attr),
-        result.map_items(lambda pair: (tuple(pair[0]), pair[1])),
+        Distributed.union(view, outputs).map_items(
+            lambda pair: (tuple(pair[0]), pair[1])
+        ),
     )
-
-
-def _route_tagged(
-    view,
-    left_msgs: Distributed,
-    right_msgs: Distributed,
-    dest_fn,
-) -> Distributed:
-    """Route pre-tagged ("L"/"R", task, item) messages to ``dest_fn(msg)``."""
-    merged = left_msgs.concat(right_msgs)
-    return merged.repartition(dest_fn)

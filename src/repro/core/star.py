@@ -16,13 +16,18 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..data.query import TreeQuery
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from ..primitives.dangling import remove_dangling
-from ..primitives.degrees import attach_by_key, degree_table, lookup_table
+from ..primitives.degrees import (
+    degree_table,
+    distinct_labels,
+    label_tuples,
+    select_labelled,
+)
 from ..primitives.reduce_by_key import reduce_by_key
 from ..semiring import Semiring
 from .matmul import sparse_matmul
@@ -45,7 +50,9 @@ def star_query(
     n = len(relations)
     if n != len(arm_attrs) or n < 2:
         raise ValueError("star query needs ≥ 2 relations, one arm attribute each")
-    relations = [_orient(rel, arm_attrs[i], centre) for i, rel in enumerate(relations)]
+    relations = [
+        rel.reordered((arm_attrs[i], centre)) for i, rel in enumerate(relations)
+    ]
 
     # Dangling-tuple removal: b must appear in every relation.
     names = [f"__S{i}" for i in range(n)]
@@ -62,18 +69,16 @@ def star_query(
         )
 
     # ---- Step 1: degree profiles and permutation buckets. -------------------
+    view = relations[0].view
     profile_parts: List[Distributed] = []
     for i, rel in enumerate(relations):
         table = degree_table(rel.data, rel.key_fn((centre,)), salt + i)
         profile_parts.append(
             table.map_items(lambda pair, i=i: (pair[0][0], ((i, pair[1]),)))
         )
-    merged = profile_parts[0]
-    for extra in profile_parts[1:]:
-        merged = merged.concat(extra)
     profiles = reduce_by_key(
-        merged, lambda pair: pair[0], lambda pair: pair[1], lambda a, b: a + b,
-        salt + 100,
+        Distributed.union(view, profile_parts),
+        lambda pair: pair[0], lambda pair: pair[1], lambda a, b: a + b, salt + 100,
     )
 
     def permutation_of(profile: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
@@ -83,37 +88,16 @@ def star_query(
     class_table = profiles.map_items(
         lambda pair: (pair[0], permutation_of(pair[1]))
     )
-    observed = set(
-        lookup_table(
-            reduce_by_key(
-                class_table, lambda pair: pair[1], lambda _p: None, lambda a, _b: a,
-                salt + 101, profile="distinct",
-            )
-        )
-    )
+    observed = distinct_labels(class_table, salt + 101)
 
-    # Tag every tuple with its b-bucket once per relation.
-    tagged = [
-        attach_by_key(
-            rel.data,
-            class_table,
-            lambda item, idx=rel.attr_index(centre): item[0][idx],
-            default=None,
-            salt=salt + 102 + i,
-        )
-        for i, rel in enumerate(relations)
-    ]
+    # Label every tuple with its b-bucket once per relation.
+    labelled = [label_tuples(rel, class_table, centre) for rel in relations]
 
     outputs: List[Distributed] = []
-    for class_index, perm in enumerate(sorted(observed)):
+    for class_index, perm in enumerate(observed):
         bucket_rels = [
-            DistRelation(
-                relations[i].schema,
-                tagged[i]
-                .filter_items(lambda entry, perm=perm: entry[1] == perm)
-                .map_items(lambda entry: entry[0]),
-            )
-            for i in range(n)
+            select_labelled(rel, labels, lambda label: label == perm)
+            for rel, labels in zip(relations, labelled)
         ]
         if any(rel.total_size == 0 for rel in bucket_rels):
             continue
@@ -139,11 +123,7 @@ def star_query(
             unpack_pairs(product, odd_attrs, even_attrs, tuple(arm_attrs))
         )
 
-    view = relations[0].view
-    union = Distributed.empty(view)
-    for output in outputs:
-        union = union.concat(output)
-    result = DistRelation(tuple(arm_attrs), union)
+    result = DistRelation(tuple(arm_attrs), Distributed.union(view, outputs))
     return aggregate_relation(result, tuple(arm_attrs), semiring, salt + 400)
 
 
@@ -205,16 +185,4 @@ def unpack_pairs(
     plan = [positions[attr] for attr in out_order]
     return product.data.map_items(
         lambda item: (tuple(item[0][side][index] for side, index in plan), item[1])
-    )
-
-
-def _orient(rel: DistRelation, arm: str, centre: str) -> DistRelation:
-    if rel.schema == (arm, centre):
-        return rel
-    if set(rel.schema) != {arm, centre}:
-        raise ValueError(f"relation schema {rel.schema!r} is not ({arm}, {centre})")
-    ai, ci = rel.attr_index(arm), rel.attr_index(centre)
-    return DistRelation(
-        (arm, centre),
-        rel.data.map_items(lambda item: ((item[0][ai], item[0][ci]), item[1])),
     )

@@ -25,13 +25,18 @@ Algorithm (OUT-oblivious):
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..data.query import TreeQuery
 from ..data.relation import DistRelation
 from ..mpc.distributed import Distributed
 from ..primitives.dangling import remove_dangling
-from ..primitives.degrees import attach_by_key, degree_table, lookup_table
+from ..primitives.degrees import (
+    degree_table,
+    distinct_labels,
+    label_tuples,
+    select_labelled,
+)
 from ..primitives.estimate_out import estimate_path_out
 from ..primitives.reduce_by_key import reduce_by_key
 from ..semiring import Semiring
@@ -61,10 +66,10 @@ def starlike_query(
 
     order = query.path_order()
     if order is not None:  # two arms ⇒ a line query
-        rels = [relations[_rel_between(query, order[i], order[i + 1])]
-                for i in range(len(order) - 1)]
-        result = line_query(rels, order, semiring, salt)
-        return _to_schema(result, out_schema, semiring, salt + 1)
+        rels = [
+            relations[query.relation_between(x, y)] for x, y in zip(order, order[1:])
+        ]
+        return line_query(rels, order, semiring, salt).reordered(out_schema)
 
     centre = query.centre()
     arms = extract_arms(query, centre)
@@ -78,10 +83,10 @@ def starlike_query(
     reach_tables = [
         arm_reach_estimates(arm, relations, salt + 10 + i) for i, arm in enumerate(arms)
     ]
-    merged: Optional[Distributed] = None
-    for i, table in enumerate(reach_tables):
-        tagged = table.map_items(lambda pair, i=i: (pair[0], ((i, pair[1]),)))
-        merged = tagged if merged is None else merged.concat(tagged)
+    merged = Distributed.union(view, [
+        table.map_items(lambda pair, i=i: (pair[0], ((i, pair[1]),)))
+        for i, table in enumerate(reach_tables)
+    ])
     profiles = reduce_by_key(
         merged, lambda pair: pair[0], lambda pair: pair[1], lambda a, b: a + b,
         salt + 30,
@@ -97,43 +102,26 @@ def starlike_query(
         return (perm, kind)
 
     bucket_table = profiles.map_items(lambda pair: (pair[0], bucket_of(pair[1])))
-    observed = sorted(
-        lookup_table(
-            reduce_by_key(
-                bucket_table, lambda pair: pair[1], lambda _p: None,
-                lambda a, _b: a, salt + 31, profile="distinct",
-            )
-        )
-    )
+    observed = distinct_labels(bucket_table, salt + 31)
 
     outputs: List[Distributed] = []
     for bucket_index, (perm, kind) in enumerate(observed):
         bucket_rels = _restrict_to_bucket(
-            query, relations, centre, bucket_table, (perm, kind), salt + 40 + bucket_index
+            query, relations, centre, bucket_table, (perm, kind)
         )
         bucket_rels = remove_dangling(query, bucket_rels)
         if any(rel.total_size == 0 for rel in bucket_rels.values()):
             continue
-        base_salt = salt + 100 * (bucket_index + 1)
-        if kind == "small":
-            outputs.append(
-                _solve_small(arms, arm_ends, perm, centre, bucket_rels, semiring,
-                             tuple(arm_ends), base_salt)
-            )
-        else:
-            outputs.append(
-                _solve_large(arms, arm_ends, perm, centre, bucket_rels, semiring,
-                             tuple(arm_ends), base_salt)
-            )
+        solve = _solve_small if kind == "small" else _solve_large
+        outputs.append(
+            solve(arms, arm_ends, perm, centre, bucket_rels, semiring,
+                  tuple(arm_ends), salt + 100 * (bucket_index + 1))
+        )
 
-    union = Distributed.empty(view)
-    for output in outputs:
-        union = union.concat(output)
-    result = DistRelation(tuple(arm_ends), union)
-    return _to_schema(
-        aggregate_relation(result, tuple(arm_ends), semiring, salt + 5),
-        out_schema, semiring, salt + 6,
-    )
+    result = DistRelation(tuple(arm_ends), Distributed.union(view, outputs))
+    return aggregate_relation(
+        result, tuple(arm_ends), semiring, salt + 5
+    ).reordered(out_schema)
 
 
 # -- arm machinery ---------------------------------------------------------------
@@ -157,7 +145,7 @@ def arm_reach_estimates(
     _total, per_value = estimate_path_out(
         path_rels, path_attrs, base_salt=salt
     )
-    return per_value.map_items(lambda pair: (_bare(pair[0]), max(1.0, pair[1])))
+    return per_value.map_items(lambda pair: (pair[0], max(1.0, pair[1])))
 
 
 def shrink_arm(
@@ -170,19 +158,17 @@ def shrink_arm(
     steps 2.1/3.1).  Result schema ``(centre, end)``."""
     end = arm[-1][2]
     centre = arm[0][1]
-    accumulated = _oriented(relations[arm[-1][0]], arm[-1][1], end)
+    accumulated = relations[arm[-1][0]].reordered((arm[-1][1], end))
     for step_index in range(len(arm) - 2, -1, -1):
         name, near, far = arm[step_index]
         accumulated = join_aggregate_pair(
-            _oriented(relations[name], near, far),
+            relations[name].reordered((near, far)),
             accumulated,
             (near, end),
             semiring,
             salt=salt + step_index,
         )
-    if accumulated.schema != (centre, end):
-        accumulated = _oriented(accumulated, centre, end)
-    return accumulated
+    return accumulated.reordered((centre, end))
 
 
 def _solve_small(
@@ -199,8 +185,9 @@ def _solve_small(
     small_positions = list(perm[:-1])
     last = perm[-1]
     shrunk = [
-        _oriented(shrink_arm(arms[i], relations, semiring, salt + 10 * k),
-                  arm_ends[i], centre)
+        shrink_arm(arms[i], relations, semiring, salt + 10 * k).reordered(
+            (arm_ends[i], centre)
+        )
         for k, i in enumerate(small_positions)
     ]
     joined, joined_attrs = join_group_on_centre(
@@ -235,8 +222,9 @@ def _solve_large(
     """§6 step 3: shrink all arms, Lemma-11 index split, uniformized matmuls."""
     n = len(arms)
     shrunk = [
-        _oriented(shrink_arm(arms[i], relations, semiring, salt + 10 * i),
-                  arm_ends[i], centre)
+        shrink_arm(arms[i], relations, semiring, salt + 10 * i).reordered(
+            (arm_ends[i], centre)
+        )
         for i in range(n)
     ]
     in_i = set()
@@ -263,35 +251,15 @@ def _solve_large(
     class_table = left_degrees.map_items(
         lambda pair: (pair[0][0], int(math.floor(math.log2(max(1, pair[1])))))
     )
-    classes = sorted(
-        lookup_table(
-            reduce_by_key(class_table, lambda pair: pair[1], lambda _p: None,
-                          lambda a, _b: a, salt + 241, profile="distinct")
-        )
-    )
-    left_tagged = attach_by_key(
-        left.data, class_table,
-        lambda item, idx=left.attr_index(centre): item[0][idx],
-        default=None, salt=salt + 242,
-    )
-    right_tagged = attach_by_key(
-        right.data, class_table,
-        lambda item, idx=right.attr_index(centre): item[0][idx],
-        default=None, salt=salt + 243,
-    )
+    classes = distinct_labels(class_table, salt + 241)
+    left_labelled = label_tuples(left, class_table, centre)
+    right_labelled = label_tuples(right, class_table, centre)
 
-    view = left.view
-    union = Distributed.empty(view)
+    outputs: List[Distributed] = []
     for class_index, degree_class in enumerate(classes):
-        left_part = DistRelation(
-            left.schema,
-            left_tagged.filter_items(lambda e, c=degree_class: e[1] == c)
-            .map_items(lambda e: e[0]),
-        )
-        right_part = DistRelation(
-            right.schema,
-            right_tagged.filter_items(lambda e, c=degree_class: e[1] == c)
-            .map_items(lambda e: e[0]),
+        left_part, right_part = (
+            select_labelled(rel, labels, lambda label: label == degree_class)
+            for rel, labels in ((left, left_labelled), (right, right_labelled))
         )
         if left_part.total_size == 0 or right_part.total_size == 0:
             continue
@@ -299,31 +267,11 @@ def _solve_large(
             left_part, right_part, semiring, reduce_dangling=False,
             salt=salt + 250 + class_index,
         )
-        union = union.concat(
-            unpack_pairs(product, left_attrs, right_attrs, out_order)
-        )
-    return union
+        outputs.append(unpack_pairs(product, left_attrs, right_attrs, out_order))
+    return Distributed.union(left.view, outputs)
 
 
 # -- small utilities --------------------------------------------------------------
-
-
-def _bare(key: Any) -> Any:
-    if isinstance(key, tuple) and len(key) == 1:
-        return key[0]
-    return key
-
-
-def _oriented(rel: DistRelation, left: str, right: str) -> DistRelation:
-    if rel.schema == (left, right):
-        return rel
-    if set(rel.schema) != {left, right}:
-        raise ValueError(f"schema {rel.schema!r} is not ({left}, {right})")
-    li, ri = rel.attr_index(left), rel.attr_index(right)
-    return DistRelation(
-        (left, right),
-        rel.data.map_items(lambda item: ((item[0][li], item[0][ri]), item[1])),
-    )
 
 
 def _pairify(rel: DistRelation) -> DistRelation:
@@ -343,41 +291,14 @@ def _restrict_to_bucket(
     centre: str,
     bucket_table: Distributed,
     bucket: Tuple,
-    salt: int,
 ) -> Dict[str, DistRelation]:
     """Filter the centre-incident relations to the bucket's B values."""
     restricted = dict(relations)
     for rel_index, _neighbour in query.adjacency[centre]:
         name = query.relations[rel_index][0]
         rel = restricted[name]
-        idx = rel.attr_index(centre)
-        tagged = attach_by_key(
-            rel.data, bucket_table, lambda item, i=idx: item[0][i],
-            default=None, salt=salt,
-        )
-        restricted[name] = DistRelation(
-            rel.schema,
-            tagged.filter_items(lambda entry, b=bucket: entry[1] == b)
-            .map_items(lambda entry: entry[0]),
+        restricted[name] = select_labelled(
+            rel, label_tuples(rel, bucket_table, centre),
+            lambda label: label == bucket,
         )
     return restricted
-
-
-def _rel_between(query: TreeQuery, left: str, right: str) -> str:
-    for name, attrs in query.relations:
-        if set(attrs) == {left, right}:
-            return name
-    raise KeyError((left, right))
-
-
-def _to_schema(
-    rel: DistRelation, schema: Tuple[str, ...], semiring: Semiring, salt: int
-) -> DistRelation:
-    """Reorder columns to ``schema`` (local op; aggregation already done)."""
-    if rel.schema == schema:
-        return rel
-    indices = [rel.attr_index(a) for a in schema]
-    data = rel.data.map_items(
-        lambda item: (tuple(item[0][i] for i in indices), item[1])
-    )
-    return DistRelation(schema, data)

@@ -29,7 +29,6 @@ expanded back into flat columns before a twig returns its result.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -38,7 +37,7 @@ from ..data.relation import DistRelation
 from ..data.treeops import reduction_plan, skeleton_info, twig_decomposition
 from ..mpc.distributed import Distributed
 from ..primitives.dangling import remove_dangling
-from ..primitives.degrees import attach_by_key, lookup_table
+from ..primitives.degrees import label_tuples, select_labelled
 from ..primitives.reduce_by_key import reduce_by_key
 from ..semiring import Semiring
 from .arms import extract_arms
@@ -61,6 +60,10 @@ class _Context:
     counter: int = 0
 
     def fresh_salt(self) -> int:
+        """The next salt.  Stateful: every draw shifts all later salts (and
+        combined-attribute names), hence every later hash route and load —
+        the three labelling sites below keep a draw whose value nothing
+        reads (it fed ``attach_by_key``'s dead ``salt``) for that reason."""
         self.counter += 1
         return self.salt + 1000 * self.counter
 
@@ -112,16 +115,12 @@ def tree_query(
             salt=ctx.fresh_salt(),
             profile=vector_profile(absorbed.view, semiring),
         ).map_items(lambda pair: (pair[0][0], pair[1]))
-        index = target.attr_index(step.shared_attr)
-        tagged = attach_by_key(
-            target.data, table, lambda item, i=index: item[0][i],
-            default=None, salt=ctx.fresh_salt(),
-        )
-        live[step.target] = DistRelation(
-            target.schema,
-            tagged.filter_items(lambda entry: entry[1] is not None).map_items(
+        ctx.fresh_salt()  # unread; keeps the later salts where they were
+        labelled = label_tuples(target, table, step.shared_attr)
+        live[step.target] = target.with_data(
+            labelled.filter_items(lambda entry: entry[1] is not None).map_items(
                 lambda entry: (entry[0][0], semiring.mul(entry[0][1], entry[1]))
-            ),
+            )
         )
 
     out_schema = tuple(sorted(query.output))
@@ -163,8 +162,7 @@ def twig_eval(
     if cls in ("matmul", "line"):
         order = twig.path_order()
         rels = [
-            relations[_rel_between(twig, order[i], order[i + 1])]
-            for i in range(len(order) - 1)
+            relations[twig.relation_between(x, y)] for x, y in zip(order, order[1:])
         ]
         result = line_query(rels, order, semiring, ctx.fresh_salt())
         return _expand_and_aggregate(result, ctx, out_schema)
@@ -267,12 +265,9 @@ def _twig_divide_conquer(
         new_query = TreeQuery(tuple(new_relations), frozenset(new_output))
         result = twig_eval(new_query, new_rels_data, ctx)
         # twig_eval returns fully expanded columns; align to out_schema.
-        outputs.append(_reorder(result, out_schema).data)
+        outputs.append(result.reordered(out_schema).data)
 
-    union = Distributed.empty(view)
-    for output in outputs:
-        union = union.concat(output)
-    combined = DistRelation(out_schema, union)
+    combined = DistRelation(out_schema, Distributed.union(view, outputs))
     return aggregate_relation(combined, out_schema, semiring, ctx.fresh_salt())
 
 
@@ -283,13 +278,13 @@ def _branch_x_table(
     ctx: _Context,
 ) -> Distributed:
     """x(b) = ∏ over arms of T_B of d_arm(b) (KMV estimates, §7.1 step 1)."""
-    arms = extract_arms(branch, root)
-    merged: Optional[Distributed] = None
-    for i, arm in enumerate(arms):
-        table = arm_reach_estimates(arm, relations, ctx.fresh_salt())
-        merged = table if merged is None else merged.concat(table)
+    tables = [
+        arm_reach_estimates(arm, relations, ctx.fresh_salt())
+        for arm in extract_arms(branch, root)
+    ]
     return reduce_by_key(
-        merged, lambda pair: pair[0], lambda pair: pair[1],
+        Distributed.union(tables[0].view, tables),
+        lambda pair: pair[0], lambda pair: pair[1],
         lambda a, b: a * b, salt=ctx.fresh_salt(),
     )
 
@@ -324,15 +319,12 @@ def _estimate_out_tree(
             if child_table is None:
                 continue
             rel = relations[rel_name]
-            child_index = rel.attr_index(child_attr)
             parent_index = rel.attr_index(attr)
-            tagged = attach_by_key(
-                rel.data, child_table,
-                lambda item, i=child_index: item[0][i],
-                default=None, salt=ctx.fresh_salt(),
-            ).filter_items(lambda entry: entry[1] is not None)
-            pairs = tagged.map_items(
-                lambda entry, i=parent_index: (entry[0][0][i], entry[1])
+            ctx.fresh_salt()  # unread; keeps the later salts where they were
+            pairs = (
+                label_tuples(rel, child_table, child_attr)
+                .filter_items(lambda entry: entry[1] is not None)
+                .map_items(lambda entry, i=parent_index: (entry[0][0][i], entry[1]))
             )
             factors.append(
                 reduce_by_key(pairs, lambda pair: pair[0], lambda pair: pair[1],
@@ -341,11 +333,9 @@ def _estimate_out_tree(
             )
         if not factors:
             return None
-        merged = factors[0]
-        for factor in factors[1:]:
-            merged = merged.concat(factor)
         return reduce_by_key(
-            merged, lambda pair: pair[0], lambda pair: pair[1],
+            Distributed.union(factors[0].view, factors),
+            lambda pair: pair[0], lambda pair: pair[1],
             lambda a, b: a * b, salt=ctx.fresh_salt(),
         )
 
@@ -374,16 +364,10 @@ def _restrict_pattern(
         for rel_index, _neighbour in twig.adjacency[root]:
             name = twig.relations[rel_index][0]
             rel = restricted[name]
-            index = rel.attr_index(root)
-            tagged = attach_by_key(
-                rel.data, side_tables[root],
-                lambda item, i=index: item[0][i],
-                default="light", salt=ctx.fresh_salt(),
-            )
-            restricted[name] = DistRelation(
-                rel.schema,
-                tagged.filter_items(lambda entry, s=side: entry[1] == s)
-                .map_items(lambda entry: entry[0]),
+            ctx.fresh_salt()  # unread; keeps the later salts where they were
+            restricted[name] = select_labelled(
+                rel, label_tuples(rel, side_tables[root], root, default="light"),
+                lambda label: label == side,
             )
     return restricted
 
@@ -401,8 +385,9 @@ def _materialize_branch(
     arms = extract_arms(branch, root)
     arm_ends = [arm[-1][2] for arm in arms]
     shrunk = [
-        _orient2(shrink_arm(arm, relations, semiring, ctx.fresh_salt()),
-                 arm_ends[i], root)
+        shrink_arm(arm, relations, semiring, ctx.fresh_salt()).reordered(
+            (arm_ends[i], root)
+        )
         for i, arm in enumerate(arms)
     ]
     joined, joined_attrs = join_group_on_centre(
@@ -410,9 +395,8 @@ def _materialize_branch(
     )
     comb_attr = ctx.fresh_comb(root, tuple(joined_attrs))
     combined = binarize(joined, joined_attrs, comb_attr, root)
-    oriented = _orient2(combined, root, comb_attr)
     rel_name = f"__Q_{root}_{ctx.counter}"
-    return oriented, comb_attr, rel_name
+    return combined.reordered((root, comb_attr)), comb_attr, rel_name
 
 
 # -- result shaping ------------------------------------------------------------------
@@ -447,30 +431,3 @@ def _expand_and_aggregate(
 
     flat = DistRelation(out_schema, rel.data.map_items(reshape))
     return aggregate_relation(flat, out_schema, ctx.semiring, ctx.fresh_salt())
-
-
-def _reorder(rel: DistRelation, schema: Tuple[str, ...]) -> DistRelation:
-    if rel.schema == schema:
-        return rel
-    indices = [rel.attr_index(a) for a in schema]
-    return DistRelation(
-        schema,
-        rel.data.map_items(lambda item: (tuple(item[0][i] for i in indices), item[1])),
-    )
-
-
-def _orient2(rel: DistRelation, left: str, right: str) -> DistRelation:
-    if rel.schema == (left, right):
-        return rel
-    li, ri = rel.attr_index(left), rel.attr_index(right)
-    return DistRelation(
-        (left, right),
-        rel.data.map_items(lambda item: ((item[0][li], item[0][ri]), item[1])),
-    )
-
-
-def _rel_between(query: TreeQuery, left: str, right: str) -> str:
-    for name, attrs in query.relations:
-        if set(attrs) == {left, right}:
-            return name
-    raise KeyError((left, right))

@@ -21,8 +21,9 @@ The same routine with ``keep = all attributes`` is a plain full join.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..backends.dispatch import columnar_enabled, np
 from ..data.relation import DistRelation
@@ -36,8 +37,9 @@ __all__ = [
     "join_aggregate_pair",
     "join_aggregate_naive",
     "aggregate_relation",
+    "JoinLayout",
     "local_join_aggregate",
-    "vector_join_context",
+    "join_tasked",
     "vector_profile",
 ]
 
@@ -53,25 +55,23 @@ def join_aggregate_pair(
     same view, hash-partitioned by the keep-key."""
     view = left.view
     p = view.p
-    shared = tuple(sorted(set(left.schema) & set(right.schema)))
-    if not shared:
-        raise ValueError("join_aggregate_pair requires a shared attribute")
     keep = tuple(keep)
-    left_key = left.key_fn(shared)
-    right_key = right.key_fn(shared)
+    layout = JoinLayout(view, semiring, left.schema, right.schema, keep)
+    left_key = left.key_fn(layout.shared)
+    right_key = right.key_fn(layout.shared)
 
     left_degrees = degree_table(left.data, left_key, salt)
     right_degrees = degree_table(right.data, right_key, salt)
-    left_tagged = attach_by_key(left.data, left_degrees, left_key, default=0, salt=salt)
-    right_tagged = attach_by_key(right.data, right_degrees, right_key, default=0, salt=salt)
+    left_tagged = attach_by_key(left.data, left_degrees, left_key, default=0)
+    right_tagged = attach_by_key(right.data, right_degrees, right_key, default=0)
 
     # Grid dimensions of a key's cell grid depend on *both* sides' degrees;
     # attach the partner side's degree as well.
     left_full = attach_by_key(
-        left_tagged, right_degrees, lambda pair: left_key(pair[0]), default=0, salt=salt
+        left_tagged, right_degrees, lambda pair: left_key(pair[0]), default=0
     )
     right_full = attach_by_key(
-        right_tagged, left_degrees, lambda pair: right_key(pair[0]), default=0, salt=salt
+        right_tagged, left_degrees, lambda pair: right_key(pair[0]), default=0
     )
 
     # Each key gets cells in proportion to its share of the join size
@@ -127,15 +127,12 @@ def join_aggregate_pair(
 
     routed = left_msgs.concat(right_msgs).repartition(cell_server)
 
-    keep_sources = _keep_sources(left.schema, right.schema, keep)
     tracker = view.tracker
-    profile = vector_profile(view, semiring)
+    out_key = layout.out_key
 
     def local_join(part: List[Any]) -> List[Any]:
-        if profile is not None:
-            vectorized = _local_join_cells_vec(
-                part, view.cluster.codec, profile, keep_sources
-            )
+        if layout.profile is not None:
+            vectorized = _local_join_cells_vec(part, layout)
             if vectorized is not None:
                 partials, products = vectorized
                 tracker.record_products(products)
@@ -153,28 +150,17 @@ def join_aggregate_pair(
             for l_values, l_weight in left_rows:
                 for r_values, r_weight in right_rows:
                     products += 1
-                    out_key = tuple(
-                        l_values[i] if side == "L" else r_values[i]
-                        for side, i in keep_sources
-                    )
+                    key = out_key(l_values, r_values)
                     weight = semiring.mul(l_weight, r_weight)
-                    if out_key in partials:
-                        partials[out_key] = semiring.add(partials[out_key], weight)
+                    if key in partials:
+                        partials[key] = semiring.add(partials[key], weight)
                     else:
-                        partials[out_key] = weight
+                        partials[key] = weight
         tracker.record_products(products)
         return list(partials.items())
 
     partials = routed.map_parts(local_join)
-    reduced = reduce_by_key(
-        partials,
-        lambda pair: pair[0],
-        lambda pair: pair[1],
-        semiring.add,
-        salt=salt + 13,
-        profile=profile,
-    )
-    return DistRelation(keep, reduced)
+    return DistRelation(keep, _reduce_partials(partials, semiring, salt + 13))
 
 
 def _estimate_join_size(view, left_full: Distributed, right_full: Distributed) -> int:
@@ -190,19 +176,62 @@ def _estimate_join_size(view, left_full: Distributed, right_full: Distributed) -
     return max(1, sum(local))
 
 
-def _keep_sources(
-    left_schema: Sequence[str], right_schema: Sequence[str], keep: Sequence[str]
-) -> List[Tuple[str, int]]:
-    """For every keep attribute, where to read it: ('L'/'R', column index)."""
-    sources: List[Tuple[str, int]] = []
-    for attribute in keep:
-        if attribute in left_schema:
-            sources.append(("L", left_schema.index(attribute)))
-        elif attribute in right_schema:
-            sources.append(("R", right_schema.index(attribute)))
-        else:
-            raise ValueError(f"keep attribute {attribute!r} in neither schema")
-    return sources
+class JoinLayout:
+    """The one description of a local join of ``(values, annotation)`` items.
+
+    ``left_key``/``right_key`` are the columns of the shared attributes (in
+    sorted attribute order) on each side, ``out_sources`` says where every
+    ``keep`` attribute is read from (``("L"/"R", column)``, the left side
+    winning a tie), and ``codec``/``profile`` are what the view's cluster
+    lets the array kernels use (``profile`` None: tuple backend, fault
+    injection, or a semiring without a profile).  The tuple kernels' readers
+    are derived here, once per layout rather than once per item:
+    ``left_key_of``/``right_key_of`` map a values tuple to its join key (the
+    bare value for a one-column key) and ``out_key(l_values, r_values)``
+    builds the output key of one elementary product.
+    """
+
+    def __init__(
+        self,
+        view: Any,
+        semiring: Semiring,
+        left_schema: Sequence[str],
+        right_schema: Sequence[str],
+        keep: Sequence[str],
+    ) -> None:
+        self.shared = tuple(sorted(set(left_schema) & set(right_schema)))
+        if not self.shared:
+            raise ValueError(
+                f"schemas {tuple(left_schema)!r} and {tuple(right_schema)!r} "
+                "share no attribute to join on"
+            )
+        self.left_key = tuple(left_schema.index(a) for a in self.shared)
+        self.right_key = tuple(right_schema.index(a) for a in self.shared)
+        sources: List[Tuple[str, int]] = []
+        for attribute in keep:
+            if attribute in left_schema:
+                sources.append(("L", left_schema.index(attribute)))
+            elif attribute in right_schema:
+                sources.append(("R", right_schema.index(attribute)))
+            else:
+                raise ValueError(f"keep attribute {attribute!r} in neither schema")
+        self.out_sources = tuple(sources)
+        self.profile = vector_profile(view, semiring)
+        self.codec = view.cluster.codec if self.profile is not None else None
+        self.left_key_of = itemgetter(*self.left_key)
+        self.right_key_of = itemgetter(*self.right_key)
+        self.out_key = _out_key_reader(self.out_sources)
+
+
+@lru_cache(maxsize=256)
+def _out_key_reader(sources: Tuple[Tuple[str, int], ...]) -> Any:
+    """``(l_values, r_values) → out-key`` as one compiled expression, e.g.
+    ``(l[0], r[1], )``: a per-product generator over ``sources`` costs
+    several times the product itself, and compiling costs more than the rest
+    of a layout, so readers are shared by shape.  The text holds only
+    "l"/"r" and column numbers."""
+    reads = "".join(f"{side.lower()}[{column}], " for side, column in sources)
+    return eval(f"lambda l, r: ({reads})")  # noqa: S307
 
 
 # -- vectorized local-join kernels (columnar backend) -------------------------
@@ -219,38 +248,6 @@ def _keep_sources(
 _PRODUCT_SUM_GUARD = 1 << 22
 #: int64 ⊗-products must stay well inside int64.
 _PRODUCT_MUL_LIMIT = 1 << 62
-
-
-@dataclass(frozen=True)
-class _VectorJoinSpec:
-    """What a vectorized local join needs to know about the tuple layout:
-    the single join-key column on each side and where each output attribute
-    is read from (``("L"/"R", column index)``, as in :func:`_keep_sources`).
-    """
-
-    codec: Any
-    profile: Any
-    left_key_col: int
-    right_key_col: int
-    out_sources: Tuple[Tuple[str, int], ...]
-
-
-def vector_join_context(
-    view: Any,
-    semiring: Semiring,
-    left_key_col: int,
-    right_key_col: int,
-    out_sources: Sequence[Tuple[str, int]],
-) -> Optional[_VectorJoinSpec]:
-    """A :class:`_VectorJoinSpec` when this view's cluster may vectorize
-    single-column local joins under ``semiring``, else None (tuple backend,
-    no profile, or fault injection active)."""
-    profile = vector_profile(view, semiring)
-    if profile is None:
-        return None
-    return _VectorJoinSpec(
-        view.cluster.codec, profile, left_key_col, right_key_col, tuple(out_sources)
-    )
 
 
 def vector_profile(view: Any, semiring: Semiring) -> Optional[Any]:
@@ -306,22 +303,24 @@ def _aggregate_product_stream(
 def _local_join_vec(
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
-    vec: _VectorJoinSpec,
+    layout: JoinLayout,
 ) -> Optional[Tuple[Dict[Tuple, Any], int]]:
     """Vectorized :func:`local_join_aggregate`: the right-outer probe stream
-    (each right item in arrival order, its left matches in arrival order)."""
+    (each right item in arrival order, its left matches in arrival order).
+    The probe joins one code column, so a multi-column key returns None."""
     from ..backends.columnar import encode_annotations
     from ..backends.kernels import hash_join
 
-    codec, profile = vec.codec, vec.profile
+    if len(layout.shared) != 1:
+        return None
+    codec, profile = layout.codec, layout.profile
     left_ann = encode_annotations([item[1] for item in left_items], profile)
     right_ann = encode_annotations([item[1] for item in right_items], profile)
     if left_ann is None or right_ann is None:
         return None
-    left_codes = codec.encode_many([item[0][vec.left_key_col] for item in left_items])
-    right_codes = codec.encode_many(
-        [item[0][vec.right_key_col] for item in right_items]
-    )
+    left_col, right_col = layout.left_key[0], layout.right_key[0]
+    left_codes = codec.encode_many([item[0][left_col] for item in left_items])
+    right_codes = codec.encode_many([item[0][right_col] for item in right_items])
     l_pos, r_pos = hash_join(left_codes, right_codes, outer="right")
     products = int(l_pos.shape[0])
     if products == 0:
@@ -330,7 +329,7 @@ def _local_join_vec(
         return None
     weights = profile.mul(left_ann[l_pos], right_ann[r_pos])
     out_columns = _gather_out_columns(
-        codec, vec.out_sources, left_items, right_items, l_pos, r_pos
+        codec, layout.out_sources, left_items, right_items, l_pos, r_pos
     )
     partials = _aggregate_product_stream(codec, profile, out_columns, weights)
     if partials is None:
@@ -339,10 +338,7 @@ def _local_join_vec(
 
 
 def _local_join_cells_vec(
-    part: Sequence[Tuple[str, Tuple, Tuple]],
-    codec: Any,
-    profile: Any,
-    keep_sources: Sequence[Tuple[str, int]],
+    part: Sequence[Tuple[str, Tuple, Tuple]], layout: JoinLayout
 ) -> Optional[Tuple[Dict[Tuple, Any], int]]:
     """Vectorized cell-grouped local join (the fragment-replicate kernel of
     :func:`join_aggregate_pair`).
@@ -354,6 +350,7 @@ def _local_join_cells_vec(
     from ..backends.columnar import encode_annotations
     from ..backends.kernels import first_occurrence_unique, hash_join
 
+    codec, profile = layout.codec, layout.profile
     left_rows: List[Tuple] = []
     right_rows: List[Tuple] = []
     left_cells: List[Tuple] = []
@@ -384,7 +381,7 @@ def _local_join_cells_vec(
     l_pos = perm[l_block]
     weights = profile.mul(left_ann[l_pos], right_ann[r_pos])
     out_columns = _gather_out_columns(
-        codec, keep_sources, left_rows, right_rows, l_pos, r_pos
+        codec, layout.out_sources, left_rows, right_rows, l_pos, r_pos
     )
     partials = _aggregate_product_stream(codec, profile, out_columns, weights)
     if partials is None:
@@ -430,37 +427,47 @@ def aggregate_relation(
     return DistRelation(tuple(group_attrs), reduced)
 
 
+def _reduce_partials(
+    partials: Distributed, semiring: Semiring, salt: int
+) -> Distributed:
+    """⊕-combine the ``(out_key, weight)`` partials of local joins by key."""
+    return reduce_by_key(
+        partials, lambda pair: pair[0], lambda pair: pair[1], semiring.add, salt,
+        profile=vector_profile(partials.view, semiring),
+    )
+
+
 def local_join_aggregate(
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
-    left_key: Callable[[Tuple[Tuple, Any]], Tuple],
-    right_key: Callable[[Tuple[Tuple, Any]], Tuple],
-    out_key: Callable[[Tuple, Tuple], Tuple],
+    layout: JoinLayout,
     semiring: Semiring,
-    vec: Optional[_VectorJoinSpec] = None,
 ) -> Tuple[Dict[Tuple, Any], int]:
-    """Join two local tuple lists on their keys, ⊕-aggregating by ``out_key``.
+    """Join two local tuple lists as ``layout`` describes, ⊕-aggregating by
+    its out-key.
 
     Returns ``(partials, elementary_product_count)``; used by every algorithm
     that arranges tuples so products can be aggregated in place (the paper's
-    "locality").  ``vec`` (a :func:`vector_join_context` result, optional)
-    lets the columnar backend run the same join as array kernels; the caller
-    guarantees it describes the same keys and out-key as the callables.
+    "locality").  Under the columnar backend the same join runs as array
+    kernels — same products, same partials, same order — and anything they
+    cannot represent exactly runs the tuple kernel below.
     """
-    if vec is not None:
-        vectorized = _local_join_vec(left_items, right_items, vec)
+    if layout.profile is not None:
+        vectorized = _local_join_vec(left_items, right_items, layout)
         if vectorized is not None:
             return vectorized
-    index: Dict[Tuple, List[Tuple[Tuple, Any]]] = {}
+    left_key_of, right_key_of, out_key = (
+        layout.left_key_of, layout.right_key_of, layout.out_key
+    )
+    index: Dict[Any, List[Tuple[Tuple, Any]]] = {}
     for item in left_items:
-        index.setdefault(left_key(item), []).append(item)
+        index.setdefault(left_key_of(item[0]), []).append(item)
     partials: Dict[Tuple, Any] = {}
     products = 0
-    for item in right_items:
-        matches = index.get(right_key(item))
+    for r_values, r_weight in right_items:
+        matches = index.get(right_key_of(r_values))
         if not matches:
             continue
-        r_values, r_weight = item
         for l_values, l_weight in matches:
             products += 1
             key = out_key(l_values, r_values)
@@ -470,6 +477,41 @@ def local_join_aggregate(
             else:
                 partials[key] = weight
     return partials, products
+
+
+def join_tasked(
+    routed: Distributed, layout: JoinLayout, semiring: Semiring, salt: int = 0
+) -> Distributed:
+    """Join already-routed ``("L"/"R", task, item)`` messages strictly inside
+    each task, then ⊕-reduce the partials by out-key (hashed with ``salt``).
+
+    The paper gives every tagged subquery ``⌈size/L⌉`` servers of its own;
+    the simulator wraps those virtual ranges onto real servers (see
+    :class:`~repro.core.allocation.RangeAllocation`), so two tasks may share
+    one.  Joining within a task keeps every elementary product computed
+    exactly once.  Tasks are visited in the order their first left message
+    arrived, which fixes the partials' order and with it every meter.
+    """
+    tracker = routed.view.tracker
+
+    def compute(part: List[Any]) -> List[Any]:
+        lefts: Dict[Any, List[Any]] = {}
+        rights: Dict[Any, List[Any]] = {}
+        for tag, task, item in part:
+            (lefts if tag == "L" else rights).setdefault(task, []).append(item)
+        rows: List[Any] = []
+        for task, left_items in lefts.items():
+            right_items = rights.get(task)
+            if not right_items:
+                continue
+            partials, products = local_join_aggregate(
+                left_items, right_items, layout, semiring
+            )
+            tracker.record_products(products)
+            rows.extend(partials.items())
+        return rows
+
+    return _reduce_partials(routed.map_parts(compute), semiring, salt)
 
 
 def join_aggregate_naive(
@@ -487,61 +529,22 @@ def join_aggregate_naive(
     kept to let benchmarks quantify what the fragment-replicate scheme of
     :func:`join_aggregate_pair` buys.
     """
-    from ..mpc.hashing import hash_to_bucket
-
     view = left.view
     p = view.p
-    shared = tuple(sorted(set(left.schema) & set(right.schema)))
-    if not shared:
-        raise ValueError("join_aggregate_naive requires a shared attribute")
     keep = tuple(keep)
-    left_key = left.key_fn(shared)
-    right_key = right.key_fn(shared)
-    keep_sources = _keep_sources(left.schema, right.schema, keep)
-    tracker = view.tracker
-    vec = (
-        vector_join_context(
-            view,
-            semiring,
-            left.schema.index(shared[0]),
-            right.schema.index(shared[0]),
-            keep_sources,
-        )
-        if len(shared) == 1
-        else None
-    )
+    layout = JoinLayout(view, semiring, left.schema, right.schema, keep)
+    left_key = left.key_fn(layout.shared)
+    right_key = right.key_fn(layout.shared)
 
     # Both sides co-partition in ONE shuffle round (the textbook plan),
-    # so the heavy key's server receives d_L(b) + d_R(b) in a single round.
-    tagged = left.data.map_items(lambda item: ("L", item)).concat(
-        right.data.map_items(lambda item: ("R", item))
+    # so the heavy key's server receives d_L(b) + d_R(b) in a single round:
+    # one task spanning the whole view.
+    tagged = left.data.map_items(lambda item: ("L", None, item)).concat(
+        right.data.map_items(lambda item: ("R", None, item))
     )
     routed = tagged.repartition(
         lambda msg: hash_to_bucket(
-            left_key(msg[1]) if msg[0] == "L" else right_key(msg[1]), p, salt
+            left_key(msg[2]) if msg[0] == "L" else right_key(msg[2]), p, salt
         )
     )
-
-    def local_join(part: List[Any]) -> List[Any]:
-        left_items = [item for tag, item in part if tag == "L"]
-        right_items = [item for tag, item in part if tag == "R"]
-        partials, products = local_join_aggregate(
-            left_items,
-            right_items,
-            left_key,
-            right_key,
-            lambda lv, rv: tuple(
-                lv[i] if side == "L" else rv[i] for side, i in keep_sources
-            ),
-            semiring,
-            vec=vec,
-        )
-        tracker.record_products(products)
-        return list(partials.items())
-
-    partials = routed.map_parts(local_join)
-    reduced = reduce_by_key(
-        partials, lambda pair: pair[0], lambda pair: pair[1], semiring.add,
-        salt=salt + 13, profile=vector_profile(view, semiring),
-    )
-    return DistRelation(keep, reduced)
+    return DistRelation(keep, join_tasked(routed, layout, semiring, salt + 13))

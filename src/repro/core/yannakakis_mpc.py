@@ -11,7 +11,7 @@ the first column of Table 1 that the new algorithms beat.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..data.query import Instance
 from ..data.relation import DistRelation, Relation

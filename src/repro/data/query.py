@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..semiring import Semiring
 from .hypergraph import attribute_degrees, tree_adjacency
@@ -78,6 +78,14 @@ class TreeQuery:
 
     def schema_of(self, name: str) -> Tuple[str, str]:
         return self.relation_named(name)[1]
+
+    def relation_between(self, left: str, right: str) -> str:
+        """Name of the relation over attributes ``{left, right}`` (KeyError
+        when the tree has no such edge)."""
+        for name, attrs in self.relations:
+            if set(attrs) == {left, right}:
+                return name
+        raise KeyError((left, right))
 
     # -- orientation helpers --------------------------------------------------------
 

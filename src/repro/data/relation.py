@@ -11,6 +11,7 @@ living on a cluster view.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..mpc.cluster import ClusterView
@@ -226,6 +227,23 @@ class DistRelation:
     def with_data(self, data: Distributed) -> "DistRelation":
         """Same schema over a different distributed payload."""
         return DistRelation(self.schema, data)
+
+    def reordered(self, schema: Sequence[str]) -> "DistRelation":
+        """This relation with its columns in ``schema`` order — ``self`` when
+        they already are, else every value tuple re-read locally (no
+        communication).  ``schema`` must be a permutation of the
+        relation's own (``ValueError`` otherwise)."""
+        schema = tuple(schema)
+        if schema == self.schema:
+            return self
+        if sorted(schema) != sorted(self.schema):
+            raise ValueError(
+                f"{schema!r} is not a permutation of schema {self.schema!r}"
+            )
+        pick = itemgetter(*(self.attr_index(a) for a in schema))  # width ≥ 2 here
+        return DistRelation(
+            schema, self.data.map_items(lambda item: (pick(item[0]), item[1]))
+        )
 
     def collect(self, name: str, semiring: Semiring) -> Relation:
         """Materialize as a logical relation (inspection / test oracle path)."""

@@ -2,13 +2,14 @@
 
 A :class:`ColumnarData` is a :class:`~repro.mpc.distributed.Distributed`
 whose physical payload is one :class:`~repro.backends.batch.ColumnarBatch`
-per server instead of a Python list per server.  Primitives that understand
-batches move them through
-:meth:`~repro.mpc.cluster.ClusterView.exchange_batches` without touching a
-Python object per row; everything else transparently *decays* to the
-reference item representation through the lazily-decoded :attr:`parts`
-property and proceeds on the tuple path — with identical routing, and
-therefore identical meters and traces, either way.
+per server instead of a Python list per server.  It is what
+:meth:`~repro.data.relation.DistRelation.load` places at round 0 and what
+the whole-batch :func:`~repro.primitives.reduce_by_key.reduce_by_key`
+returns.  It adds no operation of its own: every inherited one
+(``map_parts``, ``concat``, ``repartition``, ``rebalance``, …)
+transparently *decays* it to the reference item representation through the
+lazily-decoded :attr:`parts` property and proceeds on the tuple path — with
+identical routing, and therefore identical meters and traces, either way.
 
 ``total_size``/``part_sizes`` read array lengths directly, so the logical
 tuple counts the load meter and the algorithms' statistics consume never
@@ -20,12 +21,11 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from ..backends.batch import ColumnarBatch
-from ..backends.dispatch import np
 from .cluster import ClusterView
 from .distributed import Distributed
 from ..errors import RoutingError
 
-__all__ = ["ColumnarData", "columnar_parts"]
+__all__ = ["ColumnarData"]
 
 
 class ColumnarData(Distributed):
@@ -83,59 +83,3 @@ class ColumnarData(Distributed):
              batch.slice(0, 0) for i in range(p)],
             codec,
         )
-
-    # -- batch-native transformations ------------------------------------------
-
-    def map_batches(self, fn) -> "ColumnarData":
-        """Apply a local per-server batch transformation; no communication."""
-        return ColumnarData(self.view, [fn(b) for b in self.batches], self.codec)
-
-    def repartition_batches(self, dests: Sequence[Any]) -> "ColumnarData":
-        """Send row ``i`` of each batch to ``dests[...][i]``; one round,
-        delivered and metered identically to item ``repartition``."""
-        inboxes = self.view.exchange_batches(dests, self.batches)
-        return ColumnarData(self.view, inboxes, self.codec)
-
-    def concat(self, other: Distributed) -> Distributed:
-        if (
-            isinstance(other, ColumnarData)
-            and other.view is self.view
-            and other.batches
-            and self.batches
-            and other.batches[0].kind == self.batches[0].kind
-            and len(other.batches[0].columns) == len(self.batches[0].columns)
-            and (other.batches[0].annotations is None)
-            == (self.batches[0].annotations is None)
-        ):
-            return ColumnarData(
-                self.view,
-                [ColumnarBatch.concat([a, b])
-                 for a, b in zip(self.batches, other.batches)],
-                self.codec,
-            )
-        return super().concat(other)
-
-    def rebalance(self) -> Distributed:
-        """Array form of contiguous re-chunking: identical destinations
-        (global row order, ⌈n/p⌉ chunks), shipped as batches."""
-        total = self.total_size
-        p = self.view.p
-        chunk = (total + p - 1) // p if total else 1
-        dests: List[Any] = []
-        offset = 0
-        for batch in self.batches:
-            positions = np.arange(offset, offset + batch.size, dtype=np.int64)
-            dests.append(np.minimum(positions // chunk, p - 1))
-            offset += batch.size
-        return self.repartition_batches(dests)
-
-
-def columnar_parts(dist: Distributed) -> Optional[List[ColumnarBatch]]:
-    """The undecoded batches of ``dist`` when it is array-native, else None.
-
-    The gate primitives use to decide whether a batch fast path applies
-    without forcing a decode.
-    """
-    if isinstance(dist, ColumnarData):
-        return dist.batches
-    return None

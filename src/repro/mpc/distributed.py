@@ -7,7 +7,8 @@ is therefore metered.  Initial input placement (the model's round-0 state,
 
 This class is the reference item representation; the ``"columnar"``
 backend's :class:`~repro.mpc.columnar.ColumnarData` subclass stores array
-batches instead and decays to these item lists on demand.
+batches instead and decays to these item lists whenever one of the
+operations below reads :attr:`parts` (it overrides none of them).
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ class Distributed:
     def empty(cls, view: ClusterView) -> "Distributed":
         return cls(view, [[] for _ in range(view.p)])
 
+    @staticmethod
+    def union(view: ClusterView, datasets: Iterable["Distributed"]) -> "Distributed":
+        """The datasets' items side by side on ``view``, server by server in
+        the order given (the paper's "union of the disjoint subquery
+        outputs"); no communication, linear in the items.  Array-native
+        inputs decay to item lists."""
+        parts: List[List[Any]] = [[] for _ in range(view.p)]
+        for dataset in datasets:
+            if dataset.view is not view and dataset.view.servers != view.servers:
+                raise RoutingError("union requires datasets on the same view")
+            for part, more in zip(parts, dataset.parts):
+                part.extend(more)
+        return Distributed(view, parts)
+
     # -- inspection --------------------------------------------------------------
 
     @property
@@ -82,11 +97,7 @@ class Distributed:
 
     def concat(self, other: "Distributed") -> "Distributed":
         """Union of two datasets living on the same view; no communication."""
-        if other.view is not self.view and other.view.servers != self.view.servers:
-            raise RoutingError("concat requires datasets on the same view")
-        return Distributed(
-            self.view, [a + b for a, b in zip(self.parts, other.parts)]
-        )
+        return Distributed.union(self.view, (self, other))
 
     # -- communication -------------------------------------------------------------
 

@@ -1,7 +1,14 @@
 """MPC primitives (paper §2.1–2.2): the O(N/p)-load, O(1)-round toolbox."""
 
 from .dangling import elimination_order, remove_dangling
-from .degrees import attach_by_key, degree_table, lookup_table
+from .degrees import (
+    attach_by_key,
+    degree_table,
+    distinct_labels,
+    label_tuples,
+    lookup_table,
+    select_labelled,
+)
 from .estimate_out import estimate_path_out, propagate_sketches, sketch_column
 from .kmv import KMV, MultiKMV, median_estimate
 from .multi_search import multi_search
@@ -24,6 +31,9 @@ __all__ = [
     "parallel_packing",
     "degree_table",
     "attach_by_key",
+    "label_tuples",
+    "select_labelled",
+    "distinct_labels",
     "lookup_table",
     "remove_dangling",
     "elimination_order",

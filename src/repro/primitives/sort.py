@@ -60,12 +60,6 @@ def distributed_sort(
     """
     if not split_ties:
         if columnar_enabled(dist.view):
-            from ..mpc.columnar import ColumnarData
-
-            if isinstance(dist, ColumnarData):
-                columnar = _sort_columnar(dist, key_fn)
-                if columnar is not None:
-                    return columnar
             vectorized = _sort_vec(dist, key_fn)
             if vectorized is not None:
                 return vectorized
@@ -128,62 +122,6 @@ def _scalar_keys(keys: List[Any]) -> Optional[Any]:
         array = np.fromiter(keys, dtype=np.float64, count=len(keys))
         return None if np.isnan(array).any() else array
     return None
-
-
-def _sort_columnar(dist, key_fn: Callable[[Any], Any]):
-    """Array-shipping sample sort for a :class:`ColumnarData` keyed on one
-    int attribute: the exact samples, splitters, routing, and local order
-    of :func:`_sort_vec`, with the exchange moving batches instead of
-    items.  None ⇒ fall back (no communication has happened)."""
-    from ..backends.kernels import select_splitters
-    from ..mpc.columnar import ColumnarData
-
-    indices = getattr(key_fn, "indices", None)
-    if indices is None or len(indices) != 1:
-        return None
-    view = dist.view
-    p = view.p
-    codec = dist.codec
-    column_index = indices[0]
-    staged: List[Any] = []
-    for batch in dist.batches:
-        if column_index >= len(batch.columns):
-            return None
-        values = codec.int_values(batch.columns[column_index])
-        if values is None:
-            return None
-        staged.append(values)
-
-    sample_blocks: List[Any] = []
-    gathered = 0
-    for values in staged:
-        if values.shape[0] == 0:
-            continue
-        ordered = np.sort(values, kind="stable")
-        step = max(1, ordered.shape[0] // p)
-        block = ordered[::step][:p]
-        sample_blocks.append(block)
-        gathered += block.shape[0]
-    view.control_gather([None] * gathered)
-    if sample_blocks:
-        samples = np.sort(np.concatenate(sample_blocks), kind="stable")
-    else:
-        samples = np.empty(0, dtype=np.int64)
-    splitters = select_splitters(samples, p)
-    view.control_scatter(int(splitters.shape[0]))
-
-    dests = [
-        np.searchsorted(splitters, values, side="right").astype(np.int64)
-        for values in staged
-    ]
-    inboxes = view.exchange_batches(dests, dist.batches)
-
-    sorted_batches = []
-    for inbox in inboxes:
-        values = codec.int_values(inbox.columns[column_index])
-        order = np.argsort(values, kind="stable")
-        sorted_batches.append(inbox.take(order))
-    return ColumnarData(view, sorted_batches, codec)
 
 
 def _sort_vec(dist: Distributed, key_fn: Callable[[Any], Any]) -> Optional[Distributed]:

@@ -4,12 +4,18 @@ import random
 
 from repro.data import DistRelation, Instance, Relation
 from repro.mpc import Distributed, MPCCluster
+import pytest
+
 from repro.primitives import (
     attach_by_key,
     degree_table,
+    distinct_labels,
     elimination_order,
+    label_tuples,
     lookup_table,
+    reduce_by_key,
     remove_dangling,
+    select_labelled,
 )
 from repro.ram import evaluate, semijoin_reduce
 from repro.semiring import COUNTING
@@ -46,6 +52,80 @@ def test_attach_by_key_defaults():
     table = Distributed.from_items(view, [("a", 1), ("c", 3)])
     tagged = attach_by_key(items, table, lambda x: x, default="missing")
     assert dict(tagged.collect()) == {"a": 1, "b": "missing", "c": 3}
+
+
+#: label classes of the split test: heavy/light, the default's, an empty one.
+_CLASSES = {
+    "heavy": lambda degree: degree >= 3,
+    "light": lambda degree: 0 < degree < 3,
+    "default": lambda degree: degree == 0,
+    "empty": lambda degree: degree == 99,
+}
+
+
+def _old_label_split(dist, table):
+    """The three-call form ``label_tuples`` + ``select_labelled`` replaced."""
+    tagged = attach_by_key(dist.data, table, lambda item: item[0][0], default=0)
+    return {
+        name: tagged.filter_items(lambda entry: keep(entry[1]))
+        .map_items(lambda entry: entry[0]).parts
+        for name, keep in _CLASSES.items()
+    }
+
+
+def _new_label_split(dist, table):
+    labelled = label_tuples(dist, table, "A", default=0)
+    selected = {
+        name: select_labelled(dist, labelled, keep) for name, keep in _CLASSES.items()
+    }
+    assert all(rel.schema == ("A", "B") for rel in selected.values())
+    return {name: rel.data.parts for name, rel in selected.items()}
+
+
+@pytest.mark.parametrize("backend", ["pytuple", "columnar"])
+def test_label_split_equals_the_filter_and_strip_pair(backend):
+    """Answers, placement and meters, default labels and an empty label
+    class included."""
+    if backend == "columnar":
+        pytest.importorskip("numpy")
+    relation = Relation(
+        "R", ("A", "B"), [((a, b), 1 + a) for a in range(9) for b in range(a % 4 + 1)]
+    )
+    degrees = [(a, a % 4 + 1) for a in range(9) if a != 5]  # 5 gets the default
+
+    def run(split):
+        cluster = MPCCluster(4, backend=backend)
+        view = cluster.view()
+        dist = DistRelation.load(view, relation, COUNTING)
+        parts = split(dist, Distributed.from_items(view, degrees))
+        return parts, cluster.report().to_dict()
+
+    new_parts, new_report = run(_new_label_split)
+    assert (new_parts, new_report) == run(_old_label_split)
+    assert new_report["total_communication"] > 0
+    assert new_parts["empty"] == [[], [], [], []]
+    assert [item[0][0] for part in new_parts["default"] for item in part] == [5, 5]
+    assert sum(len(part) for parts in new_parts.values() for part in parts) == len(relation)
+
+
+def test_distinct_labels_charges_what_the_inline_form_charged():
+    pairs = [(key, ("perm", key % 3)) for key in range(20)]
+
+    def both(run):
+        cluster = MPCCluster(4)
+        table = Distributed.from_items(cluster.view(), pairs)
+        return run(table), cluster.report().to_dict()
+
+    def inline(table):
+        return sorted(lookup_table(reduce_by_key(
+            table, lambda pair: pair[1], lambda _p: None, lambda a, _b: a,
+            7, profile="distinct",
+        )))
+
+    labels, report = both(lambda table: distinct_labels(table, 7))
+    assert (labels, report) == both(inline)
+    assert labels == [("perm", 0), ("perm", 1), ("perm", 2)]
+    assert report["control_messages"] == 3
 
 
 def test_lookup_table_charges_control():

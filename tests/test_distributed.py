@@ -47,6 +47,55 @@ def test_concat_requires_same_view():
         a.concat(b)
 
 
+def _folded_concat(view, datasets):
+    """The fold ``Distributed.union`` replaced: ``empty().concat()`` per input."""
+    folded = Distributed.empty(view)
+    for dataset in datasets:
+        folded = folded.concat(dataset)
+    return folded
+
+
+def test_union_is_the_folded_concat_in_order():
+    cluster = MPCCluster(3)
+    view = cluster.view()
+    datasets = [
+        Distributed(view, [[1, 2], [], [3]]),
+        Distributed.empty(view),
+        Distributed(view, [[4], [5, 6], []]),
+    ]
+    union = Distributed.union(view, datasets)
+    assert union.parts == _folded_concat(view, datasets).parts == [[1, 2, 4], [5, 6], [3]]
+    assert Distributed.union(view, []).parts == [[], [], []]
+    # Inputs are not aliased: growing the union leaves them alone.
+    union.parts[0].append(99)
+    assert datasets[0].parts[0] == [1, 2]
+    assert cluster.report().total_communication == 0
+
+
+def test_union_decays_an_array_native_input():
+    pytest.importorskip("numpy")
+    from repro.data import DistRelation, Relation
+    from repro.mpc.columnar import ColumnarData
+    from repro.semiring import COUNTING
+
+    view = MPCCluster(4, backend="columnar").view()
+    relation = Relation("R", ("A", "B"), [((i, i % 3), 1 + i) for i in range(10)])
+    loaded = DistRelation.load(view, relation, COUNTING).data
+    assert isinstance(loaded, ColumnarData)
+    plain = Distributed(view, [[((-1, -1), 7)], [], [], [((-2, -2), 8)]])
+    union = Distributed.union(view, [plain, loaded])
+    assert type(union) is Distributed
+    assert union.parts == _folded_concat(view, [plain, loaded]).parts
+    assert union.parts[0] == [((-1, -1), 7)] + list(relation)[:3]
+
+
+def test_union_rejects_a_foreign_view():
+    view = MPCCluster(4).view()
+    foreign = Distributed.from_items(MPCCluster(3).view(), [2])
+    with pytest.raises(RoutingError):
+        Distributed.union(view, [Distributed.from_items(view, [1]), foreign])
+
+
 def test_repartition_moves_and_charges():
     cluster = MPCCluster(4)
     view = cluster.view()

@@ -44,6 +44,29 @@ def test_extending_doc_semiring_example_runs():
     exec(blocks[1], {**namespace})  # noqa: S102  (check_semiring on it)
 
 
+def test_extending_doc_algorithm_walkthrough_runs():
+    """The five-step walkthrough is a correct algorithm on both sides of
+    its heavy/light split, whatever the input orientation."""
+    from repro.data import DistRelation
+    from repro.mpc import MPCCluster
+    from repro.ram import evaluate
+    from repro.workloads import zipf_matmul
+
+    blocks = _python_blocks(os.path.join(ROOT, "docs", "extending.md"))
+    (walkthrough,) = [block for block in blocks if "def matmul_heavy_rows" in block]
+    namespace = {}
+    exec(walkthrough, namespace)  # noqa: S102
+    instance = zipf_matmul(120, 120, 10, seed=1)
+    cluster = MPCCluster(4)
+    view = cluster.view()
+    r1 = DistRelation.load(view, instance.relation("R1")).reordered(("B", "A"))
+    r2 = DistRelation.load(view, instance.relation("R2"))
+    for load in (1, 10 ** 6):  # every row heavy, every row light
+        result = namespace["matmul_heavy_rows"](r1, r2, instance.semiring, load)
+        assert result.collect("out", instance.semiring).tuples == evaluate(instance).tuples
+    assert cluster.report().elementary_products > 0
+
+
 def test_experiments_file_references_real_benches():
     text = open(os.path.join(ROOT, "EXPERIMENTS.md")).read()
     for match in re.findall(r"`(bench_[a-z0-9_]+\.py)`", text):

@@ -197,3 +197,22 @@ def test_products_counted_for_planted_family():
     # The planted family has exactly OUT elementary products (each (a,c)
     # pair joins through exactly one b).
     assert cluster.report().elementary_products == 800
+
+
+@pytest.mark.parametrize("wrap", [lambda a: (a,), lambda a: (f"a{a}",), lambda a: a],
+                         ids=["1-tuple-int", "1-tuple-str", "bare"])
+def test_output_sensitive_accepts_one_tuple_row_values(wrap):
+    """Row values that are themselves 1-tuples — what ``binarize`` makes of a
+    one-arm side — reach the §3.2 row labelling as they are.  (Through 3.0.0
+    the OUT_a table's keys were unwrapped first, so the labelling sorted
+    ``(a,)`` beside ``a`` and raised ``TypeError``.)"""
+    n = 300
+    r1 = Relation("R1", ("A", "B"), [((wrap(a), a), 1) for a in range(n)])
+    r2 = Relation(
+        "R2", ("B", "C"),
+        [((a, -1), 2) for a in range(n)] + [((a, a + 1), 3) for a in range(0, n, 3)],
+    )
+    instance = Instance(MATMUL_QUERY, {"R1": r1, "R2": r2}, COUNTING)
+    cluster, d1, d2 = _loaded(instance, 8, reduce=False)
+    _check(instance, matmul_output_sensitive(d1, d2, COUNTING))
+    assert cluster.report().elementary_products == 400

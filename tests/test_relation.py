@@ -96,3 +96,38 @@ def test_dist_relation_key_fn():
     assert key_ba(item) == (2, 1)
     with pytest.raises(KeyError):
         dist.attr_index("Z")
+
+
+def test_reordered_is_identity_on_equal_schema_and_permutes_otherwise():
+    relation = Relation("R", ("A", "B", "C"), [((i, i % 3, -i), i) for i in range(12)])
+    cluster = MPCCluster(4)
+    dist = DistRelation.load(cluster.view(), relation)
+    assert dist.reordered(("A", "B", "C")) is dist
+    turned = dist.reordered(["C", "A", "B"])
+    assert turned.schema == ("C", "A", "B")
+    assert turned.data.parts == [
+        [((c, a, b), w) for (a, b, c), w in part] for part in dist.data.parts
+    ]
+    binary = DistRelation.load(cluster.view(), Relation("S", ("X", "Y"), [((1, 2), 5)]))
+    assert binary.reordered(("Y", "X")).data.collect() == [((2, 1), 5)]
+    assert cluster.report().total_communication == 0
+
+
+@pytest.mark.parametrize("schema", [("A", "Z"), ("A",), ("A", "B", "B"), ("A", "A")])
+def test_reordered_rejects_a_non_permutation(schema):
+    """The check three of the six replaced helpers lacked (they raised a
+    ``KeyError`` for an unknown attribute and silently dropped or repeated
+    columns otherwise)."""
+    dist = DistRelation.load(
+        MPCCluster(2).view(), Relation("R", ("A", "B"), [((1, 2), 1)])
+    )
+    with pytest.raises(ValueError):
+        dist.reordered(schema)
+
+
+def test_reordered_handles_widths_below_two():
+    view = MPCCluster(2).view()
+    unary = DistRelation.load(view, Relation("U", ("A",), [((1,), 1)]))
+    assert unary.reordered(("A",)) is unary
+    scalar = DistRelation.load(view, Relation("T", (), [((), 4)]))
+    assert scalar.reordered(()) is scalar
