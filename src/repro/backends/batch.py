@@ -12,13 +12,15 @@ meter) come from the array lengths.
 Two decode layouts cover every dataset shape the primitives ship:
 
 * ``"items"`` — ``columns[j][i]`` is the code of attribute ``j`` of row
-  ``i``; rows decode to the ``(values, annotation)`` wire format.
+  ``i``; rows decode to the ``(values, annotation)`` wire format (loaded
+  relations, join partials, reduce-by-key on a column key).
 * ``"pairs"`` — one column of interned-key codes; rows decode to
-  ``(key, annotation)`` pairs (reduce-by-key partials, degree tables).
+  ``(key, annotation)`` pairs (reduce-by-key on an opaque key, sketches).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .dispatch import np
@@ -87,23 +89,27 @@ class ColumnarBatch:
             columns, annotations, sum(b.size for b in batches), first.kind
         )
 
+    def layout(self) -> Tuple[Any, ...]:
+        """What two batches must share for their rows to concatenate into
+        one typed batch: decode layout, width and annotation dtype (an int
+        array beside a float one would promote where items keep both)."""
+        dtype = None if self.annotations is None else self.annotations.dtype
+        return self.kind, len(self.columns), dtype
+
     def to_items(self, codec: Any) -> List[Any]:
-        """Decode to the tuple wire format, row order preserved."""
+        """Decode to ``(key, annotation)`` rows, order preserved: the key is
+        the values tuple (``"items"``) or the one interned key (``"pairs"``),
+        the annotation None for a code-only payload."""
         if self.size == 0:
             return []
         decoded = [codec.decode_many(column) for column in self.columns]
-        annotations = (
-            None if self.annotations is None else self.annotations.tolist()
-        )
         if self.kind == "pairs":
             keys = decoded[0]
-            if annotations is None:
-                return [(key, None) for key in keys]
-            return list(zip(keys, annotations))
-        rows = list(zip(*decoded)) if decoded else [()] * self.size
-        if annotations is None:
-            return rows
-        return list(zip(rows, annotations))
+        else:
+            keys = list(zip(*decoded)) if decoded else [()] * self.size
+        if self.annotations is None:
+            return list(zip(keys, repeat(None)))
+        return list(zip(keys, self.annotations.tolist()))
 
     def __len__(self) -> int:  # pragma: no cover - trivial
         return self.size

@@ -24,10 +24,10 @@ of the REAL semiring is order-sensitive and has no profile on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..mpc.hashing import encode_key, stable_hash_encoded
+from ..mpc.hashing import encode_key, stable_digests, tuple_header, tuple_piece
 from ..semiring import Semiring
 from ..semiring.standard import (
     BOOLEAN,
@@ -70,18 +70,17 @@ class ValueCodec:
     only runs the array paths on instances that :func:`interns_exactly`.
     """
 
-    __slots__ = ("_codes", "_values", "_hash_tables", "_int_table", "_int_state")
+    __slots__ = ("_codes", "_values", "_hash_tables", "_pieces")
 
     def __init__(self) -> None:
         self._codes: Dict[Any, int] = {}
         self._values: List[Any] = []
         #: salt -> (uint64 hash table, bool "known" mask), aligned to codes.
         self._hash_tables: Dict[int, Tuple[Any, Any]] = {}
-        #: lazy int64 *value* table for value-ordered sorts: per code, the
-        #: value itself when it is a plain bounded int (state 1), else a
-        #: "not numeric" marker (state 2); state 0 = not probed yet.
-        self._int_table: Any = np.zeros(0, dtype=np.int64)
-        self._int_state: Any = np.zeros(0, dtype=np.int8)
+        #: code -> ``tuple_piece(value)``, only for codes that occurred in a
+        #: key column of :meth:`row_hashes` (an entry per interned value
+        #: costs a star call ~10 MB of peak RSS).
+        self._pieces: Dict[int, bytes] = {}
 
     def __len__(self) -> int:
         return len(self._values)
@@ -109,9 +108,6 @@ class ValueCodec:
             out[position] = code
         return out
 
-    def value(self, code: int) -> Any:
-        return self._values[code]
-
     def decode_many(self, ids: Any) -> List[Any]:
         """The original (interned, identity-preserved) values of ``ids``."""
         store = self._values
@@ -129,44 +125,31 @@ class ValueCodec:
         unknown = ~known[ids]
         if unknown.any():
             missing = np.unique(ids[unknown])
-            table[missing] = stable_hash_encoded(
+            table[missing] = np.frombuffer(b"".join(stable_digests(
                 map(encode_key, map(self._values.__getitem__, missing.tolist())), salt
-            )
+            )), dtype=">u8")
             known[missing] = True
         return table[ids]
+
+    def row_hashes(self, columns: Sequence[Any], size: int, salt: int) -> Any:
+        """``stable_hash(tuple(row), salt)`` of each of the ``size`` rows of
+        the parallel code ``columns``, as uint64 — the tuples are neither
+        built nor interned.  A row's bytes are the tuple header plus one
+        cached piece per code, which is ``encode_key`` of the decoded row;
+        nothing is memoized per row (composite keys rarely repeat)."""
+        pieces = self._pieces
+        parts: List[Any] = [repeat(tuple_header(len(columns)), size)]
+        for column in columns:
+            codes = column.tolist()
+            for code in set(codes) - pieces.keys():
+                pieces[code] = tuple_piece(self._values[code])
+            parts.append(map(pieces.__getitem__, codes))
+        digests = stable_digests(map(b"".join, zip(*parts)), salt)
+        return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
     def buckets(self, ids: Any, buckets: int, salt: int) -> Any:
         """``hash_to_bucket(value, buckets, salt)`` of each id (int64)."""
         return (self.hashes(ids, salt) % np.uint64(buckets)).astype(np.int64)
-
-    def int_values(self, ids: Any) -> Optional[Any]:
-        """The interned *values* of ``ids`` as an int64 array, or None.
-
-        Only plain ints within ±2^62 qualify (bools and anything else make
-        the caller fall back to Python comparison).  Sorting these arrays
-        orders identically to sorting the original values.
-        """
-        if self._int_state.shape[0] < len(self._values):
-            self._int_table, self._int_state = _grown(
-                len(self._values), (self._int_table, self._int_state)
-            )
-        table, state = self._int_table, self._int_state
-        probe = state[ids] == 0
-        if probe.any():
-            store = self._values
-            limit = 1 << 62
-            for code in np.unique(ids[probe]).tolist():
-                value = store[code]
-                if type(value) is int and -limit < value < limit:
-                    table[code] = value
-                    state[code] = 1
-                else:
-                    state[code] = 2
-        if ids.shape[0] == 0:
-            return table[:0]
-        if (state[ids] == 1).all():
-            return table[ids]
-        return None
 
     def units(self, ids: Any, salt: int) -> Any:
         """``hash_to_unit(value, salt)`` of each id.
@@ -257,6 +240,8 @@ class AnnotationProfile:
 
 
 if HAS_NUMPY:
+    #: exact annotation type -> the dtype :func:`encode_annotations` gives it.
+    _ARRAY_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
     _UFUNCS = {
         "add": np.add,
         "or": np.logical_or,
@@ -298,52 +283,42 @@ def profile_of(semiring: Semiring) -> Optional[AnnotationProfile]:
 
 
 def encode_annotations(
-    annotations: Sequence[Any],
+    annotations: Any,
     profile: AnnotationProfile,
     int_limit: int = _INT_LIMIT,
 ):
-    """Annotations as a typed array, or None when any value does not fit.
+    """Annotations as a typed array, or None when any value does not fit;
+    an array (what some batch already holds) is checked and returned as is.
 
     Semantically ``profile.encodable`` per value, but batched: the type
     sweep runs at C level (``map(type, ...)``) and the range/NaN guards run
     on the array, which matters because this sits on the per-batch hot path
-    of every vectorized fold.
+    of every vectorized fold.  A *mixed* int/float batch must not
+    vectorize: min/max over float64 would return a float where the scalar
+    semiring returns the original int object.
     """
-    types = set(map(type, annotations))
-    if profile.kind == "bool":
-        return np.asarray(annotations, dtype=bool) if types <= {bool} else None
-    if profile.kind == "int":
-        if not types <= {int}:  # rejects bool (type(True) is bool) and floats
+    if not isinstance(annotations, np.ndarray):
+        types = set(map(type, annotations))  # exact: a bool is not an int here
+        if len(types) > 1 or not types <= _ARRAY_TYPES.keys():
             return None
-        if not types:
-            return np.asarray(annotations, dtype=np.int64)
+        empty = bool if profile.kind == "bool" else int
         try:
-            array = np.fromiter(annotations, dtype=np.int64, count=len(annotations))
-        except OverflowError:  # beyond int64 is certainly beyond int_limit
+            annotations = np.fromiter(
+                annotations, _ARRAY_TYPES[types.pop() if types else empty],
+                count=len(annotations),
+            )
+        except OverflowError:  # beyond int64 is certainly beyond any limit
             return None
-        if int(array.min()) <= -int_limit or int(array.max()) >= int_limit:
-            return None
-        return array
-    # "number": int64 when all ints, float64 when all floats.  A *mixed*
-    # batch must not vectorize: min/max over float64 would return a float
-    # where the scalar semiring returns the original int object.  NaN makes
-    # min/max order-sensitive, so any NaN also falls back.
-    if types == {int}:
-        try:
-            array = np.fromiter(annotations, dtype=np.int64, count=len(annotations))
-        except OverflowError:
-            return None
-        if int(array.min()) <= -_FLOAT_EXACT or int(array.max()) >= _FLOAT_EXACT:
-            return None
-        return array
-    if types == {float}:
-        array = np.fromiter(annotations, dtype=np.float64, count=len(annotations))
-        return None if np.isnan(array).any() else array
-    if not types:
-        return np.asarray(annotations, dtype=np.int64)
-    return None
-
-
-def decode_annotations(array: Any) -> List[Any]:
-    """Back to Python scalars (int/bool/float) for the wire format."""
-    return array.tolist()
+    kind = annotations.dtype.kind
+    if profile.kind == "bool" or kind == "b":
+        fits = profile.kind == "bool" and kind == "b"
+    elif kind == "f":
+        # NaN makes min/max order-sensitive, so any NaN falls back.
+        fits = profile.kind == "number" and not np.isnan(annotations).any()
+    else:
+        limit = int_limit if profile.kind == "int" else _FLOAT_EXACT
+        fits = kind == "i" and (
+            not annotations.size
+            or -limit < int(annotations.min()) <= int(annotations.max()) < limit
+        )
+    return annotations if fits else None

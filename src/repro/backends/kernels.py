@@ -13,7 +13,10 @@ which these kernels reconstruct with one stable argsort:
 * :func:`hash_join` — the exact elementary-product stream of the nested
   probe loops (outer side in arrival order, matches in arrival order);
 * :func:`combine_columns` / :func:`split_codes` — pack multi-column keys
-  into one int64 (mixed-radix over the codec size) and back;
+  into one int64 (mixed-radix over one base) and back;
+* :func:`fold_rows` — the dict ⊕-fold keyed by a row of code columns:
+  pack, :func:`group_reduce`, unpack, with a dense ranking of the rows
+  for a key space too wide to pack;
 * :func:`select_splitters` — regular-sampling splitter selection;
 * :func:`isin_filter` — the semijoin membership filter;
 * :func:`k_smallest_distinct` — the fold of ``KMV.merge`` per group, for
@@ -23,10 +26,9 @@ which these kernels reconstruct with one stable argsort:
 
 All inputs are int64 code arrays from a :class:`~.columnar.ValueCodec`.
 A call per simulated server is p tiny numpy calls where one suffices, so
-the primitives make the server one more digit of the id: reduce-by-key
-folds ``server · len(codec) + code`` with one :func:`group_reduce` /
-:func:`first_occurrence_unique` per stage, and the last two kernels take
-the server index as a column of their own.
+the primitives make the server one more column of the row: reduce-by-key
+folds ``(server, key columns…)`` with one :func:`fold_rows` per stage, and
+the last two kernels take the server index as a column of their own.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .dispatch import np
 __all__ = [
     "combine_columns",
     "first_occurrence_unique",
+    "fold_rows",
     "group_index",
     "group_reduce",
     "hash_join",
@@ -239,7 +242,6 @@ def hash_join(left_ids: Any, right_ids: Any, outer: str = "right") -> Tuple[Any,
     return probe_stream, build_stream
 
 
-@_profiled(lambda args: int(args[0][0].shape[0]) if len(args[0]) else int(args[2]))
 def combine_columns(
     columns: Sequence[Any], base: int, size: int
 ) -> Tuple[Optional[Any], int]:
@@ -264,7 +266,6 @@ def combine_columns(
     return packed, base
 
 
-@_profiled()
 def split_codes(packed: Any, base: int, width: int) -> List[Any]:
     """Inverse of :func:`combine_columns`: per-column code arrays."""
     if width == 0:
@@ -277,6 +278,41 @@ def split_codes(packed: Any, base: int, width: int) -> List[Any]:
     columns.append(remaining)
     columns.reverse()
     return columns
+
+
+@_profiled(lambda args: int((args[0][0] if args[1] is None else args[1]).shape[0]))
+def fold_rows(
+    columns: Sequence[Any], values: Optional[Any], add_ufunc: Any = None
+) -> Tuple[List[Any], Optional[Any]]:
+    """⊕-fold ``values`` per distinct row of the parallel code ``columns``;
+    ``values=None`` only deduplicates (then at least one column is needed).
+
+    Returns ``(columns of the distinct rows, reduced)``, rows in
+    first-occurrence order — the ``.items()`` of the dict fold keyed by the
+    row tuple, which is never built.  Rows pack into one int64 by mixed
+    radix over the largest code present; when that does not fit, each
+    column in turn is ranked densely into the id (never above ``size²``),
+    and the distinct rows are read back at their first occurrences.
+    """
+    size = int((columns[0] if values is None else values).shape[0])
+    if size == 0:
+        return [column[:0] for column in columns], values
+    base = 1 + max((int(column.max()) for column in columns), default=0)
+    ids, base = combine_columns(columns, base, size)
+    ranked = ids is None
+    if ranked:
+        ids = np.zeros(size, dtype=np.int64)
+        for column in columns:
+            codes = np.unique(column, return_inverse=True)[1]
+            ids = np.unique(ids * (int(codes.max()) + 1) + codes, return_inverse=True)[1]
+    if values is None:
+        unique, reduced = first_occurrence_unique(ids), None
+    else:
+        unique, reduced = group_reduce(ids, values, add_ufunc)
+    if not ranked:
+        return split_codes(unique, base, len(columns)), reduced
+    rows = np.unique(ids, return_index=True)[1][unique]
+    return [column[rows] for column in columns], reduced
 
 
 @_profiled()

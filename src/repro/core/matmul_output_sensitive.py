@@ -84,9 +84,7 @@ def linear_sparse_mm(
     )
     layout = JoinLayout(view, semiring, r1.schema, r2.schema, (a_attr, c_attr))
     reduced = join_tasked(left.concat(right), layout, semiring, salt + 1)
-    return DistRelation(
-        (a_attr, c_attr), reduced.map_items(lambda pair: (tuple(pair[0]), pair[1]))
-    )
+    return DistRelation((a_attr, c_attr), reduced)
 
 
 def matmul_output_sensitive(
@@ -133,13 +131,8 @@ def matmul_output_sensitive(
     outputs: List[Distributed] = []
 
     def answer() -> DistRelation:
-        """The disjoint parts' union; keys normalised to tuples."""
-        return DistRelation(
-            (a_attr, c_attr),
-            Distributed.union(view, outputs).map_items(
-                lambda pair: (tuple(pair[0]), pair[1])
-            ),
-        )
+        """The disjoint parts' union."""
+        return DistRelation((a_attr, c_attr), Distributed.union(view, outputs))
 
     def tasked(
         alloc: RangeAllocation, left_msgs: Distributed, right_msgs: Distributed,

@@ -33,13 +33,16 @@ import math
 from typing import Any, Dict, List, Tuple
 
 from ..data.relation import DistRelation
+from ..mpc.columnar import assemble
 from ..mpc.distributed import Distributed
 from ..primitives.degrees import attach_by_key, degree_table, lookup_table
 from ..primitives.packing import parallel_packing
 from ..primitives.sort import distributed_sort
 from ..semiring import Semiring
 from .allocation import RangeAllocation
-from .two_way_join import JoinLayout, join_tasked, local_join_aggregate
+from .two_way_join import (
+    JoinLayout, join_tasked, local_join_aggregate, local_join_partials,
+)
 
 __all__ = ["matmul_worst_case", "matmul_unbalanced", "worst_case_load_target"]
 
@@ -249,30 +252,24 @@ def matmul_worst_case(
             for tag, group, item in part:
                 target = by_group_left if tag == "L" else by_group_right
                 target.setdefault(group, []).append(item)
-            rows: List[Any] = []
+            pieces: List[Any] = []
             # A product of cell (i, j) is computed only on cell_server(i, j),
             # so every product is computed exactly once cluster-wide.
             for i, left_items in by_group_left.items():
                 for j, right_items in by_group_right.items():
                     if cell_server(i, j) != server_index:
                         continue
-                    partials, products = local_join_aggregate(
+                    partials, products = local_join_partials(
                         left_items, right_items, layout, semiring
                     )
                     tracker.record_products(products)
-                    rows.extend(partials.items())
-            return rows
+                    pieces.append(partials)
+            return pieces
 
-        parts = [
+        outputs.append(assemble(view, [
             compute_cells(part, server_index)
             for server_index, part in enumerate(routed.parts)
-        ]
-        outputs.append(Distributed(view, parts))
+        ]))
         tracker.pop_phase()
 
-    return DistRelation(
-        (a_attr, c_attr),
-        Distributed.union(view, outputs).map_items(
-            lambda pair: (tuple(pair[0]), pair[1])
-        ),
-    )
+    return DistRelation((a_attr, c_attr), Distributed.union(view, outputs))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..data.query import TreeQuery
-from ..data.relation import DistRelation
+from ..data.relation import DistRelation, annotation_of
 from ..data.treeops import reduction_plan, skeleton_info, twig_decomposition
 from ..mpc.distributed import Distributed
 from ..primitives.dangling import remove_dangling
@@ -110,7 +110,7 @@ def tree_query(
         table = reduce_by_key(
             absorbed.data,
             absorbed.key_fn((step.shared_attr,)),
-            lambda item: item[1],
+            annotation_of,
             semiring.add,
             salt=ctx.fresh_salt(),
             profile=vector_profile(absorbed.view, semiring),

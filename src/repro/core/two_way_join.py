@@ -26,7 +26,8 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..backends.dispatch import columnar_enabled, np
-from ..data.relation import DistRelation
+from ..data.relation import ColumnKey, DistRelation, annotation_of
+from ..mpc.columnar import assemble
 from ..mpc.distributed import Distributed
 from ..mpc.hashing import hash_to_bucket, stable_hash
 from ..primitives.degrees import attach_by_key, degree_table
@@ -39,6 +40,7 @@ __all__ = [
     "aggregate_relation",
     "JoinLayout",
     "local_join_aggregate",
+    "local_join_partials",
     "join_tasked",
     "vector_profile",
 ]
@@ -130,13 +132,13 @@ def join_aggregate_pair(
     tracker = view.tracker
     out_key = layout.out_key
 
-    def local_join(part: List[Any]) -> List[Any]:
+    def local_join(part: List[Any]) -> Any:
         if layout.profile is not None:
             vectorized = _local_join_cells_vec(part, layout)
             if vectorized is not None:
                 partials, products = vectorized
                 tracker.record_products(products)
-                return list(partials.items())
+                return partials
         lefts: Dict[Tuple, List[Tuple]] = {}
         rights: Dict[Tuple, List[Tuple]] = {}
         for tag, cell, item in part:
@@ -159,8 +161,8 @@ def join_aggregate_pair(
         tracker.record_products(products)
         return list(partials.items())
 
-    partials = routed.map_parts(local_join)
-    return DistRelation(keep, _reduce_partials(partials, semiring, salt + 13))
+    partials = assemble(view, [[local_join(part)] for part in routed.parts])
+    return DistRelation(keep, _reduce_partials(partials, len(keep), semiring, salt + 13))
 
 
 def _estimate_join_size(view, left_full: Distributed, right_full: Distributed) -> int:
@@ -277,34 +279,45 @@ def _mul_safe(profile: Any, left_ann: Any, right_ann: Any, products: int) -> boo
     return True
 
 
-def _aggregate_product_stream(
-    codec: Any, profile: Any, out_columns: List[Any], weights: Any
-) -> Optional[Dict[Tuple, Any]]:
-    """⊕-aggregate an elementary-product stream by its (packed) out-key.
+def _partials_batch(
+    layout: JoinLayout,
+    left_items: Sequence[Tuple[Tuple, Any]],
+    right_items: Sequence[Tuple[Tuple, Any]],
+    left_ann: Any,
+    right_ann: Any,
+    l_pos: Any,
+    r_pos: Any,
+) -> Optional[Tuple[Any, int]]:
+    """The elementary products at ``(l_pos, r_pos)`` ⊕-aggregated by out-key:
+    ``(batch, products)`` with the out-key's code columns and the reduced
+    weights in key-first-occurrence order — exactly the ``.items()`` of the
+    dict the scalar kernels build, still in codes — or None when the
+    products cannot be computed exactly in the profile's dtype."""
+    from ..backends.batch import ColumnarBatch
+    from ..backends.kernels import fold_rows
 
-    Returns the partials dict in key-first-occurrence order — exactly the
-    dict the scalar kernels build — or None when the key space cannot pack
-    into int64."""
-    from ..backends.kernels import combine_columns, group_reduce, split_codes
-
-    packed, base = combine_columns(out_columns, len(codec), weights.shape[0])
-    if packed is None:
+    products = int(l_pos.shape[0])
+    if products == 0:
+        return [], 0
+    if not _mul_safe(layout.profile, left_ann, right_ann, products):
         return None
-    unique, reduced = group_reduce(packed, weights, profile.add_ufunc)
-    if not out_columns:
-        return {(): value for value in reduced.tolist()}
-    decoded = [
-        codec.decode_many(column)
-        for column in split_codes(unique, base, len(out_columns))
-    ]
-    return dict(zip(zip(*decoded), reduced.tolist()))
+    weights = layout.profile.mul(left_ann[l_pos], right_ann[r_pos])
+    sides = {"L": (left_items, l_pos), "R": (right_items, r_pos)}
+    out_columns = []  # per output attribute: its code for every product
+    for side, index in layout.out_sources:
+        items, positions = sides[side]
+        codes = layout.codec.encode_many([item[0][index] for item in items])
+        out_columns.append(codes[positions])
+    columns, reduced = fold_rows(out_columns, weights, layout.profile.add_ufunc)
+    batch = ColumnarBatch(tuple(columns), reduced, int(reduced.shape[0]), "items")
+    return batch, products
 
 
 def _local_join_vec(
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
     layout: JoinLayout,
-) -> Optional[Tuple[Dict[Tuple, Any], int]]:
+) -> Optional[Tuple[Any, int]]:
     """Vectorized :func:`local_join_aggregate`: the right-outer probe stream
     (each right item in arrival order, its left matches in arrival order).
     The probe joins one code column, so a multi-column key returns None."""
@@ -322,24 +335,14 @@ def _local_join_vec(
     left_codes = codec.encode_many([item[0][left_col] for item in left_items])
     right_codes = codec.encode_many([item[0][right_col] for item in right_items])
     l_pos, r_pos = hash_join(left_codes, right_codes, outer="right")
-    products = int(l_pos.shape[0])
-    if products == 0:
-        return {}, 0
-    if not _mul_safe(profile, left_ann, right_ann, products):
-        return None
-    weights = profile.mul(left_ann[l_pos], right_ann[r_pos])
-    out_columns = _gather_out_columns(
-        codec, layout.out_sources, left_items, right_items, l_pos, r_pos
+    return _partials_batch(
+        layout, left_items, right_items, left_ann, right_ann, l_pos, r_pos
     )
-    partials = _aggregate_product_stream(codec, profile, out_columns, weights)
-    if partials is None:
-        return None
-    return partials, products
 
 
 def _local_join_cells_vec(
     part: Sequence[Tuple[str, Tuple, Tuple]], layout: JoinLayout
-) -> Optional[Tuple[Dict[Tuple, Any], int]]:
+) -> Optional[Tuple[Any, int]]:
     """Vectorized cell-grouped local join (the fragment-replicate kernel of
     :func:`join_aggregate_pair`).
 
@@ -373,39 +376,9 @@ def _local_join_cells_vec(
     ranks = first_order[np.searchsorted(firsts[first_order], left_codes)]
     perm = np.argsort(ranks, kind="stable")
     l_block, r_pos = hash_join(left_codes[perm], right_codes, outer="left")
-    products = int(l_block.shape[0])
-    if products == 0:
-        return {}, 0
-    if not _mul_safe(profile, left_ann, right_ann, products):
-        return None
-    l_pos = perm[l_block]
-    weights = profile.mul(left_ann[l_pos], right_ann[r_pos])
-    out_columns = _gather_out_columns(
-        codec, layout.out_sources, left_rows, right_rows, l_pos, r_pos
+    return _partials_batch(
+        layout, left_rows, right_rows, left_ann, right_ann, perm[l_block], r_pos
     )
-    partials = _aggregate_product_stream(codec, profile, out_columns, weights)
-    if partials is None:
-        return None
-    return partials, products
-
-
-def _gather_out_columns(
-    codec: Any,
-    sources: Sequence[Tuple[str, int]],
-    left_items: Sequence[Tuple[Tuple, Any]],
-    right_items: Sequence[Tuple[Tuple, Any]],
-    l_pos: Any,
-    r_pos: Any,
-) -> List[Any]:
-    """Per output attribute: its code for every elementary product."""
-    columns: List[Any] = []
-    for side, index in sources:
-        if side == "L":
-            column = codec.encode_many([item[0][index] for item in left_items])[l_pos]
-        else:
-            column = codec.encode_many([item[0][index] for item in right_items])[r_pos]
-        columns.append(column)
-    return columns
 
 
 def aggregate_relation(
@@ -415,11 +388,10 @@ def aggregate_relation(
     salt: int = 0,
 ) -> DistRelation:
     """``Σ_{−group_attrs} relation`` via reduce-by-key (paper §2.1)."""
-    key = relation.key_fn(tuple(group_attrs))
     reduced = reduce_by_key(
         relation.data,
-        lambda item: key(item),
-        lambda item: item[1],
+        relation.key_fn(tuple(group_attrs)),
+        annotation_of,
         semiring.add,
         salt=salt,
         profile=vector_profile(relation.view, semiring),
@@ -428,29 +400,33 @@ def aggregate_relation(
 
 
 def _reduce_partials(
-    partials: Distributed, semiring: Semiring, salt: int
+    partials: Distributed, width: int, semiring: Semiring, salt: int
 ) -> Distributed:
-    """⊕-combine the ``(out_key, weight)`` partials of local joins by key."""
+    """⊕-combine the ``(out_key, weight)`` partials of local joins by their
+    ``width``-column key."""
     return reduce_by_key(
-        partials, lambda pair: pair[0], lambda pair: pair[1], semiring.add, salt,
+        partials, ColumnKey(range(width)), annotation_of, semiring.add, salt,
         profile=vector_profile(partials.view, semiring),
     )
 
 
-def local_join_aggregate(
+def local_join_partials(
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
     layout: JoinLayout,
     semiring: Semiring,
-) -> Tuple[Dict[Tuple, Any], int]:
+) -> Tuple[Any, int]:
     """Join two local tuple lists as ``layout`` describes, ⊕-aggregating by
     its out-key.
 
     Returns ``(partials, elementary_product_count)``; used by every algorithm
     that arranges tuples so products can be aggregated in place (the paper's
-    "locality").  Under the columnar backend the same join runs as array
-    kernels — same products, same partials, same order — and anything they
-    cannot represent exactly runs the tuple kernel below.
+    "locality").  The partials are a piece for
+    :func:`~repro.mpc.columnar.assemble`: the ``(out_key, weight)`` item
+    list of the tuple kernel below or, under the columnar backend, the same
+    join run as array kernels — same products, same partials, same order —
+    still in codes.  Anything the arrays cannot represent exactly runs the
+    tuple kernel.
     """
     if layout.profile is not None:
         vectorized = _local_join_vec(left_items, right_items, layout)
@@ -476,7 +452,21 @@ def local_join_aggregate(
                 partials[key] = semiring.add(partials[key], weight)
             else:
                 partials[key] = weight
-    return partials, products
+    return list(partials.items()), products
+
+
+def local_join_aggregate(
+    left_items: Sequence[Tuple[Tuple, Any]],
+    right_items: Sequence[Tuple[Tuple, Any]],
+    layout: JoinLayout,
+    semiring: Semiring,
+) -> Tuple[Dict[Tuple, Any], int]:
+    """:func:`local_join_partials` with the partials decoded into the dict
+    the tuple kernel builds: ``(partials, elementary_product_count)``."""
+    partials, products = local_join_partials(left_items, right_items, layout, semiring)
+    if not isinstance(partials, list):
+        partials = partials.to_items(layout.codec)
+    return dict(partials), products
 
 
 def join_tasked(
@@ -499,19 +489,20 @@ def join_tasked(
         rights: Dict[Any, List[Any]] = {}
         for tag, task, item in part:
             (lefts if tag == "L" else rights).setdefault(task, []).append(item)
-        rows: List[Any] = []
+        pieces: List[Any] = []
         for task, left_items in lefts.items():
             right_items = rights.get(task)
             if not right_items:
                 continue
-            partials, products = local_join_aggregate(
+            partials, products = local_join_partials(
                 left_items, right_items, layout, semiring
             )
             tracker.record_products(products)
-            rows.extend(partials.items())
-        return rows
+            pieces.append(partials)
+        return pieces
 
-    return _reduce_partials(routed.map_parts(compute), semiring, salt)
+    partials = assemble(routed.view, [compute(part) for part in routed.parts])
+    return _reduce_partials(partials, len(layout.out_sources), semiring, salt)
 
 
 def join_aggregate_naive(

@@ -12,16 +12,44 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..mpc.cluster import ClusterView
 from ..mpc.distributed import Distributed
 from ..semiring import Semiring
 
-__all__ = ["Relation", "DistRelation", "AnnotatedTuple"]
+__all__ = ["Relation", "DistRelation", "AnnotatedTuple", "ColumnKey", "annotation_of"]
 
 #: The wire format of one annotated tuple: (attribute values, annotation).
 AnnotatedTuple = Tuple[Tuple[Any, ...], Any]
+
+#: The value function "this item's annotation".  Passed by identity, so a
+#: primitive handed array batches knows the values are the annotation array.
+annotation_of = itemgetter(1)
+
+
+class ColumnKey:
+    """The key "columns ``indices`` of the values tuple", always a tuple.
+
+    Calling it on a ``(values, annotation)`` item builds the key — what the
+    item folds, sorts and searches do; :func:`~repro.primitives.reduce_by_key
+    .reduce_by_key` on the columnar backend reads ``indices`` instead and
+    takes the same key from code columns, one column per position, without
+    building or interning a tuple per row.
+    """
+
+    __slots__ = ("indices", "_of_values")
+
+    def __init__(self, indices: Sequence[int]) -> None:
+        self.indices: Tuple[int, ...] = tuple(indices)
+        if len(self.indices) >= 2:
+            self._of_values = itemgetter(*self.indices)
+        else:  # itemgetter(i) would return the bare value: slice the tuple
+            stop = self.indices[0] + 1 if self.indices else 0
+            self._of_values = itemgetter(slice(stop - len(self.indices), stop))
+
+    def __call__(self, item: AnnotatedTuple) -> Tuple:
+        return self._of_values(item[0])
 
 
 class Relation:
@@ -48,8 +76,24 @@ class Relation:
         #: dropped whenever a *new* tuple key is inserted (annotation
         #: ⊕-combines keep the key set, so they leave the caches valid).
         self._indexes: Dict[int, Tuple[List[Any], Counter]] = {}
-        for values, annotation in tuples or ():
-            self.add(values, annotation, semiring)
+        if tuples is None:
+            return
+        items = tuples if isinstance(tuples, list) else list(tuples)
+        try:
+            bulk = dict(items)
+        except (TypeError, ValueError):  # not pairs, or an unhashable key
+            bulk = {}
+        # Exact tuples of the schema's arity, no two equal: what ``add`` would
+        # build one call at a time.  Anything else takes it, errors included.
+        if (
+            len(bulk) == len(items)
+            and set(map(type, bulk)) <= {tuple}
+            and set(map(len, bulk)) <= {len(self.schema)}
+        ):
+            self.tuples = bulk
+        else:
+            for values, annotation in items:
+                self.add(values, annotation, semiring)
 
     # -- mutation ---------------------------------------------------------------
 
@@ -208,21 +252,9 @@ class DistRelation:
         except ValueError:
             raise KeyError(f"{attribute!r} not in schema {self.schema!r}") from None
 
-    def key_fn(self, attributes: Sequence[str]) -> Callable[[AnnotatedTuple], Tuple]:
-        """A function extracting the sub-tuple of ``attributes`` from an item.
-
-        The returned callable carries the schema positions it reads as a
-        ``.indices`` attribute, so columnar fast paths can compute the same
-        keys from code columns without decoding items.
-        """
-        indices = tuple(self.attr_index(a) for a in attributes)
-        if len(indices) == 1:
-            index = indices[0]
-            fn = lambda item: (item[0][index],)  # noqa: E731
-        else:
-            fn = lambda item: tuple(item[0][i] for i in indices)  # noqa: E731
-        fn.indices = indices
-        return fn
+    def key_fn(self, attributes: Sequence[str]) -> ColumnKey:
+        """The key extracting the sub-tuple of ``attributes`` from an item."""
+        return ColumnKey(self.attr_index(a) for a in attributes)
 
     def with_data(self, data: Distributed) -> "DistRelation":
         """Same schema over a different distributed payload."""

@@ -3,10 +3,11 @@
 A :class:`ColumnarData` is a :class:`~repro.mpc.distributed.Distributed`
 whose physical payload is one :class:`~repro.backends.batch.ColumnarBatch`
 per server instead of a Python list per server.  It is what
-:meth:`~repro.data.relation.DistRelation.load` places at round 0 and what
-the whole-batch :func:`~repro.primitives.reduce_by_key.reduce_by_key`
-returns.  It adds no operation of its own: every inherited one
-(``map_parts``, ``concat``, ``repartition``, ``rebalance``, …)
+:meth:`~repro.data.relation.DistRelation.load` places at round 0, what
+:func:`assemble` makes of the local joins' batch partials and of a union of
+array-native inputs, and what the whole-batch
+:func:`~repro.primitives.reduce_by_key.reduce_by_key` reads and returns.
+Every inherited operation (``map_parts``, ``repartition``, ``rebalance``, …)
 transparently *decays* it to the reference item representation through the
 lazily-decoded :attr:`parts` property and proceeds on the tuple path — with
 identical routing, and therefore identical meters and traces, either way.
@@ -18,6 +19,7 @@ require a decode.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, List, Optional, Sequence
 
 from ..backends.batch import ColumnarBatch
@@ -25,7 +27,7 @@ from .cluster import ClusterView
 from .distributed import Distributed
 from ..errors import RoutingError
 
-__all__ = ["ColumnarData"]
+__all__ = ["ColumnarData", "assemble"]
 
 
 class ColumnarData(Distributed):
@@ -83,3 +85,32 @@ class ColumnarData(Distributed):
              batch.slice(0, 0) for i in range(p)],
             codec,
         )
+
+
+def assemble(view: ClusterView, pieces: Sequence[Sequence[Any]]) -> Distributed:
+    """One dataset from every server's pieces side by side, in order; a piece
+    is a :class:`ColumnarBatch` or an item list (local-join partials, the
+    inputs of a union).  Batches of one layout concatenate into a
+    :class:`ColumnarData`; any other mix decays every batch to items."""
+    pieces = [[piece for piece in server if len(piece)] for server in pieces]
+    held = [piece for server in pieces for piece in server]
+    if (
+        held
+        and all(isinstance(piece, ColumnarBatch) for piece in held)
+        and len({piece.layout() for piece in held}) == 1
+    ):
+        empty = held[0].slice(0, 0)
+        return ColumnarData(
+            view,
+            [ColumnarBatch.concat(server) if server else empty for server in pieces],
+            view.cluster.codec,
+        )
+
+    def items_of(piece: Any) -> List[Any]:
+        if isinstance(piece, ColumnarBatch):
+            return piece.to_items(view.cluster.codec)
+        return piece
+
+    return Distributed(
+        view, [list(chain.from_iterable(map(items_of, server))) for server in pieces]
+    )

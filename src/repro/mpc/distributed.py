@@ -8,7 +8,8 @@ is therefore metered.  Initial input placement (the model's round-0 state,
 This class is the reference item representation; the ``"columnar"``
 backend's :class:`~repro.mpc.columnar.ColumnarData` subclass stores array
 batches instead and decays to these item lists whenever one of the
-operations below reads :attr:`parts` (it overrides none of them).
+operations below reads :attr:`parts` (it overrides none of them; only
+:meth:`Distributed.union` looks at the batches first).
 """
 
 from __future__ import annotations
@@ -53,7 +54,16 @@ class Distributed:
         """The datasets' items side by side on ``view``, server by server in
         the order given (the paper's "union of the disjoint subquery
         outputs"); no communication, linear in the items.  Array-native
-        inputs decay to item lists."""
+        inputs of one batch layout stay arrays (their batches concatenate);
+        beside an item input, or one of another layout, they decay to item
+        lists."""
+        datasets = list(datasets)
+        if datasets and type(datasets[0]) is not Distributed:  # else: items
+            from .columnar import ColumnarData, assemble
+
+            if all(isinstance(d, ColumnarData) and d.view.servers == view.servers
+                   for d in datasets):
+                return assemble(view, list(zip(*(d.batches for d in datasets))))
         parts: List[List[Any]] = [[] for _ in range(view.p)]
         for dataset in datasets:
             if dataset.view is not view and dataset.view.servers != view.servers:

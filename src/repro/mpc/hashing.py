@@ -14,6 +14,9 @@ from typing import Any, Dict, Iterable, List
 __all__ = [
     "stable_hash",
     "encode_key",
+    "tuple_header",
+    "tuple_piece",
+    "stable_digests",
     "stable_hash_encoded",
     "hash_to_unit",
     "hash_to_bucket",
@@ -21,8 +24,14 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-#: ``b"t" + length`` of every short tuple, built once.
-_TUPLE_HEADERS = tuple(b"t" + length.to_bytes(4, "big") for length in range(16))
+
+def tuple_header(length: int) -> bytes:
+    """What a tuple of ``length`` elements starts its encoding with."""
+    return b"t" + length.to_bytes(4, "big")
+
+
+#: The header of every short tuple, built once.
+_TUPLE_HEADERS = tuple(map(tuple_header, range(16)))
 
 #: Entries the leaf memo of :func:`_encode` may hold before it is emptied.
 #: Composite keys are almost all distinct, but their ``str``/``int`` leaves
@@ -55,18 +64,17 @@ def _encode(value: Any) -> bytes:
         return _encode_other(value)
     leaves = _LEAVES
     length = len(value)
-    parts = [_TUPLE_HEADERS[length] if length < 16 else b"t" + length.to_bytes(4, "big")]
+    parts = [_TUPLE_HEADERS[length] if length < 16 else tuple_header(length)]
     for element in value:
         kind = type(element)
         if kind is str or kind is int:
             piece = leaves.get(element)
             if piece is None:
-                encoded = _encode(element)
-                piece = len(encoded).to_bytes(4, "big") + encoded
+                piece = tuple_piece(element)
                 if len(leaves) >= _LEAF_MEMO_LIMIT:
                     leaves.clear()
                 leaves[element] = piece
-        else:
+        else:  # inline tuple_piece: nested keys are the hot case
             encoded = _encode(element)
             piece = len(encoded).to_bytes(4, "big") + encoded
         parts.append(piece)
@@ -119,20 +127,35 @@ def encode_key(value: Any) -> bytes:
     return _encode(value)
 
 
-def stable_hash_encoded(encoded: Iterable[bytes], salt: int = 0) -> List[int]:
-    """``stable_hash`` over pre-encoded keys (see :func:`encode_key`).
+def tuple_piece(element: Any) -> bytes:
+    """What ``element`` adds to the encoding of a tuple holding it, so that
+    ``tuple_header(len(t)) + b"".join(map(tuple_piece, t)) == encode_key(t)``
+    for an exact tuple ``t`` — hashing rows of parts without building them."""
+    encoded = _encode(element)
+    return len(encoded).to_bytes(4, "big") + encoded
+
+
+def stable_digests(encoded: Iterable[bytes], salt: int = 0) -> List[bytes]:
+    """The 8-byte big-endian ``stable_hash`` digests of pre-encoded keys (see
+    :func:`encode_key`), in order.
 
     The salt is keyed in once and the keyed state copied per value — the
-    same digests as a fresh ``blake2b(raw, key=…)`` each, a quarter cheaper.
+    same digests as a fresh ``blake2b(raw, key=…)`` each, a quarter cheaper;
+    array callers read them with one ``np.frombuffer(b"".join(…), ">u8")``.
     """
     keyed = hashlib.blake2b(digest_size=8, key=salt.to_bytes(8, "big"))
-    from_bytes = int.from_bytes
-    hashes: List[int] = []
+    digests: List[bytes] = []
     for raw in encoded:
         state = keyed.copy()
         state.update(raw)
-        hashes.append(from_bytes(state.digest(), "big"))
-    return hashes
+        digests.append(state.digest())
+    return digests
+
+
+def stable_hash_encoded(encoded: Iterable[bytes], salt: int = 0) -> List[int]:
+    """``stable_hash`` over pre-encoded keys (see :func:`encode_key`)."""
+    from_bytes = int.from_bytes
+    return [from_bytes(digest, "big") for digest in stable_digests(encoded, salt)]
 
 
 def hash_to_unit(value: Any, salt: int = 0) -> float:

@@ -18,7 +18,6 @@ Construction (zero data rounds, O(m) control traffic):
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..mpc.distributed import Distributed

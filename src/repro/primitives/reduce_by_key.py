@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..backends.dispatch import columnar_enabled
+from ..data.relation import ColumnKey, annotation_of
 from ..mpc.distributed import Distributed
 from ..mpc.hashing import hash_to_bucket
 
@@ -49,7 +50,9 @@ def reduce_by_key(
     :func:`~repro.backends.columnar.profile_of` result, or ``"distinct"``
     when ``combine`` just keeps the first value.  The caller is responsible
     for profile/combine agreement; results and metering are identical with
-    or without it.
+    or without it.  A ``key_fn`` that is a
+    :class:`~repro.data.relation.ColumnKey` says which columns the key is,
+    and the vectorized path then never builds the key tuples.
     """
     view = dist.view
     p = view.p
@@ -98,56 +101,78 @@ def _reduce_by_key_columnar(
     """The vectorized both-stages path; None ⇒ caller falls back (and no
     communication has happened yet).
 
-    Each stage folds every server's rows in one kernel call on the
-    composite id ``server · len(codec) + key code``.  Rows are laid out
-    server by server, so the first occurrences of the composite are each
-    server's first occurrences in turn and the folded rows come out grouped
-    by server: one ``searchsorted`` cuts them back into the p batches.
+    A :class:`~repro.data.relation.ColumnKey` is folded, hashed and returned
+    as one code column per key position (an ``"items"`` batch; the key
+    tuples are never built); any other key function is called per item and
+    its keys interned (one column, ``"pairs"``).  Each stage folds every
+    server's rows in one :func:`~repro.backends.kernels.fold_rows` with the
+    server as the leading column.  Rows are laid out server by server, so
+    the first occurrences of a (server, key) row are each server's first
+    occurrences in turn and the folded rows come out grouped by server: one
+    ``searchsorted`` cuts them back into the p batches.
     """
     from ..backends.batch import ColumnarBatch
     from ..backends.columnar import encode_annotations
     from ..backends.dispatch import np
-    from ..backends.kernels import first_occurrence_unique, group_reduce
+    from ..backends.kernels import fold_rows
     from ..mpc.columnar import ColumnarData
 
     view = dist.view
     p = view.p
     codec = view.cluster.codec
     distinct = profile == "distinct"
+    by_column = isinstance(key_fn, ColumnKey)
 
     # Encode everything before touching the network, so a non-encodable
     # annotation anywhere aborts cleanly into the dict path.  One array for
     # all servers also refuses what must not concatenate: a "number"
     # profile's ints on one server and floats on another would promote to
     # floats where the reference path keeps the original objects.
-    items = dist.collect()
-    values = None
+    arrays = by_column and isinstance(dist, ColumnarData)
+    held = ColumnarBatch.concat(dist.batches) if arrays else None
+    if arrays and held.kind == "items" and (
+        distinct or (value_fn is annotation_of and held.annotations is not None)
+    ):
+        columns = [held.columns[index] for index in key_fn.indices]
+        values = None if distinct else held.annotations
+    else:
+        items = dist.collect()
+        values = None if distinct else [value_fn(item) for item in items]
+        if by_column:
+            rows = [item[0] for item in items]
+            columns = [
+                codec.encode_many([row[index] for row in rows])
+                for index in key_fn.indices
+            ]
+        else:
+            columns = [codec.encode_many([key_fn(item) for item in items])]
     if not distinct:
-        values = encode_annotations([value_fn(item) for item in items], profile)
+        values = encode_annotations(values, profile)
         if values is None:
             return None
-    key_ids = codec.encode_many([key_fn(item) for item in items])
-    span = len(codec)
+    kind = "items" if by_column else "pairs"
+    add_ufunc = None if distinct else profile.add_ufunc
 
-    def stage(sizes: List[int], key_ids: Any, values: Any) -> tuple:
+    def stage(sizes: List[int], columns: List[Any], values: Any) -> tuple:
         """The rows of p servers (``sizes`` apiece) ⊕-folded per server and
-        key, in first-occurrence order: ``(key codes, cuts, batches)`` with
-        server ``i``'s rows at ``cuts[i]:cuts[i + 1]``."""
-        composite = np.repeat(np.arange(p) * span, sizes) + key_ids
-        if distinct:
-            composite, folded = first_occurrence_unique(composite), None
-        else:
-            composite, folded = group_reduce(composite, values, profile.add_ufunc)
-        servers, key_ids = np.divmod(composite, span)
+        key, in first-occurrence order: ``(key columns, cuts, batches)``
+        with server ``i``'s rows at ``cuts[i]:cuts[i + 1]``."""
+        (servers, *keys), folded = fold_rows(
+            [np.repeat(np.arange(p), sizes), *columns], values, add_ufunc
+        )
         cuts = np.searchsorted(servers, np.arange(p + 1)).tolist()
-        folded = ColumnarBatch((key_ids,), folded, int(key_ids.shape[0]), "pairs")
-        return key_ids, cuts, [folded.slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        whole = ColumnarBatch(tuple(keys), folded, int(servers.shape[0]), kind)
+        return keys, cuts, [whole.slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    # The partials go through the wire as one (key-code column, value array)
+    # The partials go through the wire as one (key-code columns, value array)
     # batch per server — same destinations, same delivery order, same
     # per-server counts as the item path.
-    key_ids, cuts, partials = stage(dist.part_sizes(), key_ids, values)
-    destinations = codec.buckets(key_ids, p, salt)
+    keys, cuts, partials = stage(dist.part_sizes(), columns, values)
+    if by_column:
+        hashes = codec.row_hashes(keys, cuts[-1], salt)
+    else:
+        hashes = codec.hashes(keys[0], salt)
+    destinations = (hashes % np.uint64(p)).astype(np.int64)
     inboxes = view.exchange_batches(
         [destinations[a:b] for a, b in zip(cuts, cuts[1:])], partials
     )
@@ -166,7 +191,9 @@ def _reduce_by_key_columnar(
             view, [_fold_pairs(inbox.to_items(codec), combine) for inbox in inboxes]
         )
     # The result stays array-native; consumers that need tuples decode lazily.
-    _, _, totals = stage([inbox.size for inbox in inboxes], arrived.columns[0], values)
+    _, _, totals = stage(
+        [inbox.size for inbox in inboxes], list(arrived.columns), values
+    )
     return ColumnarData(view, totals, codec)
 
 

@@ -93,26 +93,6 @@ def test_interns_exactly_admits_only_self_equal_types():
         assert not interns_exactly([("a", frozenset({lookalike}))])
 
 
-def test_codec_int_values_orders_like_python():
-    """``int_values`` returns the actual ints (sortable as values), and
-    refuses mixed or oversized columns instead of corrupting them."""
-    rng = random.Random(0x1917)
-    codec = ValueCodec()
-    ints = [rng.choice(BOUNDARY_INTS[:5]) * rng.randint(0, 9) for _ in range(300)]
-    codes = codec.encode_many(ints)
-    values = codec.int_values(codes)
-    assert values is not None
-    assert values.tolist() == ints
-    assert np.argsort(values, kind="stable").tolist() == sorted(
-        range(len(ints)), key=lambda i: ints[i]
-    )
-    # A single non-int (or beyond-2^62 int) poisons the column.
-    for poison in ["x", 2.5, 2**62, -(2**63)]:
-        mixed = codec.encode_many(ints + [poison])
-        assert codec.int_values(mixed) is None
-    assert codec.int_values(codes[:0]).shape[0] == 0
-
-
 def test_batch_take_slice_concat_round_trip():
     """Row operations on batches commute with ``to_items``."""
     rng = random.Random(0xBA7C)

@@ -31,6 +31,7 @@ from repro.obs import (
 from repro.obs.profile import SPEEDSCOPE_SCHEMA, activate, write_json
 from repro.workloads import (
     line_instance,
+    planted_out_line,
     planted_out_matmul,
     random_sparse_matmul,
     star_instance,
@@ -439,40 +440,62 @@ def _span_shape(instance, **config):
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_span_shape_golden_planted_matmul_columnar():
-    # Re-captured when reduce-by-key went whole-batch and tuple keys took
-    # the array multi-search: only `kernel` rows moved (one call per
-    # primitive stage instead of one per server; the searches and the
-    # sketch propagation they feed now record kernels at all).  `step`,
-    # `op` and `phase` rows are the parent's.
+    # Re-captured when the output path went to code columns: only `kernel`
+    # rows moved (every fold — a reduce-by-key stage, a local join's
+    # partials — is one `fold_rows` with the id fold nested in it;
+    # `combine_columns`/`split_codes` are its helpers and record no span of
+    # their own).  `step`, `op` and `phase` rows are the parent's.
     assert _span_shape(planted_out_matmul(n=200, out=800), backend="columnar") == [
         (1, "run", "run:line", "columnar", 1, 0),
         (2, "step", "load", "", 1, 0),
         (2, "step", "execute", "", 1, 0),
-        (3, "kernel", "first_occurrence_unique", "columnar", 4, 504),
+        (3, "kernel", "fold_rows", "columnar", 4, 504),
+        (4, "kernel", "first_occurrence_unique", "columnar", 4, 504),
         (3, "op", "exchange", "columnar", 7, 1106),
         (3, "kernel", "sample_sort_routes", "columnar", 3, 750),
         (4, "kernel", "select_splitters", "columnar", 3, 48),
         (3, "kernel", "k_smallest_distinct", "columnar", 4, 652),
         (3, "phase", "matmul-wc/statistics", "", 1, 0),
-        (4, "kernel", "group_reduce", "columnar", 4, 800),
+        (4, "kernel", "fold_rows", "columnar", 4, 800),
+        (5, "kernel", "group_reduce", "columnar", 4, 800),
         (4, "op", "exchange", "columnar", 2, 400),
         (3, "phase", "matmul-wc/light-light", "", 1, 0),
         (4, "kernel", "sample_sort_routes", "columnar", 2, 800),
         (5, "kernel", "select_splitters", "columnar", 2, 32),
         (4, "op", "exchange", "columnar", 4, 1800),
         (4, "kernel", "hash_join", "columnar", 16, 1600),
-        (4, "kernel", "combine_columns", "columnar", 16, 800),
-        (4, "kernel", "group_reduce", "columnar", 16, 800),
-        (4, "kernel", "split_codes", "columnar", 16, 800),
+        (4, "kernel", "fold_rows", "columnar", 16, 800),
+        (5, "kernel", "group_reduce", "columnar", 16, 800),
         (2, "step", "collect", "", 1, 0),
     ]
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_planted_line_run_interns_no_output_tuple():
+    """Composite keys are never interned: after a planted line the cluster's
+    codec holds the attribute domains and the two-way join's cell ids (at
+    most one per input tuple) — not one of the 800 answer tuples, which the
+    item-keyed reduce-by-key used to intern call after call."""
+    instance = planted_out_line(3, 200, 800)
+    cluster = MPCCluster(4, backend="columnar")
+    result = run_query(instance, cluster=cluster)
+    codec = cluster.codec
+    interned = {codec._values[code] for code in range(len(codec))}
+    assert len(result.relation) == 800
+    assert not interned & set(result.relation.tuples)
+    domains = {
+        value for relation in instance.relations.values()
+        for values in relation.tuples for value in values
+    }
+    assert domains <= interned
+    assert len(codec) <= len(domains) + instance.total_size
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
     """The primitives call a kernel once per stage, not once per simulated
     server: the ledger's twig at p=16 recorded 12,788 kernel spans while
-    reduce-by-key looped over the servers and records 4,670 now (the count
+    reduce-by-key looped over the servers and records 4,441 now (the count
     is deterministic).  A per-server loop creeping back roughly triples
     it; the exchanges do not move either way."""
     def observed(backend):
@@ -485,7 +508,7 @@ def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
                        for node in spans if node.kind == "op"))
 
     kernels, ops = observed("columnar")
-    assert kernels == 4670
+    assert kernels == 4441
     assert kernels <= 12788 // 2
     assert observed("pytuple") == (0, ops)
     assert (sum(calls for _, calls, _ in ops),

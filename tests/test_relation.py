@@ -1,10 +1,14 @@
 """Annotated relations."""
 
+from collections import namedtuple
+
 import pytest
 
 from repro.data import DistRelation, Relation
 from repro.mpc import MPCCluster
 from repro.semiring import COUNTING, TROPICAL_MIN_PLUS
+
+Point = namedtuple("Point", "x y")
 
 
 def test_schema_must_be_unique():
@@ -42,6 +46,60 @@ def test_duplicate_combines_with_semiring():
     tropical.add((1, 2), 3.0, TROPICAL_MIN_PLUS)
     tropical.add((1, 2), 1.0, TROPICAL_MIN_PLUS)
     assert tropical.annotation((1, 2)) == 1.0
+
+
+def _added_one_by_one(schema, items, semiring=None):
+    """The constructor's reference: an empty relation and one ``add`` a row."""
+    relation = Relation("R", schema)
+    for values, annotation in items:
+        relation.add(values, annotation, semiring)
+    return relation
+
+
+@pytest.mark.parametrize("items, bulk", [
+    ([((i, i % 3), i) for i in range(50)], True),
+    ([], True),
+    ([[(1, 2), 5], [(3, 4), 6]], True),                    # pairs spelled as lists
+    ([((1, 2), 5), ([3, 4], 6), ((5, 6), 7)], False),       # one list-valued key
+    ([((1, 2), 5), ((3, 4), 6), ((1, 2), 7)], False),       # a duplicate key
+    ([((1, 2), 5), ((1.0, 2), 7), ((True, 2), 1)], False),  # equal across types
+    ([(Point(1, 2), 5), ((3, 4), 6)], False),               # a tuple subclass
+], ids=["tuples", "empty", "list-pairs", "list-key", "duplicate", "lookalikes",
+        "namedtuple"])
+def test_constructor_fills_in_bulk_what_add_would_build(monkeypatch, items, bulk):
+    expected = _added_one_by_one(("A", "B"), items, COUNTING)
+    calls = []
+    original = Relation.add
+    monkeypatch.setattr(
+        Relation, "add", lambda self, *args: calls.append(args) or original(self, *args)
+    )
+    for source in (items, iter(items), tuple(items)):
+        calls.clear()
+        built = Relation("R", ("A", "B"), source, semiring=COUNTING)
+        assert list(built.tuples.items()) == list(expected.tuples.items())
+        assert all(type(key) is tuple for key in built.tuples)
+        assert [type(v) for key in built.tuples for v in key] == [
+            type(v) for key in expected.tuples for v in key
+        ]
+        assert (len(calls) == 0) == bulk or not items
+    built.add((99, 99), 1)  # the bulk-built relation is an ordinary one
+    assert built.degree("A", 99) == 1 and source is not built.tuples
+
+
+@pytest.mark.parametrize("items", [
+    [((1, 2), 5), ((1, 2), 7)],                 # duplicate, no semiring
+    [((1, 2), 5), ((1.0, 2), 7)],               # … equal across types
+    [((1, 2), 5), ((1, 2, 3), 6)],              # wrong arity beside right
+    [((1,), 5)],                                # wrong arity alone
+    [((1, 2), 5), ([1, 2, 3], 6)],              # wrong arity, list-valued
+    [((1, 2), 5), ((3, 4), 6, "extra")],        # not a pair
+], ids=["duplicate", "lookalike", "arity-mixed", "arity", "arity-list", "triple"])
+def test_constructor_raises_what_add_raises(items):
+    with pytest.raises(ValueError) as expected:
+        _added_one_by_one(("A", "B"), items)
+    with pytest.raises(ValueError) as raised:
+        Relation("R", ("A", "B"), items)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_column_and_domain_and_degree():
@@ -92,8 +150,9 @@ def test_dist_relation_key_fn():
     key_a = dist.key_fn(("A",))
     key_ba = dist.key_fn(("B", "A"))
     item = ((1, 2), 1)
-    assert key_a(item) == (1,)
-    assert key_ba(item) == (2, 1)
+    assert key_a(item) == (1,) and key_a.indices == (0,)
+    assert key_ba(item) == (2, 1) and key_ba.indices == (1, 0)
+    assert dist.key_fn(())(item) == ()
     with pytest.raises(KeyError):
         dist.attr_index("Z")
 
