@@ -194,12 +194,13 @@ def explain(
     ``"offline"`` snapshot is free.  Deterministic: same instance, same
     calibration file, byte-identical :meth:`~repro.planner.Plan.to_dict`.
     """
+    from .backends.dispatch import admit_instance
     from .planner import plan_query
 
     config = config or ExecutionConfig()
     view = None
     if config.stats_mode == "in-model":
-        view = config.make_cluster(instance.total_size).view()
+        view = admit_instance(config.make_cluster(instance.total_size), instance).view()
     return plan_query(
         instance,
         p=config.p,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpc.hashing import encode_key, stable_digests, tuple_header, tuple_piece
 from ..semiring import Semiring
@@ -112,6 +112,17 @@ class ValueCodec:
         """The original (interned, identity-preserved) values of ``ids``."""
         store = self._values
         return [store[code] for code in ids.tolist()]
+
+    def components(self, ids: Any, width: int) -> List[Any]:
+        """The code columns of the ``width`` components of the tuples
+        interned at ``ids``: each distinct tuple is decoded once and its
+        components interned, and every row gathers its tuple's codes."""
+        distinct, rows = np.unique(ids, return_inverse=True)
+        values = self.decode_many(distinct)
+        return [
+            self.encode_many([value[i] for value in values])[rows]
+            for i in range(width)
+        ]
 
     def hashes(self, ids: Any, salt: int) -> Any:
         """``stable_hash(value, salt)`` of each id, as uint64 (memoized)."""

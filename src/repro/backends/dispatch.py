@@ -17,8 +17,9 @@ Fault injection always forces the tuple kernels (the injector mutates
 per-server item lists in place), which keeps chaos runs on the reference
 path without any per-primitive special-casing.  So does an instance with a
 float, bool or subclass attribute value: the codec interns by dict
-equality, under which ``1``, ``1.0`` and ``True`` are one value, so the
-executor resolves such a run to ``pytuple`` before loading anything
+equality, under which ``1``, ``1.0`` and ``True`` are one value, so
+:func:`admit_instance` — called by the executor and by in-model
+``explain`` — resolves such a run to ``pytuple`` before loading anything
 (:func:`~repro.backends.columnar.interns_exactly`).
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "BACKENDS",
     "HAS_NUMPY",
     "np",
+    "admit_instance",
     "columnar_enabled",
     "resolve_backend",
 ]
@@ -98,3 +100,16 @@ def columnar_enabled(view) -> bool:
         getattr(cluster, "backend", "pytuple") == "columnar"
         and cluster.faults is None
     )
+
+
+def admit_instance(cluster, instance):
+    """``cluster``, put on the tuple kernels when it is columnar and
+    ``instance`` holds a value the codec would conflate with another
+    (:func:`~repro.backends.columnar.interns_exactly`); called once per
+    run or in-model plan, before anything is loaded."""
+    if cluster.backend == "columnar":
+        from .columnar import interns_exactly
+
+        if not all(interns_exactly(list(r.tuples)) for r in instance.relations.values()):
+            cluster.backend = "pytuple"
+    return cluster

@@ -18,7 +18,6 @@ which these kernels reconstruct with one stable argsort:
   pack, :func:`group_reduce`, unpack, with a dense ranking of the rows
   for a key space too wide to pack;
 * :func:`select_splitters` — regular-sampling splitter selection;
-* :func:`isin_filter` — the semijoin membership filter;
 * :func:`k_smallest_distinct` — the fold of ``KMV.merge`` per group, for
   every group, repetition and simulated server in one value sort;
 * :func:`sample_sort_routes` — the tie-split sample sort's order, samples,
@@ -46,7 +45,6 @@ __all__ = [
     "group_index",
     "group_reduce",
     "hash_join",
-    "isin_filter",
     "k_smallest_distinct",
     "sample_sort_routes",
     "segment_gather",
@@ -313,12 +311,6 @@ def fold_rows(
         return split_codes(unique, base, len(columns)), reduced
     rows = np.unique(ids, return_index=True)[1][unique]
     return [column[rows] for column in columns], reduced
-
-
-@_profiled()
-def isin_filter(ids: Any, allowed: Any) -> Any:
-    """Boolean membership mask (vectorized semijoin filter)."""
-    return np.isin(ids, allowed)
 
 
 @_profiled()

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Literal, Optional
 
+from ..backends.dispatch import admit_instance, resolve_backend
 from ..data.query import Instance, QueryClass, TreeQuery
 from ..data.relation import DistRelation, Relation
 from ..errors import ApplicabilityError
@@ -115,21 +116,8 @@ def run_query(
         if cluster is None:
             cluster = config.with_backend(backend).make_cluster(instance.total_size)
     if cluster is None:
-        from ..backends.dispatch import resolve_backend
-
         cluster = MPCCluster(p, backend=resolve_backend(backend, instance.total_size))
-    if cluster.backend == "columnar":
-        from ..backends.columnar import interns_exactly
-
-        # Decided once, before anything is loaded or communicated: attribute
-        # values the codec would conflate (a float or bool equal to an int)
-        # put the whole run on the tuple kernels, like a fault schedule does.
-        if not all(
-            interns_exactly(list(relation.tuples))
-            for relation in instance.relations.values()
-        ):
-            cluster.backend = "pytuple"
-    view = cluster.view()
+    view = admit_instance(cluster, instance).view()
     query = instance.query
     semiring = instance.semiring
     query_class = query.classify()

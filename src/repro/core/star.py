@@ -16,10 +16,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..data.query import TreeQuery
 from ..data.relation import DistRelation
+from ..mpc.columnar import ColumnarData
 from ..mpc.distributed import Distributed
 from ..primitives.dangling import remove_dangling
 from ..primitives.degrees import (
@@ -33,7 +34,8 @@ from ..semiring import Semiring
 from .matmul import sparse_matmul
 from .two_way_join import aggregate_relation, join_aggregate_pair
 
-__all__ = ["star_query", "join_group_on_centre", "binarize", "unpack_pairs"]
+__all__ = ["star_query", "join_group_on_centre", "binarize", "unpack_pairs",
+           "expand_columns"]
 
 
 def star_query(
@@ -177,6 +179,12 @@ def unpack_pairs(
 ) -> Distributed:
     """Expand a (combined-left, combined-right) matmul result into flat keys
     ordered by ``out_order`` (local op)."""
+    flat = expand_columns(
+        product.data, product.schema,
+        dict(zip(product.schema, (tuple(left_attrs), tuple(right_attrs)))), out_order,
+    )
+    if flat is not None:
+        return flat
     positions: Dict[str, Tuple[int, int]] = {}
     for i, attr in enumerate(left_attrs):
         positions[attr] = (0, i)
@@ -186,3 +194,31 @@ def unpack_pairs(
     return product.data.map_items(
         lambda item: (tuple(item[0][side][index] for side, index in plan), item[1])
     )
+
+
+def expand_columns(
+    data: Distributed,
+    schema: Sequence[str],
+    expansions: Dict[str, Tuple[str, ...]],
+    out_order: Sequence[str],
+) -> Optional[ColumnarData]:
+    """The code columns of ``data`` (over ``schema``) with every combined
+    column — one ``expansions`` names, holding tuples of its components'
+    values — split into its components' columns, recursively, and ordered
+    by ``out_order``; None when ``data`` is not array-native.  Each
+    distinct combined value is decoded once
+    (:meth:`~repro.backends.columnar.ValueCodec.components`); an attribute
+    met twice keeps its last column, as the item reshapes keep its last
+    value."""
+    if not (isinstance(data, ColumnarData) and data.batch.kind == "items"):
+        return None
+    columns: Dict[str, Any] = {}
+    pending = list(zip(schema, data.batch.columns))
+    while pending:  # last first: the first column kept is the last one met
+        attr, column = pending.pop()
+        if attr in expansions:
+            components = expansions[attr]
+            pending.extend(zip(components, data.codec.components(column, len(components))))
+        else:
+            columns.setdefault(attr, column)
+    return data.with_columns(columns[attr] for attr in out_order)

@@ -43,7 +43,7 @@ from ..semiring import Semiring
 from .arms import Arm, extract_arms
 from .line import line_query
 from .matmul import sparse_matmul
-from .star import binarize, join_group_on_centre, unpack_pairs
+from .star import binarize, expand_columns, join_group_on_centre, unpack_pairs
 from .two_way_join import aggregate_relation, join_aggregate_pair
 
 __all__ = ["starlike_query", "shrink_arm", "arm_reach_estimates"]
@@ -201,6 +201,11 @@ def _solve_small(
     line_rels = [combined] + [relations[step[0]] for step in tail_arm]
     line_result = line_query(line_rels, line_attrs, semiring, salt + 80)
     # line_result schema: ("__small", A_{φ(n)}).
+    flat = expand_columns(
+        line_result.data, line_result.schema, {"__small": joined_attrs}, out_order
+    )
+    if flat is not None:
+        return flat
     return unpack_pairs(
         _pairify(line_result),
         joined_attrs,
@@ -275,10 +280,12 @@ def _solve_large(
 
 
 def _pairify(rel: DistRelation) -> DistRelation:
-    """Adapt a (combined, scalar) binary relation for
+    """Adapt a (combined, scalar) binary relation of items for
     :func:`~repro.core.star.unpack_pairs`: the left column is already a
     component tuple, the right column is wrapped as a 1-tuple (even when the
-    value itself happens to be a tuple, e.g. a recursion-combined attribute)."""
+    value itself happens to be a tuple, e.g. a recursion-combined attribute).
+    Code columns skip it: :func:`~repro.core.star.expand_columns` splits
+    the left column alone."""
     data = rel.data.map_items(
         lambda item: ((item[0][0], (item[0][1],)), item[1])
     )

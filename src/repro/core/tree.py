@@ -42,7 +42,7 @@ from ..primitives.reduce_by_key import reduce_by_key
 from ..semiring import Semiring
 from .arms import extract_arms
 from .line import line_query
-from .star import binarize, join_group_on_centre, star_query
+from .star import binarize, expand_columns, join_group_on_centre, star_query
 from .starlike import arm_reach_estimates, shrink_arm, starlike_query
 from ..backends.columnar import FLOAT_MAX_PROFILE
 from .two_way_join import aggregate_relation, join_aggregate_pair, vector_profile
@@ -405,9 +405,8 @@ def _materialize_branch(
 def _expand_and_aggregate(
     rel: DistRelation, ctx: _Context, out_schema: Tuple[str, ...]
 ) -> DistRelation:
-    """Expand combined columns into flat ones and aggregate to out_schema."""
-    expanded_schema: List[str] = []
-    plan: List[Tuple[int, Optional[Tuple[str, ...]]]] = []
+    """Expand combined columns into flat ones and aggregate to out_schema;
+    code columns expand into code columns."""
     needs_expansion = any(attr in ctx.expansions for attr in rel.schema)
     if not needs_expansion:
         if rel.schema == out_schema:
@@ -429,5 +428,9 @@ def _expand_and_aggregate(
             expand_value(attr, value, bound)
         return (tuple(bound[a] for a in out_schema), item[1])
 
-    flat = DistRelation(out_schema, rel.data.map_items(reshape))
-    return aggregate_relation(flat, out_schema, ctx.semiring, ctx.fresh_salt())
+    flat = expand_columns(rel.data, schema, ctx.expansions, out_schema)
+    if flat is None:
+        flat = rel.data.map_items(reshape)
+    return aggregate_relation(
+        DistRelation(out_schema, flat), out_schema, ctx.semiring, ctx.fresh_salt()
+    )

@@ -262,9 +262,10 @@ class DistRelation:
 
     def reordered(self, schema: Sequence[str]) -> "DistRelation":
         """This relation with its columns in ``schema`` order — ``self`` when
-        they already are, else every value tuple re-read locally (no
-        communication).  ``schema`` must be a permutation of the
-        relation's own (``ValueError`` otherwise)."""
+        they already are, else the code columns of a
+        :class:`~repro.mpc.columnar.ColumnarData` permuted, or every value
+        tuple re-read locally (no communication).  ``schema`` must be a
+        permutation of the relation's own (``ValueError`` otherwise)."""
         schema = tuple(schema)
         if schema == self.schema:
             return self
@@ -272,7 +273,14 @@ class DistRelation:
             raise ValueError(
                 f"{schema!r} is not a permutation of schema {self.schema!r}"
             )
-        pick = itemgetter(*(self.attr_index(a) for a in schema))  # width ≥ 2 here
+        from ..mpc.columnar import ColumnarData
+
+        indices = [self.attr_index(a) for a in schema]
+        data = self.data
+        if isinstance(data, ColumnarData) and data.batch.kind == "items":
+            columns = data.batch.columns
+            return DistRelation(schema, data.with_columns(columns[i] for i in indices))
+        pick = itemgetter(*indices)  # width ≥ 2 here
         return DistRelation(
             schema, self.data.map_items(lambda item: (pick(item[0]), item[1]))
         )

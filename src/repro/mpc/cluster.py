@@ -20,6 +20,7 @@ allocation lemmas guarantee O(1) waves for its algorithms.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, RoutingError
@@ -156,52 +157,38 @@ class ClusterView:
             if injector is not None:
                 self.round = injector.deliver(self, round_index, sizes, op, inboxes)
             else:
-                for server, size in zip(self.servers, sizes):
-                    tracker.record_receive(round_index, server, size)
-                tracker.note_round(round_index)
-                tracer = tracker.tracer
-                if tracer is not None and tracer.active:
-                    tracer.emit(
-                        op,
-                        round_index,
-                        self.servers,
-                        sizes,
-                        tracker.phase_path(),
-                    )
+                tracker.charge_round(op, round_index, self.servers, sizes)
                 self.round = round_index + 1
             span.add_items(sum(sizes))
         return inboxes
 
     def exchange_batches(
         self,
-        dests: Sequence[Any],
-        batches: Sequence[Any],
+        dests: Any,
+        batch: Any,
         *,
         op: str = "exchange",
-    ) -> List[Any]:
+    ) -> Tuple[Any, List[int]]:
         """One communication round moving *arrays* instead of item lists.
 
-        ``batches[i]`` is local server ``i``'s outgoing
-        :class:`~repro.backends.batch.ColumnarBatch`; ``dests[i]`` is the
-        parallel int64 array of destination local indices (one per row).
-        Returns the per-server inbound batches.
+        ``batch`` is a :class:`~repro.backends.batch.ColumnarBatch` of every
+        outgoing row, laid out in source-server order (local server 0's
+        outbox first); ``dests`` is the parallel int64 array of destination
+        local indices (one per row).  Returns ``(delivered, cuts)``: one
+        batch of every inbound row, server by server, local server ``i``'s
+        inbox at rows ``cuts[i]:cuts[i + 1]``.
 
-        Delivery order is identical to :meth:`exchange`: the sources are
-        concatenated in order and stably split by destination, so every
-        inbox holds its fragments in source order, rows in outbox order —
-        one sort for the whole view, not one per server.  Each
-        server is charged the *logical tuple count* it receives — the sum
-        of its fragments' array lengths — at the current round, so the
-        load/communication meters and the trace event are bit-identical to
-        the item-at-a-time path for the same routing decisions.
+        Delivery order is identical to :meth:`exchange`: one stable sort of
+        the rows by destination keeps every inbox's rows in source order,
+        each source's in outbox order — which is how :meth:`exchange` fills
+        its inboxes, one source after the other.  Each server is charged
+        the *logical tuple count* it receives — its row count — at the
+        current round, so the load/communication meters and the trace event
+        are bit-identical to the item-at-a-time path for the same routing
+        decisions.
         """
-        from ..backends.batch import ColumnarBatch
         from ..backends.dispatch import np
 
-        if len(batches) != self.p or len(dests) != self.p:
-            raise RoutingError(
-                f"expected {self.p} outgoing batches, got {len(batches)}"
-            )
         if self.cluster.faults is not None:
             raise RoutingError(
                 "exchange_batches under fault injection: the injector "
@@ -210,59 +197,27 @@ class ClusterView:
         tracker = self.tracker
         p = self.p
         with tracker.span(op, "op", self.cluster.backend) as span:
-            # Validate every source before any work (all-or-nothing, like
-            # the item path's routing checks).
-            sending = []
-            for dest_array, batch in zip(dests, batches):
-                if batch.size == 0:
-                    continue
-                if dest_array.shape[0] != batch.size:
-                    raise RoutingError("destination array does not match batch")
-                sending.append((dest_array, batch))
-            if sending:
-                routes = np.concatenate([dest_array for dest_array, _ in sending])
-                low, high = int(routes.min()), int(routes.max())
+            # Validate before any work (all-or-nothing, like the item
+            # path's routing checks).
+            if dests.shape[0] != batch.size:
+                raise RoutingError("destination array does not match batch")
+            if batch.size:
+                low, high = int(dests.min()), int(dests.max())
                 if low < 0 or high >= p:
                     bad = low if low < 0 else high
                     raise RoutingError(
                         f"destination {bad} outside view of size {p}"
                     )
-                # One stable sort by destination over the sources in order:
-                # every inbox gets its fragments in source order, rows in
-                # outbox order (16-bit destinations take the radix sort).
-                order = np.argsort(
-                    routes.astype(np.min_scalar_type(p), copy=False), kind="stable"
-                )
-                bounds = np.concatenate(
-                    ([0], np.cumsum(np.bincount(routes, minlength=p)))
-                ).tolist()
-                delivered = ColumnarBatch.concat(
-                    [batch for _, batch in sending]
-                ).take(order)
-                inboxes = [
-                    delivered.slice(bounds[local], bounds[local + 1])
-                    for local in range(p)
-                ]
-            else:
-                # Nothing moved: empty inboxes in the batches' own layout.
-                inboxes = [batches[0].slice(0, 0) for _ in range(p)]
-            round_index = self.round
-            sizes = tuple(inbox.size for inbox in inboxes)
-            for server, size in zip(self.servers, sizes):
-                tracker.record_receive(round_index, server, size)
-            tracker.note_round(round_index)
-            tracer = tracker.tracer
-            if tracer is not None and tracer.active:
-                tracer.emit(
-                    op,
-                    round_index,
-                    self.servers,
-                    sizes,
-                    tracker.phase_path(),
-                )
-            self.round = round_index + 1
+            # 16-bit destinations take the radix sort.
+            order = np.argsort(
+                dests.astype(np.min_scalar_type(p), copy=False), kind="stable"
+            )
+            sizes = tuple(np.bincount(dests, minlength=p).tolist())
+            delivered = batch.take(order)
+            tracker.charge_round(op, self.round, self.servers, sizes)
+            self.round += 1
             span.add_items(sum(sizes))
-        return inboxes
+        return delivered, [0, *accumulate(sizes)]
 
     def broadcast_batches(self, batches: Sequence[Any]) -> Any:
         """Batch form of :meth:`broadcast`: every server receives the
@@ -277,20 +232,10 @@ class ClusterView:
         tracker = self.tracker
         with tracker.span("broadcast", "op", self.cluster.backend) as span:
             everything = ColumnarBatch.concat(list(batches))
-            round_index = self.round
-            for server in self.servers:
-                tracker.record_receive(round_index, server, everything.size)
-            tracker.note_round(round_index)
-            tracer = tracker.tracer
-            if tracer is not None and tracer.active:
-                tracer.emit(
-                    "broadcast",
-                    round_index,
-                    self.servers,
-                    (everything.size,) * self.p,
-                    tracker.phase_path(),
-                )
-            self.round = round_index + 1
+            tracker.charge_round(
+                "broadcast", self.round, self.servers, (everything.size,) * self.p
+            )
+            self.round += 1
             span.add_items(everything.size * self.p)
         return everything
 
@@ -331,18 +276,7 @@ class ClusterView:
             if injector is not None:
                 self.round = injector.deliver(self, round_index, sizes, "broadcast")
             else:
-                for server in self.servers:
-                    tracker.record_receive(round_index, server, len(everything))
-                tracker.note_round(round_index)
-                tracer = tracker.tracer
-                if tracer is not None and tracer.active:
-                    tracer.emit(
-                        "broadcast",
-                        round_index,
-                        self.servers,
-                        sizes,
-                        tracker.phase_path(),
-                    )
+                tracker.charge_round("broadcast", round_index, self.servers, sizes)
                 self.round = round_index + 1
             span.add_items(len(everything) * self.p)
         return everything

@@ -6,10 +6,10 @@ is therefore metered.  Initial input placement (the model's round-0 state,
 ``N/p`` tuples per server) is free, matching §1.3.
 
 This class is the reference item representation; the ``"columnar"``
-backend's :class:`~repro.mpc.columnar.ColumnarData` subclass stores array
-batches instead and decays to these item lists whenever one of the
-operations below reads :attr:`parts` (it overrides none of them; only
-:meth:`Distributed.union` looks at the batches first).
+backend's :class:`~repro.mpc.columnar.ColumnarData` subclass stores one
+array batch with server cuts instead and decays to these item lists
+whenever one of the operations below reads :attr:`parts` (it overrides
+none of them; only :meth:`Distributed.union` looks at the batch first).
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ class Distributed:
         """The datasets' items side by side on ``view``, server by server in
         the order given (the paper's "union of the disjoint subquery
         outputs"); no communication, linear in the items.  Array-native
-        inputs of one batch layout stay arrays (their batches concatenate);
-        beside an item input, or one of another layout, they decay to item
-        lists."""
+        inputs of one batch layout stay arrays (:func:`~repro.mpc.columnar
+        .unite`); beside an item input, or one of another layout, they
+        decay to item lists."""
         datasets = list(datasets)
         if datasets and type(datasets[0]) is not Distributed:  # else: items
-            from .columnar import ColumnarData, assemble
+            from .columnar import unite
 
-            if all(isinstance(d, ColumnarData) and d.view.servers == view.servers
-                   for d in datasets):
-                return assemble(view, list(zip(*(d.batches for d in datasets))))
+            united = unite(view, datasets)
+            if united is not None:
+                return united
         parts: List[List[Any]] = [[] for _ in range(view.p)]
         for dataset in datasets:
             if dataset.view is not view and dataset.view.servers != view.servers:
@@ -129,22 +129,6 @@ class Distributed:
         """Ship every item to one server (metered there); one round."""
         return self.view.gather(self.parts, dest)
 
-    def rebalance(self) -> "Distributed":
-        """Spread items evenly (contiguous re-chunking); one round."""
-        total = self.total_size
-        p = self.view.p
-        chunk = (total + p - 1) // p if total else 1
-        counter = 0
-        outboxes: List[List] = []
-        for part in self.parts:
-            outbox = []
-            for item in part:
-                outbox.append((min(counter // chunk, p - 1), item))
-                counter += 1
-            outboxes.append(outbox)
-        inboxes = self.view.exchange(outboxes)
-        return Distributed(self.view, inboxes)
-
 
 def transfer(
     source: Distributed,
@@ -176,18 +160,7 @@ def transfer(
                 dest_view, round_index, sizes, "transfer", inboxes
             )
         else:
-            for server, size in zip(dest_view.servers, sizes):
-                tracker.record_receive(round_index, server, size)
-            tracker.note_round(round_index)
-            tracer = tracker.tracer
-            if tracer is not None and tracer.active:
-                tracer.emit(
-                    "transfer",
-                    round_index,
-                    dest_view.servers,
-                    sizes,
-                    tracker.phase_path(),
-                )
+            tracker.charge_round("transfer", round_index, dest_view.servers, sizes)
             next_round = round_index + 1
         source.view.round = next_round
         dest_view.round = next_round

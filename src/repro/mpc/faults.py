@@ -176,15 +176,8 @@ class FaultInjector:
         delivery — but the hook is where mutation tests plant delivery-
         corrupting bugs that the chaos tier must catch.
         """
-        tracker = view.tracker
         servers = view.servers
-        for local_index, count in enumerate(counts):
-            tracker.record_receive(round_index, servers[local_index], count)
-        tracker.note_round(round_index)
-        tracer = tracker.tracer
-        if tracer is not None and tracer.active:
-            tracer.emit(op, round_index, servers, counts, tracker.phase_path())
-
+        view.tracker.charge_round(op, round_index, servers, counts)
         extra = 0
         for local_index, server in enumerate(servers):
             key = (round_index, server)

@@ -27,7 +27,7 @@ injected-fault run equals the fault-free ``L`` by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["LoadTracker", "CostReport", "TAGGED_FIELDS"]
 
@@ -233,6 +233,18 @@ class LoadTracker:
         """Record that a round happened even if some servers received nothing."""
         if round_index > self._max_round:
             self._max_round = round_index
+
+    def charge_round(self, op: str, round_index: int, servers: Sequence[int],
+                     sizes: Sequence[int]) -> None:
+        """The base charge of one delivering operation: ``sizes[i]`` items
+        received by ``servers[i]`` in ``round_index``, the round noted, and
+        the ``op`` trace event emitted when a tracer listens."""
+        for server, size in zip(servers, sizes):
+            self.record_receive(round_index, server, size)
+        self.note_round(round_index)
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            tracer.emit(op, round_index, servers, sizes, self.phase_path())
 
     def record_recovery_receive(self, round_index: int, server: int, count: int) -> None:
         """Charge ``count`` recovery items (retries, replays, checkpoint

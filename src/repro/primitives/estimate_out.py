@@ -27,6 +27,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 from ..backends.batch import ColumnarBatch
 from ..backends.dispatch import columnar_enabled, np
 from ..data.relation import DistRelation
+from ..mpc.columnar import ColumnarData, server_cuts
 from ..mpc.distributed import Distributed
 from .degrees import attach_by_key
 from .kmv import KMV, MultiKMV
@@ -111,37 +112,26 @@ def _hash_order(
     return _HashOrder(k, base_salt, sentinel, units), rank_of[row_of]
 
 
-class _SketchTable(Distributed):
-    """``(key, MultiKMV)`` pairs as arrays: per server one ``"pairs"`` batch
-    of key codes annotated with a ``(rows, repetitions, k)`` matrix of hash
-    ranks, ascending and sentinel-padded (see :class:`_HashOrder`).  Like a
-    :class:`~repro.mpc.columnar.ColumnarData` it decays to the item pairs
-    when something reads :attr:`parts`.
+class _SketchTable(ColumnarData):
+    """``(key, MultiKMV)`` pairs as arrays: one ``"pairs"`` batch of key
+    codes annotated with a ``(rows, repetitions, k)`` matrix of hash ranks,
+    ascending and sentinel-padded (see :class:`_HashOrder`), cut by server.
+    It decays to the item pairs when something reads :attr:`parts`.
     """
 
-    def __init__(self, view: Any, batches: List[ColumnarBatch], codec: Any,
+    def __init__(self, view: Any, batch: ColumnarBatch, cuts: List[int], codec: Any,
                  order: _HashOrder) -> None:
-        self.view = view
-        self.batches = batches
-        self.codec = codec
+        super().__init__(view, batch, cuts, codec)
         self.order = order
-        self._decoded: Optional[List[List[Any]]] = None
-
-    @property
-    def total_size(self) -> int:
-        return sum(batch.size for batch in self.batches)
-
-    def part_sizes(self) -> List[int]:
-        return [batch.size for batch in self.batches]
 
     @property
     def parts(self) -> List[List[Any]]:  # type: ignore[override]
         if self._decoded is None:
-            self._decoded = [
-                list(zip(self.codec.decode_many(batch.columns[0]),
-                         map(self._bundle, batch.annotations)))
-                for batch in self.batches
-            ]
+            batch = self.batch
+            self._decoded = self._cut(list(zip(
+                self.codec.decode_many(batch.columns[0]),
+                map(self._bundle, batch.annotations),
+            )))
         return self._decoded
 
     def _bundle(self, ranks: Any) -> MultiKMV:
@@ -155,8 +145,7 @@ class _SketchTable(Distributed):
     def keys(self) -> Distributed:
         """The key values alone, placed as the pairs are."""
         return Distributed(
-            self.view,
-            [self.codec.decode_many(batch.columns[0]) for batch in self.batches],
+            self.view, self._cut(self.codec.decode_many(self.batch.columns[0]))
         )
 
     def estimates(self) -> Distributed:
@@ -165,7 +154,7 @@ class _SketchTable(Distributed):
         or, once k are held, ``(k − 1) / unit`` of the k-th; then the median
         over repetitions."""
         k, _salt, sentinel, units = self.order
-        table = ColumnarBatch.concat(self.batches)
+        table = self.batch
         ranks = table.annotations
         repetitions = ranks.shape[1]
         held = (ranks != sentinel).sum(axis=2)
@@ -176,11 +165,9 @@ class _SketchTable(Distributed):
             medians = ordered[:, middle]
         else:
             medians = (ordered[:, middle - 1] + ordered[:, middle]) / 2
-        pairs = list(zip(self.codec.decode_many(table.columns[0]), medians.tolist()))
-        cuts = np.cumsum([0] + self.part_sizes()).tolist()
-        return Distributed(
-            self.view, [pairs[cuts[i] : cuts[i + 1]] for i in range(self.view.p)]
-        )
+        return Distributed(self.view, self._cut(list(zip(
+            self.codec.decode_many(table.columns[0]), medians.tolist()
+        ))))
 
 
 def _fold(
@@ -204,26 +191,19 @@ def _fold(
     p = view.p
     span = len(codec)
 
-    def stage(servers, key_ids, ranks, rows=None):
+    def stage(servers, key_ids, ranks, rows=None) -> _SketchTable:
         firsts, folded = k_smallest_distinct(
             servers * span + key_ids, ranks, order.k, order.sentinel, rows
         )
-        key_ids = key_ids[firsts]
-        cuts = np.searchsorted(servers[firsts], np.arange(p + 1)).tolist()
-        return key_ids, cuts, [
-            ColumnarBatch((key_ids[a:b],), folded[a:b], b - a, "pairs")
-            for a, b in zip(cuts, cuts[1:])
-        ]
+        batch = ColumnarBatch((key_ids[firsts],), folded, int(firsts.shape[0]), "pairs")
+        return _SketchTable(view, batch, server_cuts(servers[firsts], p), codec, order)
 
-    key_ids, cuts, partials = stage(servers, key_ids, ranks, rows)
-    dests = codec.buckets(key_ids, p, 0)
-    inboxes = view.exchange_batches(
-        [dests[a:b] for a, b in zip(cuts, cuts[1:])], partials
+    partials = stage(servers, key_ids, ranks, rows).batch
+    arrived, cuts = view.exchange_batches(
+        codec.buckets(partials.columns[0], p, 0), partials
     )
-    arrived = ColumnarBatch.concat(inboxes)
-    servers = np.repeat(np.arange(p), [inbox.size for inbox in inboxes])
-    _, _, totals = stage(servers, arrived.columns[0], arrived.annotations)
-    return _SketchTable(view, totals, codec, order)
+    servers = np.repeat(np.arange(p), np.diff(cuts))
+    return stage(servers, arrived.columns[0], arrived.annotations)
 
 
 def propagate_sketches(
@@ -254,7 +234,7 @@ def propagate_sketches(
             return _fold(
                 relation.view, sketches.codec, sketches.order, rows.servers[hit],
                 to_ids[rows.queries[hit]],
-                ColumnarBatch.concat(sketches.batches).annotations,
+                sketches.batch.annotations,
                 rows.predecessors[hit],
             )
     tagged = attach_by_key(

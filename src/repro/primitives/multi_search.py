@@ -26,6 +26,8 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..backends.batch import ColumnarBatch
 from ..backends.dispatch import columnar_enabled, np
+from ..data.relation import ColumnKey
+from ..mpc.columnar import ColumnarData
 from ..mpc.distributed import Distributed
 from .sort import _scalar_keys, distributed_sort
 
@@ -77,15 +79,19 @@ def multi_search_rows(
     view = queries.view
     if not columnar_enabled(view):
         return None
-    reference_keys = [reference_key(item) for part in references.parts for item in part]
+    reference_keys, reference_rows = _side_keys(references, reference_key)
+    query_keys, query_rows = _side_keys(queries, query_key)
     # One check over both sides: (1,) == 1 is False and 1 == 1.0 is not an
     # int64 comparison, so a mix of shapes or types is the item path's.
-    both = reference_keys + [query_key(item) for part in queries.parts for item in part]
+    # Both maps are elementwise or rank the distinct set, so running them
+    # on a side's distinct keys and gathering is running them on its rows.
+    both = reference_keys + query_keys
     keys = _scalar_keys(both)
     if keys is None:
         keys = _ranked_keys(both)
         if keys is None:
             return None
+    keys = keys[np.concatenate((reference_rows, len(reference_keys) + query_rows))]
     from ..backends.kernels import sample_sort_routes
 
     p = view.p
@@ -96,23 +102,21 @@ def multi_search_rows(
     view.control_gather([None] * sampled)
     view.control_scatter(splitters)
 
-    # The exchange moves row numbers, each server's in one batch.  Its
-    # inboxes go unread: destinations never decrease along `order`, so
-    # every server's sorted inbox is a contiguous run of `order`, and the
+    # The exchange moves row numbers, in source-server order.  Its inbox
+    # goes unread: destinations never decrease along `order`, so every
+    # server's sorted inbox is a contiguous run of `order`, and the
     # predecessor scan — with the last reference of the servers before
     # carried in over the control channel — is one running maximum.
     leaving = np.argsort(sources, kind="stable")
     dest_of = np.empty(order.shape[0], dtype=np.int64)
     dest_of[order] = dests
-    cuts = np.cumsum([0] + [a + b for a, b in zip(sizes[:p], sizes[p:])]).tolist()
     view.exchange_batches(
-        [dest_of[leaving[a:b]] for a, b in zip(cuts, cuts[1:])],
-        [ColumnarBatch((leaving[a:b],), None, b - a, "pairs")
-         for a, b in zip(cuts, cuts[1:])],
+        dest_of[leaving],
+        ColumnarBatch((leaving,), None, int(leaving.shape[0]), "pairs"),
     )
     view.control_gather([None] * p)
     view.control_scatter(1)
-    held = len(reference_keys)
+    held = references.total_size
     is_reference = order < held
     at = np.flatnonzero(~is_reference)
     last = np.maximum.accumulate(
@@ -122,6 +126,27 @@ def multi_search_rows(
     predecessors = np.where(found, order[last], -1)
     exact = found & (keys[predecessors] == keys[order[at]])
     return SearchRows(dests[at], order[at] - held, predecessors, exact)
+
+
+def _side_keys(dist: Distributed, key_fn: Callable[[Any], Any]) -> Tuple[List[Any], Any]:
+    """``(keys, rows)``: row ``i`` of ``dist`` has key ``keys[rows[i]]``.
+
+    A :class:`~repro.data.relation.ColumnKey` of a
+    :class:`~repro.mpc.columnar.ColumnarData` is read from its code
+    columns: ``keys`` are the distinct key tuples, decoded once each, and
+    nothing else is decoded.  Any other side lists every row's key.
+    """
+    if (isinstance(dist, ColumnarData) and isinstance(key_fn, ColumnKey)
+            and key_fn.indices and dist.batch.kind == "items"):
+        columns = [dist.batch.columns[index] for index in key_fn.indices]
+        ids = columns[0]
+        for column in columns[1:]:  # widen the dense rank of the ones before
+            ids = np.unique(ids, return_inverse=True)[1] * (int(column.max(initial=0)) + 1) + column
+        _, firsts, rows = np.unique(ids, return_index=True, return_inverse=True)
+        decode = dist.codec.decode_many
+        return list(zip(*(decode(column[firsts]) for column in columns))), rows
+    keys = [key_fn(item) for part in dist.parts for item in part]
+    return keys, np.arange(len(keys))
 
 
 def _ranked_keys(keys: List[Any]) -> Optional[Any]:

@@ -108,14 +108,14 @@ def _reduce_by_key_columnar(
     server's rows in one :func:`~repro.backends.kernels.fold_rows` with the
     server as the leading column.  Rows are laid out server by server, so
     the first occurrences of a (server, key) row are each server's first
-    occurrences in turn and the folded rows come out grouped by server: one
-    ``searchsorted`` cuts them back into the p batches.
+    occurrences in turn and the folded rows come out grouped by server —
+    one batch for the exchange, one ``searchsorted`` for its cuts.
     """
     from ..backends.batch import ColumnarBatch
     from ..backends.columnar import encode_annotations
     from ..backends.dispatch import np
     from ..backends.kernels import fold_rows
-    from ..mpc.columnar import ColumnarData
+    from ..mpc.columnar import ColumnarData, server_cuts
 
     view = dist.view
     p = view.p
@@ -129,7 +129,7 @@ def _reduce_by_key_columnar(
     # profile's ints on one server and floats on another would promote to
     # floats where the reference path keeps the original objects.
     arrays = by_column and isinstance(dist, ColumnarData)
-    held = ColumnarBatch.concat(dist.batches) if arrays else None
+    held = dist.batch if arrays else None
     if arrays and held.kind == "items" and (
         distinct or (value_fn is annotation_of and held.annotations is not None)
     ):
@@ -153,31 +153,26 @@ def _reduce_by_key_columnar(
     kind = "items" if by_column else "pairs"
     add_ufunc = None if distinct else profile.add_ufunc
 
-    def stage(sizes: List[int], columns: List[Any], values: Any) -> tuple:
+    def stage(sizes: List[int], columns: List[Any], values: Any) -> ColumnarData:
         """The rows of p servers (``sizes`` apiece) ⊕-folded per server and
-        key, in first-occurrence order: ``(key columns, cuts, batches)``
-        with server ``i``'s rows at ``cuts[i]:cuts[i + 1]``."""
+        key, in first-occurrence order."""
         (servers, *keys), folded = fold_rows(
             [np.repeat(np.arange(p), sizes), *columns], values, add_ufunc
         )
-        cuts = np.searchsorted(servers, np.arange(p + 1)).tolist()
         whole = ColumnarBatch(tuple(keys), folded, int(servers.shape[0]), kind)
-        return keys, cuts, [whole.slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        return ColumnarData(view, whole, server_cuts(servers, p), codec)
 
     # The partials go through the wire as one (key-code columns, value array)
-    # batch per server — same destinations, same delivery order, same
-    # per-server counts as the item path.
-    keys, cuts, partials = stage(dist.part_sizes(), columns, values)
+    # batch — same destinations, same delivery order, same per-server
+    # counts as the item path.
+    partials = stage(dist.part_sizes(), columns, values).batch
     if by_column:
-        hashes = codec.row_hashes(keys, cuts[-1], salt)
+        hashes = codec.row_hashes(partials.columns, partials.size, salt)
     else:
-        hashes = codec.hashes(keys[0], salt)
-    destinations = (hashes % np.uint64(p)).astype(np.int64)
-    inboxes = view.exchange_batches(
-        [destinations[a:b] for a, b in zip(cuts, cuts[1:])], partials
+        hashes = codec.hashes(partials.columns[0], salt)
+    arrived, cuts = view.exchange_batches(
+        (hashes % np.uint64(p)).astype(np.int64), partials
     )
-
-    arrived = ColumnarBatch.concat(inboxes)
     values = arrived.annotations
     if (
         not distinct
@@ -187,14 +182,11 @@ def _reduce_by_key_columnar(
     ):
         # Oversized partials: the reference stage 2 over the decoded pairs,
         # after the (already identical) exchange.
-        return Distributed(
-            view, [_fold_pairs(inbox.to_items(codec), combine) for inbox in inboxes]
-        )
+        inboxes = ColumnarData(view, arrived, cuts, codec).parts
+        return Distributed(view, [_fold_pairs(inbox, combine) for inbox in inboxes])
     # The result stays array-native; consumers that need tuples decode lazily.
-    _, _, totals = stage(
-        [inbox.size for inbox in inboxes], list(arrived.columns), values
-    )
-    return ColumnarData(view, totals, codec)
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+    return stage(sizes, list(arrived.columns), values)
 
 
 def count_by_key(

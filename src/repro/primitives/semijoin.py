@@ -4,13 +4,16 @@ multi-search").
 Built on :func:`~repro.primitives.multi_search.multi_search_items` so that a
 *heavy* key — one matching N tuples — spreads its tuples across servers
 (the sorted union splits ties); a hash co-partitioning formulation would
-pile all of them onto one server and break the O(N/p) load bound.
+pile all of them onto one server and break the O(N/p) load bound.  On the
+array path a :class:`~repro.mpc.columnar.ColumnarData` target stays one:
+its batch taken at the kept rows, cut by their result servers.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..mpc.columnar import ColumnarData
 from ..mpc.distributed import Distributed
 from .multi_search import multi_search_reference, multi_search_rows
 from .reduce_by_key import distinct_keys
@@ -29,8 +32,12 @@ def _filtered(
     keys = distinct_keys(source, source_key_fn, salt)
     rows = multi_search_rows(target, keys, key_fn, lambda key: key)
     if rows is not None:
-        items = target.collect()
         keep = rows.exact == keep_present
+        if isinstance(target, ColumnarData):  # the kept rows, still in codes
+            return target.with_batch(
+                target.batch.take(rows.queries[keep]), rows.servers[keep]
+            )
+        items = target.collect()
         return rows.spread(
             target.view, [items[q] for q in rows.queries[keep].tolist()], keep
         )

@@ -10,6 +10,7 @@ import pytest
 
 from repro import ExecutionConfig
 from repro import api
+from repro.backends.dispatch import HAS_NUMPY
 from repro.conformance import FuzzConfig
 from repro.data import Relation
 from repro.workloads import planted_out_matmul
@@ -108,6 +109,51 @@ def test_table1_family_selection():
     assert api.table1(scale=40, families=[]) == []
     with pytest.raises(ValueError):
         api.table1(scale=40, families=["matmul", "pentagon"])
+
+
+def _lookalike_matmul(seed=5):
+    """A 400-tuple matmul whose ``B`` values spell 1 and 0 three ways each
+    (``1``/``1.0``/``True``, ``0``/``0.0``/``False``): equal as dict keys,
+    distinct to ``stable_hash``."""
+    import random
+
+    from repro.data.query import Instance
+    from repro.semiring.standard import COUNTING
+    from repro.workloads.matrices import MATMUL_QUERY
+
+    rng = random.Random(seed)
+    spellings = {1: (1, 1.0, True), 0: (0, 0.0, False)}
+
+    def relation(name, schema):
+        rel = Relation(name, schema)
+        while len(rel) < 200:
+            b = rng.randrange(30)
+            b, other = rng.choice(spellings.get(b, (b,))), rng.randrange(40)
+            values = (other, b) if schema[1] == "B" else (b, other)
+            if values not in rel:
+                rel.add(values, 1)
+        return rel
+
+    return Instance(MATMUL_QUERY, {"R1": relation("R1", ("A", "B")),
+                                   "R2": relation("R2", ("B", "C"))}, COUNTING)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_in_model_explain_is_backend_invariant_on_lookalike_values():
+    """In-model statistics of an instance the codec would conflate are
+    collected on the tuple kernels, as ``run_query`` runs it: the columnar
+    plan's statistics (distinct ``B`` counts, metered load, OUT estimate)
+    are the pytuple plan's."""
+    instance = _lookalike_matmul()
+    plans = [
+        api.explain(instance, ExecutionConfig(p=8, backend=backend,
+                                              stats_mode="in-model")).to_dict()
+        for backend in ("pytuple", "columnar")
+    ]
+    assert plans[0]["statistics"] == plans[1]["statistics"]
+    runs = [api.run_query(instance, ExecutionConfig(p=8, backend=backend))
+            for backend in ("pytuple", "columnar")]
+    assert runs[0].report.to_dict() == runs[1].report.to_dict()
 
 
 # ------------------------------------------------------------ fuzz / chaos

@@ -191,14 +191,6 @@ def test_hash_join_replays_nested_probe_loops():
     assert list(zip(l_pos.tolist(), r_pos.tolist())) == expected
 
 
-def test_isin_filter_matches_membership():
-    ids = np.asarray([5, 1, 9, 1, 0], dtype=np.int64)
-    allowed = np.asarray([1, 9], dtype=np.int64)
-    assert kernels.isin_filter(ids, allowed).tolist() == [
-        False, True, True, True, False
-    ]
-
-
 def test_combine_split_round_trip():
     cols = [
         np.asarray([0, 3, 1, 2], dtype=np.int64),

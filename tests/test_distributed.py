@@ -115,15 +115,6 @@ def test_repartition_multi_replicates():
     assert cluster.report().total_communication == 3
 
 
-def test_rebalance_evens_out():
-    cluster = MPCCluster(4)
-    view = cluster.view()
-    dist = Distributed(view, [[1] * 12, [], [], []])
-    balanced = dist.rebalance()
-    assert max(balanced.part_sizes()) <= 3
-    assert balanced.total_size == 12
-
-
 def test_transfer_across_views():
     cluster = MPCCluster(8)
     view = cluster.view()

@@ -102,7 +102,7 @@ _ROW_SHAPES = {
 
 def _as_arrays(dist, profile, width=2):
     """``dist`` (item parts, ``width`` values each) as the ColumnarData a
-    load or an earlier reduce-by-key would have left: one batch sliced by
+    load or an earlier reduce-by-key would have left: one batch cut by
     server."""
     view, codec = dist.view, dist.view.cluster.codec
     items = dist.collect()
@@ -112,9 +112,7 @@ def _as_arrays(dist, profile, width=2):
         else encode_annotations([item[1] for item in items], profile),
         len(items), "items",
     )
-    cuts = np.cumsum([0] + dist.part_sizes()).tolist()
-    return ColumnarData(
-        view, [whole.slice(a, b) for a, b in zip(cuts, cuts[1:])], codec)
+    return ColumnarData(view, whole, np.cumsum([0] + dist.part_sizes()).tolist(), codec)
 
 
 def _column_reduced(name, shape, rows, salt=0, arrays=False):

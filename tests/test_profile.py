@@ -33,6 +33,7 @@ from repro.workloads import (
     line_instance,
     planted_out_line,
     planted_out_matmul,
+    planted_out_star,
     random_sparse_matmul,
     star_instance,
     twig_instance,
@@ -367,7 +368,7 @@ def _routing_error_batches_mismatch(profiler):
     view = MPCCluster(2, backend="columnar", profiler=profiler).view()
     batch = ColumnarBatch((np.arange(3, dtype=np.int64),), None, 3)
     dests = np.zeros(2, dtype=np.int64)  # two destinations for three rows
-    view.exchange_batches([dests, dests], [batch, batch])
+    view.exchange_batches(dests, batch)
 
 
 def _faulted_view(profiler):
@@ -377,7 +378,7 @@ def _faulted_view(profiler):
 
 
 def _routing_error_batches_faulted(profiler):
-    _faulted_view(profiler).exchange_batches([None, None], [None, None])
+    _faulted_view(profiler).exchange_batches(None, None)
 
 
 def _routing_error_broadcast_batches_faulted(profiler):
@@ -513,6 +514,71 @@ def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
     assert observed("pytuple") == (0, ops)
     assert (sum(calls for _, calls, _ in ops),
             sum(items for _, _, items in ops)) == (721, 89395)  # the parent's
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+def test_a_dataset_is_one_batch_not_one_per_server(monkeypatch):
+    """A columnar dataset is one batch with server cuts, so nothing cuts a
+    batch per server any more: the twig below sliced batches 12,666 times
+    in 456 rounds while a dataset held one batch per server."""
+    from repro.backends.batch import ColumnarBatch
+
+    slices = []
+    original = ColumnarBatch.slice
+
+    def counted(self, start, stop):
+        slices.append((start, stop))
+        return original(self, start, stop)
+
+    monkeypatch.setattr(ColumnarBatch, "slice", counted)
+    result = run_query(twig_instance(tuples=60, domain=12, seed=2020),
+                       config=ExecutionConfig(p=16, backend="columnar"))
+    assert result.report.rounds == 456
+    assert len(slices) <= result.report.rounds
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
+@pytest.mark.parametrize("instance", [
+    planted_out_star(3, 300, 2500), twig_instance(tuples=60, domain=12, seed=2020),
+], ids=["planted-star", "twig"])
+def test_the_reshapes_never_decode_a_dataset(monkeypatch, instance):
+    """§5's ``unpack_pairs`` and §7's ``_expand_and_aggregate`` split
+    combined code columns into flat ones: inside them no ``ColumnarData``
+    decodes its batch — not the product they reshape, not the result they
+    hand to the aggregation."""
+    from repro.core import star, tree
+    from repro.mpc.columnar import ColumnarData
+
+    inside, decoded, arrays = [], [], []
+    parts = ColumnarData.parts
+
+    def spying(self):
+        if inside and self._decoded is None:
+            decoded.append(inside[-1])
+        return parts.fget(self)
+
+    def watched(module, name):
+        original = getattr(module, name)
+
+        def call(rel, *args, **kwargs):
+            arrays.append(isinstance(rel.data, ColumnarData))
+            inside.append(name)
+            try:
+                return original(rel, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, call)
+
+    monkeypatch.setattr(ColumnarData, "parts", property(spying))
+    watched(star, "unpack_pairs")
+    watched(tree, "_expand_and_aggregate")
+    reference = run_query(instance, config=ExecutionConfig(p=16, backend="pytuple"))
+    arrays.clear()
+    result = run_query(instance, config=ExecutionConfig(p=16, backend="columnar"))
+    assert any(arrays) and decoded == []
+    assert result.relation.tuples == reference.relation.tuples
+    assert result.report.to_dict() == reference.report.to_dict()
 
 
 def test_span_shape_golden_three_arm_star_pytuple():
