@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "SUBSTR (the JSONL file still holds every event)")
     trace.add_argument("--op", default=None, metavar="OP",
                        help="analyse only events of this operation "
-                       "(exchange/broadcast/gather/transfer/...)")
+                       "(exchange/broadcast/gather/...)")
     trace.add_argument("--top", type=int, default=0, metavar="N",
                        help="also print the N highest-load phase paths")
 

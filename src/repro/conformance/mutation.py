@@ -72,7 +72,7 @@ def planted_drop_blackhole() -> Iterator[None]:
         if payloads is not None:
             for fault in self.fired[fired_before:]:
                 if fault.kind == "drop":
-                    payloads[view.servers.index(fault.server)].clear()
+                    payloads[fault.server].clear()
         return next_round
 
     FaultInjector.deliver = buggy_deliver

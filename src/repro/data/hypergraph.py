@@ -34,9 +34,6 @@ class Hypergraph:
             vertices |= edge
         self.vertices: FrozenSet[str] = frozenset(vertices)
 
-    def incident_edges(self, vertex: str) -> List[int]:
-        return [i for i, edge in enumerate(self.edges) if vertex in edge]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Hypergraph({[set(e) for e in self.edges]})"
 

@@ -135,9 +135,6 @@ class TreeQuery:
 
     # -- classification ----------------------------------------------------------------
 
-    def is_full(self) -> bool:
-        return self.output == self.attributes
-
     def is_free_connex(self) -> bool:
         """Output attributes form a connected subtree (footnote 1)."""
         output = set(self.output)
@@ -235,6 +232,3 @@ class Instance:
 
     def relation(self, name: str) -> Relation:
         return self.relations[name]
-
-    def ordered_relations(self) -> List[Relation]:
-        return [self.relations[name] for name, _ in self.query.relations]

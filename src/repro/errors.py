@@ -15,7 +15,6 @@ The hierarchy::
     ├── UnsupportedDeltaError(ValueError)— delta needs inverses the semiring lacks
     └── MPCError(RuntimeError)           — simulated-cluster failures
         ├── RoutingError                 — message to a server outside the view
-        ├── AllocationError              — server-allocation request unsatisfiable
         └── FaultError                   — injected-fault failures
             └── UnrecoverableFaultError  — fault the recovery policy cannot repair
 """
@@ -29,7 +28,6 @@ __all__ = [
     "UnsupportedDeltaError",
     "MPCError",
     "RoutingError",
-    "AllocationError",
     "FaultError",
     "UnrecoverableFaultError",
 ]
@@ -73,11 +71,8 @@ class MPCError(ReproError, RuntimeError):
 
 
 class RoutingError(MPCError):
-    """A message was addressed to a server outside the executing view."""
-
-
-class AllocationError(MPCError):
-    """A server-allocation request could not be satisfied."""
+    """A message was addressed to a server outside the executing view, or a
+    dataset of another cluster was handed to this one."""
 
 
 class FaultError(MPCError):
@@ -85,7 +80,7 @@ class FaultError(MPCError):
 
     Carries the identifying coordinates of the fault so harnesses can
     assert *which* failure fired: ``kind`` (``crash``/``drop``/
-    ``duplicate``/``straggler``), ``round`` and global ``server`` id.
+    ``duplicate``/``straggler``), ``round`` and ``server`` id.
     """
 
     def __init__(self, message: str, *, kind: str = "", round_index: int = -1,

@@ -102,14 +102,6 @@ class DeltaBatch:
         return tuple(seen)
 
     @property
-    def insert_count(self) -> int:
-        return sum(1 for change in self.changes if change.op == INSERT)
-
-    @property
-    def delete_count(self) -> int:
-        return sum(1 for change in self.changes if change.op == DELETE)
-
-    @property
     def has_deletions(self) -> bool:
         return any(change.op == DELETE for change in self.changes)
 

@@ -12,15 +12,9 @@ cost is the metered load ``L``, which does not depend on how the host
 schedules a round's local work.
 """
 
-from ..errors import (
-    AllocationError,
-    FaultError,
-    MPCError,
-    RoutingError,
-    UnrecoverableFaultError,
-)
+from ..errors import FaultError, MPCError, RoutingError, UnrecoverableFaultError
 from .cluster import ClusterView, MPCCluster
-from .distributed import Distributed, transfer
+from .distributed import Distributed
 from .faults import FAULT_KINDS, Fault, FaultInjector, FaultSchedule
 from .hashing import hash_to_bucket, hash_to_unit, stable_hash
 from .recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
@@ -30,12 +24,10 @@ __all__ = [
     "MPCCluster",
     "ClusterView",
     "Distributed",
-    "transfer",
     "LoadTracker",
     "CostReport",
     "MPCError",
     "RoutingError",
-    "AllocationError",
     "FaultError",
     "UnrecoverableFaultError",
     "FAULT_KINDS",

@@ -1,29 +1,26 @@
 """Simulated MPC cluster (paper §1.3).
 
-``MPCCluster`` hosts ``p`` logical servers.  Algorithms act through a
-:class:`ClusterView` — an ordered subset of servers with a round cursor —
-so that the paper's "allocate ``p_i`` servers to subquery ``i``" steps map
-directly onto code (``view.run_parallel``).  All data movement goes through
-:meth:`ClusterView.exchange`, which physically delivers items and charges the
+``MPCCluster`` hosts ``p`` logical servers.  Algorithms act through the
+cluster's one :class:`ClusterView`, which owns the round cursor.  All data
+movement goes through :meth:`ClusterView.exchange` (or its batch form),
+which physically delivers items and charges the
 :class:`~repro.mpc.stats.LoadTracker` at the receiving servers, making the
 measured load the paper's ``L`` by construction.
 
-Round semantics: each view carries a cursor; ``exchange`` consumes one round.
-``run_parallel`` executes branch tasks on disjoint sub-views starting at the
-same base round and advances the parent cursor by the *maximum* branch depth,
-which is exactly what a real synchronous cluster running the branches side by
-side would do.  When the requested server counts exceed ``p``, branches are
-packed into sequential waves (a real cluster would do the same); the paper's
-allocation lemmas guarantee O(1) waves for its algorithms.
+Round semantics: every delivering operation consumes one round of the
+cursor, which only ever moves forward.  The paper's "allocate ``⌈size/L⌉``
+servers to each subquery" steps run on the whole view: a task id column
+placed by :class:`~repro.core.allocation.RangeAllocation` routes each
+subquery's tuples to its own server range, and independent subqueries run
+one after another, so their rounds add up.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import AllocationError, RoutingError
+from ..errors import RoutingError
 from .stats import CostReport, LoadTracker
 
 __all__ = ["MPCCluster", "ClusterView"]
@@ -33,9 +30,9 @@ class MPCCluster:
     """A simulated cluster of ``p`` interconnected servers.
 
     ``tracer`` (a :class:`repro.obs.events.Tracer`, optional) turns on the
-    structured event stream: every exchange/broadcast/gather/transfer and
-    every ``run_parallel`` wave emits one event.  Without it, operations pay
-    only a ``None`` check — the metered load ``L`` is identical either way.
+    structured event stream: every exchange/broadcast/gather emits one
+    event.  Without it, operations pay only a ``None`` check — the metered
+    load ``L`` is identical either way.
 
     ``faults`` (a :class:`~repro.mpc.faults.FaultSchedule` or pre-built
     :class:`~repro.mpc.faults.FaultInjector`, optional) enables
@@ -52,10 +49,10 @@ class MPCCluster:
     on first use.
 
     ``profiler`` (a :class:`~repro.obs.profile.Profiler`, optional) turns
-    on wall-clock span profiling: every delivering operation and
-    ``run_parallel`` wave records its elapsed time and items moved
-    (through :meth:`~repro.mpc.stats.LoadTracker.span`).  Results, meters
-    and traces are bit-identical with and without one.
+    on wall-clock span profiling: every delivering operation records its
+    elapsed time and items moved (through
+    :meth:`~repro.mpc.stats.LoadTracker.span`).  Results, meters and
+    traces are bit-identical with and without one.
     """
 
     def __init__(self, p: int, seed: int = 0, tracer: Optional[Any] = None,
@@ -74,6 +71,7 @@ class MPCCluster:
             from .faults import as_injector
 
             self.faults = as_injector(faults)
+        self._view = ClusterView(self)
 
     @property
     def codec(self) -> Any:
@@ -85,8 +83,9 @@ class MPCCluster:
         return self._codec
 
     def view(self) -> "ClusterView":
-        """The root view over all ``p`` servers, cursor at the current round."""
-        return ClusterView(self, tuple(range(self.p)), self.tracker.rounds)
+        """The cluster's one view over all ``p`` servers (the same object on
+        every call, so the cluster has exactly one round cursor)."""
+        return self._view
 
     def report(self) -> CostReport:
         """Snapshot of the cluster's cost meters."""
@@ -97,23 +96,16 @@ class MPCCluster:
 
 
 class ClusterView:
-    """An ordered subset of cluster servers with a round cursor.
+    """The ``p`` servers of one cluster and its forward-only round cursor.
 
-    Local server indices ``0..p-1`` map to global ids ``self.servers``.
+    ``servers`` is ``(0, …, p - 1)``; trace events carry it.
     """
 
-    def __init__(self, cluster: MPCCluster, servers: Tuple[int, ...], round_index: int) -> None:
-        if not servers:
-            raise AllocationError("a view needs at least one server")
+    def __init__(self, cluster: MPCCluster) -> None:
         self.cluster = cluster
-        self.servers = servers
-        self.round = round_index
-
-    # -- basic properties ------------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return len(self.servers)
+        self.p = cluster.p
+        self.servers = tuple(range(cluster.p))
+        self.round = 0
 
     @property
     def tracker(self) -> LoadTracker:
@@ -296,97 +288,3 @@ class ClusterView:
     def control_scatter(self, count: int = 1) -> None:
         """Charge scattering ``count`` scalars to every server."""
         self.tracker.record_control(count * self.p)
-
-    # -- sub-allocation ----------------------------------------------------------
-
-    def subview(self, local_indices: Sequence[int]) -> "ClusterView":
-        """A view over the given local indices, sharing tracker and cursor.
-
-        Raises :class:`AllocationError` for an empty request or any index
-        outside ``0..p-1`` — an allocation that asks for servers the view
-        does not own can never be satisfied.
-        """
-        indices = tuple(local_indices)
-        if not indices:
-            raise AllocationError("a view needs at least one server")
-        for index in indices:
-            if not 0 <= index < self.p:
-                raise AllocationError(
-                    f"local index {index} outside view of size {self.p}"
-                )
-        servers = tuple(self.servers[i] for i in indices)
-        return ClusterView(self.cluster, servers, self.round)
-
-    def split(self, groups: int) -> List["ClusterView"]:
-        """Partition the view into ``groups`` disjoint contiguous sub-views.
-
-        When ``groups > p`` the tail groups are merged into the available
-        servers (each sub-view has ≥ 1 server, at most ``p`` sub-views).
-        """
-        groups = max(1, min(groups, self.p))
-        bounds = [round(i * self.p / groups) for i in range(groups + 1)]
-        return [self.subview(range(bounds[i], bounds[i + 1])) for i in range(groups)]
-
-    def run_parallel(
-        self,
-        tasks: Sequence[Callable[["ClusterView"], Any]],
-        sizes: Optional[Sequence[int]] = None,
-    ) -> List[Any]:
-        """Run ``tasks`` on disjoint sub-views "in parallel".
-
-        ``sizes[i]`` is the requested server count of task ``i`` (default 1).
-        Tasks are first-fit packed into waves of total size ≤ p; each wave's
-        branches start at the same base round, and the cursor advances by the
-        deepest branch.  Results are returned in task order.
-        """
-        if not tasks:
-            return []
-        if sizes is None:
-            sizes = [1] * len(tasks)
-        if len(sizes) != len(tasks):
-            raise AllocationError("sizes must match tasks")
-        clamped = [max(1, min(int(math.ceil(s)), self.p)) for s in sizes]
-
-        results: List[Any] = [None] * len(tasks)
-        pending = list(range(len(tasks)))
-        while pending:
-            wave: List[int] = []
-            used = 0
-            remaining: List[int] = []
-            for task_index in pending:
-                if used + clamped[task_index] <= self.p:
-                    wave.append(task_index)
-                    used += clamped[task_index]
-                else:
-                    remaining.append(task_index)
-            if not wave:  # single task larger than p (cannot happen: clamped ≤ p)
-                raise AllocationError("could not schedule task wave")
-            pending = remaining
-
-            base_round = self.round
-            deepest = base_round
-            offset = 0
-            with self.tracker.span("parallel-wave", "op", self.cluster.backend):
-                for task_index in wave:
-                    width = clamped[task_index]
-                    branch = self.subview(range(offset, offset + width))
-                    branch.round = base_round
-                    results[task_index] = tasks[task_index](branch)
-                    deepest = max(deepest, branch.round)
-                    offset += width
-            tracer = self.tracker.tracer
-            if tracer is not None and tracer.active:
-                tracer.emit(
-                    "parallel-wave",
-                    base_round,
-                    self.servers,
-                    (),
-                    self.tracker.phase_path(),
-                    detail={
-                        "tasks": list(wave),
-                        "widths": [clamped[i] for i in wave],
-                        "depth": deepest - base_round,
-                    },
-                )
-            self.round = deepest
-        return results

@@ -114,14 +114,13 @@ def server_cuts(servers: Any, p: int) -> List[int]:
 
 
 def unite(view: ClusterView, datasets: Sequence[Distributed]) -> Optional[ColumnarData]:
-    """:meth:`Distributed.union` of array datasets on ``view``'s servers
-    whose non-empty batches share one layout — one stable argsort of the
+    """:meth:`Distributed.union` of array datasets on ``view`` whose
+    non-empty batches share one layout — one stable argsort of the
     owner-server column and one ``take`` — or None (the union is items)."""
     held = [dataset for dataset in datasets if dataset.total_size]
     if not (
         held
-        and all(type(d) is ColumnarData and d.view.servers == view.servers
-                for d in datasets)
+        and all(type(d) is ColumnarData and d.view is view for d in datasets)
         and len({dataset.batch.layout() for dataset in held}) == 1
     ):
         return None

@@ -14,14 +14,12 @@ none of them; only :meth:`Distributed.union` looks at the batch first).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Sequence, TypeVar
+from typing import Any, Callable, Iterable, List, Sequence
 
 from .cluster import ClusterView
 from ..errors import RoutingError
 
-__all__ = ["Distributed", "transfer"]
-
-T = TypeVar("T")
+__all__ = ["Distributed"]
 
 
 class Distributed:
@@ -66,7 +64,7 @@ class Distributed:
                 return united
         parts: List[List[Any]] = [[] for _ in range(view.p)]
         for dataset in datasets:
-            if dataset.view is not view and dataset.view.servers != view.servers:
+            if dataset.view is not view:
                 raise RoutingError("union requires datasets on the same view")
             for part, more in zip(parts, dataset.parts):
                 part.extend(more)
@@ -125,44 +123,3 @@ class Distributed:
         """Materialize all items on every server; returns the shared list."""
         return self.view.broadcast(self.parts)
 
-    def gather(self, dest: int = 0) -> List[Any]:
-        """Ship every item to one server (metered there); one round."""
-        return self.view.gather(self.parts, dest)
-
-
-def transfer(
-    source: Distributed,
-    dest_view: ClusterView,
-    dest_fn: Callable[[Any], int],
-) -> Distributed:
-    """Move a dataset from its view onto ``dest_view`` (possibly different
-    servers of the same cluster); one round, charged at the receivers.
-
-    The two views' cursors are synchronized to ``max(src, dst) + 1``, which is
-    what a globally synchronous cluster would observe.
-    """
-    tracker = dest_view.tracker
-    with tracker.span("transfer", "op", dest_view.cluster.backend) as span:
-        if source.view.cluster is not dest_view.cluster:
-            raise RoutingError("transfer requires views of the same cluster")
-        round_index = max(source.view.round, dest_view.round)
-        inboxes: List[List[Any]] = [[] for _ in range(dest_view.p)]
-        for part in source.parts:
-            for item in part:
-                dest = dest_fn(item)
-                if not 0 <= dest < dest_view.p:
-                    raise RoutingError(f"destination {dest} outside view of size {dest_view.p}")
-                inboxes[dest].append(item)
-        sizes = tuple(map(len, inboxes))
-        injector = dest_view.cluster.faults
-        if injector is not None:
-            next_round = injector.deliver(
-                dest_view, round_index, sizes, "transfer", inboxes
-            )
-        else:
-            tracker.charge_round("transfer", round_index, dest_view.servers, sizes)
-            next_round = round_index + 1
-        source.view.round = next_round
-        dest_view.round = next_round
-        span.add_items(sum(sizes))
-    return Distributed(dest_view, inboxes)

@@ -13,16 +13,16 @@ cluster.  This module drops that assumption *deterministically*: a seeded
 * ``straggler`` — the server's round runs ``delay`` rounds slow, stalling
   the whole synchronous round.
 
-Injection rides on hooks inside :meth:`ClusterView.exchange` /
-``broadcast`` and :func:`repro.mpc.distributed.transfer`: a cluster built
-without faults (the default) pays a single ``None`` check per operation,
-so every metered number is bit-identical to a fault-free build.  With
-faults enabled, the *effective* deliveries after recovery equal the
-intended ones — algorithms still compute exact answers — while the repair
-cost (retries, replays, checkpoint restores, stalls) is metered separately
-under the ``recovery`` tag (see :mod:`repro.mpc.recovery` and
-:class:`~repro.mpc.stats.CostReport`).  Unrecoverable schedules raise
-:class:`~repro.errors.UnrecoverableFaultError` naming the round.
+Injection rides on hooks inside :meth:`ClusterView.exchange` and
+``broadcast``: a cluster built without faults (the default) pays a single
+``None`` check per operation, so every metered number is bit-identical to a
+fault-free build.  With faults enabled, the *effective* deliveries after
+recovery equal the intended ones — algorithms still compute exact answers —
+while the repair cost (retries, replays, checkpoint restores, stalls) is
+metered separately under the ``recovery`` tag (see
+:mod:`repro.mpc.recovery` and :class:`~repro.mpc.stats.CostReport`).
+Unrecoverable schedules raise :class:`~repro.errors.UnrecoverableFaultError`
+naming the round.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ FAULT_KINDS: Tuple[str, ...] = ("crash", "drop", "duplicate", "straggler")
 
 @dataclass(frozen=True)
 class Fault:
-    """One scheduled fault: ``kind`` hits global ``server`` at ``round``.
+    """One scheduled fault: ``kind`` hits ``server`` at ``round``.
 
     ``delay`` is only meaningful for stragglers (rounds of slowdown).
-    ``round`` indexes the view cursor at which the delivering operation
+    ``round`` indexes the round cursor at which the delivering operation
     runs; a fault whose coordinates never coincide with a delivery simply
     never fires (a scheduled crash of an idle server is harmless).
     """
@@ -176,12 +176,10 @@ class FaultInjector:
         delivery — but the hook is where mutation tests plant delivery-
         corrupting bugs that the chaos tier must catch.
         """
-        servers = view.servers
-        view.tracker.charge_round(op, round_index, servers, counts)
+        view.tracker.charge_round(op, round_index, view.servers, counts)
         extra = 0
-        for local_index, server in enumerate(servers):
-            key = (round_index, server)
-            indices = self._pending.get(key)
+        for server, count in enumerate(counts):
+            indices = self._pending.get((round_index, server))
             if not indices:
                 continue
             for index in indices:
@@ -189,13 +187,12 @@ class FaultInjector:
                     continue
                 self._fired.add(index)
                 fault = self.schedule.faults[index]
-                count = counts[local_index]
                 if count == 0 and fault.kind in ("drop", "duplicate"):
                     continue  # nothing was in transit: the fault is moot
                 self.fired.append(fault)
                 self._emit_fault(view, round_index, fault, count)
                 extra += self.recovery.recover(
-                    fault, view, round_index, local_index, count
+                    fault, view, round_index, server, count
                 )
         self.recovery.checkpoint_round(view, round_index, counts)
         return round_index + 1 + extra

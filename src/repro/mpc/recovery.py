@@ -110,8 +110,8 @@ class RecoveryManager:
         store = self.checkpoints
         if store is None:
             return
-        for local_index, count in enumerate(counts):
-            store.extend(view.servers[local_index], count)
+        for server, count in enumerate(counts):
+            store.extend(server, count)
         store.mark_round(round_index)
         tracer = view.tracker.tracer
         if tracer is not None and tracer.active:
@@ -126,17 +126,16 @@ class RecoveryManager:
 
     # -- fault handling ----------------------------------------------------------
 
-    def recover(self, fault: Any, view: Any, round_index: int, local_index: int,
+    def recover(self, fault: Any, view: Any, round_index: int, server: int,
                 count: int) -> int:
         """Repair one fired fault; returns the extra rounds it consumed.
 
-        ``count`` is the number of items the faulted server was due to
+        ``count`` is the number of items the faulted ``server`` was due to
         receive in this round.  Charges go through the tracker's recovery
         meters; raises :class:`UnrecoverableFaultError` when the policy
         cannot repair the fault.
         """
         tracker = view.tracker
-        server = view.servers[local_index]
         kind = fault.kind
 
         if kind == "straggler":

@@ -9,13 +9,15 @@ A secondary *control channel* meters the O(p)-scalar coordination traffic
 free under ``N ≥ p^{1+ε}``; it is reported separately and never mixed into
 ``L``.
 
-Phase attribution is *tag-based*: every delivery is charged to each phase
-open at the moment it happens (each open phase keeps its own cell map), so
-phases remain correct when ``run_parallel`` branches share round indices —
-a round-range heuristic would let one branch's rounds pollute another's
-phase.  An optional :class:`~repro.obs.events.Tracer` can be attached to
-stream structured events; with none attached (the default), recording cost
-is unchanged.
+Phases are *round intervals*.  A cluster has one view, whose round cursor
+only moves forward, so every delivery made while a phase is open lands at
+or after the round the phase opened at, and none made before it does.  A
+phase's load is therefore the largest per-round peak from its opening round
+on, read from the same running per-round peak list as ``max_load``.
+
+An optional :class:`~repro.obs.events.Tracer` can be attached to stream
+structured events; with none attached (the default), recording cost is
+unchanged.
 
 Fault recovery (:mod:`repro.mpc.faults`) charges its retries, replays and
 checkpoint restores through :meth:`LoadTracker.record_recovery_receive` /
@@ -140,14 +142,14 @@ class CostReport:
 
 
 class _PhaseFrame:
-    """One open phase: its label, its own (round, server) → count cells, and
-    its open wall-clock span."""
+    """One open phase: its label, the round it opened at, and its open
+    wall-clock span."""
 
-    __slots__ = ("label", "cells", "span")
+    __slots__ = ("label", "start", "span")
 
-    def __init__(self, label: str, span: Any) -> None:
+    def __init__(self, label: str, start: int, span: Any) -> None:
         self.label = label
-        self.cells: Dict[Tuple[int, int], int] = {}
+        self.start = start
         self.span = span
 
 
@@ -175,11 +177,12 @@ class LoadTracker:
     def __init__(self, tracer: Optional[Any] = None,
                  profiler: Optional[Any] = None) -> None:
         self._loads: Dict[int, Dict[int, int]] = {}
+        #: Max per-server load of every round so far, in round order.
+        self._peaks: List[int] = []
         self._control = 0
         self._products = 0
         self._phase_stack: List[_PhaseFrame] = []
         self._phases: List[Tuple[str, int]] = []
-        self._max_round = -1
         # Recovery ("chaos") overhead lives in its own cells so injected
         # faults can never perturb the base load meters.
         self._recovery_loads: Dict[int, Dict[int, int]] = {}
@@ -211,28 +214,22 @@ class LoadTracker:
     # -- recording -----------------------------------------------------------
 
     def record_receive(self, round_index: int, server: int, count: int) -> None:
-        """Charge ``count`` incoming items to ``server`` in ``round_index``.
-
-        The charge also lands in every currently-open phase frame, which is
-        what makes phase attribution immune to shared round indices.
-        """
+        """Charge ``count`` incoming items to ``server`` in ``round_index``."""
         if count < 0:
             raise ValueError("negative message count")
         if count == 0:
             return
         row = self._loads.setdefault(round_index, {})
-        row[server] = row.get(server, 0) + count
-        if round_index > self._max_round:
-            self._max_round = round_index
-        if self._phase_stack:
-            cell = (round_index, server)
-            for frame in self._phase_stack:
-                frame.cells[cell] = frame.cells.get(cell, 0) + count
+        cell = row[server] = row.get(server, 0) + count
+        self.note_round(round_index)
+        if cell > self._peaks[round_index]:
+            self._peaks[round_index] = cell
 
     def note_round(self, round_index: int) -> None:
         """Record that a round happened even if some servers received nothing."""
-        if round_index > self._max_round:
-            self._max_round = round_index
+        missing = round_index + 1 - len(self._peaks)
+        if missing > 0:
+            self._peaks.extend([0] * missing)
 
     def charge_round(self, op: str, round_index: int, servers: Sequence[int],
                      sizes: Sequence[int]) -> None:
@@ -286,7 +283,7 @@ class LoadTracker:
         return _Phase(self, label)
 
     def push_phase(self, label: str) -> None:
-        frame = _PhaseFrame(label, self.span(label, "phase"))
+        frame = _PhaseFrame(label, len(self._peaks), self.span(label, "phase"))
         self._phase_stack.append(frame)
         frame.span.__enter__()
 
@@ -296,7 +293,7 @@ class LoadTracker:
         consistent."""
         frame = self._phase_stack.pop()
         if not failed:
-            load = max(frame.cells.values()) if frame.cells else 0
+            load = max(self._peaks[frame.start:], default=0)
             self._phases.append((frame.label, load))
         frame.span.__exit__(None, None, None)
 
@@ -308,11 +305,7 @@ class LoadTracker:
 
     @property
     def max_load(self) -> int:
-        best = 0
-        for row in self._loads.values():
-            if row:
-                best = max(best, max(row.values()))
-        return best
+        return max(self._peaks, default=0)
 
     @property
     def total_communication(self) -> int:
@@ -320,7 +313,7 @@ class LoadTracker:
 
     @property
     def rounds(self) -> int:
-        return self._max_round + 1
+        return len(self._peaks)
 
     @property
     def control_messages(self) -> int:
@@ -349,10 +342,7 @@ class LoadTracker:
 
     def per_round_loads(self) -> List[int]:
         """Max per-server load of each round, in round order."""
-        return [
-            max(self._loads[r].values()) if r in self._loads and self._loads[r] else 0
-            for r in range(self.rounds)
-        ]
+        return list(self._peaks)
 
     def load_cells(self) -> Dict[int, Dict[int, int]]:
         """Copy of the raw round → {server → received count} cells."""

@@ -1,9 +1,9 @@
 """Trace events and sinks for the simulated cluster.
 
-Every data-moving operation on the cluster — ``exchange``, ``broadcast``,
-``gather``, ``transfer``, and each ``run_parallel`` wave — can emit one
-:class:`TraceEvent` describing *who received how much, when, and under which
-phase*.  Events flow through a :class:`Tracer` into pluggable sinks:
+Every data-moving operation on the cluster — ``exchange``, ``broadcast``
+and ``gather`` — can emit one :class:`TraceEvent` describing *who received
+how much, when, and under which phase*.  Events flow through a
+:class:`Tracer` into pluggable sinks:
 
 * :class:`RingBufferSink` — last ``capacity`` events in memory;
 * :class:`JsonlSink` — one JSON object per line, streamed to a file;
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: Operations whose ``received`` counts are charged against the load meter.
-LOAD_OPS = frozenset({"exchange", "broadcast", "gather", "transfer"})
+LOAD_OPS = frozenset({"exchange", "broadcast", "gather"})
 
 #: Fault-injection lifecycle events (:mod:`repro.mpc.faults`): ``fault``
 #: marks an injected failure firing, ``recovery`` its repair (retry /
@@ -68,12 +68,12 @@ MAINTENANCE_OP = "maintenance"
 class TraceEvent:
     """One structured observation of the simulated cluster.
 
-    ``servers`` are *global* server ids of the emitting view; ``received[i]``
-    is the number of items ``servers[i]`` received in this operation (empty
-    for non-delivering ops such as ``parallel-wave``).  ``phase`` is the open
-    phase-label path, outermost first.  ``algorithm`` is the label set by the
-    executor (which algorithm ran); ``scope`` names the workload/instance
-    when several runs share one trace file.
+    ``servers`` are the cluster's server ids; ``received[i]`` is the number
+    of items ``servers[i]`` received in this operation (empty for
+    non-delivering ops such as ``fault`` or ``checkpoint``).  ``phase`` is
+    the open phase-label path, outermost first.  ``algorithm`` is the label
+    set by the executor (which algorithm ran); ``scope`` names the
+    workload/instance when several runs share one trace file.
     """
 
     op: str
@@ -233,10 +233,6 @@ class Tracer:
     @property
     def active(self) -> bool:
         return bool(self.sinks)
-
-    def add_sink(self, sink: TraceSink) -> TraceSink:
-        self.sinks.append(sink)
-        return sink
 
     def emit(
         self,

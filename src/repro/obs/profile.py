@@ -12,8 +12,8 @@ with the structures the repo already has:
 * ``phase`` spans — one per :meth:`LoadTracker.phase` label, nested the way
   the algorithm opened them;
 * ``op`` spans — one per cluster operation (``exchange`` / ``broadcast`` /
-  ``gather`` / ``transfer`` / ``parallel-wave``), carrying the number of
-  items the operation delivered and the cluster's backend label;
+  ``gather``), carrying the number of items the operation delivered and the
+  cluster's backend label;
 * ``kernel`` spans — one per vectorized kernel call in
   :mod:`repro.backends.kernels`;
 * ``step`` spans — the executor's coarse stages (``plan`` / ``load`` /

@@ -41,7 +41,7 @@ one ran):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..data.query import Instance, TreeQuery
 from ..data.relation import Relation
@@ -81,9 +81,6 @@ class RelationStats:
     #: attr → count of heavy hitters (values with degree² > size, the
     #: paper's √N heavy/light threshold).
     heavy_hitters: Tuple[Tuple[str, int], ...]
-
-    def distinct_of(self, attr: str) -> int:
-        return dict(self.distinct).get(attr, 0)
 
     def max_degree_of(self, attr: str) -> int:
         return dict(self.max_degree).get(attr, 0)

@@ -1,8 +1,8 @@
-"""MPC cluster simulator: routing, metering, views, parallel scheduling."""
+"""MPC cluster simulator: routing, metering, the one view, phases."""
 
 import pytest
 
-from repro.mpc import AllocationError, MPCCluster, RoutingError
+from repro.mpc import MPCCluster, RoutingError
 from repro.mpc.stats import LoadTracker
 
 
@@ -57,69 +57,29 @@ def test_control_channel_is_separate():
     assert report.control_messages == 4 + 2 * 4
 
 
-def test_subview_shares_tracker_and_round_cursor():
-    cluster = MPCCluster(6)
+def test_a_cluster_has_one_view_and_one_cursor():
+    cluster = MPCCluster(3)
     view = cluster.view()
-    view.exchange([[(0, "x")]] + [[] for _ in range(5)])
-    sub = view.subview([2, 3])
-    assert sub.p == 2
-    assert sub.round == view.round
-    sub.exchange([[(1, "y")], []])
-    # Charged against global server id 3.
-    assert cluster.report().total_communication == 2
+    assert cluster.view() is view
+    assert view.servers == (0, 1, 2)
+    view.exchange([[(1, "x")], [], []])
+    assert cluster.view().round == 1 == cluster.report().rounds
 
 
-def test_split_covers_all_servers_disjointly():
-    view = MPCCluster(10).view()
-    parts = view.split(3)
-    servers = [s for sub in parts for s in sub.servers]
-    assert sorted(servers) == list(range(10))
-    assert len(parts) == 3
+def test_phase_is_the_round_interval_it_was_open_for():
+    from repro.mpc import Fault, FaultSchedule
 
-
-def test_split_clamps_groups():
-    view = MPCCluster(2).view()
-    parts = view.split(5)
-    assert len(parts) == 2
-
-
-def test_run_parallel_merges_rounds():
-    cluster = MPCCluster(8)
-    view = cluster.view()
-
-    def deep(branch):
-        for _ in range(3):
-            branch.exchange([[] for _ in range(branch.p)])
-        return "deep"
-
-    def shallow(branch):
-        branch.exchange([[] for _ in range(branch.p)])
-        return "shallow"
-
-    results = view.run_parallel([deep, shallow], sizes=[4, 4])
-    assert results == ["deep", "shallow"]
-    # Parallel branches share rounds: total rounds = max(3, 1) = 3.
-    assert view.round == 3
-
-
-def test_run_parallel_waves_when_oversubscribed():
-    cluster = MPCCluster(2)
-    view = cluster.view()
-
-    def one_round(branch):
-        branch.exchange([[] for _ in range(branch.p)])
-        return branch.servers
-
-    results = view.run_parallel([one_round] * 4, sizes=[1, 1, 1, 1])
-    assert len(results) == 4
-    # 4 tasks of width 1 on 2 servers → 2 waves → 2 rounds.
-    assert view.round == 2
-
-
-def test_run_parallel_validates_sizes():
-    view = MPCCluster(2).view()
-    with pytest.raises(AllocationError):
-        view.run_parallel([lambda b: None], sizes=[1, 2])
+    # The straggler stalls round 0 by two rounds: the cursor jumps 0 → 3.
+    cluster = MPCCluster(2, faults=FaultSchedule([Fault("straggler", 0, 0, delay=2)]))
+    view, tracker = cluster.view(), cluster.tracker
+    with tracker.phase("whole"):
+        with tracker.phase("stalled"):
+            view.exchange([[(0, "x")] * 5, []])
+        assert view.round == 3
+        with tracker.phase("after"):
+            view.exchange([[(1, "y")] * 2, []])
+    assert cluster.report().phases == (("stalled", 5), ("after", 2), ("whole", 5))
+    assert tracker.per_round_loads() == [5, 0, 0, 2]
 
 
 def test_single_server_cluster_works():
@@ -183,51 +143,6 @@ def test_phase_survives_exceptions():
     with tracker.phase("after"):
         tracker.record_receive(0, 0, 2)
     assert dict(tracker.report().phases) == {"after": 2}
-
-
-def test_parallel_branch_phases_do_not_pollute_each_other():
-    """Regression: phases of run_parallel branches share round indices.
-
-    The old round-range heuristic (`round >= start_round` at pop time)
-    attributed the deep branch's later rounds to the shallow branch's phase
-    and missed the shallow branch's own rounds entirely; tag-based
-    attribution charges each delivery to the phases open when it happens.
-    """
-    cluster = MPCCluster(4)
-    view = cluster.view()
-
-    def deep(branch):
-        with branch.tracker.phase("deep"):
-            for count in (7, 9, 11):
-                branch.exchange(
-                    [[(0, "x")] * count] + [[] for _ in range(branch.p - 1)]
-                )
-        return "deep"
-
-    def shallow(branch):
-        with branch.tracker.phase("shallow"):
-            branch.exchange([[(0, "q")] * 3] + [[] for _ in range(branch.p - 1)])
-        return "shallow"
-
-    results = view.run_parallel([deep, shallow], sizes=[2, 2])
-    assert results == ["deep", "shallow"]
-    phases = dict(cluster.report().phases)
-    assert phases["deep"] == 11
-    assert phases["shallow"] == 3  # round-range attribution reported 0 here
-
-
-def test_phase_spanning_run_parallel_sees_all_branches():
-    cluster = MPCCluster(4)
-    view = cluster.view()
-
-    def branch_task(count):
-        def task(branch):
-            branch.exchange([[(0, "x")] * count] + [[] for _ in range(branch.p - 1)])
-        return task
-
-    with cluster.tracker.phase("whole-join"):
-        view.run_parallel([branch_task(5), branch_task(8)], sizes=[2, 2])
-    assert dict(cluster.report().phases)["whole-join"] == 8
 
 
 def test_algorithm_reports_include_phases():

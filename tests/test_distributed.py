@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpc import Distributed, MPCCluster, RoutingError, transfer
+from repro.mpc import Distributed, MPCCluster, RoutingError
 
 
 def test_from_items_balances_contiguously():
@@ -96,6 +96,28 @@ def test_union_rejects_a_foreign_view():
         Distributed.union(view, [Distributed.from_items(view, [1]), foreign])
 
 
+@pytest.mark.parametrize("backend", ["pytuple", "columnar"])
+def test_union_refuses_a_dataset_of_another_cluster_of_the_same_size(backend):
+    """Two clusters with the same ``p`` have equal server tuples; only
+    view identity tells them apart (a columnar dataset's codes mean
+    nothing under another cluster's codec)."""
+    if backend == "columnar":
+        pytest.importorskip("numpy")
+    from repro.data import DistRelation, Relation
+    from repro.semiring import COUNTING
+
+    def loaded(cluster, values):
+        relation = Relation("R", ("A",), [((value,), 1) for value in values])
+        return DistRelation.load(cluster.view(), relation, COUNTING).data
+
+    a, b = MPCCluster(2, backend=backend), MPCCluster(2, backend=backend)
+    mine, foreign = loaded(a, ["x", "y"]), loaded(b, ["p", "q"])
+    for inputs in ([foreign], [mine, foreign]):
+        with pytest.raises(RoutingError):
+            Distributed.union(a.view(), inputs)
+    assert a.report().total_communication == 0
+
+
 def test_repartition_moves_and_charges():
     cluster = MPCCluster(4)
     view = cluster.view()
@@ -113,26 +135,6 @@ def test_repartition_multi_replicates():
     replicated = dist.repartition_multi(lambda _x: [0, 1, 2])
     assert replicated.part_sizes() == [1, 1, 1]
     assert cluster.report().total_communication == 3
-
-
-def test_transfer_across_views():
-    cluster = MPCCluster(8)
-    view = cluster.view()
-    source = Distributed.from_items(view, list(range(8)))
-    target_view = view.subview([6, 7])
-    moved = transfer(source, target_view, lambda x: x % 2)
-    assert sorted(moved.collect()) == list(range(8))
-    assert moved.view.servers == (6, 7)
-    # Cursors synchronized.
-    assert view.round == target_view.round
-
-
-def test_transfer_rejects_foreign_cluster():
-    a = MPCCluster(2)
-    b = MPCCluster(2)
-    source = Distributed.from_items(a.view(), [1])
-    with pytest.raises(RoutingError):
-        transfer(source, b.view(), lambda _x: 0)
 
 
 def test_broadcast_returns_everything():

@@ -21,7 +21,6 @@ import pytest
 from repro import errors
 from repro.config import ExecutionConfig
 from repro.errors import (
-    AllocationError,
     ApplicabilityError,
     ConfigError,
     FaultError,
@@ -48,8 +47,7 @@ def test_leaves_keep_their_historical_builtin_bases():
     assert issubclass(ApplicabilityError, ValueError)
     # …and except RuntimeError sites keep catching cluster failures.
     assert issubclass(MPCError, RuntimeError)
-    for leaf in (RoutingError, AllocationError, FaultError,
-                 UnrecoverableFaultError):
+    for leaf in (RoutingError, FaultError, UnrecoverableFaultError):
         assert issubclass(leaf, MPCError), leaf
         assert issubclass(leaf, RuntimeError), leaf
     assert issubclass(UnrecoverableFaultError, FaultError)
@@ -60,8 +58,7 @@ def test_mpc_package_exports_the_same_classes():
     copies."""
     from repro import mpc
 
-    for name in ("MPCError", "RoutingError", "AllocationError", "FaultError",
-                 "UnrecoverableFaultError"):
+    for name in ("MPCError", "RoutingError", "FaultError", "UnrecoverableFaultError"):
         assert getattr(mpc, name) is getattr(errors, name), name
 
 
@@ -102,7 +99,7 @@ def test_execution_config_rejects_bad_knobs_at_construction(kwargs):
     (FaultError("injected"), 500),
     (UnrecoverableFaultError("fatal"), 500),
     (RoutingError("lost"), 500),
-    (AllocationError("full"), 500),
+    (type("UnlistedMPCError", (MPCError,), {})("subclass"), 500),
     (MPCError("cluster"), 500),
     (ReproError("generic"), 500),
     (KeyError("missing"), 404),

@@ -14,7 +14,6 @@ import pytest
 from repro.core.executor import run_query
 from repro.mpc import (
     FAULT_KINDS,
-    AllocationError,
     CheckpointStore,
     Fault,
     FaultError,
@@ -302,5 +301,3 @@ def test_recovery_meters_reject_negative_charges():
     cluster = MPCCluster(2)
     with pytest.raises(ValueError):
         cluster.tracker.record_recovery_receive(0, 0, -1)
-    with pytest.raises(AllocationError):
-        cluster.view().subview([])

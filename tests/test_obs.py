@@ -196,23 +196,6 @@ def test_gather_and_broadcast_ops_are_tagged():
     assert ring.events[1].received == (1, 1, 1)
 
 
-def test_run_parallel_emits_wave_events():
-    ring = RingBufferSink()
-    cluster = MPCCluster(4, tracer=Tracer([ring]))
-    view = cluster.view()
-
-    def task(branch):
-        branch.exchange([[(0, "x")]] + [[] for _ in range(branch.p - 1)])
-
-    view.run_parallel([task, task], sizes=[2, 2])
-    waves = [event for event in ring.events if event.op == "parallel-wave"]
-    assert len(waves) == 1
-    assert waves[0].detail["tasks"] == [0, 1]
-    assert waves[0].detail["widths"] == [2, 2]
-    assert waves[0].detail["depth"] == 1
-    assert waves[0].received == ()
-
-
 # -- JSONL round-trip (acceptance) --------------------------------------------
 
 
@@ -307,7 +290,8 @@ def test_phase_loads_from_events():
                    phase=("build",)),
         TraceEvent(op="exchange", round=1, servers=(0, 1), received=(2, 7),
                    phase=("build", "probe")),
-        TraceEvent(op="parallel-wave", round=1, servers=(0, 1), phase=("build",)),
+        TraceEvent(op="fault", round=1, servers=(0, 1), phase=("build",),
+                   detail={"kind": "crash", "server": 0}),
         TraceEvent(op="exchange", round=2, servers=(0, 1), received=(3, 0)),
     ]
     loads = phase_loads_from_events(events)

@@ -141,18 +141,17 @@ def test_union_of_one_batch_inputs_equals_item_union(datasets, p):
     assert cluster.report().total_communication == 0
 
 
-def test_union_refuses_a_foreign_view_and_accepts_the_same_servers():
-    view = MPCCluster(4, backend="columnar").view()
-    sub = view.subview([2, 3])
-    foreign = _as_arrays(_parts(sub, [[(("a", 1), 1)], [(("b", 2), 2)]]), _COUNTING)
+def test_union_refuses_another_clusters_batch_and_keeps_its_own():
+    view = MPCCluster(2, backend="columnar").view()
+    other = MPCCluster(2, backend="columnar").view()  # same servers, own codec
+    foreign = _as_arrays(_parts(other, [[(("a", 1), 1)], [(("b", 2), 2)]]), _COUNTING)
     local = _as_arrays(_parts(view, [[(("c", 3), 3)]]), _COUNTING)
     for inputs in ([foreign], [local, foreign]):
         with pytest.raises(RoutingError):
             Distributed.union(view, inputs)
-    twin = view.subview([2, 3])  # another view object over the same servers
-    united = Distributed.union(twin, [foreign, foreign])
-    assert isinstance(united, ColumnarData) and united.view is twin
-    assert united.parts == [[(("a", 1), 1)] * 2, [(("b", 2), 2)] * 2]
+    united = Distributed.union(view, [local, local])
+    assert isinstance(united, ColumnarData) and united.view is view
+    assert united.parts == [[(("c", 3), 3)] * 2, []]
 
 
 def test_assemble_cuts_around_empty_servers():

@@ -68,74 +68,3 @@ def test_rounds_independent_of_cluster_size(p):
     rounds = _rounds(instance, p=p)
     baseline = _rounds(instance, p=8)
     assert abs(rounds - baseline) <= 6
-
-
-# -- run_parallel cursor accounting -------------------------------------------
-#
-# The synchronous-schedule contract: branches of one wave start at the same
-# base round and the parent cursor advances by exactly the *deepest* branch;
-# waves stack sequentially; tracing must not shift any cursor.
-
-
-def _exchanges(depth):
-    """A task running ``depth`` consecutive one-item exchanges."""
-
-    def task(branch):
-        for _ in range(depth):
-            branch.exchange([[(0, "x")]] + [[] for _ in range(branch.p - 1)])
-        return branch.round
-
-    return task
-
-
-def _parallel_cursor(p, depths, sizes, tracer=None):
-    from repro.mpc.cluster import MPCCluster
-
-    cluster = MPCCluster(p, tracer=tracer)
-    view = cluster.view()
-    start = view.round
-    ends = view.run_parallel([_exchanges(d) for d in depths], sizes=sizes)
-    return view.round - start, [end - start for end in ends]
-
-
-def test_run_parallel_advances_by_max_branch_depth():
-    advanced, ends = _parallel_cursor(4, depths=[1, 3, 2], sizes=[1, 2, 1])
-    assert ends == [1, 3, 2]  # every branch ends after its own depth
-    assert advanced == 3  # parent moves by the deepest branch only
-
-
-def test_run_parallel_sequential_waves_stack_depths():
-    # sizes 3+2 exceed p=4 ⇒ first-fit packs [task0] then [task1]: the
-    # parent advances by the *sum* of per-wave maxima.
-    advanced, ends = _parallel_cursor(4, depths=[2, 3], sizes=[3, 2])
-    assert ends == [2, 2 + 3]  # wave 2 starts where wave 1 ended
-    assert advanced == 5
-
-
-def test_run_parallel_nested_views_accumulate_depth():
-    from repro.mpc.cluster import MPCCluster
-
-    cluster = MPCCluster(8)
-    view = cluster.view()
-
-    def outer(branch):
-        branch.exchange([[(0, "x")]] + [[] for _ in range(branch.p - 1)])
-        # Nested fan-out inside the branch: inner waves advance the
-        # *branch* cursor, which then feeds the outer wave's max.
-        branch.run_parallel([_exchanges(2), _exchanges(1)], sizes=[2, 2])
-        return branch.round
-
-    ends = view.run_parallel([outer, _exchanges(1)], sizes=[4, 4])
-    assert view.round == 3  # outer branch: 1 exchange + nested max(2, 1)
-    assert ends == [3, 1]
-
-
-@pytest.mark.parametrize("traced", [False, True])
-def test_run_parallel_cursor_identical_with_and_without_tracer(traced):
-    from repro.obs import RingBufferSink, Tracer
-
-    tracer = Tracer([RingBufferSink()]) if traced else None
-    advanced, ends = _parallel_cursor(
-        6, depths=[1, 4, 2, 2], sizes=[2, 1, 2, 1], tracer=tracer
-    )
-    assert (advanced, ends) == (4, [1, 4, 2, 2])
