@@ -1,22 +1,21 @@
-"""Planner regret harness: predicted vs measured load, per candidate.
+"""Planner calibration and prediction-accuracy sweep: predicted vs measured
+load, per candidate.
 
 Sweeps the conformance generators' five query families × three skew
 profiles (moderate sizes — big enough that Table 1's terms separate, small
 enough for CI), and for every point:
 
 * asks the planner for its :class:`~repro.planner.Plan` (offline
-  statistics, the executor's ``algorithm="cost"`` path);
-* runs **every** scored candidate for real and records its measured load;
-* reports **regret** = measured(chosen) / min over candidates of measured
-  — 1.0 means the planner picked the true winner — and
-  **vs_auto** = measured(chosen) / measured(``algorithm="auto"``), the
-  ISSUE's acceptance metric (must stay ≤ 1.1, enforced by exit code).
+  statistics) — one calibrated prediction per applicable algorithm;
+* runs **every** scored candidate for real and records its measured load,
+  next to the prediction and the uncalibrated Table 1 shape, plus which
+  algorithm ``algorithm="auto"`` runs and which one measured lowest.
 
 ``--calibrate`` refits the cost-model constants first: for every
 ``algorithm/query_class`` cell it takes the geometric mean of
 measured/raw-shape over the sweep and writes
 ``src/repro/planner/calibration.json`` (the committed fit), then re-plans
-under the new constants so the emitted regret rows reflect them.
+under the new constants so the emitted rows reflect them.
 
 Results land in ``BENCH_planner.json`` (repo root by default; no
 timestamps, so re-runs are byte-stable).  Run directly::
@@ -77,7 +76,7 @@ def sweep_cases(max_tuples: int, domain: int):
 
 
 def measure_point(case, p: int) -> Dict[str, Any]:
-    """Plan, then run every candidate (and ``auto``) for real."""
+    """Predict, then run every candidate (and ``auto``) for real."""
     instance = materialize(case)
     stats = collect_statistics(instance)
     plan = plan_query(instance, p=p, statistics=stats)
@@ -91,12 +90,6 @@ def measure_point(case, p: int) -> Dict[str, Any]:
         predicted[candidate.algorithm] = round(candidate.predicted_load, 3)
         raw[candidate.algorithm] = round(candidate.raw_load, 3)
     auto = run_query(instance, config=ExecutionConfig(p=p))
-
-    chosen = plan.algorithm
-    best_algorithm = min(measured, key=lambda name: (measured[name], name))
-    best = max(1, measured[best_algorithm])
-    chosen_load = max(1, measured[chosen])
-    auto_load = max(1, auto.report.max_load)
     return {
         "family": case.family,
         "skew": case.skew,
@@ -106,15 +99,12 @@ def measure_point(case, p: int) -> Dict[str, Any]:
         "p": p,
         "out_estimate": round(stats.out_estimate, 3),
         "out_provenance": stats.out_provenance,
-        "chosen": chosen,
         "auto": auto.algorithm,
         "predicted": predicted,
         "raw_shape": raw,
         "measured": measured,
         "measured_auto": auto.report.max_load,
-        "best": best_algorithm,
-        "regret": round(chosen_load / best, 4),
-        "vs_auto": round(chosen_load / auto_load, 4),
+        "best": min(measured, key=lambda name: (measured[name], name)),
     }
 
 
@@ -154,9 +144,8 @@ def write_calibration(constants: Dict[str, float]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true",
-                        help="quick local-iteration scale; the committed "
-                        "calibration is fitted at full scale, so the 1.1x "
-                        "vs-auto gate is not enforced here")
+                        help="quick local-iteration scale (the committed "
+                        "calibration is fitted at full scale)")
     parser.add_argument("--calibrate", action="store_true",
                         help="refit and rewrite src/repro/planner/calibration.json "
                         "before the reported sweep")
@@ -177,17 +166,12 @@ def main(argv=None) -> int:
               f"({len(constants)} constants)")
 
     rows = [measure_point(case, args.p) for case in cases]
-
-    worst_regret = max(row["regret"] for row in rows)
-    worst_vs_auto = max(row["vs_auto"] for row in rows)
     document = {
         "scale": "tiny" if args.tiny else "full",
         "p": args.p,
         "max_tuples": max_tuples,
         "domain": domain,
         "sweep_seed": SWEEP_SEED,
-        "worst_regret": worst_regret,
-        "worst_vs_auto": worst_vs_auto,
         "rows": rows,
     }
     path = os.path.normpath(args.out)
@@ -195,27 +179,16 @@ def main(argv=None) -> int:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    print(f"{'family':<10} {'skew':<14} {'class':<12} {'chosen':<26} "
-          f"{'L(chosen)':>9} {'L(best)':>8} {'regret':>7} {'vs_auto':>8}")
+    print(f"{'family':<10} {'skew':<14} {'class':<12} {'auto':<10} "
+          f"{'predicted':>9} {'measured':>8} {'ratio':>6}  best (measured)")
     for row in rows:
+        auto = row["auto"]
+        predicted, measured = row["predicted"][auto], row["measured"][auto]
         print(f"{row['family']:<10} {row['skew']:<14} {row['query_class']:<12} "
-              f"{row['chosen']:<26} {row['measured'][row['chosen']]:>9} "
-              f"{row['measured'][row['best']]:>8} {row['regret']:>7.2f} "
-              f"{row['vs_auto']:>8.2f}")
-    print(f"written: {path}  worst regret={worst_regret:.2f}  "
-          f"worst vs_auto={worst_vs_auto:.2f}")
-
-    if worst_vs_auto > 1.1:
-        if args.tiny:
-            # The committed constants are fitted at full scale; at toy
-            # sizes fixed overheads dominate and mispredictions are
-            # expected, so report but don't gate.
-            print("note: vs_auto gate not enforced at --tiny scale",
-                  file=sys.stderr)
-            return 0
-        print("FAIL: cost-based dispatch lost to auto by more than 1.1x",
-              file=sys.stderr)
-        return 1
+              f"{auto:<10} {predicted:>9.1f} {measured:>8} "
+              f"{predicted / max(1, measured):>6.2f}  "
+              f"{row['best']} ({row['measured'][row['best']]})")
+    print(f"written: {path}")
     return 0
 
 

@@ -8,11 +8,11 @@ query service (:mod:`repro.service`) can do by importing
 * :func:`run_query` — evaluate one instance under an
   :class:`~repro.config.ExecutionConfig`;
 * :func:`compare` — distributed Yannakakis baseline vs the paper's
-  algorithm (or any ``config.algorithm``, including the cost-based
-  planner's ``"cost"``) on one instance, both cost reports packaged
-  together;
-* :func:`explain` — the cost-based planner's candidate table for one
-  instance, without executing anything (:mod:`repro.planner`);
+  algorithm (or any ``config.algorithm``) on one instance, both cost
+  reports packaged together;
+* :func:`explain` — the planner's predicted load for every runnable
+  algorithm on one instance, without executing anything
+  (:mod:`repro.planner`);
 * :func:`sweep` — :func:`compare` across a labelled series of instances;
 * :func:`table1` — the paper's Table 1 on adversarial workload families;
 * :func:`fuzz` — a conformance fuzzing campaign
@@ -140,13 +140,13 @@ def compare(
     """Run the baseline and ``config.algorithm`` on ``instance``.
 
     The compared side honours ``config.algorithm`` (``"auto"`` — the
-    paper's per-class choice — by default; ``"cost"`` routes through the
-    planner; explicit names force one algorithm and raise ``ValueError``
-    when the query lacks the required shape).  Raises ``AssertionError``
-    if the two runs disagree (they never should; this keeps report data
-    trustworthy by construction).  Only the compared run is traced when
-    ``config.tracer`` is set — ``scope`` names it in the event stream, so
-    several instances can share one sink.
+    paper's per-class choice — by default; explicit names force one
+    algorithm and raise ``ValueError`` when the query lacks the required
+    shape).  Raises ``AssertionError`` if the two runs disagree (they
+    never should; this keeps report data trustworthy by construction).
+    Only the compared run is traced when ``config.tracer`` is set —
+    ``scope`` names it in the event stream, so several instances can
+    share one sink.
     """
     config = config or ExecutionConfig()
     baseline = _executor_run_query(
@@ -183,28 +183,31 @@ def sweep(
 def explain(
     instance: Instance,
     config: Optional[ExecutionConfig] = None,
+    stats_mode: str = "offline",
 ) -> "Plan":
-    """The cost-based planner's decision for ``instance`` — no execution.
+    """The planner's predictions for ``instance`` — no execution.
 
-    Returns the :class:`repro.planner.Plan` the executor would follow
-    under ``algorithm="cost"``: chosen algorithm, predicted load, every
-    candidate's score, and the statistics snapshot behind them.
-    ``config.stats_mode="in-model"`` collects the statistics on a
-    throwaway cluster so the plan reports their metered cost; the default
-    ``"offline"`` snapshot is free.  Deterministic: same instance, same
-    calibration file, byte-identical :meth:`~repro.planner.Plan.to_dict`.
+    Returns the :class:`repro.planner.Plan`: the algorithm
+    ``algorithm="auto"`` runs as ``chosen``, every runnable algorithm's
+    predicted load, and the statistics snapshot behind them.
+    ``stats_mode="in-model"`` collects the statistics on a throwaway
+    cluster so the plan reports their metered cost; the default
+    ``"offline"`` snapshot is free; any other value raises
+    :class:`~repro.errors.ConfigError`.  Deterministic: same instance,
+    same calibration file, byte-identical
+    :meth:`~repro.planner.Plan.to_dict`.
     """
     from .backends.dispatch import admit_instance
     from .planner import plan_query
 
     config = config or ExecutionConfig()
     view = None
-    if config.stats_mode == "in-model":
+    if stats_mode == "in-model":
         view = admit_instance(config.make_cluster(instance.total_size), instance).view()
     return plan_query(
         instance,
         p=config.p,
-        stats_mode=config.stats_mode,
+        stats_mode=stats_mode,
         view=view,
         backend=config.backend,
     )

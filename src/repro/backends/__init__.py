@@ -22,11 +22,6 @@ numeric dtype (provenance, opaque, ad-hoc semirings) and fault-injection
 runs fall back to ``pytuple`` automatically.
 """
 
-from .dispatch import (
-    BACKENDS,
-    HAS_NUMPY,
-    columnar_enabled,
-    resolve_backend,
-)
+from .dispatch import BACKENDS, columnar_enabled, resolve_backend
 
-__all__ = ["BACKENDS", "HAS_NUMPY", "columnar_enabled", "resolve_backend"]
+__all__ = ["BACKENDS", "columnar_enabled", "resolve_backend"]

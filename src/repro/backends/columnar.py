@@ -37,7 +37,7 @@ from ..semiring.standard import (
     TROPICAL_MAX_PLUS,
     TROPICAL_MIN_PLUS,
 )
-from .dispatch import HAS_NUMPY, np
+from .dispatch import np
 
 __all__ = [
     "AnnotationProfile",
@@ -250,31 +250,28 @@ class AnnotationProfile:
         return type(value) is int and -_FLOAT_EXACT < value < _FLOAT_EXACT
 
 
-if HAS_NUMPY:
-    #: exact annotation type -> the dtype :func:`encode_annotations` gives it.
-    _ARRAY_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
-    _UFUNCS = {
-        "add": np.add,
-        "or": np.logical_or,
-        "min": np.minimum,
-        "max": np.maximum,
-        "mul": np.multiply,
-        "and": np.logical_and,
-    }
-else:  # pragma: no cover - profile lookups are gated on HAS_NUMPY
-    _UFUNCS = {}
+#: exact annotation type -> the dtype :func:`encode_annotations` gives it.
+_ARRAY_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+_UFUNCS = {
+    "add": np.add,
+    "or": np.logical_or,
+    "min": np.minimum,
+    "max": np.maximum,
+    "mul": np.multiply,
+    "and": np.logical_and,
+}
 
-_PROFILE_BY_SEMIRING: Dict[int, AnnotationProfile] = {}
-if HAS_NUMPY:
-    for _semiring, _profile in (
+_PROFILE_BY_SEMIRING: Dict[int, AnnotationProfile] = {
+    id(semiring): profile
+    for semiring, profile in (
         (COUNTING, AnnotationProfile("counting", "add", "mul", "int")),
         (BOOLEAN, AnnotationProfile("boolean", "or", "and", "bool")),
         (TROPICAL_MIN_PLUS, AnnotationProfile("tropical-min-plus", "min", "add", "number")),
         (TROPICAL_MAX_PLUS, AnnotationProfile("tropical-max-plus", "max", "add", "number")),
         (MAX_MIN, AnnotationProfile("max-min", "max", "min", "number")),
         (MAX_TIMES, AnnotationProfile("max-times", "max", "mul", "number")),
-    ):
-        _PROFILE_BY_SEMIRING[id(_semiring)] = _profile
+    )
+}
 
 
 #: Profile for plain numeric max-folds outside any semiring (KMV estimate

@@ -5,11 +5,9 @@
 the cluster:
 
 * ``"pytuple"`` — the reference tuple-at-a-time kernels;
-* ``"columnar"`` — array kernels plus array-shipping exchanges (raises
-  when numpy is missing);
-* ``"auto"`` — ``columnar`` when numpy is importable and the instance is
-  big enough for vectorization to pay (``AUTO_MIN_TUPLES``), else
-  ``pytuple``.
+* ``"columnar"`` — array kernels plus array-shipping exchanges;
+* ``"auto"`` — ``columnar`` when the instance is big enough for
+  vectorization to pay (``AUTO_MIN_TUPLES``), else ``pytuple``.
 
 The resolved name lives on :class:`~repro.mpc.cluster.MPCCluster` as
 ``cluster.backend``; primitives consult :func:`columnar_enabled` per view.
@@ -27,20 +25,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..errors import ConfigError
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - CI images always ship numpy
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
 
 __all__ = [
     "AUTO_MIN_TUPLES",
     "BACKENDS",
-    "HAS_NUMPY",
     "np",
     "admit_instance",
     "columnar_enabled",
@@ -68,13 +59,7 @@ def resolve_backend(backend: Optional[str], total_size: Optional[int] = None) ->
         raise ConfigError(
             f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}{hint}"
         )
-    if backend == "columnar" and not HAS_NUMPY:
-        raise ConfigError(
-            "backend='columnar' requested but numpy is not installed"
-        )
     if backend == "auto":
-        if not HAS_NUMPY:
-            return "pytuple"
         if total_size is not None and total_size < AUTO_MIN_TUPLES:
             return "pytuple"
         return "columnar"
@@ -84,8 +69,8 @@ def resolve_backend(backend: Optional[str], total_size: Optional[int] = None) ->
 def columnar_enabled(view) -> bool:
     """True when primitives on ``view`` take their array paths.
 
-    Requires numpy, a cluster resolved to the columnar backend, and no
-    fault injector (the injector rewrites inboxes item-at-a-time).  The
+    Requires a cluster resolved to the columnar backend and no fault
+    injector (the injector rewrites inboxes item-at-a-time).  The
     array paths run vectorized local kernels and ship
     :class:`~repro.backends.batch.ColumnarBatch` payloads through
     :meth:`~repro.mpc.cluster.ClusterView.exchange_batches`; datasets only
@@ -93,8 +78,6 @@ def columnar_enabled(view) -> bool:
     delivery order, and per-server counts are identical to the item path,
     so meters and traces are bit-identical by construction.
     """
-    if not HAS_NUMPY:
-        return False
     cluster = view.cluster
     return (
         getattr(cluster, "backend", "pytuple") == "columnar"

@@ -4,16 +4,16 @@ Commands aimed at kicking the tires without writing code:
 
 * ``compare`` — generate an instance from one of the built-in workload
   families, run the distributed Yannakakis baseline and the paper's
-  algorithm (or any ``--algorithm``, including the cost-based planner via
-  ``--algorithm cost``), and print both cost reports side by side;
+  algorithm (or any ``--algorithm``), and print both cost reports side by
+  side;
 * ``sweep`` — the same across a sweep of the family's size knob (OUT for
   ``matmul``, ``--tuples`` for every other family), printing a
   Table-1-style series;
 * ``table1`` — the paper's Table 1 with measured loads;
-* ``explain`` — the cost-based planner's candidate table for one instance
+* ``explain`` — the planner's candidate table for one instance
   (docs/planner.md), **without executing anything**: predicted load per
-  applicable algorithm, the chosen one, and the statistics behind the
-  decision (``--stats in-model`` meters the statistics collection);
+  applicable algorithm, the one ``auto`` runs, and the statistics behind
+  the predictions (``--stats in-model`` meters the statistics collection);
 * ``trace`` — run one instance with the observability layer on: dump a
   JSONL trace (see docs/observability.md for the schema) and print an
   ASCII per-round × per-server load heatmap plus skew statistics
@@ -156,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_algorithm(p: argparse.ArgumentParser) -> None:
         p.add_argument("--algorithm", default="auto",
                        help="what to run against the baseline: 'auto' (the "
-                       "paper's per-class choice), 'cost' (the cost-based "
-                       "planner), or an explicit algorithm name")
+                       "paper's per-class choice) or an explicit algorithm "
+                       "name")
 
     compare = sub.add_parser("compare", help="baseline vs paper algorithm, one instance")
     add_common(compare)
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
-        help="print the cost-based planner's candidate table (no execution)",
+        help="print the planner's predicted loads (no execution)",
     )
     add_common(explain)
     explain.add_argument("--stats", choices=("offline", "in-model"),
@@ -514,9 +514,8 @@ def _command_table1(args: argparse.Namespace) -> int:
 def _command_explain(args: argparse.Namespace) -> int:
     """Print the planner's candidate table for one instance, no execution."""
     instance = _families()[args.family](args)
-    config = ExecutionConfig(p=args.p, backend=args.backend,
-                             stats_mode=args.stats_mode)
-    plan = api.explain(instance, config)
+    config = ExecutionConfig(p=args.p, backend=args.backend)
+    plan = api.explain(instance, config, stats_mode=args.stats_mode)
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
         return 0

@@ -29,8 +29,8 @@ class ExecutionConfig:
     ``backend`` is one of ``"pytuple"`` (portable reference kernels,
     default), ``"columnar"`` (end-to-end array execution: vectorized
     kernels, relations load as code columns and exchanges ship batches —
-    identical results and meters), or ``"auto"`` (columnar when numpy is
-    available and the instance is large enough to amortize encoding).
+    identical results and meters), or ``"auto"`` (columnar when the
+    instance is large enough to amortize encoding).
     ``fault_schedule`` (a :class:`~repro.mpc.faults.FaultSchedule`)
     forces the pytuple kernels for the faulted run — recovery replays
     inboxes item-at-a-time.
@@ -48,10 +48,6 @@ class ExecutionConfig:
     #: made under this config; answers, CostReports, and traces are
     #: bit-identical with and without one.
     profiler: Optional[Any] = None
-    #: How ``algorithm="cost"`` collects its planner statistics:
-    #: ``"offline"`` (free ANALYZE-style scan) or ``"in-model"`` (collected
-    #: on the cluster with metered load, charged to the run's report).
-    stats_mode: str = "offline"
     #: Residue of the deleted process execution mode: accepts only ``1``
     #: and nothing reads it.  It stays because ``benchmarks/e2e/`` (frozen
     #: by BENCHMARK.json) builds ``ExecutionConfig(**workload.config)``
@@ -72,12 +68,7 @@ class ExecutionConfig:
                 "the process execution mode was removed; "
                 "ExecutionConfig accepts only workers=1"
             )
-        resolve_backend(self.backend)  # rejects unknown / unavailable backends
-        if self.stats_mode not in ("offline", "in-model"):
-            raise ConfigError(
-                f"unknown stats_mode {self.stats_mode!r}; "
-                "expected 'offline' or 'in-model'"
-            )
+        resolve_backend(self.backend)  # rejects unknown backends
 
     def with_backend(self, backend: Optional[str]) -> "ExecutionConfig":
         return replace(self, backend=backend)

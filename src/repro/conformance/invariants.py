@@ -22,10 +22,6 @@ Every invariant is a function ``check(case, config) -> None`` raising
   *bit-identical* to the ``"pytuple"`` reference: every applicable
   algorithm produces the same answer, the same serialized cost report,
   and the same trace event stream on both backends;
-* ``planner-choice`` (opt-in, like ``chaos`` — registered in
-  :data:`INVARIANTS` but not :data:`DEFAULT_INVARIANTS`) — cost-based
-  dispatch picks an algorithm from ``applicable_algorithms``, reproduces
-  the oracle exactly, and attaches a self-consistent plan to the report;
 * ``ivm-identity`` (opt-in) — the metamorphic IVM oracle: a
   :class:`~repro.ivm.MaterializedView` fed a deterministic delta
   sequence (inserts, annotation bumps, and — where the semiring is
@@ -57,7 +53,6 @@ __all__ = [
     "check_scaling",
     "check_opaque_discipline",
     "check_columnar_identity",
-    "check_planner_choice",
     "check_ivm_identity",
 ]
 
@@ -300,16 +295,13 @@ def check_columnar_identity(case: FuzzCase, config) -> None:
     Every applicable algorithm runs twice — ``backend="pytuple"`` and
     ``backend="columnar"`` — and the answers (tuples *and* annotations),
     the serialized cost reports, and the full trace event streams must
-    match exactly.  Opt-in like ``planner-choice`` (and a no-op without
-    numpy): the default campaign already cycles ``differential`` per
-    backend, while this invariant pins the stronger meter/trace contract.
+    match exactly.  Opt-in like ``chaos``: the default campaign already
+    cycles ``differential`` per backend, while this invariant pins the
+    stronger meter/trace contract.
     """
-    from ..backends.dispatch import HAS_NUMPY
     from ..config import ExecutionConfig
     from ..obs.events import RingBufferSink, Tracer, event_to_dict
 
-    if not HAS_NUMPY:
-        return
     instance = materialize(case)
     for algorithm in applicable_algorithms(case.query):
         outcomes = {}
@@ -338,50 +330,6 @@ def check_columnar_identity(case: FuzzCase, config) -> None:
                     f"columnar {what} diverges from pytuple over "
                     f"{case.profile}/{case.skew}",
                 )
-
-
-def check_planner_choice(case: FuzzCase, config) -> None:
-    """Cost-based dispatch is sound: legal choice, oracle-exact answer,
-    self-consistent plan metadata.
-
-    Opt-in (``repro fuzz --invariants differential planner-choice``): the
-    planner runs per case, so cycling it by default would slow every
-    campaign and — being registered but not in :data:`DEFAULT_INVARIANTS`
-    — would otherwise change default same-seed summaries.
-    """
-    instance = materialize(case)
-    expected = _result_map(evaluate(instance))
-    result = run_query(
-        instance, p=config.p, algorithm="cost", backend=_backend(config)
-    )
-    legal = applicable_algorithms(case.query)
-    if result.algorithm not in legal:
-        raise InvariantViolation(
-            "planner-choice",
-            result.algorithm,
-            f"planner chose {result.algorithm!r}, not one of {legal}",
-        )
-    if _result_map(result.relation) != expected:
-        raise InvariantViolation(
-            "planner-choice",
-            result.algorithm,
-            f"cost-based run disagrees with oracle over {case.profile}: "
-            f"{len(result.relation)} vs {len(expected)} tuples",
-        )
-    plan = result.report.plan
-    if not plan or plan.get("algorithm") != result.algorithm:
-        raise InvariantViolation(
-            "planner-choice",
-            result.algorithm,
-            f"report plan {plan!r} does not name the algorithm that ran",
-        )
-    ranked = [entry["algorithm"] for entry in plan.get("candidates", ())]
-    if ranked and ranked[0] != result.algorithm:
-        raise InvariantViolation(
-            "planner-choice",
-            result.algorithm,
-            f"plan candidates are not ranked chosen-first: {ranked}",
-        )
 
 
 def _ivm_delta_batches(case: FuzzCase, batches: int = 3):
@@ -454,7 +402,6 @@ def check_ivm_identity(case: FuzzCase, config) -> None:
     backends.  Opt-in like ``columnar-identity`` (replay:
     ``repro fuzz --invariants differential ivm-identity``).
     """
-    from ..backends.dispatch import HAS_NUMPY
     from ..config import ExecutionConfig
     from ..ivm import MaterializedView
     from ..ivm.delta import mutate_instance
@@ -465,9 +412,8 @@ def check_ivm_identity(case: FuzzCase, config) -> None:
         oracle_instance = mutate_instance(oracle_instance, batch)
     expected = _result_map(evaluate(oracle_instance))
 
-    backends = ["pytuple"] + (["columnar"] if HAS_NUMPY else [])
     outcomes = {}
-    for backend in backends:
+    for backend in ("pytuple", "columnar"):
         view = MaterializedView(
             materialize(case),
             config=ExecutionConfig(p=config.p, backend=backend),
@@ -489,23 +435,22 @@ def check_ivm_identity(case: FuzzCase, config) -> None:
                 f"wrong annotations)",
             )
         outcomes[backend] = (answer, view.report().to_dict())
-    if len(outcomes) == 2:
-        reference, columnar = outcomes["pytuple"], outcomes["columnar"]
-        for what, index in (("answer", 0), ("cost report", 1)):
-            if reference[index] != columnar[index]:
-                raise InvariantViolation(
-                    "ivm-identity",
-                    "columnar",
-                    f"maintained {what} diverges between backends over "
-                    f"{case.profile}/{case.skew}",
-                )
+    reference, columnar = outcomes["pytuple"], outcomes["columnar"]
+    for what, index in (("answer", 0), ("cost report", 1)):
+        if reference[index] != columnar[index]:
+            raise InvariantViolation(
+                "ivm-identity",
+                "columnar",
+                f"maintained {what} diverges between backends over "
+                f"{case.profile}/{case.skew}",
+            )
 
 
 #: Name → checker; the runner cycles through this catalog.  The chaos tier
 #: (:mod:`repro.conformance.chaos`) registers its ``"chaos"`` invariant
-#: here too, so corpus replay resolves it by name.  ``planner-choice``,
-#: ``columnar-identity``, and ``ivm-identity`` are registered but opt-in
-#: (absent from :data:`DEFAULT_INVARIANTS`).
+#: here too, so corpus replay resolves it by name.  ``columnar-identity``
+#: and ``ivm-identity`` are registered but opt-in (absent from
+#: :data:`DEFAULT_INVARIANTS`).
 INVARIANTS: Dict[str, Callable[[FuzzCase, Any], None]] = {
     "differential": check_differential,
     "homomorphism": check_homomorphism,
@@ -513,7 +458,6 @@ INVARIANTS: Dict[str, Callable[[FuzzCase, Any], None]] = {
     "scaling": check_scaling,
     "opaque-discipline": check_opaque_discipline,
     "columnar-identity": check_columnar_identity,
-    "planner-choice": check_planner_choice,
     "ivm-identity": check_ivm_identity,
 }
 

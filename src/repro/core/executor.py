@@ -44,7 +44,6 @@ __all__ = [
 
 Algorithm = Literal[
     "auto",
-    "cost",
     "yannakakis",
     "matmul",
     "matmul-worst-case",
@@ -87,13 +86,8 @@ def run_query(
 
     ``algorithm="auto"`` picks the paper's new algorithm for the query's
     class — the second column of Table 1 — while ``"yannakakis"`` forces the
-    baseline (first column).  ``algorithm="cost"`` asks the cost-based
-    planner (:mod:`repro.planner`) to pick: it scores every applicable
-    algorithm with the calibrated Table 1 cost models and the run carries
-    the decision in ``report.plan`` (``config.stats_mode="in-model"``
-    collects the planner's statistics on the cluster, metered).  Explicit
-    names force that algorithm and raise if the query does not have the
-    required shape.
+    baseline (first column).  Explicit names force that algorithm and
+    raise if the query does not have the required shape.
 
     ``config`` (an :class:`~repro.config.ExecutionConfig`) supplies every
     knob not given explicitly; explicit arguments win.  ``backend`` selects
@@ -123,32 +117,9 @@ def run_query(
     query_class = query.classify()
 
     tracker = cluster.tracker
-    chosen = algorithm
-    plan = None
-    if algorithm == "auto":
-        chosen = AUTO_CHOICE[query_class]
-    elif algorithm == "cost":
-        from ..planner import plan_query
-
-        stats_mode = getattr(config, "stats_mode", "offline") if config else "offline"
-        with tracker.span("plan", "step"):
-            plan = plan_query(
-                instance,
-                p=cluster.p,
-                stats_mode=stats_mode,
-                view=view if stats_mode == "in-model" else None,
-                backend=cluster.backend,
-            )
-        chosen = plan.algorithm
-
-    tracer = tracker.tracer
-    if tracer is not None:
-        tracer.label = chosen
-        if plan is not None:
-            # Header event: why this algorithm ran (not load-bearing — the
-            # "plan" op is outside LOAD_OPS, so trace-rebuilt aggregates
-            # are untouched).
-            tracer.emit("plan", -1, (), detail=plan.summary())
+    chosen = AUTO_CHOICE[query_class] if algorithm == "auto" else algorithm
+    if tracker.tracer is not None:
+        tracker.tracer.label = chosen
 
     out_schema = tuple(sorted(query.output))
     # Activation makes this run's profiler (or its absence) visible to the
@@ -179,8 +150,6 @@ def run_query(
             )
     report = cluster.report()
     report.algorithm = chosen
-    if plan is not None:
-        report.plan = plan.summary()
     return QueryResult(
         relation=relation,
         report=report,
@@ -347,7 +316,7 @@ def _dispatch(chosen: str, instance: Instance, view: ClusterView) -> DistRelatio
     if spec is None:
         raise ApplicabilityError(
             f"unknown algorithm {chosen!r}; registered: "
-            f"{', '.join(ALGORITHMS)} (plus the 'auto' and 'cost' dispatchers)"
+            f"{', '.join(ALGORITHMS)} (plus the 'auto' dispatcher)"
         )
     if not spec.applies(query):
         raise ApplicabilityError(

@@ -41,8 +41,9 @@ class ConfigError(ReproError, ValueError):
     """An invalid configuration value or combination of values.
 
     Raised eagerly — :class:`~repro.config.ExecutionConfig` rejects
-    unknown backends, ``p < 1``, and bad ``stats_mode`` values at
-    *construction* time, so a bad config never reaches the executor.
+    unknown backends and ``p < 1`` at *construction* time, so a bad config
+    never reaches the executor; :func:`repro.api.explain` rejects an
+    unknown ``stats_mode``.
     """
 
 

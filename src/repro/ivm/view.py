@@ -253,8 +253,7 @@ class MaterializedView:
         )
         tracer = self.config.tracer
         if tracer is not None:
-            # Out-of-band summary event (round −1, outside LOAD_OPS), the
-            # same pattern as the planner's "plan" header event.
+            # Out-of-band summary event (round −1, outside LOAD_OPS).
             tracer.emit(MAINTENANCE_OP, -1, (),
                         detail={"view": self.name, **result.to_dict()})
         return result

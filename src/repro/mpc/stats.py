@@ -77,12 +77,9 @@ class CostReport:
     maintenance_communication: int = 0
     maintenance_rounds: int = 0
     maintenance_products: int = 0
-    #: Resolved algorithm after ``auto``/``cost`` dispatch — stamped by the
+    #: Resolved algorithm after ``auto`` dispatch — stamped by the
     #: executor ("" for reports built outside it, e.g. from traces).
     algorithm: str = ""
-    #: Planner decision summary (:meth:`repro.planner.Plan.summary`), set
-    #: only on ``algorithm="cost"`` runs.
-    plan: Optional[Dict[str, Any]] = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -98,8 +95,8 @@ class CostReport:
         Recovery fields appear only when a fault actually charged them, so
         fault-free exports stay byte-identical to pre-fault-injection runs;
         maintenance fields appear only when a view applied a delta, so
-        IVM-free exports are untouched; likewise ``algorithm``/``plan``
-        appear only when the executor stamped them.
+        IVM-free exports are untouched; likewise ``algorithm`` appears only
+        when the executor stamped it.
         """
         record = {
             "max_load": self.max_load,
@@ -115,8 +112,6 @@ class CostReport:
                 record.update(zip(fields, values))
         if self.algorithm:
             record["algorithm"] = self.algorithm
-        if self.plan is not None:
-            record["plan"] = self.plan
         return record
 
     @classmethod
@@ -132,7 +127,6 @@ class CostReport:
                 (str(label), int(load)) for label, load in record.get("phases", ())
             ),
             algorithm=str(record.get("algorithm", "")),
-            plan=record.get("plan"),
             **{
                 name: int(record.get(name, 0))
                 for fields in TAGGED_FIELDS.values()

@@ -27,7 +27,6 @@ from .events import (
     JsonlSink,
     LOAD_OPS,
     MAINTENANCE_OP,
-    PLAN_OP,
     RingBufferSink,
     TraceEvent,
     TraceSink,
@@ -92,7 +91,6 @@ __all__ = [
     "CallbackSink",
     "LOAD_OPS",
     "FAULT_OPS",
-    "PLAN_OP",
     "MAINTENANCE_OP",
     "event_to_dict",
     "event_from_dict",

@@ -32,7 +32,6 @@ __all__ = [
     "event_from_dict",
     "LOAD_OPS",
     "FAULT_OPS",
-    "PLAN_OP",
     "MAINTENANCE_OP",
 ]
 
@@ -47,20 +46,13 @@ LOAD_OPS = frozenset({"exchange", "broadcast", "gather"})
 #: is unaffected by chaos runs.
 FAULT_OPS = frozenset({"fault", "recovery", "checkpoint"})
 
-#: Planner header event (:mod:`repro.planner`): the executor emits one
-#: ``plan`` event (round ``-1``, no servers, the plan summary in
-#: ``detail``) at the start of an ``algorithm="cost"`` run, recording *why*
-#: the traced algorithm was chosen.  Like :data:`FAULT_OPS` it is outside
-#: :data:`LOAD_OPS`, so trace-rebuilt aggregates ignore it.
-PLAN_OP = "plan"
-
 #: Incremental-view-maintenance summary event (:mod:`repro.ivm`): a
 #: :class:`~repro.ivm.MaterializedView` with a traced config emits one
 #: ``maintenance`` event per applied delta batch (round ``-1``, no
 #: servers, the :class:`~repro.ivm.DeltaResult` summary in ``detail``)
 #: after the batch's propagation runs — which themselves stream ordinary
 #: cluster events through the same tracer.  Outside :data:`LOAD_OPS`,
-#: like :data:`PLAN_OP`, so trace-rebuilt aggregates ignore it.
+#: like :data:`FAULT_OPS`, so trace-rebuilt aggregates ignore it.
 MAINTENANCE_OP = "maintenance"
 
 

@@ -16,7 +16,7 @@ with the structures the repo already has:
   cluster's backend label;
 * ``kernel`` spans — one per vectorized kernel call in
   :mod:`repro.backends.kernels`;
-* ``step`` spans — the executor's coarse stages (``plan`` / ``load`` /
+* ``step`` spans — the executor's coarse stages (``load`` /
   ``execute`` / ``finalize`` / ``collect``), which is where tuple
   materialization shows;
 * a ``run`` root span per executed query, labelled with the dispatched

@@ -1,8 +1,8 @@
-"""Cost-based query planner (docs/planner.md).
+"""Load predictor (docs/planner.md).
 
-Statistics catalog → calibrated Table 1 cost models → plan enumerator.
-``plan_query`` is the entry point; the executor's ``algorithm="cost"``
-dispatch and the ``repro explain`` subcommand are thin wrappers over it.
+Statistics catalog → calibrated Table 1 cost models → one predicted load
+per runnable algorithm.  ``plan_query`` is the entry point; service
+admission control and ``repro explain`` read its :class:`Plan`.
 """
 
 from .cost import (
@@ -14,7 +14,7 @@ from .cost import (
     predict_load,
     raw_load,
 )
-from .plan import CandidateScore, Plan, plan_query, rooting_score
+from .plan import CandidateScore, Plan, plan_query
 from .stats import (
     QueryStatistics,
     RelationStats,
@@ -41,5 +41,4 @@ __all__ = [
     "plan_query",
     "predict_load",
     "raw_load",
-    "rooting_score",
 ]

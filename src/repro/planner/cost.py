@@ -20,9 +20,9 @@ The paper's ``O(·)`` hides constants; the planner recovers them from a
 committed micro-benchmark fit (``calibration.json``, regenerated by
 ``benchmarks/bench_planner.py --calibrate``).  A calibrated prediction is
 ``constant × shape`` where the constant is looked up per
-``algorithm/query_class`` (falling back to per-algorithm, then 1.0) — so
-predictions are comparable *across* algorithms on the same instance,
-which is all plan selection needs.
+``algorithm/query_class`` (falling back to per-algorithm, then 1.0), in
+the meter's unit, so admission control can hold a prediction against a
+load budget.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def calibration_constant(algorithm: str, query_class: str) -> float:
     """Fitted constant for ``algorithm`` on ``query_class`` instances.
 
     Lookup order: ``"algorithm/class"``, then ``"algorithm"``, then 1.0 —
-    uncalibrated planners still rank by the raw shapes.
+    an uncalibrated prediction is the raw shape.
     """
     constants = load_calibration()
     return constants.get(

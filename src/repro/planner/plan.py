@@ -1,42 +1,28 @@
-"""Plan enumeration and selection (docs/planner.md).
+"""Load prediction for every runnable algorithm (docs/planner.md).
 
-``plan_query`` walks the cross product the executor can actually run —
-every algorithm in :func:`~repro.core.executor.applicable_algorithms`, the
-join-tree rootings of the rooted (Yannakakis/tree) algorithms, and the
-kernel backend — scores each candidate with the calibrated Table 1 cost
-models (:mod:`repro.planner.cost`), and returns an introspectable
-:class:`Plan`: the chosen algorithm, its predicted load, every candidate's
-score, and the statistics snapshot (with provenance) the decision was
-based on.
+``plan_query`` scores every algorithm in
+:func:`~repro.core.executor.applicable_algorithms` with the calibrated
+Table 1 cost models (:mod:`repro.planner.cost`) and returns an
+introspectable :class:`Plan`: the candidate ``algorithm="auto"`` runs (the
+executor's ``AUTO_CHOICE``, Table 1's per-class algorithm) first, every
+other candidate cheapest-first, and the statistics snapshot (with
+provenance) the predictions read.  The planner predicts; it does not pick
+what runs — admission control and ``explain`` read its predictions.
 
-Rooting note: the Table 1 closed forms are rooting-independent, so a
-candidate's *predicted load* does not change with the root; rootings are
-scored by a degree-product heuristic (an upper bound on how many tuples a
-single output value can fan into on its path to the root) purely to pick
-and report the preferred root of the rooted algorithms.  Backend note: the
-simulated load ``L`` is backend-invariant by construction, so the backend
-dimension collapses to a recommendation (``resolve_backend``) recorded on
-the plan rather than scored per candidate.
-
-Ties in predicted load break toward the executor's static
-``AUTO_CHOICE``, and overriding that default requires a *decisive*
-predicted win (:data:`HYSTERESIS`): calibration constants are fitted per
-algorithm/class, so a few-percent cross-algorithm gap is within fit noise
-and not worth abandoning the paper's per-class choice for.  Matmul
-strategy variants are exempt from the hysteresis — on a matmul query
-every candidate instantiates the same Theorem 1 terms, so which terms a
-variant *pays* (the estimation pass, worst-case vs output-sensitive) is a
-structural difference that is meaningful at any magnitude.
+Backend note: the simulated load ``L`` is backend-invariant by
+construction, so the backend dimension collapses to a recommendation
+(``resolve_backend``) recorded on the plan rather than scored per
+candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..backends.dispatch import resolve_backend
-from ..data.query import Instance, TreeQuery
-from ..errors import ApplicabilityError, ConfigError
+from ..data.query import Instance
+from ..errors import ConfigError
 from .cost import COST_MODELS, calibration_constant, predict_load, raw_load
 from .stats import (
     QueryStatistics,
@@ -44,24 +30,12 @@ from .stats import (
     collect_statistics_in_model,
 )
 
-__all__ = ["CandidateScore", "Plan", "plan_query", "rooting_score"]
-
-#: Algorithms that pick a join-tree root (everything tree-shaped).
-ROOTED_ALGORITHMS = frozenset({"yannakakis", "tree"})
-
-#: A challenger must predict less than this fraction of the static
-#: ``AUTO_CHOICE`` candidate's load to displace it (see module docstring).
-HYSTERESIS = 0.8
-
-#: Theorem 1 strategy variants: mutually comparable without hysteresis.
-_MATMUL_VARIANTS = frozenset(
-    {"matmul", "matmul-worst-case", "matmul-output-sensitive", "line"}
-)
+__all__ = ["CandidateScore", "Plan", "plan_query"]
 
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """One scored (algorithm, rooting) candidate."""
+    """One scored algorithm."""
 
     algorithm: str
     #: Calibrated prediction (constant × Table 1 shape), in tuples.
@@ -70,34 +44,25 @@ class CandidateScore:
     raw_load: float
     #: The calibration constant that was applied.
     constant: float
-    #: Preferred join-tree root (rooted algorithms only).
-    rooting: Optional[str] = None
-    #: How many rootings were scored to pick ``rooting``.
-    rootings_considered: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
+        return {
             "algorithm": self.algorithm,
             "predicted_load": round(self.predicted_load, 3),
             "raw_load": round(self.raw_load, 3),
             "constant": round(self.constant, 4),
         }
-        if self.rooting is not None:
-            record["rooting"] = self.rooting
-            record["rootings_considered"] = self.rootings_considered
-        return record
 
 
 @dataclass(frozen=True)
 class Plan:
-    """The planner's decision, fully introspectable."""
+    """Every runnable algorithm's predicted load, fully introspectable."""
 
     query_class: str
     p: int
+    #: The candidate ``algorithm="auto"`` runs (``AUTO_CHOICE``).
     chosen: CandidateScore
-    #: Every candidate: the chosen one first, the rest cheapest-first (the
-    #: two orders differ only when :data:`HYSTERESIS` kept the static
-    #: default over a marginally-cheaper challenger).
+    #: Every candidate: the chosen one first, the rest cheapest-first.
     candidates: Tuple[CandidateScore, ...]
     statistics: QueryStatistics
     #: Recommended kernel backend for this instance size.
@@ -116,26 +81,6 @@ class Plan:
             if score.algorithm == algorithm:
                 return score
         raise KeyError(algorithm)
-
-    def summary(self) -> Dict[str, Any]:
-        """Compact JSON-able record for CostReports and trace headers."""
-        return {
-            "algorithm": self.chosen.algorithm,
-            "predicted_load": round(self.chosen.predicted_load, 3),
-            "query_class": self.query_class,
-            "p": self.p,
-            "backend": self.backend,
-            "out_estimate": round(self.statistics.out_estimate, 3),
-            "out_provenance": self.statistics.out_provenance,
-            "stats_mode": self.statistics.mode,
-            "candidates": [
-                {
-                    "algorithm": score.algorithm,
-                    "predicted_load": round(score.predicted_load, 3),
-                }
-                for score in self.candidates
-            ],
-        }
 
     def to_dict(self) -> Dict[str, Any]:
         """Full JSON document (the ``repro explain --json`` payload)."""
@@ -156,50 +101,17 @@ class Plan:
             f"OUT≈{stats.out_estimate:.0f} ({stats.out_provenance})   "
             f"p={self.p}   backend={self.backend}",
             f"{'algorithm':<26} {'predicted':>12} {'raw shape':>12} "
-            f"{'constant':>9}  rooting",
+            f"{'constant':>9}",
         ]
         for score in self.candidates:
             marker = "*" if score is self.chosen else " "
-            rooting = score.rooting or "-"
-            if score.rooting is not None and score.rootings_considered > 1:
-                rooting = f"{score.rooting} (of {score.rootings_considered})"
             lines.append(
                 f"{marker}{score.algorithm:<25} {score.predicted_load:>12.1f} "
-                f"{score.raw_load:>12.1f} {score.constant:>9.3f}  {rooting}"
+                f"{score.raw_load:>12.1f} {score.constant:>9.3f}"
             )
-        lines.append(f"chosen: {self.chosen.algorithm} "
-                     f"(predicted load {self.chosen.predicted_load:.1f})")
+        lines.append(f"chosen: {self.chosen.algorithm} (what algorithm='auto' "
+                     f"runs; predicted load {self.chosen.predicted_load:.1f})")
         return "\n".join(lines)
-
-
-# -- rooting heuristic ---------------------------------------------------------
-
-
-def rooting_score(query: TreeQuery, stats: QueryStatistics, root: str) -> float:
-    """Degree-product heuristic for rooting a bottom-up evaluation at
-    ``root``: sum over output attributes of the product of max degrees
-    along the attribute's path toward the root.
-
-    This bounds how many tuples one output value can fan into while its
-    partial results travel to the root; the Table 1 closed forms do not
-    depend on it, so it only refines *which* root a rooted algorithm
-    reports, never the cross-algorithm choice.
-    """
-    relation_names = [name for name, _attrs in query.relations]
-    multiplier: Dict[str, float] = {root: 1.0}
-    for rel_index, child_attr, parent_attr in reversed(query.postorder(root)):
-        rel_stats = stats.relation_named(relation_names[rel_index])
-        fan = max(1, rel_stats.max_degree_of(parent_attr))
-        multiplier[child_attr] = multiplier[parent_attr] * fan
-    return float(sum(multiplier[attr] for attr in sorted(query.output)))
-
-
-def _best_rooting(
-    query: TreeQuery, stats: QueryStatistics
-) -> Tuple[str, int]:
-    roots = sorted(query.attributes)
-    best = min(roots, key=lambda root: (rooting_score(query, stats, root), root))
-    return best, len(roots)
 
 
 # -- the enumerator ------------------------------------------------------------
@@ -213,14 +125,15 @@ def plan_query(
     view: Optional[Any] = None,
     backend: Optional[str] = None,
 ) -> Plan:
-    """Score every runnable candidate for ``instance`` and pick the cheapest.
+    """Predict the load of every runnable algorithm on ``instance``.
 
     ``statistics`` short-circuits collection (a
     :class:`~repro.planner.stats.StatisticsCatalog` hit); otherwise
-    ``stats_mode`` selects offline collection (default, unmetered) or
-    in-model collection on ``view`` (metered — requires ``view``).
-    Deterministic: the same instance and calibration produce an identical
-    plan, byte for byte through :meth:`Plan.to_dict`.
+    ``stats_mode`` selects offline collection (default, unmetered; its
+    §2.2 estimator runs on ``backend``) or in-model collection on ``view``
+    (metered — requires ``view``).  Deterministic: the same instance and
+    calibration produce an identical plan, byte for byte through
+    :meth:`Plan.to_dict`.
     """
     from ..core.executor import AUTO_CHOICE, applicable_algorithms
 
@@ -230,64 +143,36 @@ def plan_query(
                 raise ConfigError("in-model statistics need a cluster view")
             statistics = collect_statistics_in_model(instance, view)
         elif stats_mode == "offline":
-            statistics = collect_statistics(instance)
+            statistics = collect_statistics(instance, backend=backend)
         else:
-            raise ConfigError(f"unknown stats_mode {stats_mode!r}")
+            raise ConfigError(
+                f"unknown stats_mode {stats_mode!r}; "
+                "expected 'offline' or 'in-model'"
+            )
 
-    query = instance.query
     query_class = statistics.query_class
-    auto_choice = AUTO_CHOICE.get(query_class)
-
-    candidates: List[CandidateScore] = []
-    for algorithm in applicable_algorithms(query):
-        if algorithm not in COST_MODELS:
-            continue
-        rooting: Optional[str] = None
-        rootings = 1
-        if algorithm in ROOTED_ALGORITHMS:
-            rooting, rootings = _best_rooting(query, statistics)
-        candidates.append(
+    scores = sorted(
+        (
             CandidateScore(
                 algorithm=algorithm,
                 predicted_load=predict_load(algorithm, statistics, p),
                 raw_load=raw_load(algorithm, statistics, p),
                 constant=calibration_constant(algorithm, query_class),
-                rooting=rooting,
-                rootings_considered=rootings,
             )
-        )
-    if not candidates:  # pragma: no cover - yannakakis/tree always apply
-        raise ApplicabilityError("no candidate algorithm has a cost model")
-
-    def rank(score: CandidateScore) -> Tuple[float, int, str]:
-        # Ties break toward the static per-class choice, then by name.
-        return (
-            score.predicted_load,
-            0 if score.algorithm == auto_choice else 1,
-            score.algorithm,
-        )
-
-    ordered = list(sorted(candidates, key=rank))
-    chosen = ordered[0]
-    if (
-        auto_choice is not None
-        and chosen.algorithm != auto_choice
-        and not (query_class == "matmul" and chosen.algorithm in _MATMUL_VARIANTS)
-    ):
-        auto_candidate = next(
-            (score for score in ordered if score.algorithm == auto_choice), None
-        )
-        if auto_candidate is not None and not (
-            chosen.predicted_load < HYSTERESIS * auto_candidate.predicted_load
-        ):
-            chosen = auto_candidate
-            ordered.remove(chosen)
-            ordered.insert(0, chosen)
+            for algorithm in applicable_algorithms(instance.query)
+            if algorithm in COST_MODELS
+        ),
+        key=lambda score: (score.predicted_load, score.algorithm),
+    )
+    chosen = next(
+        score for score in scores if score.algorithm == AUTO_CHOICE[query_class]
+    )
+    scores.remove(chosen)
     return Plan(
         query_class=query_class,
         p=p,
         chosen=chosen,
-        candidates=tuple(ordered),
+        candidates=(chosen, *scores),
         statistics=statistics,
         backend=resolve_backend(backend, instance.total_size),
     )

@@ -1,8 +1,8 @@
-"""Statistics catalog for the cost-based planner (docs/planner.md).
+"""Statistics catalog for the load predictor (docs/planner.md).
 
 Every Table 1 load formula is a function of a handful of per-instance
 statistics: relation sizes ``N_e``, the total input ``N``, and the output
-size ``OUT``.  The planner never looks at the data at decision time —
+size ``OUT``.  The planner never looks at the data when it predicts —
 it looks at a :class:`QueryStatistics` snapshot produced here, in one of
 two modes:
 
@@ -19,15 +19,17 @@ two modes:
   (:func:`~repro.primitives.estimate_out.estimate_path_out`) where it
   applies.  The charge lands on the caller's meter under a
   ``planner/stats`` phase, so a plan that pays for its statistics shows
-  that load in its :class:`~repro.mpc.stats.CostReport`.
+  that load in the caller's :class:`~repro.mpc.stats.CostReport`.
 
 OUT estimators by query shape (the ``out_provenance`` field records which
 one ran):
 
 * ``kmv-sketch`` — line-shaped queries (matmul included): the §2.2
-  right-to-left KMV propagation, evaluated locally (offline) or
-  distributed (in-model).  Exact whenever every per-value reach is below
-  the sketch width ``k``.
+  right-to-left KMV propagation,
+  :func:`~repro.primitives.estimate_out.estimate_path_out`, in both modes —
+  on a throwaway one-server cluster whose meters nobody reads (offline) or
+  on the caller's view (in-model).  Exact whenever every per-value reach
+  is below the sketch width ``k``.
 * ``degree-bound`` — star queries: ``Σ_b Π_i d_i(b)`` over centre values
   ``b`` and per-arm distinct counts ``d_i(b)`` — an exact count of arm
   combinations and an upper bound on OUT (distinct centres may emit the
@@ -43,10 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..backends.dispatch import admit_instance, resolve_backend
 from ..data.query import Instance, TreeQuery
-from ..data.relation import Relation
+from ..data.relation import DistRelation, Relation
 from ..errors import ApplicabilityError, ConfigError
-from ..primitives.kmv import MultiKMV
+from ..mpc.cluster import MPCCluster
 from ..semiring import BOOLEAN
 
 __all__ = [
@@ -56,15 +59,10 @@ __all__ = [
     "collect_statistics",
     "collect_statistics_in_model",
     "estimate_out",
-    "SKETCH_K",
-    "SKETCH_REPETITIONS",
 ]
 
-#: Sketch parameters for the offline KMV estimator — kept equal to the
-#: in-model defaults of :mod:`repro.primitives.estimate_out` so the two
-#: modes agree on line-shaped instances.
-SKETCH_K = 64
-SKETCH_REPETITIONS = 5
+#: Hash salt of the §2.2 sketches (both modes) and, offset per attribute,
+#: of the in-model degree tables.
 _SKETCH_SALT = 7000
 
 
@@ -167,49 +165,31 @@ def _relation_stats(name: str, relation: Relation) -> RelationStats:
 # -- OUT estimators ------------------------------------------------------------
 
 
-def _path_relations(
-    instance: Instance, order: Sequence[str]
-) -> List[Tuple[Relation, int, int]]:
-    """``(relation, left_index, right_index)`` for each path step, where the
-    indices locate ``order[i]``/``order[i+1]`` in the relation's schema."""
-    steps: List[Tuple[Relation, int, int]] = []
-    for i in range(len(order) - 1):
-        left, right = order[i], order[i + 1]
-        for name, attrs in instance.query.relations:
-            if set(attrs) == {left, right}:
-                relation = instance.relation(name)
-                steps.append(
-                    (relation, attrs.index(left), attrs.index(right))
-                )
-                break
-        else:  # pragma: no cover - guarded by TreeQuery validation
-            raise KeyError((left, right))
-    return steps
-
-
-def _line_out_sketch(instance: Instance, order: Sequence[str]) -> float:
-    """Local §2.2 estimator: push KMV bundles right-to-left along the path
-    and sum the per-``order[0]``-value reach estimates."""
-    steps = _path_relations(instance, order)
-    relation, left_index, right_index = steps[-1]
-    grouped: Dict[Any, List[Any]] = {}
-    for values, _weight in relation:
-        grouped.setdefault(values[left_index], []).append(values[right_index])
-    sketches: Dict[Any, MultiKMV] = {
-        key: MultiKMV.of(elements, SKETCH_K, SKETCH_REPETITIONS, _SKETCH_SALT)
-        for key, elements in grouped.items()
+def _load(instance: Instance, view) -> Dict[str, DistRelation]:
+    return {
+        name: DistRelation.load(view, instance.relation(name))
+        for name, _attrs in instance.query.relations
     }
-    for relation, left_index, right_index in reversed(steps[:-1]):
-        merged: Dict[Any, MultiKMV] = {}
-        for values, _weight in relation:
-            bundle = sketches.get(values[right_index])
-            if bundle is None:
-                continue
-            key = values[left_index]
-            held = merged.get(key)
-            merged[key] = bundle if held is None else held.merge(bundle)
-        sketches = merged
-    return float(sum(bundle.estimate() for bundle in sketches.values()))
+
+
+def _kmv_out(
+    query: TreeQuery, loaded: Dict[str, DistRelation], order: Sequence[str]
+) -> float:
+    """The §2.2 estimator over relations already loaded on one view."""
+    from ..primitives.estimate_out import estimate_path_out
+
+    path = [loaded[query.relation_between(x, y)] for x, y in zip(order, order[1:])]
+    return estimate_path_out(path, list(order), base_salt=_SKETCH_SALT)[0]
+
+
+def _line_out_offline(
+    instance: Instance, order: Sequence[str], backend: Optional[str]
+) -> float:
+    """:func:`_kmv_out` on a throwaway one-server cluster whose meters
+    nobody reads: the call in-model collection makes, unmetered."""
+    cluster = MPCCluster(1, backend=resolve_backend(backend, instance.total_size))
+    view = admit_instance(cluster, instance).view()
+    return _kmv_out(instance.query, _load(instance, view), order)
 
 
 def _star_out_degree_bound(instance: Instance) -> float:
@@ -251,19 +231,23 @@ def _oracle_out(instance: Instance) -> float:
     return float(len(evaluate(boolean_instance)))
 
 
-def estimate_out(instance: Instance, mode: str = "auto") -> Tuple[float, str]:
+def estimate_out(
+    instance: Instance, mode: str = "auto", backend: Optional[str] = None
+) -> Tuple[float, str]:
     """``(estimate, provenance)`` for the instance's output size.
 
     ``mode="auto"`` picks the shape-appropriate estimator (module
     docstring); ``"kmv"``/``"degree"``/``"oracle"`` force one (``"kmv"``
-    requires a line-shaped query, ``"degree"`` a star query).
+    requires a line-shaped query, ``"degree"`` a star query).  ``backend``
+    is the kernel backend the §2.2 estimator runs on (the estimate does
+    not depend on it).
     """
     query = instance.query
     order = query.path_order()
     if mode == "kmv" or (mode == "auto" and order is not None and query.is_line()):
         if order is None:
             raise ApplicabilityError("kmv OUT estimation needs a line-shaped query")
-        return _line_out_sketch(instance, order), "kmv-sketch"
+        return _line_out_offline(instance, order, backend), "kmv-sketch"
     if mode == "degree" or (mode == "auto" and query.is_star()):
         if not query.is_star():
             raise ApplicabilityError("degree-bound OUT estimation needs a star query")
@@ -276,13 +260,16 @@ def estimate_out(instance: Instance, mode: str = "auto") -> Tuple[float, str]:
 # -- collection entry points ---------------------------------------------------
 
 
-def collect_statistics(instance: Instance, out_mode: str = "auto") -> QueryStatistics:
-    """Offline (unmetered) snapshot of every statistic the planner reads."""
+def collect_statistics(
+    instance: Instance, out_mode: str = "auto", backend: Optional[str] = None
+) -> QueryStatistics:
+    """Offline (unmetered) snapshot of every statistic the planner reads;
+    ``backend`` as in :func:`estimate_out`."""
     relations = tuple(
         _relation_stats(name, instance.relation(name))
         for name, _attrs in instance.query.relations
     )
-    out_estimate, provenance = estimate_out(instance, out_mode)
+    out_estimate, provenance = estimate_out(instance, out_mode, backend)
     return QueryStatistics(
         query_class=instance.query.classify(),
         total_size=instance.total_size,
@@ -301,21 +288,15 @@ def collect_statistics_in_model(instance: Instance, view) -> QueryStatistics:
     queries and falls back to the offline estimator otherwise (recorded in
     the provenance).  The charged load is the difference of the view's
     meter around the collection, reported in ``metered_load`` — and left
-    on the meter, so a cost-based run that asked for in-model statistics
-    pays for them in its own report.
+    on the meter.
     """
-    from ..data.relation import DistRelation
     from ..primitives.degrees import degree_table
-    from ..primitives.estimate_out import estimate_path_out
 
     tracker = view.tracker
     before = tracker.max_load
     query = instance.query
     with tracker.phase("planner/stats"):
-        loaded = {
-            name: DistRelation.load(view, instance.relation(name))
-            for name, _attrs in query.relations
-        }
+        loaded = _load(instance, view)
         relations: List[RelationStats] = []
         for name, attrs in query.relations:
             relation = loaded[name]
@@ -359,12 +340,7 @@ def collect_statistics_in_model(instance: Instance, view) -> QueryStatistics:
             )
         order = query.path_order()
         if order is not None and query.is_line():
-            path = [loaded[_name_between(query, order[i], order[i + 1])]
-                    for i in range(len(order) - 1)]
-            out_estimate, _per_value = estimate_path_out(
-                path, list(order), base_salt=_SKETCH_SALT
-            )
-            provenance = "kmv-sketch"
+            out_estimate, provenance = _kmv_out(query, loaded, order), "kmv-sketch"
         else:
             out_estimate, provenance = estimate_out(instance, "auto")
             if provenance == "oracle":
@@ -380,13 +356,6 @@ def collect_statistics_in_model(instance: Instance, view) -> QueryStatistics:
     )
 
 
-def _name_between(query: TreeQuery, left: str, right: str) -> str:
-    for name, attrs in query.relations:
-        if set(attrs) == {left, right}:
-            return name
-    raise KeyError((left, right))
-
-
 # -- the catalog ---------------------------------------------------------------
 
 
@@ -395,7 +364,7 @@ class StatisticsCatalog:
     """A keyed cache of :class:`QueryStatistics` snapshots.
 
     A long-lived service would refresh entries as data changes; here the
-    catalog lets benchmark sweeps and the executor share one collection
+    catalog lets benchmark sweeps and the service share one collection
     pass per instance: ``catalog.for_instance(key, instance)`` computes at
     most once per key.
     """
@@ -403,10 +372,14 @@ class StatisticsCatalog:
     entries: Dict[str, QueryStatistics] = field(default_factory=dict)
 
     def for_instance(
-        self, key: str, instance: Instance, out_mode: str = "auto"
+        self,
+        key: str,
+        instance: Instance,
+        out_mode: str = "auto",
+        backend: Optional[str] = None,
     ) -> QueryStatistics:
         if key not in self.entries:
-            self.entries[key] = collect_statistics(instance, out_mode)
+            self.entries[key] = collect_statistics(instance, out_mode, backend)
         return self.entries[key]
 
     def put(self, key: str, statistics: QueryStatistics) -> None:

@@ -52,7 +52,7 @@ __all__ = [
 #: else (tracer, profiler, backend, fault_schedule — the service
 #: rejects schedules outright) is non-semantic under the library's
 #: bit-identity contracts.
-SEMANTIC_CONFIG_FIELDS = ("p", "algorithm", "seed", "validate", "stats_mode")
+SEMANTIC_CONFIG_FIELDS = ("p", "algorithm", "seed", "validate")
 
 
 def canonical_value(value: Any) -> Any:

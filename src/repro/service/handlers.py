@@ -103,8 +103,7 @@ def status_for(error: BaseException) -> int:
 
 #: Config keys a request body may set.  Observer objects (tracer,
 #: profiler) and fault schedules are server-side concerns and rejected.
-ALLOWED_CONFIG_KEYS = ("p", "algorithm", "backend", "seed", "validate",
-                       "stats_mode")
+ALLOWED_CONFIG_KEYS = ("p", "algorithm", "backend", "seed", "validate")
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4; charset=utf-8"
@@ -353,11 +352,11 @@ class ServiceState:
         return self.registry.get(name)
 
     def _predicted_load(self, entry, config: ExecutionConfig) -> Optional[float]:
-        """The planner's load estimate for this request, from cached
-        statistics.  ``None`` when the planner cannot score it."""
+        """The planner's load estimate for the algorithm this request runs,
+        from cached statistics.  ``None`` when the planner cannot score it."""
         try:
             statistics = self.statistics.for_instance(
-                entry.digest, entry.instance
+                entry.digest, entry.instance, backend=config.backend
             )
             plan = plan_query(
                 entry.instance,
@@ -367,12 +366,12 @@ class ServiceState:
             )
         except ReproError:
             return None
-        if config.algorithm not in ("auto", "cost"):
-            try:
-                return plan.candidate(config.algorithm).predicted_load
-            except KeyError:
-                return None
-        return plan.predicted_load
+        if config.algorithm == "auto":
+            return plan.predicted_load
+        try:
+            return plan.candidate(config.algorithm).predicted_load
+        except KeyError:
+            return None
 
     def _observe_execution(self, endpoint: str, entry, result) -> None:
         self._executions.inc(endpoint=endpoint)
@@ -549,7 +548,9 @@ class ServiceState:
     def _handle_explain(self, path, document):
         entry = self._resolve(document)
         config = self._config_from(document)
-        statistics = self.statistics.for_instance(entry.digest, entry.instance)
+        statistics = self.statistics.for_instance(
+            entry.digest, entry.instance, backend=config.backend
+        )
         plan = plan_query(
             entry.instance,
             p=config.p,

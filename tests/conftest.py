@@ -90,11 +90,6 @@ def backend(request) -> str:
     backend and once on the array-native columnar backend — with a single
     test body.
     """
-    if request.param != "pytuple":
-        from repro.backends.dispatch import HAS_NUMPY
-
-        if not HAS_NUMPY:
-            pytest.skip("numpy unavailable")
     return request.param
 
 

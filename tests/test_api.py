@@ -10,7 +10,6 @@ import pytest
 
 from repro import ExecutionConfig
 from repro import api
-from repro.backends.dispatch import HAS_NUMPY
 from repro.conformance import FuzzConfig
 from repro.data import Relation
 from repro.workloads import planted_out_matmul
@@ -138,7 +137,6 @@ def _lookalike_matmul(seed=5):
                                    "R2": relation("R2", ("B", "C"))}, COUNTING)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_in_model_explain_is_backend_invariant_on_lookalike_values():
     """In-model statistics of an instance the codec would conflate are
     collected on the tuple kernels, as ``run_query`` runs it: the columnar
@@ -146,8 +144,8 @@ def test_in_model_explain_is_backend_invariant_on_lookalike_values():
     are the pytuple plan's."""
     instance = _lookalike_matmul()
     plans = [
-        api.explain(instance, ExecutionConfig(p=8, backend=backend,
-                                              stats_mode="in-model")).to_dict()
+        api.explain(instance, ExecutionConfig(p=8, backend=backend),
+                    stats_mode="in-model").to_dict()
         for backend in ("pytuple", "columnar")
     ]
     assert plans[0]["statistics"] == plans[1]["statistics"]

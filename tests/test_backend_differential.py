@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from repro.backends.dispatch import HAS_NUMPY
 from repro.conformance.generators import (
     PROFILES,
     QUERY_FAMILIES,
@@ -26,8 +25,6 @@ from repro.conformance.generators import (
     random_case,
 )
 from repro.conformance.invariants import check_columnar_identity
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 
 
 class _GridConfig:
@@ -58,7 +55,6 @@ GRID = [
 ]
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "family,profile,skew", GRID, ids=["-".join(cell) for cell in GRID]
 )
@@ -69,7 +65,6 @@ def test_columnar_identical_across_grid(family, profile, skew):
     check_columnar_identity(case, _GridConfig())
 
 
-@needs_numpy
 def test_columnar_identical_under_seed_sweep():
     """A second, rng-driven sweep: fresh skeletons (not the grid's pinned
     seeds) keep the battery from overfitting to one corpus of instances."""
@@ -80,7 +75,6 @@ def test_columnar_identical_under_seed_sweep():
         check_columnar_identity(case, _GridConfig())
 
 
-@needs_numpy
 def test_table1_loads_identical_at_benchmark_scale():
     """Satellite meter check: the Table-1 experiment at scale=300 reports
     the same loads/rounds/communication on both backends, derived on the
@@ -129,7 +123,6 @@ def _heavy_aggregation_run(backend: str, **config):
     )
 
 
-@needs_numpy
 def test_heavy_aggregation_cell_identical_across_backends():
     """Answers, serialized cost reports (control messages included) and
     trace streams agree where the sketch fold dominates the run."""
@@ -138,7 +131,6 @@ def test_heavy_aggregation_cell_identical_across_backends():
     assert _heavy_aggregation_run("columnar") == reference
 
 
-@needs_numpy
 def test_heavy_aggregation_cell_under_faults_runs_the_item_path():
     """With a fault schedule the one gate sends a columnar cluster down the
     item path: no kernel runs, and the faulted run equals pytuple's."""
@@ -185,7 +177,6 @@ def _lookalike_run(backend: str, b_of_r1, b_of_r2, inner: int):
     )
 
 
-@needs_numpy
 @pytest.mark.parametrize("b_of_r1,b_of_r2,inner,communication", [
     (int, float, 10, 5571),                       # 3 in R1 joins 3.0 in R2
     (float, float, 10, 5573),                     # 3.0 beside the 3 of A and C

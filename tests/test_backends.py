@@ -16,7 +16,6 @@ import pytest
 from repro.backends.dispatch import (
     AUTO_MIN_TUPLES,
     BACKENDS,
-    HAS_NUMPY,
     np,
     resolve_backend,
 )
@@ -38,15 +37,12 @@ from tests.conftest import (
     random_instance,
 )
 
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-if HAS_NUMPY:
-    from repro.backends import kernels
-    from repro.backends.columnar import (
-        ValueCodec,
-        encode_annotations,
-        profile_of,
-    )
+from repro.backends import kernels
+from repro.backends.columnar import (
+    ValueCodec,
+    encode_annotations,
+    profile_of,
+)
 
 
 # ------------------------------------------------------- backend resolution

@@ -12,22 +12,15 @@ from __future__ import annotations
 
 import random
 
-import pytest
+import numpy as np
 
-from repro.backends.dispatch import HAS_NUMPY
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-if HAS_NUMPY:
-    import numpy as np
-
-    from repro.backends.batch import ColumnarBatch
-    from repro.backends.columnar import ValueCodec, interns_exactly
-    from repro.backends.kernels import (
-        first_occurrence_unique,
-        group_reduce,
-        hash_join,
-    )
+from repro.backends.batch import ColumnarBatch
+from repro.backends.columnar import ValueCodec, interns_exactly
+from repro.backends.kernels import (
+    first_occurrence_unique,
+    group_reduce,
+    hash_join,
+)
 
 #: int64 edges, zero, ±1, and values straddling the codec's exactness caps.
 BOUNDARY_INTS = [

@@ -212,12 +212,11 @@ def test_default_run_covers_the_acceptance_grid():
         summary.coverage["semiring"]
     )
     # The default catalog, exactly: opt-in registrations (the chaos tier,
-    # the planner-choice, columnar-identity and ivm-identity
-    # invariants) must not leak into default campaigns.
+    # the columnar-identity and ivm-identity invariants) must not leak into
+    # default campaigns.
     assert set(summary.coverage["invariant"]) == set(DEFAULT_INVARIANTS)
     assert set(DEFAULT_INVARIANTS) | {
         "chaos",
-        "planner-choice",
         "columnar-identity",
         "ivm-identity",
     } == set(INVARIANTS)

@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import run_query
-from repro.backends.dispatch import HAS_NUMPY
 from repro.config import ExecutionConfig
 from repro.core.executor import applicable_algorithms
 from repro.data import Instance, Relation, TreeQuery
@@ -178,7 +177,6 @@ def _digest(label: str, algorithm: str, backend: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("label,algorithm", CELLS, ids=["/".join(c) for c in CELLS])
 def test_core_matches_golden_digest(label, algorithm, backend):

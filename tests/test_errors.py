@@ -8,7 +8,8 @@ Three contracts:
   ``except ValueError`` call sites work;
 * :class:`~repro.config.ExecutionConfig` validates eagerly — every bad
   knob raises :class:`~repro.errors.ConfigError` at construction, never
-  later;
+  later — and :func:`repro.api.explain` rejects an unknown ``stats_mode``
+  the same way;
 * the service's :func:`repro.service.status_for` maps exception class →
   HTTP status deterministically, first :data:`~repro.service.ERROR_STATUS`
   match in MRO-sensitive order winning.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import errors
+from repro import api, errors
 from repro.config import ExecutionConfig
 from repro.errors import (
     ApplicabilityError,
@@ -30,6 +31,7 @@ from repro.errors import (
     UnrecoverableFaultError,
 )
 from repro.service import AdmissionRejected, UnknownInstanceError, status_for
+from repro.workloads import planted_out_matmul
 
 
 # -- hierarchy shape ---------------------------------------------------------
@@ -77,7 +79,6 @@ def test_fault_errors_carry_coordinates():
     {"workers": 2},
     {"backend": "fortran"},
     {"backend": "numpy"},
-    {"stats_mode": "psychic"},
 ])
 def test_execution_config_rejects_bad_knobs_at_construction(kwargs):
     with pytest.raises(ConfigError):
@@ -85,6 +86,12 @@ def test_execution_config_rejects_bad_knobs_at_construction(kwargs):
     # ConfigError is a ValueError, so legacy call sites also still catch it.
     with pytest.raises(ValueError):
         ExecutionConfig(**kwargs)
+
+
+def test_explain_rejects_an_unknown_stats_mode():
+    instance = planted_out_matmul(n=10, out=20)
+    with pytest.raises(ConfigError, match="psychic"):
+        api.explain(instance, stats_mode="psychic")
 
 
 # -- exception class → HTTP status -------------------------------------------

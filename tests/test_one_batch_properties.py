@@ -11,34 +11,27 @@ lists — and the contract is identity: result parts, serialized
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.dispatch import HAS_NUMPY
+from repro.backends.batch import ColumnarBatch
+from repro.core import tree
+from repro.core.star import unpack_pairs
 from repro.data import DistRelation, Relation
 from repro.data.relation import ColumnKey
 from repro.errors import RoutingError
 from repro.mpc import Distributed, MPCCluster
+from repro.mpc.columnar import ColumnarData, assemble
 from repro.obs import RingBufferSink, Tracer, event_to_dict
 from repro.primitives import anti_semijoin, semijoin
 from repro.primitives.multi_search import multi_search_rows
 from repro.semiring.standard import COUNTING
 
+from .test_output_path_properties import _as_arrays
 from .test_planted_round_properties import _PROFILES
 from .test_sketch_search_properties import _observed, _parts
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-if HAS_NUMPY:
-    import numpy as np
-
-    from repro.backends.batch import ColumnarBatch
-    from repro.core import tree
-    from repro.core.star import unpack_pairs
-    from repro.mpc.columnar import ColumnarData, assemble
-
-    from .test_output_path_properties import _as_arrays
 
 _COUNTING = _PROFILES["counting"][0]
 

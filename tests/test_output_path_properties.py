@@ -10,13 +10,25 @@ the item ``reduce_by_key`` / the tuple join kernels on a ``pytuple`` cluster
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.dispatch import HAS_NUMPY
+from repro.backends import kernels
+from repro.backends.batch import ColumnarBatch
+from repro.backends.columnar import ValueCodec, encode_annotations
+from repro.core.matmul_worst_case import matmul_worst_case
+from repro.core.two_way_join import (
+    JoinLayout,
+    join_aggregate_pair,
+    join_tasked,
+    local_join_aggregate,
+    local_join_partials,
+)
 from repro.data.relation import ColumnKey, DistRelation, annotation_of
 from repro.mpc import MPCCluster
+from repro.mpc.columnar import ColumnarData
 from repro.mpc.distributed import Distributed
 from repro.mpc.hashing import stable_hash
 from repro.primitives import reduce_by_key
@@ -25,24 +37,6 @@ from repro.semiring.standard import COUNTING
 
 from .test_planted_round_properties import _PROFILES
 from .test_sketch_search_properties import _observed, _parts
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-if HAS_NUMPY:
-    import numpy as np
-
-    from repro.backends import kernels
-    from repro.backends.batch import ColumnarBatch
-    from repro.backends.columnar import ValueCodec, encode_annotations
-    from repro.core.matmul_worst_case import matmul_worst_case
-    from repro.core.two_way_join import (
-        JoinLayout,
-        join_aggregate_pair,
-        join_tasked,
-        local_join_aggregate,
-        local_join_partials,
-    )
-    from repro.mpc.columnar import ColumnarData
 
 
 # -- row hash ≡ stable_hash of the built tuple ----------------------------------

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.dispatch import HAS_NUMPY
 from repro.conformance.chaos import delivery_cells
 from repro.core.executor import run_query
 from repro.mpc import Fault, FaultSchedule, MPCCluster
@@ -43,7 +42,7 @@ FAMILIES = {
     "twig": lambda seed: twig_instance(tuples=24, domain=6, seed=seed),
 }
 
-BACKENDS = ("pytuple", "columnar") if HAS_NUMPY else ("pytuple",)
+BACKENDS = ("pytuple", "columnar")
 
 
 def _run(instance, backend: str, faults=None):

@@ -1,14 +1,12 @@
-"""The cost-based planner (src/repro/planner/).
+"""The load predictor (src/repro/planner/).
 
-Three layers:
+Two layers:
 
-* unit behaviour — statistics collection, plan determinism and
-  introspection, the hysteresis contract around ``AUTO_CHOICE``;
-* the dispatch contract — ``algorithm="cost"`` only ever resolves to
-  something ``run_query`` can actually execute, and the answer stays
-  oracle-identical (the ``planner-choice`` conformance invariant);
-* the Theorem 1 crossover — the worst-case ↔ output-sensitive preference
-  flips at the Table-1-predicted threshold ``OUT* = √(N1·N2·p)``.
+* unit behaviour — statistics collection (offline and in-model agree on
+  the §2.2 estimate), plan determinism and introspection, and the
+  contract that ``chosen`` is what ``algorithm="auto"`` runs;
+* the Theorem 1 crossover — the worst-case ↔ output-sensitive predicted
+  ranking flips at the Table-1-predicted threshold ``OUT* = √(N1·N2·p)``.
 """
 
 import math
@@ -17,27 +15,21 @@ import random
 import pytest
 
 from repro.config import ExecutionConfig
-from repro.conformance.corpus import ReplayConfig
-from repro.conformance.generators import (
-    QUERY_FAMILIES,
-    GeneratorConfig,
-    materialize,
-    random_case,
-)
-from repro.conformance.invariants import check_planner_choice
+from repro.conformance.generators import GeneratorConfig, materialize, random_case
 from repro.core.executor import AUTO_CHOICE, applicable_algorithms, run_query
 from repro.data import Instance, Relation, TreeQuery
+from repro.mpc import MPCCluster
 from repro.planner import (
     QueryStatistics,
     RelationStats,
     collect_statistics,
+    collect_statistics_in_model,
     plan_query,
     predict_load,
     raw_load,
-    rooting_score,
 )
-from repro.planner.plan import _MATMUL_VARIANTS, HYSTERESIS
 from repro.semiring import COUNTING
+from repro.workloads import line_instance, planted_out_matmul
 
 MATMUL_QUERY = TreeQuery(
     (("R1", ("A", "B")), ("R2", ("B", "C"))), frozenset({"A", "C"})
@@ -77,57 +69,6 @@ def _matmul_stats(n1: int, n2: int, out: float) -> QueryStatistics:
         out_provenance="oracle",
         mode="offline",
     )
-
-
-# ----------------------------------------------------------- dispatch contract
-
-
-def test_cost_choice_is_always_runnable_across_the_grid():
-    """algorithm="cost" must resolve inside applicable_algorithms, stamp the
-    resolved name and plan on the report, and put the chosen candidate
-    first in the recorded summary."""
-    rng = random.Random(2020)
-    config = GeneratorConfig(max_tuples=30, domain=6, profiles=("counting",))
-    for index in range(10):
-        case = random_case(rng, config, index)
-        instance = materialize(case)
-        result = run_query(instance, config=ExecutionConfig(p=4, algorithm="cost"))
-        names = applicable_algorithms(instance.query)
-        assert result.algorithm in names
-        plan = result.report.plan
-        assert plan and plan["algorithm"] == result.algorithm
-        assert plan["candidates"][0]["algorithm"] == result.algorithm
-        assert {c["algorithm"] for c in plan["candidates"]} <= set(names)
-
-
-@pytest.mark.parametrize("family", QUERY_FAMILIES)
-def test_cost_dispatch_is_oracle_identical(family):
-    """The planner-choice conformance invariant, replayed per family."""
-    rng = random.Random(7)
-    config = GeneratorConfig(
-        max_tuples=24, domain=6, families=(family,), profiles=("counting",)
-    )
-    check_planner_choice(random_case(rng, config, 0), ReplayConfig(p=4, p_large=8))
-
-
-def test_overriding_auto_requires_a_decisive_win():
-    """The hysteresis contract: the planner abandons the paper's per-class
-    choice only on a sub-HYSTERESIS prediction (matmul strategy variants
-    excepted — they instantiate the same Theorem 1 terms)."""
-    rng = random.Random(11)
-    config = GeneratorConfig(max_tuples=40, domain=8, profiles=("counting",))
-    overrides = 0
-    for index in range(12):
-        instance = materialize(random_case(rng, config, index))
-        plan = plan_query(instance, p=8)
-        auto_choice = AUTO_CHOICE[instance.query.classify()]
-        if plan.algorithm == auto_choice:
-            continue
-        overrides += 1
-        if plan.query_class == "matmul" and plan.algorithm in _MATMUL_VARIANTS:
-            continue
-        auto_candidate = plan.candidate(auto_choice)
-        assert plan.predicted_load < HYSTERESIS * auto_candidate.predicted_load
 
 
 # ------------------------------------------------------- Theorem 1 crossover
@@ -218,48 +159,28 @@ def test_plan_is_deterministic_and_introspectable():
     with pytest.raises(KeyError):
         first.candidate("not-an-algorithm")
 
-    summary = first.summary()
-    assert summary["algorithm"] == first.algorithm
-    assert summary["candidates"][0]["algorithm"] == first.algorithm
-
     rendering = first.render()
     assert f"chosen: {first.algorithm}" in rendering
     for candidate in first.candidates:
         assert candidate.algorithm in rendering
 
-
-def test_rooted_candidates_carry_a_rooting():
-    rng = random.Random(3)
-    config = GeneratorConfig(
-        max_tuples=30, domain=6, families=("tree",), profiles=("counting",)
-    )
-    instance = materialize(random_case(rng, config, 0))
-    plan = plan_query(instance, p=4)
-    yannakakis = plan.candidate("yannakakis")
-    assert yannakakis.rooting in instance.query.attributes
-    assert yannakakis.rootings_considered == len(instance.query.attributes)
-    # The reported root is the argmin of the heuristic, ties by name.
-    stats = plan.statistics
-    scores = {
-        attr: rooting_score(instance.query, stats, attr)
-        for attr in instance.query.attributes
-    }
-    best = min(sorted(scores), key=lambda attr: (scores[attr], attr))
-    assert yannakakis.rooting == best
-
-
-def test_rooting_score_prefers_low_fanout_roots():
-    """A planted high-degree hub should repel the root choice: rooting on
-    the far side of the hub forces partial results through its fan-out
-    (here B has degree 10 in R1, so a root at C multiplies A's tuples by
-    10 on their way up, while a root at A never fans out)."""
-    query = TreeQuery(
-        (("R1", ("A", "B")), ("R2", ("B", "C"))), frozenset({"A", "B", "C"})
-    )
-    r1 = Relation("R1", ("A", "B"), [((i, 0), 1) for i in range(10)])
-    r2 = Relation("R2", ("B", "C"), [((0, 0), 1)])
-    stats = collect_statistics(Instance(query, {"R1": r1, "R2": r2}, COUNTING))
-    assert rooting_score(query, stats, "C") > rooting_score(query, stats, "A")
+    # The planner predicts, it does not choose: over the generator grid
+    # ``chosen`` is ``AUTO_CHOICE[class]`` (first in ``candidates``), every
+    # other applicable algorithm follows cheapest-first, and an ``auto``
+    # run executes exactly the chosen algorithm.
+    rng = random.Random(2020)
+    config = GeneratorConfig(max_tuples=30, domain=6, profiles=("counting",))
+    for index in range(12):
+        instance = materialize(random_case(rng, config, index))
+        plan = plan_query(instance, p=4)
+        assert plan.algorithm == AUTO_CHOICE[instance.query.classify()]
+        assert plan.candidates[0] is plan.chosen
+        rest = [(c.predicted_load, c.algorithm) for c in plan.candidates[1:]]
+        assert rest == sorted(rest)
+        assert {c.algorithm for c in plan.candidates} == set(
+            applicable_algorithms(instance.query)
+        )
+        assert run_query(instance, p=4).algorithm == plan.algorithm
 
 
 def test_in_model_statistics_are_metered():
@@ -271,6 +192,27 @@ def test_in_model_statistics_are_metered():
         plan_query(instance, p=4, stats_mode="in-model")  # needs a view
     with pytest.raises(ValueError):
         plan_query(instance, p=4, stats_mode="telepathy")
+
+    # Both modes estimate line-shaped OUT with the one §2.2 estimator, so
+    # they agree up to float summation order at any p on either backend —
+    # including instances large enough that the sketches are not exact.
+    for instance in (
+        instance,
+        planted_out_matmul(n=300, out=1200),
+        line_instance(2, 1200, 100, seed=3),  # reaches > k: inexact sketches
+        line_instance(3, 900, 100, seed=4),
+    ):
+        for backend in ("pytuple", "columnar"):
+            offline = collect_statistics(instance, backend=backend)
+            assert offline.out_provenance == "kmv-sketch"
+            for p in (1, 4, 16):
+                view = MPCCluster(p, backend=backend).view()
+                in_model = collect_statistics_in_model(instance, view)
+                assert in_model.out_provenance == "kmv-sketch"
+                assert in_model.metered_load > 0
+                assert in_model.out_estimate == pytest.approx(
+                    offline.out_estimate, rel=1e-12
+                )
 
 
 def test_predictions_scale_with_calibration_constants():

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends.columnar import profile_of
-from repro.backends.dispatch import HAS_NUMPY
 from repro.mpc import MPCCluster, hashing
 from repro.primitives import anti_semijoin, attach_by_key, reduce_by_key, semijoin
 from repro.primitives.multi_search import multi_search_items, multi_search_rows
@@ -27,8 +26,6 @@ from repro.primitives.reduce_by_key import _FINAL_INT_LIMIT, _reduce_by_key_colu
 from repro.semiring.standard import BOOLEAN, COUNTING, TROPICAL_MIN_PLUS
 
 from .test_sketch_search_properties import _observed, _parts
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 
 
 # -- _encode ≡ the isinstance chain it replaced ---------------------------------
@@ -156,7 +153,6 @@ _KEY_SHAPES = {
 }
 
 
-@needs_numpy
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from(["counting", "boolean", "tropical", "distinct"]),
        st.sampled_from(sorted(_KEY_SHAPES)), st.integers(1, 6), st.integers(0, 2))
@@ -169,7 +165,6 @@ def test_whole_batch_reduce_equals_item_path(data, name, shape, p, salt):
     assert _observed("columnar", p, run) == _observed("pytuple", p, run)
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", ["counting", "boolean", "tropical", "distinct"])
 @pytest.mark.parametrize("rows,p", [
     ([[(3, 0)], [(3, 1)], [(3, 2)], [(3, 3)]], 4),                 # one key on every server
@@ -187,7 +182,6 @@ def test_whole_batch_reduce_corner_shapes(name, rows, p):
     assert _observed("columnar", p, run) == _observed("pytuple", p, run)
 
 
-@needs_numpy
 def test_oversized_partials_fold_by_dict_after_an_identical_exchange():
     """An int partial ≥ ``_FINAL_INT_LIMIT`` (legal under a "number"
     profile) leaves the final stage to the dict fold; the exchange before
@@ -206,7 +200,6 @@ def test_oversized_partials_fold_by_dict_after_an_identical_exchange():
     assert columnar[1]["rounds"] == 1
 
 
-@needs_numpy
 @pytest.mark.parametrize("name,values", [
     ("tropical", [1, 2.0]),                 # int beside float: would promote
     ("tropical", [1.0, float("nan")]),      # NaN makes min order-sensitive
@@ -256,7 +249,6 @@ _CALLS = {
 }
 
 
-@needs_numpy
 @settings(max_examples=200, deadline=None)
 @given(_KEY_PARTS, _KEY_PARTS, st.integers(1, 6), st.sampled_from(sorted(_CALLS)),
        st.sampled_from(sorted(_RANKED_SHAPES)))
@@ -280,7 +272,6 @@ def test_ranked_search_equals_item_path(query_parts, reference_parts, p, call, s
     assert _observed("columnar", p, run) == _observed("pytuple", p, run)
 
 
-@needs_numpy
 @pytest.mark.parametrize("shape", sorted(_RANKED_SHAPES))
 def test_ranked_shapes_do_take_the_array_path(shape):
     """The property above would hold vacuously if a shape were refused."""

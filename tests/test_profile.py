@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.backends.dispatch import HAS_NUMPY
 from repro.config import ExecutionConfig
 from repro.core.executor import run_query
 from repro.errors import ApplicabilityError, RoutingError
@@ -187,7 +186,7 @@ def test_write_json_round_trips(tmp_path):
 
 # -- bit-identity: profiling on vs off -----------------------------------------
 
-@pytest.mark.parametrize("backend", ["pytuple"] + (["columnar"] if HAS_NUMPY else []))
+@pytest.mark.parametrize("backend", ["pytuple", "columnar"])
 def test_profiled_run_is_bit_identical(backend):
     instance = planted_out_matmul(n=120, out=480)
     plain = run_query(instance, config=ExecutionConfig(p=4, backend=backend))
@@ -243,7 +242,6 @@ def test_profiled_run_is_bit_identical_under_faults():
     assert profiler.open_depth == 0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_columnar_run_records_kernel_spans():
     instance = planted_out_matmul(n=200, out=800)
     profiler = Profiler()
@@ -256,7 +254,6 @@ def test_columnar_run_records_kernel_spans():
                if node.kind == "kernel")
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_dense_columnar_run_records_sketch_and_search_kernels():
     """The two whole-view kernels are profiled like the per-server ones: an
     undecorated kernel would read as plumbing in every attribution."""
@@ -313,7 +310,6 @@ def _kernel_calls(profiler):
                   if node.kind == "kernel")
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_concurrent_profiled_runs_keep_their_own_kernel_spans():
     """Two threads, each with its own profiler, interleave columnar runs:
     every kernel call lands in the profiler of the run that made it."""
@@ -393,8 +389,7 @@ def _applicability_error_dispatch(profiler):
 
 @pytest.mark.parametrize("failing, error", [
     (_routing_error_exchange, RoutingError),
-    pytest.param(_routing_error_batches_mismatch, RoutingError,
-                 marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")),
+    (_routing_error_batches_mismatch, RoutingError),
     (_routing_error_batches_faulted, RoutingError),
     (_routing_error_broadcast_batches_faulted, RoutingError),
     (_applicability_error_dispatch, ApplicabilityError),
@@ -439,7 +434,6 @@ def _span_shape(instance, **config):
             for node, depth in profiler.root.walk() if node is not profiler.root]
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_span_shape_golden_planted_matmul_columnar():
     # Re-captured when the output path went to code columns: only `kernel`
     # rows moved (every fold — a reduce-by-key stage, a local join's
@@ -471,7 +465,6 @@ def test_span_shape_golden_planted_matmul_columnar():
     ]
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_planted_line_run_interns_no_output_tuple():
     """Composite keys are never interned: after a planted line the cluster's
     codec holds the attribute domains and the two-way join's cell ids (at
@@ -492,7 +485,6 @@ def test_planted_line_run_interns_no_output_tuple():
     assert len(codec) <= len(domains) + instance.total_size
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
     """The primitives call a kernel once per stage, not once per simulated
     server: the ledger's twig at p=16 recorded 12,788 kernel spans while
@@ -516,7 +508,6 @@ def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
             sum(items for _, _, items in ops)) == (721, 89395)  # the parent's
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_a_dataset_is_one_batch_not_one_per_server(monkeypatch):
     """A columnar dataset is one batch with server cuts, so nothing cuts a
     batch per server any more: the twig below sliced batches 12,666 times
@@ -537,7 +528,6 @@ def test_a_dataset_is_one_batch_not_one_per_server(monkeypatch):
     assert len(slices) <= result.report.rounds
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 @pytest.mark.parametrize("instance", [
     planted_out_star(3, 300, 2500), twig_instance(tuples=60, domain=12, seed=2020),
 ], ids=["planted-star", "twig"])
@@ -588,23 +578,6 @@ def test_span_shape_golden_three_arm_star_pytuple():
         (2, "step", "execute", "", 1, 0),
         (3, "op", "exchange", "pytuple", 62, 2375),
         (3, "op", "broadcast", "pytuple", 5, 164),
-        (2, "step", "collect", "", 1, 0),
-    ]
-
-
-def test_span_shape_golden_cost_dispatch():
-    shape = _span_shape(planted_out_matmul(n=120, out=480), backend="pytuple",
-                        algorithm="cost")
-    assert shape == [
-        (1, "step", "plan", "", 1, 0),
-        (1, "run", "run:matmul-worst-case", "pytuple", 1, 0),
-        (2, "step", "load", "", 1, 0),
-        (2, "step", "execute", "", 1, 0),
-        (3, "op", "exchange", "pytuple", 4, 364),
-        (3, "phase", "matmul-wc/statistics", "", 1, 0),
-        (4, "op", "exchange", "pytuple", 2, 240),
-        (3, "phase", "matmul-wc/light-light", "", 1, 0),
-        (4, "op", "exchange", "pytuple", 4, 1200),
         (2, "step", "collect", "", 1, 0),
     ]
 

@@ -241,6 +241,28 @@ def test_over_budget_request_gets_429_without_executing():
     assert len(state.cache) == 0
 
 
+def test_admission_predicts_the_algorithm_that_runs():
+    """An ``auto`` request is judged on the prediction for the algorithm
+    ``auto`` runs: here ``line`` predicts 51.4, over the budget of 40, while
+    the cheapest candidate (``yannakakis``, 34.1) would have fit."""
+    instance = line_instance(3, 30, 9, seed=10)
+    state = ServiceState(load_budget=40, default_config=ExecutionConfig(p=4))
+    _register(state, "line", instance)
+    plan = state.handle("POST", "/explain", _body({"instance": "line"}))[2]
+    candidates = {c["algorithm"]: c["predicted_load"]
+                  for c in json.loads(plan)["plan"]["candidates"]}
+    assert candidates["line"] > 40 > min(candidates.values())
+
+    status, document, _, _ = _query(state, {"instance": "line"})
+    assert status == 429 and document["error"] == "AdmissionRejected"
+    assert state.admission.admitted == 0
+    # naming the cheaper algorithm is admitted on its own prediction
+    status, document, _, _ = _query(
+        state, {"instance": "line", "config": {"algorithm": "yannakakis"}}
+    )
+    assert status == 200
+
+
 def test_request_level_budget_tightens_the_server_budget():
     state = ServiceState()  # unlimited server budget
     _register(state, "mm", planted_out_matmul(n=40, out=80))

@@ -7,7 +7,8 @@
   ``/compare`` and ``/explain``) of a small write-mix-shaped state —
   matmuls and lines, a view each, deltas with inserts and deletes — hash
   to what release 3.0.0 served, once the ``digest`` values, whose
-  definition changed, are blanked.
+  definition changed, are blanked (the two ``/explain`` bodies are pinned
+  to the load predictor, see :data:`GOLDEN`).
 """
 
 from __future__ import annotations
@@ -120,7 +121,11 @@ def _write_mix_bodies() -> "dict[str, bytes]":
 
 
 #: BLAKE2b-128 of each blanked body, as served by release 3.0.0
-#: (regenerate: print ``_hashes(_write_mix_bodies())`` at that tag).
+#: (regenerate: print ``_hashes(_write_mix_bodies())`` at that tag) — except
+#: the two ``explain`` bodies, re-pinned when the planner stopped choosing:
+#: their candidates lost the ``rooting`` keys, and ``chosen`` is the
+#: algorithm ``auto`` runs (``line_0``: ``yannakakis`` → ``line``), first,
+#: with the other candidates after it.
 GOLDEN = {
     "query mm_0": "5428852c4a7d3c87ac15fd186a6434a7",
     "view mm_0": "931fb6512e41bcf1d2d1057b6811bbb0",
@@ -135,9 +140,9 @@ GOLDEN = {
     "query line_1": "0d8cf011917fe3ee39bef13768118338",
     "view line_1": "95fc82baec723451e3255a721a90e494",
     "compare mm_0": "e8181305e68b7715d2805430c27ac934",
-    "explain mm_0": "51fdbe2650ca52a14faaa974fa3cf980",
+    "explain mm_0": "1f7069918df02cf149ae2baef5f5a018",
     "compare line_0": "f721142cdec87ab7564eda56451a043a",
-    "explain line_0": "b7819f045bc5e861dc2d87c67b11e6c1",
+    "explain line_0": "61dfe98ea6e702f632a21f655fda4459",
 }
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro import api
-from repro.backends.dispatch import HAS_NUMPY
 from repro.config import ExecutionConfig
 from repro.data.query import Instance
 from repro.data.relation import Relation
@@ -31,8 +30,6 @@ from repro.service import (
     instance_digest,
 )
 from repro.workloads import planted_out_matmul, star_instance
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 
 
 def _reordered(instance: Instance, reverse: bool = True) -> Instance:
@@ -84,7 +81,6 @@ def test_digest_changes_with_semiring():
     assert instance_digest(instance) != instance_digest(boolean)
 
 
-@needs_numpy
 def test_digest_ignores_codec_interning_order():
     """Executing on the columnar backend interns every attribute value
     into per-cluster codecs; the digest reads only logical values, so it
@@ -111,7 +107,6 @@ def test_fingerprint_ignores_observers_and_execution_mode():
     assert config_fingerprint(base) == config_fingerprint(observed)
 
 
-@needs_numpy
 def test_fingerprint_ignores_backend():
     assert config_fingerprint(ExecutionConfig(p=4, backend="columnar")) == \
         config_fingerprint(ExecutionConfig(p=4, backend="pytuple"))
@@ -122,7 +117,6 @@ def test_fingerprint_ignores_backend():
     {"algorithm": "yannakakis"},
     {"seed": 17},
     {"validate": True},
-    {"stats_mode": "in-model"},
 ])
 def test_fingerprint_tracks_every_semantic_field(kwargs):
     assert config_fingerprint(ExecutionConfig(**kwargs)) != \

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.dispatch import HAS_NUMPY
+from repro.backends import kernels
+from repro.backends.columnar import ValueCodec
 from repro.data import DistRelation, Relation
 from repro.mpc import Distributed, MPCCluster
 from repro.obs import RingBufferSink, Tracer, event_to_dict
@@ -34,14 +36,6 @@ from repro.primitives.multi_search import (
     multi_search_reference,
     multi_search_rows,
 )
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-if HAS_NUMPY:
-    import numpy as np
-
-    from repro.backends import kernels
-    from repro.backends.columnar import ValueCodec
 
 
 # -- k smallest distinct: the fold of KMV.merge --------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.data import DistRelation, Instance, Relation
 from repro.mpc import MPCCluster
-from repro.backends.dispatch import HAS_NUMPY
 from repro.core.two_way_join import (
     JoinLayout,
     aggregate_relation,
@@ -145,9 +144,7 @@ def test_aggregate_relation_to_scalar():
 
 # -- the one join layout and the one tasked join -------------------------------------
 
-BACKENDS = ["pytuple", pytest.param(
-    "columnar", marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-)]
+BACKENDS = ["pytuple", "columnar"]
 
 
 def _left(task, a, b, weight):
@@ -206,7 +203,6 @@ def test_join_tasked_never_multiplies_across_tasks_on_a_shared_server(backend):
     }
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 @pytest.mark.parametrize("left_schema,right_schema,keep", [
     (("A", "B"), ("B", "C"), ("A", "C")),            # L-R
     (("A", "B"), ("B", "C"), ("C", "A")),            # R-L
@@ -242,7 +238,6 @@ def test_layout_tuple_kernel_equals_array_kernel(left_schema, right_schema, keep
     assert reference == (list(expected.items()), len(bound))
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 def test_two_column_key_runs_the_tuple_kernel_under_columnar(monkeypatch):
     import repro.backends.kernels as kernels
 
