@@ -16,6 +16,7 @@ We therefore measure, for both algorithms on the same instances:
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.workloads import planted_out_matmul
 
 from harness import registry
@@ -35,8 +36,8 @@ def test_locality_ablation(benchmark, out):
     instance = planted_out_matmul(n=N, out=out)
 
     def run():
-        baseline = run_query(instance, p=P, algorithm="yannakakis")
-        ours = run_query(instance, p=P, algorithm="auto")
+        baseline = run_query(instance, ExecutionConfig(p=P, algorithm="yannakakis"))
+        ours = run_query(instance, ExecutionConfig(p=P, algorithm="auto"))
         assert baseline.relation.tuples == ours.relation.tuples
         return baseline, ours
 
@@ -67,8 +68,8 @@ def test_baseline_comm_tracks_products(benchmark):
         rows = []
         for out in (3200, 204800):
             instance = planted_out_matmul(n=N, out=out)
-            baseline = run_query(instance, p=P, algorithm="yannakakis")
-            ours = run_query(instance, p=P, algorithm="auto")
+            baseline = run_query(instance, ExecutionConfig(p=P, algorithm="yannakakis"))
+            ours = run_query(instance, ExecutionConfig(p=P, algorithm="auto"))
             rows.append(
                 (baseline.report.total_communication, ours.report.total_communication)
             )

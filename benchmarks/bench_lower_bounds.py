@@ -9,6 +9,7 @@ up to constants), i.e. the algorithm is *tight on its own hard instances*.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.lowerbounds import theorem2_instance, theorem3_instance
 from repro.semiring import BOOLEAN
 from repro.theory import matmul_lower_bound, matmul_new_load
@@ -27,7 +28,7 @@ def test_theorem2_family(benchmark, n2):
     )
     hard = theorem2_instance(100, n2, n2, BOOLEAN)
     result = benchmark.pedantic(
-        run_query, args=(hard.instance,), kwargs={"p": P}, rounds=1, iterations=1
+        run_query, args=(hard.instance, ExecutionConfig(p=P)), rounds=1, iterations=1
     )
     lower = matmul_lower_bound(hard.n1, hard.n2, hard.out, P)
     table.add(n2, result.report.max_load, lower, result.report.max_load / lower)
@@ -45,7 +46,7 @@ def test_theorem3_family(benchmark, out):
     )
     hard = theorem3_instance(256, 256, out, BOOLEAN)
     result = benchmark.pedantic(
-        run_query, args=(hard.instance,), kwargs={"p": P}, rounds=1, iterations=1
+        run_query, args=(hard.instance, ExecutionConfig(p=P)), rounds=1, iterations=1
     )
     lower = matmul_lower_bound(hard.n1, hard.n2, hard.out, P)
     upper = matmul_new_load(hard.n1, hard.n2, hard.out, P)
@@ -63,7 +64,7 @@ def test_theorem3_lower_bound_is_tight_across_out(benchmark):
         ratios = []
         for out in (256, 4096, 65536):
             hard = theorem3_instance(256, 256, out, BOOLEAN)
-            result = run_query(hard.instance, p=P)
+            result = run_query(hard.instance, ExecutionConfig(p=P))
             lower = matmul_lower_bound(hard.n1, hard.n2, hard.out, P)
             ratios.append(result.report.max_load / lower)
         return ratios

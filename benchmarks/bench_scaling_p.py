@@ -8,6 +8,7 @@ series are recorded so the speedup-vs-p curve can be read off directly.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.workloads import planted_out_matmul, planted_out_star
 
 from harness import registry
@@ -26,8 +27,8 @@ def test_matmul_scaling_in_p(benchmark):
     def run():
         rows = []
         for p in P_SWEEP:
-            baseline = run_query(instance, p=p, algorithm="yannakakis")
-            ours = run_query(instance, p=p, algorithm="auto")
+            baseline = run_query(instance, ExecutionConfig(p=p, algorithm="yannakakis"))
+            ours = run_query(instance, ExecutionConfig(p=p, algorithm="auto"))
             assert baseline.relation.tuples == ours.relation.tuples
             rows.append(
                 (p, baseline.report.max_load, ours.report.max_load,
@@ -56,8 +57,8 @@ def test_star_scaling_in_p(benchmark):
     def run():
         rows = []
         for p in P_SWEEP:
-            baseline = run_query(instance, p=p, algorithm="yannakakis")
-            ours = run_query(instance, p=p, algorithm="auto")
+            baseline = run_query(instance, ExecutionConfig(p=p, algorithm="yannakakis"))
+            ours = run_query(instance, ExecutionConfig(p=p, algorithm="auto"))
             assert baseline.relation.tuples == ours.relation.tuples
             rows.append((p, baseline.report.max_load, ours.report.max_load))
         return rows

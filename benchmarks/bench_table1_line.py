@@ -10,6 +10,7 @@ measured loads against both closed forms.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.ram import evaluate
 from repro.theory import new_algorithm_load, yannakakis_load
 from repro.workloads import bowtie_line, line_instance, planted_out_line
@@ -23,8 +24,8 @@ OUT_SWEEP = [600, 2400, 9600, 38400]
 
 
 def _measure(instance):
-    baseline = run_query(instance, p=P, algorithm="yannakakis")
-    ours = run_query(instance, p=P, algorithm="auto")
+    baseline = run_query(instance, ExecutionConfig(p=P, algorithm="yannakakis"))
+    ours = run_query(instance, ExecutionConfig(p=P, algorithm="auto"))
     assert baseline.relation.tuples == ours.relation.tuples
     return baseline, ours
 

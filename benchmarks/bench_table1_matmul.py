@@ -12,6 +12,7 @@ with OUT, while its load stays within a constant of the min(·,·) envelope.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.theory import matmul_new_load, matmul_yannakakis_load
 from repro.workloads import planted_out_matmul
 
@@ -24,8 +25,8 @@ OUT_SWEEP = [1000, 4000, 16000, 64000, 250000]
 
 def _measure(out: int):
     instance = planted_out_matmul(n=N, out=out)
-    baseline = run_query(instance, p=P, algorithm="yannakakis")
-    ours = run_query(instance, p=P, algorithm="auto")
+    baseline = run_query(instance, ExecutionConfig(p=P, algorithm="yannakakis"))
+    ours = run_query(instance, ExecutionConfig(p=P, algorithm="auto"))
     assert baseline.relation.tuples == ours.relation.tuples
     return baseline.report, ours.report
 
@@ -92,8 +93,8 @@ def test_table1_matmul_row_p64(benchmark, out):
 
     def run():
         instance = planted_out_matmul(n=N, out=out)
-        baseline = run_query(instance, p=64, algorithm="yannakakis")
-        ours = run_query(instance, p=64, algorithm="auto")
+        baseline = run_query(instance, ExecutionConfig(p=64, algorithm="yannakakis"))
+        ours = run_query(instance, ExecutionConfig(p=64, algorithm="auto"))
         assert baseline.relation.tuples == ours.relation.tuples
         return baseline.report, ours.report
 

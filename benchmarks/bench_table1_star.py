@@ -8,6 +8,7 @@ planted-OUT star family with n = 3 arms.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.theory import new_algorithm_load, yannakakis_load
 from repro.workloads import overlapping_star, planted_out_star, star_instance
 
@@ -20,8 +21,8 @@ OUT_SWEEP = [3200, 25600, 204800]
 
 
 def _measure(instance):
-    baseline = run_query(instance, p=P, algorithm="yannakakis")
-    ours = run_query(instance, p=P, algorithm="auto")
+    baseline = run_query(instance, ExecutionConfig(p=P, algorithm="yannakakis"))
+    ours = run_query(instance, ExecutionConfig(p=P, algorithm="auto"))
     assert baseline.relation.tuples == ours.relation.tuples
     return baseline, ours
 

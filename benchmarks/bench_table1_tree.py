@@ -9,6 +9,7 @@ sweeping the output size through the domain width.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.theory import new_algorithm_load, yannakakis_load
 from repro.workloads import starlike_instance, twig_instance
 
@@ -19,8 +20,8 @@ TUPLES = 250
 
 
 def _measure(instance):
-    baseline = run_query(instance, p=P, algorithm="yannakakis")
-    ours = run_query(instance, p=P, algorithm="auto")
+    baseline = run_query(instance, ExecutionConfig(p=P, algorithm="yannakakis"))
+    ours = run_query(instance, ExecutionConfig(p=P, algorithm="auto"))
     assert baseline.relation.tuples == ours.relation.tuples
     return baseline, ours
 

@@ -17,6 +17,7 @@ Run:  python examples/movie_analytics.py
 import random
 
 from repro import Instance, Relation, TreeQuery, run_query
+from repro.config import ExecutionConfig
 from repro.queries import count_group_by, join_project
 from repro.semiring import COUNTING
 
@@ -56,7 +57,9 @@ def main() -> None:
     schemas, relations = build_warehouse()
 
     # 1. COUNT(*) GROUP BY (City, Genre): a line query under the hood.
-    counts = count_group_by(relations, schemas, group_by=["City", "Genre"], p=8)
+    counts = count_group_by(
+        relations, schemas, group_by=["City", "Genre"], config=ExecutionConfig(p=8)
+    )
     print(f"rating events per (city, genre) — {counts.out_size} groups, "
           f"algorithm: {counts.algorithm}, load {counts.report.max_load}")
     top = sorted(counts.relation.tuples.items(), key=lambda kv: -kv[1])[:5]
@@ -64,12 +67,14 @@ def main() -> None:
         print(f"  {city:>6} × {genre:<7} {count:>3} ratings")
 
     # 2. Which pairs co-occur at all (join-project / conjunctive query).
-    pairs = join_project(relations, schemas, output=["City", "Genre"], p=8)
+    pairs = join_project(
+        relations, schemas, output=["City", "Genre"], config=ExecutionConfig(p=8)
+    )
     print(f"\ndistinct (city, genre) connections: {len(pairs)}")
 
     # 3. Sum of stars instead of counts: keep the annotations.
     query = TreeQuery(tuple(schemas), frozenset({"City", "Genre"}))
-    stars = run_query(Instance(query, relations, COUNTING), p=8)
+    stars = run_query(Instance(query, relations, COUNTING), ExecutionConfig(p=8))
     loudest = max(stars.relation.tuples.items(), key=lambda kv: kv[1])
     print(f"most stars overall: {loudest[0][0]} × {loudest[0][1]} "
           f"with {loudest[1]} total stars")

@@ -11,6 +11,7 @@ Run:  python examples/provenance_lineage.py
 """
 
 from repro import Instance, Relation, TreeQuery, run_query
+from repro.config import ExecutionConfig
 from repro.semiring import WHY_PROVENANCE
 
 
@@ -52,7 +53,7 @@ def main() -> None:
         {"Supplies": supplies, "UsedIn": used_in, "BuildInto": build_into},
         WHY_PROVENANCE,
     )
-    result = run_query(instance, p=8)
+    result = run_query(instance, ExecutionConfig(p=8))
 
     print("supplier → product connections with their witness sets:\n")
     for (product, supplier), witnesses in sorted(result.relation.tuples.items()):

@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Instance, Relation, TreeQuery, run_query
+from repro.config import ExecutionConfig
 from repro.semiring import COUNTING
 
 
@@ -33,7 +34,7 @@ def main() -> None:
 
     print(f"N = {instance.total_size} input tuples, p = 16 servers\n")
     for algorithm in ("yannakakis", "auto"):
-        result = run_query(instance, p=16, algorithm=algorithm)
+        result = run_query(instance, ExecutionConfig(p=16, algorithm=algorithm))
         label = "baseline (distributed Yannakakis)" if algorithm == "yannakakis" \
             else f"paper algorithm ({result.algorithm})"
         print(f"{label}:")
@@ -43,7 +44,7 @@ def main() -> None:
         print(f"  rounds          : {result.report.rounds}")
         print(f"  ⊗-products      : {result.report.elementary_products}\n")
 
-    result = run_query(instance, p=16)
+    result = run_query(instance, ExecutionConfig(p=16))
     sample = sorted(result.relation.tuples.items())[:5]
     print("first few results (a, c) → #paths:")
     for key, count in sample:

@@ -14,6 +14,7 @@ import math
 import networkx as nx
 
 from repro import Instance, Relation, TreeQuery, run_query
+from repro.config import ExecutionConfig
 from repro.semiring import TROPICAL_MIN_PLUS
 from repro.workloads import grid_road_network
 
@@ -31,7 +32,7 @@ def main() -> None:
     hop2 = Relation("Hop2", ("B", "C"), list(roads))
     instance = Instance(query, {"Hop1": hop1, "Hop2": hop2}, TROPICAL_MIN_PLUS)
 
-    result = run_query(instance, p=16)
+    result = run_query(instance, ExecutionConfig(p=16))
     print(f"2-hop distance pairs computed: {result.out_size}")
     print(f"cluster load L = {result.report.max_load}, "
           f"rounds = {result.report.rounds}\n")
@@ -68,7 +69,7 @@ def main() -> None:
     hop1_k = Relation("Hop1", ("A", "B"), [(k, (w,)) for k, w in roads.tuples.items()])
     hop2_k = Relation("Hop2", ("B", "C"), [(k, (w,)) for k, w in roads.tuples.items()])
     ranked = run_query(
-        Instance(query, {"Hop1": hop1_k, "Hop2": hop2_k}, top3), p=16
+        Instance(query, {"Hop1": hop1_k, "Hop2": hop2_k}, top3), ExecutionConfig(p=16)
     )
     a, c = next(iter(sorted(ranked.relation.tuples)))
     print(f"\ntop-3 route costs {a} → {c}: {ranked.relation.tuples[(a, c)]}")

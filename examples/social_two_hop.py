@@ -13,6 +13,7 @@ Run:  python examples/social_two_hop.py
 """
 
 from repro import Instance, Relation, TreeQuery, run_query
+from repro.config import ExecutionConfig
 from repro.semiring import COUNTING
 from repro.workloads import power_law_edges
 
@@ -40,8 +41,8 @@ def main() -> None:
             },
             COUNTING,
         )
-        baseline = run_query(instance, p=p, algorithm="yannakakis")
-        ours = run_query(instance, p=p, algorithm="auto")
+        baseline = run_query(instance, ExecutionConfig(p=p, algorithm="yannakakis"))
+        ours = run_query(instance, ExecutionConfig(p=p, algorithm="auto"))
         assert baseline.relation.tuples == ours.relation.tuples
         print(
             f"{alpha:>6} {max_degree:>8} "

@@ -13,6 +13,7 @@ Run:  python examples/tree_analytics.py
 import random
 
 from repro import Instance, Relation, TreeQuery, run_query
+from repro.config import ExecutionConfig
 from repro.semiring import COUNTING
 
 
@@ -60,7 +61,7 @@ def main() -> None:
 
     print(f"query class: {query.classify()} "
           f"(two hubs: Segment, Line — the Figure-3 shape)")
-    result = run_query(instance, p=16)
+    result = run_query(instance, ExecutionConfig(p=16))
     print(f"N = {instance.total_size}, OUT = {result.out_size}, "
           f"load = {result.report.max_load}, rounds = {result.report.rounds}\n")
 
@@ -71,7 +72,7 @@ def main() -> None:
     for (brand, category, channel, region), sales in top:
         print(f"{brand:>8} {category:>9} {channel:>8} {region:>8} {sales:>6}")
 
-    baseline = run_query(instance, p=16, algorithm="yannakakis")
+    baseline = run_query(instance, ExecutionConfig(p=16, algorithm="yannakakis"))
     assert baseline.relation.tuples == result.relation.tuples
     print(f"\nbaseline load {baseline.report.max_load} vs "
           f"paper algorithm {result.report.max_load}")

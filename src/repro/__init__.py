@@ -11,14 +11,15 @@ semirings.
 
 Quickstart::
 
-    from repro import Relation, Instance, TreeQuery, run_query
+    from repro import ExecutionConfig, Relation, Instance, TreeQuery, run_query
     from repro.semiring import COUNTING
 
     query = TreeQuery((("R1", ("A", "B")), ("R2", ("B", "C"))),
                       output=frozenset({"A", "C"}))
     r1 = Relation("R1", ("A", "B"), [((i, i % 10), 1) for i in range(100)])
     r2 = Relation("R2", ("B", "C"), [((i % 10, i), 1) for i in range(100)])
-    result = run_query(Instance(query, {"R1": r1, "R2": r2}, COUNTING), p=16)
+    result = run_query(Instance(query, {"R1": r1, "R2": r2}, COUNTING),
+                       ExecutionConfig(p=16))
     print(result.relation, result.report)
 """
 

@@ -13,16 +13,14 @@ query service (:mod:`repro.service`) can do by importing
 * :func:`explain` — the planner's predicted load for every runnable
   algorithm on one instance, without executing anything
   (:mod:`repro.planner`);
-* :func:`sweep` — :func:`compare` across a labelled series of instances;
 * :func:`table1` — the paper's Table 1 on adversarial workload families;
 * :func:`fuzz` — a conformance fuzzing campaign
-  (:mod:`repro.conformance`);
-* :func:`chaos` — the fault-injection tier of the same campaign runner;
-* :func:`materialize` / :func:`apply_delta` — incremental view
-  maintenance (:mod:`repro.ivm`): pin a live
-  :class:`~repro.ivm.MaterializedView` over an instance and keep it
-  current under :class:`~repro.ivm.DeltaBatch` streams, metered under
-  the ``maintenance`` tag of the cost report.
+  (:mod:`repro.conformance`), the chaos tier included;
+* :func:`materialize` — incremental view maintenance (:mod:`repro.ivm`):
+  pin a live :class:`~repro.ivm.MaterializedView` over an instance and
+  keep it current with ``view.apply(batch)`` under
+  :class:`~repro.ivm.DeltaBatch` streams, metered under the
+  ``maintenance`` tag of the cost report.
 
 **Contract.**  ``__all__`` is the surface: everything in it is covered by
 the compatibility promise tracked by :data:`__version__` (semantic
@@ -39,63 +37,64 @@ Results, cost reports, and traces are backend-independent: an
 ``ExecutionConfig(backend="columnar")`` run is bit-identical to the
 default ``"pytuple"`` one, only faster.
 
-Version 2.0 removed the transitional paths of the 1.x facade: the loose
-``run_query(**kwargs)`` keywords and the deprecated forwarders
-``repro.reporting.table1_report``/``compare_on`` and
-``repro.testing.fuzz_differential``.  Version 3.0 removed the process
-execution mode and the ``"numpy"`` backend value: one sequential engine,
-two backends (``"pytuple"`` reference, ``"columnar"`` arrays) plus
-``"auto"`` (see CHANGELOG.md).
+The surface's version history (what each release removed) is in
+CHANGELOG.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence
 
 from .config import ExecutionConfig
-from .core.executor import QueryResult
-from .core.executor import run_query as _executor_run_query
+from .core.executor import QueryResult, run_query
 from .data.query import Instance
 
-#: Version of the *facade contract* (what ``__all__`` promises); since
-#: 3.0.0 the package release (``repro.__version__``, pyproject.toml)
-#: carries the same number.  2.0 dropped the loose-keyword ``run_query``
-#: path and the deprecated ``reporting``/``testing`` forwarders; 2.1 added
-#: incremental view maintenance (``materialize``/``apply_delta``); 3.0
-#: removed the process execution mode and the ``"numpy"`` backend.
+#: Version of the *facade contract* (what ``__all__`` promises); the
+#: package release (``repro.__version__``, pyproject.toml) carries the
+#: same number.
 __version__ = "3.0.0"
 
 __all__ = [
     "__version__",
     "ExecutionConfig",
     "CompareResult",
+    "ComparisonRow",
     "QueryResult",
     "TABLE1_FAMILIES",
     "run_query",
     "compare",
     "explain",
-    "sweep",
     "table1",
     "fuzz",
-    "chaos",
     "materialize",
-    "apply_delta",
 ]
 
 
-def run_query(
-    instance: Instance,
-    config: Optional[ExecutionConfig] = None,
-) -> QueryResult:
-    """Evaluate ``instance``; the facade twin of
-    :func:`repro.core.executor.run_query`.
+@dataclass(frozen=True)
+class ComparisonRow:
+    """Baseline-vs-paper measurement for one instance (a Table-1 row)."""
 
-    All knobs travel in ``config`` (:class:`ExecutionConfig`); the 1.x
-    loose keyword arguments (``p=…``, ``tracer=…``, …) were removed in
-    facade 2.0 — construct an :class:`ExecutionConfig` once and reuse it.
-    """
-    return _executor_run_query(instance, config=config or ExecutionConfig())
+    label: str
+    query_class: str
+    input_size: int
+    out_size: int
+    baseline_load: int
+    new_load: int
+    baseline_comm: int
+    new_comm: int
+    rounds: int
+
+    @property
+    def speedup(self) -> float:
+        """Baseline load over new-algorithm load (> 1 ⇒ the paper wins)."""
+        return self.baseline_load / max(1, self.new_load)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serializable dict (all fields plus the derived speedup)."""
+        record = asdict(self)
+        record["speedup"] = self.speedup
+        return record
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,20 @@ class CompareResult:
     baseline: QueryResult
     #: The compared run — ``config.algorithm`` (``"auto"`` by default).
     ours: QueryResult
+    #: The instance's total tuple count (the instance itself is not kept).
+    input_size: int
 
     @property
     def speedup(self) -> float:
         """Baseline load over paper-algorithm load (> 1 ⇒ the paper wins)."""
         return self.baseline.report.max_load / max(1, self.ours.report.max_load)
 
-    def row(self, label: str) -> "ComparisonRow":
-        """Package as a :class:`repro.reporting.ComparisonRow`."""
-        from .reporting import ComparisonRow
-
+    def row(self, label: str) -> ComparisonRow:
+        """Package as a :class:`ComparisonRow`."""
         return ComparisonRow(
             label=label,
             query_class=self.ours.query_class,
-            input_size=self._input_size,
+            input_size=self.input_size,
             out_size=self.ours.out_size,
             baseline_load=self.baseline.report.max_load,
             new_load=self.ours.report.max_load,
@@ -127,9 +126,6 @@ class CompareResult:
             new_comm=self.ours.report.total_communication,
             rounds=self.ours.report.rounds,
         )
-
-    # Stashed by compare() — the instance itself is not retained.
-    _input_size: int = 0
 
 
 def compare(
@@ -149,35 +145,19 @@ def compare(
     share one sink.
     """
     config = config or ExecutionConfig()
-    baseline = _executor_run_query(
-        instance, config=replace(config, tracer=None, algorithm="yannakakis")
+    baseline = run_query(
+        instance, replace(config, tracer=None, algorithm="yannakakis")
     )
     if config.tracer is not None and scope is not None:
         config.tracer.scope = scope
-    ours = _executor_run_query(instance, config=config)
+    ours = run_query(instance, config)
     if baseline.relation.tuples != ours.relation.tuples:
         raise AssertionError(
             f"algorithms disagree on {scope or instance.query.classify()!r}"
         )
     return CompareResult(
-        baseline=baseline, ours=ours, _input_size=instance.total_size
+        baseline=baseline, ours=ours, input_size=instance.total_size
     )
-
-
-def sweep(
-    instances: Iterable[Tuple[str, Instance]],
-    config: Optional[ExecutionConfig] = None,
-) -> List[Tuple[str, CompareResult]]:
-    """:func:`compare` across a labelled series of instances.
-
-    ``instances`` yields ``(label, instance)`` pairs; each label becomes
-    the tracer scope for its point, and the comparisons come back in input
-    order paired with their labels.
-    """
-    return [
-        (label, compare(instance, config, scope=label))
-        for label, instance in instances
-    ]
 
 
 def explain(
@@ -221,7 +201,7 @@ def table1(
     scale: int = 300,
     config: Optional[ExecutionConfig] = None,
     families: Optional[Sequence[str]] = None,
-) -> List["ComparisonRow"]:
+) -> List[ComparisonRow]:
     """One adversarial instance per Table-1 row, measured.
 
     ``scale`` is the tuples-per-relation knob; families are the planted/
@@ -271,22 +251,18 @@ def table1(
     ]
 
 
-def fuzz(config: Optional["FuzzConfig"] = None, **overrides: Any) -> "FuzzSummary":
+def fuzz(config: Optional["FuzzConfig"] = None) -> "FuzzSummary":
     """Run one conformance fuzzing campaign (differential oracle +
-    metamorphic invariants); deterministic per seed.
+    metamorphic invariants, plus the chaos tier when ``config.invariants``
+    names ``"chaos"``); deterministic per seed.
 
-    ``config`` is a :class:`repro.conformance.FuzzConfig`; keyword
-    ``overrides`` replace individual fields of it (or of the default
-    config), so ``fuzz(iterations=100, backend="columnar")`` works without
-    constructing one explicitly.  Never raises on invariant failures —
-    they come back shrunk inside the summary.
+    ``config`` is a :class:`repro.conformance.FuzzConfig` (default
+    ``FuzzConfig()``).  Never raises on invariant failures — they come
+    back shrunk inside the summary.
     """
     from .conformance import FuzzConfig, fuzz as _conformance_fuzz
 
-    config = config or FuzzConfig()
-    if overrides:
-        config = replace(config, **overrides)
-    return _conformance_fuzz(config)
+    return _conformance_fuzz(config or FuzzConfig())
 
 
 def materialize(
@@ -298,41 +274,10 @@ def materialize(
 
     The materialization is one ordinary distributed run whose meters
     become the view's base report; keep the returned view and feed it
-    delta batches through :func:`apply_delta`.  The view copies the
+    delta batches through ``view.apply(batch)``.  The view copies the
     instance's relations — later mutations of ``instance`` do not leak
     into it.
     """
     from .ivm import materialize as _ivm_materialize
 
     return _ivm_materialize(instance, config=config, name=name)
-
-
-def apply_delta(view: "MaterializedView", batch: "DeltaBatch") -> "DeltaResult":
-    """Apply one :class:`~repro.ivm.DeltaBatch` to ``view``.
-
-    Maintenance cost is proportional to the delta's join neighbourhood,
-    not to instance size, and accumulates under the ``maintenance`` tag
-    of ``view.report()`` — the base meters never change.  Raises
-    :class:`~repro.errors.UnsupportedDeltaError` when the batch contains
-    deletions and the view's semiring has no additive inverse, and
-    :class:`~repro.errors.ConfigError` on malformed changes (unknown
-    relation, arity mismatch, deleting an absent tuple).
-    """
-    return view.apply(batch)
-
-
-def chaos(config: Optional["FuzzConfig"] = None, **overrides: Any) -> "FuzzSummary":
-    """The chaos tier on its own: every case re-checked under seeded
-    recoverable fault schedules plus one planted unrecoverable one.
-
-    Same contract as :func:`fuzz` with the invariant set pinned to
-    ``("differential", "chaos")``; tune the tier with the
-    ``chaos_schedules``/``chaos_faults`` fields.
-    """
-    from .conformance import FuzzConfig, fuzz as _conformance_fuzz
-
-    config = config or FuzzConfig(iterations=10)
-    if overrides:
-        config = replace(config, **overrides)
-    config = replace(config, invariants=("differential", "chaos"))
-    return _conformance_fuzz(config)

@@ -27,11 +27,12 @@ Commands aimed at kicking the tires without writing code:
 * ``fuzz`` — run a conformance fuzzing campaign (differential oracle +
   metamorphic invariants, docs/conformance.md): deterministic per seed,
   shrinks failures to minimal repros and optionally serializes them to a
-  replayable corpus directory (``--chaos`` adds the fault-injection tier);
-* ``chaos`` — the chaos tier on its own: every case is re-checked under
-  seeded recoverable fault schedules (crash/drop/duplicate/straggler with
-  checkpoint-replay recovery, docs/model.md) plus one planted
-  unrecoverable schedule that must fail loudly;
+  replayable corpus directory; ``--chaos`` adds the fault-injection tier,
+  which re-checks every case under seeded recoverable fault schedules
+  (crash/drop/duplicate/straggler with checkpoint-replay recovery,
+  docs/model.md; ``--schedules``/``--faults`` size it) plus one planted
+  unrecoverable schedule that must fail loudly (``--chaos --invariants
+  differential`` runs the chaos tier on its own);
 * ``ivm`` — materialize a view over an instance JSON file and apply one
   or more delta JSON files (the ``repro-delta/v1`` format,
   docs/ivm.md): prints the maintained answer size and the
@@ -241,56 +242,48 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", action="store_true",
                          help="print the profile summary as JSON")
 
-    def add_campaign(p: argparse.ArgumentParser, iterations: int) -> None:
-        p.add_argument("--iterations", type=int, default=iterations,
-                       help="cases to check (ignored when --seconds is given)")
-        p.add_argument("--seconds", type=float, default=None,
-                       help="wall-clock budget instead of an iteration count")
-        p.add_argument("--seed", type=int, default=0,
-                       help="campaign seed; same seed → byte-identical --json output")
-        p.add_argument("--p", type=int, default=4, help="number of servers")
-        p.add_argument("--p-large", type=int, default=8,
-                       help="larger server count for the scaling invariant")
-        p.add_argument("--tuples", type=int, default=12,
-                       help="max tuples per generated relation")
-        p.add_argument("--domain", type=int, default=5,
-                       help="attribute domain width of generated instances")
-        p.add_argument("--families", nargs="+", default=None,
-                       metavar="FAMILY", help="restrict query families "
-                       f"(default: all of {', '.join(QUERY_FAMILIES)})")
-        p.add_argument("--profiles", nargs="+", default=None,
-                       metavar="SEMIRING", help="restrict semiring profiles "
-                       f"(default: all of {', '.join(PROFILES)})")
-        p.add_argument("--corpus", default=None, metavar="DIR",
-                       help="serialize shrunk failures into this directory")
-        p.add_argument("--no-shrink", action="store_true",
-                       help="skip delta-debugging of failures")
-        p.add_argument("--fail-fast", action="store_true",
-                       help="stop at the first invariant violation")
-        p.add_argument("--json", action="store_true",
-                       help="print the campaign summary as JSON")
-        add_backend(p)
-
     fuzz = sub.add_parser(
         "fuzz",
         help="conformance fuzzing: differential + metamorphic invariants",
     )
-    add_campaign(fuzz, iterations=25)
+    fuzz.add_argument("--iterations", type=int, default=25,
+                      help="cases to check (ignored when --seconds is given)")
+    fuzz.add_argument("--seconds", type=float, default=None,
+                      help="wall-clock budget instead of an iteration count")
+    fuzz.add_argument("--seed", type=int, default=0,
+                      help="campaign seed; same seed → byte-identical --json output")
+    fuzz.add_argument("--p", type=int, default=4, help="number of servers")
+    fuzz.add_argument("--p-large", type=int, default=8,
+                      help="larger server count for the scaling invariant")
+    fuzz.add_argument("--tuples", type=int, default=12,
+                      help="max tuples per generated relation")
+    fuzz.add_argument("--domain", type=int, default=5,
+                      help="attribute domain width of generated instances")
+    fuzz.add_argument("--families", nargs="+", default=None,
+                      metavar="FAMILY", help="restrict query families "
+                      f"(default: all of {', '.join(QUERY_FAMILIES)})")
+    fuzz.add_argument("--profiles", nargs="+", default=None,
+                      metavar="SEMIRING", help="restrict semiring profiles "
+                      f"(default: all of {', '.join(PROFILES)})")
+    fuzz.add_argument("--corpus", default=None, metavar="DIR",
+                      help="serialize shrunk failures into this directory")
+    fuzz.add_argument("--no-shrink", action="store_true",
+                      help="skip delta-debugging of failures")
+    fuzz.add_argument("--fail-fast", action="store_true",
+                      help="stop at the first invariant violation")
+    fuzz.add_argument("--json", action="store_true",
+                      help="print the campaign summary as JSON")
+    add_backend(fuzz)
     fuzz.add_argument("--invariants", nargs="+", default=None,
                       metavar="NAME", help="restrict the invariant catalog "
                       f"(default: {', '.join(DEFAULT_INVARIANTS)})")
     fuzz.add_argument("--chaos", action="store_true",
                       help="also cycle the fault-injection chaos invariant")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="chaos tier: conformance under injected faults + recovery",
-    )
-    add_campaign(chaos, iterations=10)
-    chaos.add_argument("--schedules", type=int, default=2,
-                       help="recoverable fault schedules per case × algorithm")
-    chaos.add_argument("--faults", type=int, default=3,
-                       help="faults per generated schedule")
+    fuzz.add_argument("--schedules", type=int, default=2,
+                      help="chaos tier: recoverable fault schedules per "
+                      "case × algorithm")
+    fuzz.add_argument("--faults", type=int, default=3,
+                      help="chaos tier: faults per generated schedule")
 
     ivm = sub.add_parser(
         "ivm",
@@ -682,9 +675,8 @@ def _check_campaign_names(args: argparse.Namespace) -> bool:
     checks = [
         ("--families", args.families, QUERY_FAMILIES),
         ("--profiles", args.profiles, tuple(PROFILES)),
+        ("--invariants", args.invariants, tuple(INVARIANTS)),
     ]
-    if getattr(args, "invariants", None) is not None:
-        checks.append(("--invariants", args.invariants, tuple(INVARIANTS)))
     for flag, chosen, allowed in checks:
         for name in chosen or ():
             if name not in allowed:
@@ -694,8 +686,14 @@ def _check_campaign_names(args: argparse.Namespace) -> bool:
     return True
 
 
-def _run_campaign(args: argparse.Namespace, invariants, label: str,
-                  **extra) -> int:
+def _command_fuzz(args: argparse.Namespace) -> int:
+    if not _check_campaign_names(args):
+        return 2
+    invariants = (
+        tuple(args.invariants) if args.invariants else DEFAULT_INVARIANTS
+    )
+    if args.chaos and "chaos" not in invariants:
+        invariants = invariants + ("chaos",)
     config = FuzzConfig(
         iterations=args.iterations,
         seconds=args.seconds,
@@ -711,14 +709,15 @@ def _run_campaign(args: argparse.Namespace, invariants, label: str,
         shrink=not args.no_shrink,
         fail_fast=args.fail_fast,
         backend=args.backend,
-        **extra,
+        chaos_schedules=args.schedules,
+        chaos_faults=args.faults,
     )
-    summary = api.chaos(config) if label == "chaos" else api.fuzz(config)
+    summary = api.fuzz(config)
     if args.json:
         print(summary.to_json())
         return 0 if summary.ok else 1
 
-    print(f"{label}: seed={summary.seed} checked={summary.checked} "
+    print(f"fuzz: seed={summary.seed} checked={summary.checked} "
           f"p={summary.p}->{summary.p_large} "
           f"max_tuples={summary.max_tuples} domain={summary.domain}")
     for dimension in sorted(summary.coverage):
@@ -866,29 +865,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_fuzz(args: argparse.Namespace) -> int:
-    if not _check_campaign_names(args):
-        return 2
-    invariants = (
-        tuple(args.invariants) if args.invariants else DEFAULT_INVARIANTS
-    )
-    if args.chaos and "chaos" not in invariants:
-        invariants = invariants + ("chaos",)
-    return _run_campaign(args, invariants, "fuzz")
-
-
-def _command_chaos(args: argparse.Namespace) -> int:
-    if not _check_campaign_names(args):
-        return 2
-    return _run_campaign(
-        args,
-        ("differential", "chaos"),
-        "chaos",
-        chaos_schedules=args.schedules,
-        chaos_faults=args.faults,
-    )
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -906,8 +882,6 @@ def main(argv=None) -> int:
         return _command_profile(args)
     if args.command == "fuzz":
         return _command_fuzz(args)
-    if args.command == "chaos":
-        return _command_chaos(args)
     if args.command == "ivm":
         return _command_ivm(args)
     if args.command == "serve":

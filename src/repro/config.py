@@ -12,7 +12,7 @@ between executions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .backends.dispatch import resolve_backend
@@ -39,7 +39,6 @@ class ExecutionConfig:
     p: int = 8
     algorithm: str = "auto"
     backend: Optional[str] = None
-    seed: int = 0
     tracer: Optional[Any] = None
     fault_schedule: Optional[Any] = None
     validate: bool = False
@@ -59,19 +58,20 @@ class ExecutionConfig:
         """Eager validation: a bad config never reaches the executor.
 
         Every rejected value raises :class:`~repro.errors.ConfigError`
-        (a ``ValueError`` subclass) at *construction* time.
+        (a ``ValueError`` subclass) at *construction* time.  The types of
+        ``p`` and ``validate`` are checked too: service request configs
+        arrive as JSON, where ``"4"``, ``4.0`` and ``true`` are values.
         """
-        if self.p < 1:
-            raise ConfigError("ExecutionConfig needs p >= 1")
+        if type(self.p) is not int or self.p < 1:
+            raise ConfigError(f"ExecutionConfig needs an int p >= 1, not {self.p!r}")
+        if type(self.validate) is not bool:
+            raise ConfigError(f"validate must be a bool, not {self.validate!r}")
         if self.workers != 1:
             raise ConfigError(
                 "the process execution mode was removed; "
                 "ExecutionConfig accepts only workers=1"
             )
         resolve_backend(self.backend)  # rejects unknown backends
-
-    def with_backend(self, backend: Optional[str]) -> "ExecutionConfig":
-        return replace(self, backend=backend)
 
     def make_cluster(self, total_size: Optional[int] = None) -> MPCCluster:
         """A fresh cluster honouring every knob (meters start at zero).
@@ -81,7 +81,6 @@ class ExecutionConfig:
         """
         return MPCCluster(
             self.p,
-            seed=self.seed,
             tracer=self.tracer,
             faults=self.fault_schedule,
             backend=resolve_backend(self.backend, total_size),

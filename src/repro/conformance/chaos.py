@@ -22,7 +22,8 @@ round.
 The invariant registers itself in the catalog under ``"chaos"`` but is
 **not** part of :data:`~repro.conformance.invariants.DEFAULT_INVARIANTS`:
 plain ``repro fuzz`` summaries stay byte-identical to a chaos-free build,
-and the tier is opted into with ``repro chaos`` or ``repro fuzz --chaos``.
+and the tier is opted into with ``repro fuzz --chaos`` (``--invariants
+differential`` alongside runs it on its own).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Tuple
 
-from ..core.executor import applicable_algorithms, run_query
 from ..backends.dispatch import resolve_backend
+from ..config import ExecutionConfig
+from ..core.executor import applicable_algorithms, run_query
 from ..mpc import (
     Fault,
     FaultInjector,
@@ -99,19 +101,18 @@ def _answers(relation: Any) -> Dict[Tuple[Any, ...], Any]:
 
 def check_chaos(case: FuzzCase, config) -> None:
     """Answers and base meters must survive every recoverable schedule."""
-    schedules = int(getattr(config, "chaos_schedules", CHAOS_SCHEDULES))
-    faults = int(getattr(config, "chaos_faults", CHAOS_FAULTS))
     instance = materialize(case, profile="counting")
     expected = _answers(evaluate(instance))
     # Faulted runs force the pytuple kernels (recovery replays inboxes), but
     # the fault-free reference honours the campaign's backend choice.
-    backend = resolve_backend(getattr(config, "backend", None), instance.total_size)
+    backend = resolve_backend(config.backend, instance.total_size)
 
     planted_cell: Tuple[int, int] = (-1, -1)
     planted_algorithm = ""
     for algorithm_index, algorithm in enumerate(applicable_algorithms(case.query)):
         clean_cluster = MPCCluster(config.p, backend=backend)
-        clean = run_query(instance, cluster=clean_cluster, algorithm=algorithm)
+        run_config = ExecutionConfig(algorithm=algorithm)
+        clean = run_query(instance, run_config, cluster=clean_cluster)
         if _answers(clean.relation) != expected:
             raise InvariantViolation(
                 "chaos", algorithm, "fault-free run already disagrees with the oracle"
@@ -124,14 +125,15 @@ def check_chaos(case: FuzzCase, config) -> None:
             planted_algorithm = algorithm
 
         for schedule in recoverable_schedules(
-            case.seed, algorithm_index, cells, schedules, faults
+            case.seed, algorithm_index, cells,
+            config.chaos_schedules, config.chaos_faults,
         ):
             injector = FaultInjector(
                 schedule, RecoveryPolicy(spares=len(schedule))
             )
             cluster = MPCCluster(config.p, faults=injector)
             try:
-                result = run_query(instance, cluster=cluster, algorithm=algorithm)
+                result = run_query(instance, run_config, cluster=cluster)
             except UnrecoverableFaultError as error:
                 raise InvariantViolation(
                     "chaos",
@@ -198,8 +200,8 @@ def check_chaos(case: FuzzCase, config) -> None:
     try:
         run_query(
             instance,
+            ExecutionConfig(algorithm=planted_algorithm),
             cluster=MPCCluster(config.p, faults=injector),
-            algorithm=planted_algorithm,
         )
     except UnrecoverableFaultError as error:
         if error.round != round_index or f"round {round_index}" not in str(error):

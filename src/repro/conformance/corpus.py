@@ -43,14 +43,6 @@ __all__ = [
 FORMAT = "repro-conformance-case/v1"
 
 
-class ReplayConfig:
-    """Minimal config shim handed to invariant checkers during replay."""
-
-    def __init__(self, p: int, p_large: int) -> None:
-        self.p = p
-        self.p_large = p_large
-
-
 def case_to_document(case: FuzzCase, meta: Dict[str, object]) -> Dict[str, object]:
     """The JSON document for one corpus entry."""
     skeleton_instance = materialize(case, profile="counting")
@@ -144,7 +136,9 @@ def replay_case(
     check = INVARIANTS.get(invariant)
     if check is None:
         raise ValueError(f"unknown invariant {invariant!r} in corpus entry")
-    config = ReplayConfig(
+    from .runner import FuzzConfig
+
+    config = FuzzConfig(
         p=int(p if p is not None else meta.get("p", 4)),
         p_large=int(meta.get("p_large", 8)),
     )

@@ -33,8 +33,9 @@ Every invariant is a function ``check(case, config) -> None`` raising
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..config import ExecutionConfig
 from ..core.executor import applicable_algorithms, run_query
 from ..data.query import Instance, TreeQuery
 from ..data.relation import Relation
@@ -81,9 +82,12 @@ def _result_map(relation: Relation) -> Dict[Tuple[Any, ...], Any]:
     return dict(relation.tuples)
 
 
-def _backend(config) -> Any:
-    """The campaign's kernel backend (older configs predate the field)."""
-    return getattr(config, "backend", None)
+def _run(instance: Instance, config, algorithm: str, p: Optional[int] = None):
+    """``instance`` under ``algorithm`` on the campaign's backend, on
+    ``p`` servers (default ``config.p``)."""
+    return run_query(instance, ExecutionConfig(
+        p=config.p if p is None else p, algorithm=algorithm, backend=config.backend
+    ))
 
 
 def check_differential(case: FuzzCase, config) -> None:
@@ -91,9 +95,7 @@ def check_differential(case: FuzzCase, config) -> None:
     instance = materialize(case)
     expected = _result_map(evaluate(instance))
     for algorithm in applicable_algorithms(case.query):
-        result = run_query(
-            instance, p=config.p, algorithm=algorithm, backend=_backend(config)
-        )
+        result = _run(instance, config, algorithm)
         got = _result_map(result.relation)
         if got != expected:
             missing = len(expected.keys() - got.keys())
@@ -129,9 +131,7 @@ def _hom_semirings() -> List[Tuple[str, Semiring, Callable[[int], Any]]]:
 def check_homomorphism(case: FuzzCase, config) -> None:
     """h(alg(I)) == alg(h(I)) for semiring homomorphisms h out of ℕ."""
     instance = materialize(case, profile="counting")
-    base = run_query(
-        instance, p=config.p, algorithm="auto", backend=_backend(config)
-    )
+    base = _run(instance, config, "auto")
     for label, target, hom in _hom_semirings():
         mapped_relations = {
             name: Relation(
@@ -143,9 +143,7 @@ def check_homomorphism(case: FuzzCase, config) -> None:
             for name, relation in instance.relations.items()
         }
         mapped_instance = Instance(case.query, mapped_relations, target)
-        mapped = run_query(
-            mapped_instance, p=config.p, algorithm="auto", backend=_backend(config)
-        )
+        mapped = _run(mapped_instance, config, "auto")
         expected = {k: hom(v) for k, v in base.relation.tuples.items()}
         if _result_map(mapped.relation) != expected:
             raise InvariantViolation(
@@ -158,9 +156,7 @@ def check_homomorphism(case: FuzzCase, config) -> None:
 def check_permutation(case: FuzzCase, config) -> None:
     """Attribute renaming + relation/tuple reorder leave the answer fixed."""
     instance = materialize(case, profile="counting")
-    base = run_query(
-        instance, p=config.p, algorithm="auto", backend=_backend(config)
-    )
+    base = _run(instance, config, "auto")
 
     rng = random.Random(case.seed ^ 0x5EED)
     attrs = sorted(case.query.attributes)
@@ -186,9 +182,7 @@ def check_permutation(case: FuzzCase, config) -> None:
             relation.add(values, weight, COUNTING)
         permuted_relations[name] = relation
     permuted_instance = Instance(permuted_query, permuted_relations, COUNTING)
-    permuted = run_query(
-        permuted_instance, p=config.p, algorithm="auto", backend=_backend(config)
-    )
+    permuted = _run(permuted_instance, config, "auto")
 
     # Re-key the permuted result onto the original output order.
     permuted_schema = tuple(sorted(permuted_query.output))
@@ -218,10 +212,8 @@ def _ranks(shuffled: List[str], attrs: List[str]) -> List[int]:
 def check_scaling(case: FuzzCase, config) -> None:
     """Load must not blow up and rounds must stay stable as p grows."""
     instance = materialize(case, profile="counting")
-    small = run_query(instance, p=config.p, algorithm="auto", backend=_backend(config))
-    large = run_query(
-        instance, p=config.p_large, algorithm="auto", backend=_backend(config)
-    )
+    small = _run(instance, config, "auto")
+    large = _run(instance, config, "auto", config.p_large)
     if large.relation.tuples != small.relation.tuples:
         raise InvariantViolation(
             "scaling", small.algorithm, "answer changed with the server count"
@@ -263,9 +255,7 @@ def check_opaque_discipline(case: FuzzCase, config) -> None:
             relations[name] = relation
         instance = Instance(case.query, relations, semiring)
         try:
-            result = run_query(
-            instance, p=config.p, algorithm=algorithm, backend=_backend(config)
-        )
+            result = _run(instance, config, algorithm)
         except TypeError as error:
             raise InvariantViolation(
                 "opaque-discipline", algorithm, f"discipline violation: {error}"
@@ -299,7 +289,6 @@ def check_columnar_identity(case: FuzzCase, config) -> None:
     cycles ``differential`` per backend, while this invariant pins the
     stronger meter/trace contract.
     """
-    from ..config import ExecutionConfig
     from ..obs.events import RingBufferSink, Tracer, event_to_dict
 
     instance = materialize(case)
@@ -402,7 +391,6 @@ def check_ivm_identity(case: FuzzCase, config) -> None:
     backends.  Opt-in like ``columnar-identity`` (replay:
     ``repro fuzz --invariants differential ivm-identity``).
     """
-    from ..config import ExecutionConfig
     from ..ivm import MaterializedView
     from ..ivm.delta import mutate_instance
 

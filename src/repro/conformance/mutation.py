@@ -61,8 +61,9 @@ def planted_drop_blackhole() -> Iterator[None]:
     arrives: the faulted server's inbox is emptied *after* metering, so
     every meter still claims a successful recovery while the algorithm
     silently computes on lost data.  Fault-free runs are untouched — only
-    the chaos tier (``repro chaos`` / the ``chaos`` invariant) can catch
-    this bug, which is exactly what the chaos mutation smoke test asserts.
+    the chaos tier (``repro fuzz --chaos`` / the ``chaos`` invariant) can
+    catch this bug, which is exactly what the chaos mutation smoke test
+    asserts.
     """
     original = FaultInjector.deliver
 

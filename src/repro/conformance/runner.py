@@ -22,6 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .chaos import CHAOS_FAULTS, CHAOS_SCHEDULES
 from .corpus import save_case
 from .generators import (
     PROFILES,
@@ -63,8 +64,8 @@ class FuzzConfig:
     backend: Optional[str] = None
     #: Chaos-tier knobs (only read when the ``chaos`` invariant is active):
     #: recoverable schedules per (case, algorithm) and faults per schedule.
-    chaos_schedules: int = 2
-    chaos_faults: int = 3
+    chaos_schedules: int = CHAOS_SCHEDULES
+    chaos_faults: int = CHAOS_FAULTS
     #: Clock used for the ``seconds`` deadline: a zero-arg callable returning
     #: monotonic seconds (default ``time.monotonic``).  Injectable so tests
     #: can drive wall-clock budgets deterministically — the same contract as

@@ -1,7 +1,7 @@
 """The paper's algorithms (§3–§7) and the distributed Yannakakis baseline."""
 
 from .allocation import RangeAllocation
-from .executor import Algorithm, QueryResult, run_query
+from .executor import QueryResult, run_query
 from .line import line_query
 from .matmul import sparse_matmul
 from .matmul_output_sensitive import (
@@ -23,7 +23,6 @@ from .yannakakis_mpc import yannakakis_mpc, yannakakis_mpc_distributed
 __all__ = [
     "run_query",
     "QueryResult",
-    "Algorithm",
     "sparse_matmul",
     "matmul_worst_case",
     "matmul_unbalanced",

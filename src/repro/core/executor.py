@@ -16,9 +16,10 @@ random query can legally exercise, instead of hardcoding the zoo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Literal, Optional
+from typing import Callable, Dict, List, Optional
 
-from ..backends.dispatch import admit_instance, resolve_backend
+from ..backends.dispatch import admit_instance
+from ..config import ExecutionConfig
 from ..data.query import Instance, QueryClass, TreeQuery
 from ..data.relation import DistRelation, Relation
 from ..errors import ApplicabilityError
@@ -35,23 +36,10 @@ from .yannakakis_mpc import yannakakis_mpc_distributed
 __all__ = [
     "run_query",
     "QueryResult",
-    "Algorithm",
     "AlgorithmSpec",
     "ALGORITHMS",
     "AUTO_CHOICE",
     "applicable_algorithms",
-]
-
-Algorithm = Literal[
-    "auto",
-    "yannakakis",
-    "matmul",
-    "matmul-worst-case",
-    "matmul-output-sensitive",
-    "line",
-    "star",
-    "star-like",
-    "tree",
 ]
 
 
@@ -75,49 +63,42 @@ class QueryResult:
 
 def run_query(
     instance: Instance,
-    p: int = 8,
+    config: Optional[ExecutionConfig] = None,
+    *,
     cluster: Optional[MPCCluster] = None,
-    algorithm: Algorithm = "auto",
-    validate: bool = False,
-    backend: Optional[str] = None,
-    config: Optional["ExecutionConfig"] = None,
 ) -> QueryResult:
-    """Evaluate ``instance`` on a (fresh or supplied) simulated MPC cluster.
+    """Evaluate ``instance`` on a fresh simulated MPC cluster built from
+    ``config`` (an :class:`~repro.config.ExecutionConfig`, default
+    ``ExecutionConfig()``), or on ``cluster`` as built — a faulted one, or
+    one whose meters the caller reads afterwards — when one is given;
+    ``config`` then supplies only ``algorithm`` and ``validate``.
 
-    ``algorithm="auto"`` picks the paper's new algorithm for the query's
-    class — the second column of Table 1 — while ``"yannakakis"`` forces the
-    baseline (first column).  Explicit names force that algorithm and
-    raise if the query does not have the required shape.
+    ``config.algorithm="auto"`` picks the paper's new algorithm for the
+    query's class — the second column of Table 1 — while ``"yannakakis"``
+    forces the baseline (first column).  Explicit names force that
+    algorithm and raise if the query does not have the required shape.
+    Results, cost reports, and traces are identical across
+    ``config.backend`` values (:mod:`repro.backends`); only wall-clock
+    differs.
 
-    ``config`` (an :class:`~repro.config.ExecutionConfig`) supplies every
-    knob not given explicitly; explicit arguments win.  ``backend`` selects
-    the kernel implementation (``"pytuple"``/``"columnar"``/``"auto"``,
-    see :mod:`repro.backends`) — results, cost reports, and
-    traces are identical across backends, only wall-clock differs.
-
-    ``validate=True`` cross-checks the distributed answer against the
-    sequential oracle (annotations included) and raises ``AssertionError``
-    on any mismatch — a debugging aid for custom semirings and workloads;
-    the oracle runs outside the cluster, so metering is unaffected.
+    ``config.validate=True`` cross-checks the distributed answer against
+    the sequential oracle (annotations included) and raises
+    ``AssertionError`` on any mismatch; the oracle runs outside the
+    cluster, so metering is unaffected.
     """
-    if config is not None:
-        p = config.p
-        if algorithm == "auto":
-            algorithm = config.algorithm
-        validate = validate or config.validate
-        if backend is None:
-            backend = config.backend
-        if cluster is None:
-            cluster = config.with_backend(backend).make_cluster(instance.total_size)
+    if config is None:
+        config = ExecutionConfig()
     if cluster is None:
-        cluster = MPCCluster(p, backend=resolve_backend(backend, instance.total_size))
+        cluster = config.make_cluster(instance.total_size)
     view = admit_instance(cluster, instance).view()
     query = instance.query
     semiring = instance.semiring
     query_class = query.classify()
 
     tracker = cluster.tracker
-    chosen = AUTO_CHOICE[query_class] if algorithm == "auto" else algorithm
+    chosen = config.algorithm
+    if chosen == "auto":
+        chosen = AUTO_CHOICE[query_class]
     if tracker.tracer is not None:
         tracker.tracer.label = chosen
 
@@ -139,7 +120,7 @@ def run_query(
                 relation = distributed.collect("result", semiring)
     finally:
         activate(previous)
-    if validate:
+    if config.validate:
         from ..ram.evaluate import evaluate
 
         expected = evaluate(instance)

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .config import ExecutionConfig
 from .core.executor import run_query
 from .data.query import Instance, TreeQuery
 from .data.relation import Relation
@@ -76,9 +77,8 @@ def matrix_from_relation(
 def sparse_matmul_scipy(
     a,
     b,
-    p: int = 16,
     semiring: Semiring = REAL,
-    algorithm: str = "auto",
+    config: Optional[ExecutionConfig] = None,
 ) -> Tuple["object", CostReport]:
     """``A @ B`` on the simulated MPC cluster.
 
@@ -87,11 +87,12 @@ def sparse_matmul_scipy(
     semiring this matches ``(a @ b)`` on the non-zero structure produced by
     actual cancellation-free arithmetic; any other semiring reinterprets
     "+"/"×" accordingly (the whole point of the paper's model).
+    ``config`` defaults to ``ExecutionConfig(p=16)``.
     """
     r1 = relation_from_matrix(a, "R1", ("A", "B"))
     r2 = relation_from_matrix(b, "R2", ("B", "C"))
     instance = Instance(MATMUL_QUERY, {"R1": r1, "R2": r2}, semiring)
-    result = run_query(instance, p=p, algorithm=algorithm)
+    result = run_query(instance, config or ExecutionConfig(p=16))
     shape = (
         a.shape[0] if hasattr(a, "shape") else np.asarray(a).shape[0],
         b.shape[1] if hasattr(b, "shape") else np.asarray(b).shape[1],

@@ -55,13 +55,12 @@ class MPCCluster:
     traces are bit-identical with and without one.
     """
 
-    def __init__(self, p: int, seed: int = 0, tracer: Optional[Any] = None,
+    def __init__(self, p: int, tracer: Optional[Any] = None,
                  faults: Optional[Any] = None, backend: str = "pytuple",
                  profiler: Optional[Any] = None) -> None:
         if p < 1:
             raise ValueError("cluster needs at least one server")
         self.p = p
-        self.seed = seed
         self.backend = backend
         self._codec: Optional[Any] = None
         self.tracker = LoadTracker(tracer=tracer, profiler=profiler)

@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..backends.dispatch import admit_instance, resolve_backend
 from ..data.query import Instance, TreeQuery
 from ..data.relation import DistRelation, Relation
-from ..errors import ApplicabilityError, ConfigError
 from ..mpc.cluster import MPCCluster
 from ..semiring import BOOLEAN
 
@@ -232,36 +231,27 @@ def _oracle_out(instance: Instance) -> float:
 
 
 def estimate_out(
-    instance: Instance, mode: str = "auto", backend: Optional[str] = None
+    instance: Instance, backend: Optional[str] = None
 ) -> Tuple[float, str]:
-    """``(estimate, provenance)`` for the instance's output size.
-
-    ``mode="auto"`` picks the shape-appropriate estimator (module
-    docstring); ``"kmv"``/``"degree"``/``"oracle"`` force one (``"kmv"``
-    requires a line-shaped query, ``"degree"`` a star query).  ``backend``
-    is the kernel backend the §2.2 estimator runs on (the estimate does
-    not depend on it).
+    """``(estimate, provenance)`` for the instance's output size, from the
+    shape-appropriate estimator (module docstring).  ``backend`` is the
+    kernel backend the §2.2 estimator runs on (the estimate does not
+    depend on it).
     """
     query = instance.query
     order = query.path_order()
-    if mode == "kmv" or (mode == "auto" and order is not None and query.is_line()):
-        if order is None:
-            raise ApplicabilityError("kmv OUT estimation needs a line-shaped query")
+    if order is not None and query.is_line():
         return _line_out_offline(instance, order, backend), "kmv-sketch"
-    if mode == "degree" or (mode == "auto" and query.is_star()):
-        if not query.is_star():
-            raise ApplicabilityError("degree-bound OUT estimation needs a star query")
+    if query.is_star():
         return _star_out_degree_bound(instance), "degree-bound"
-    if mode in ("auto", "oracle"):
-        return _oracle_out(instance), "oracle"
-    raise ConfigError(f"unknown OUT estimation mode {mode!r}")
+    return _oracle_out(instance), "oracle"
 
 
 # -- collection entry points ---------------------------------------------------
 
 
 def collect_statistics(
-    instance: Instance, out_mode: str = "auto", backend: Optional[str] = None
+    instance: Instance, backend: Optional[str] = None
 ) -> QueryStatistics:
     """Offline (unmetered) snapshot of every statistic the planner reads;
     ``backend`` as in :func:`estimate_out`."""
@@ -269,7 +259,7 @@ def collect_statistics(
         _relation_stats(name, instance.relation(name))
         for name, _attrs in instance.query.relations
     )
-    out_estimate, provenance = estimate_out(instance, out_mode, backend)
+    out_estimate, provenance = estimate_out(instance, backend)
     return QueryStatistics(
         query_class=instance.query.classify(),
         total_size=instance.total_size,
@@ -342,7 +332,7 @@ def collect_statistics_in_model(instance: Instance, view) -> QueryStatistics:
         if order is not None and query.is_line():
             out_estimate, provenance = _kmv_out(query, loaded, order), "kmv-sketch"
         else:
-            out_estimate, provenance = estimate_out(instance, "auto")
+            out_estimate, provenance = estimate_out(instance)
             if provenance == "oracle":
                 provenance = "oracle-offline-fallback"
     return QueryStatistics(
@@ -375,11 +365,10 @@ class StatisticsCatalog:
         self,
         key: str,
         instance: Instance,
-        out_mode: str = "auto",
         backend: Optional[str] = None,
     ) -> QueryStatistics:
         if key not in self.entries:
-            self.entries[key] = collect_statistics(instance, out_mode, backend)
+            self.entries[key] = collect_statistics(instance, backend)
         return self.entries[key]
 
     def put(self, key: str, statistics: QueryStatistics) -> None:

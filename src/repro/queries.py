@@ -10,12 +10,16 @@ The paper's formalism covers many everyday queries as special cases
 * :func:`k_hop` — ``∑ E(A0,A1) ⋈ E(A1,A2) ⋈ … ⋈ E(Ak−1,Ak)`` over any
   semiring: k-hop path counting, reachability, or shortest paths from one
   edge relation (a length-k line query, §4).
+
+Each runs under an optional :class:`~repro.config.ExecutionConfig`
+(default ``ExecutionConfig(p=16)``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
+from .config import ExecutionConfig
 from .core.executor import QueryResult, run_query
 from .data.query import Instance, TreeQuery
 from .data.relation import Relation
@@ -28,8 +32,7 @@ def count_group_by(
     relations: Mapping[str, Relation],
     schemas: Sequence[Tuple[str, Tuple[str, str]]],
     group_by: Sequence[str],
-    p: int = 16,
-    algorithm: str = "auto",
+    config: Optional[ExecutionConfig] = None,
 ) -> QueryResult:
     """COUNT(*) GROUP BY ``group_by`` over the natural join of ``schemas``.
 
@@ -42,15 +45,14 @@ def count_group_by(
         for name, rel in relations.items()
     }
     instance = Instance(query, recounted, COUNTING)
-    return run_query(instance, p=p, algorithm=algorithm)
+    return run_query(instance, config or ExecutionConfig(p=16))
 
 
 def join_project(
     relations: Mapping[str, Relation],
     schemas: Sequence[Tuple[str, Tuple[str, str]]],
     output: Sequence[str],
-    p: int = 16,
-    algorithm: str = "auto",
+    config: Optional[ExecutionConfig] = None,
 ) -> Set[Tuple]:
     """The conjunctive query π_output(⋈ schemas): distinct output tuples."""
     query = TreeQuery(tuple(schemas), frozenset(output))
@@ -59,7 +61,7 @@ def join_project(
         for name, rel in relations.items()
     }
     instance = Instance(query, as_boolean, BOOLEAN)
-    result = run_query(instance, p=p, algorithm=algorithm)
+    result = run_query(instance, config or ExecutionConfig(p=16))
     return {values for values, present in result.relation if present}
 
 
@@ -67,8 +69,7 @@ def k_hop(
     edges: Relation,
     k: int,
     semiring: Semiring,
-    p: int = 16,
-    algorithm: str = "auto",
+    config: Optional[ExecutionConfig] = None,
 ) -> QueryResult:
     """Aggregate over all k-hop paths: result (source, target) → ⊕ over
     paths of the ⊗-product of edge annotations.
@@ -89,4 +90,4 @@ def k_hop(
     }
     query = TreeQuery(schemas, frozenset({attrs[0], attrs[-1]}))
     instance = Instance(query, copies, semiring)
-    return run_query(instance, p=p, algorithm=algorithm)
+    return run_query(instance, config or ExecutionConfig(p=16))

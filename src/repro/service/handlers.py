@@ -103,7 +103,7 @@ def status_for(error: BaseException) -> int:
 
 #: Config keys a request body may set.  Observer objects (tracer,
 #: profiler) and fault schedules are server-side concerns and rejected.
-ALLOWED_CONFIG_KEYS = ("p", "algorithm", "backend", "seed", "validate")
+ALLOWED_CONFIG_KEYS = ("p", "algorithm", "backend", "validate")
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4; charset=utf-8"

@@ -1,70 +1,27 @@
 """Public testing utilities for downstream users.
 
-Adopters extending the library — custom semirings, new workloads, modified
-algorithms — need the same validation machinery the internal test suite
-uses.  This module productizes it:
+:class:`OpaqueSemiring` is an instrumentation semiring whose elements
+refuse every operation except ⊕/⊗ through the semiring object, proving an
+algorithm obeys the *semiring MPC model* discipline (§1.3): new annotation
+values arise only by adding/multiplying existing ones.  The conformance
+fuzzer's ``opaque-discipline`` invariant runs every algorithm over it.
 
-* :func:`check_semiring` — axiom spot-checks plus algebraic property
-  sampling for a custom :class:`~repro.semiring.Semiring`;
-* :func:`oracle` — the exact sequential answer for any instance;
-* :func:`compare_algorithms` — run several algorithms on one instance,
-  assert they agree with the oracle, and return their cost reports;
-* :class:`OpaqueSemiring` — an instrumentation semiring whose elements
-  refuse every operation except ⊕/⊗ through the semiring object, proving
-  an algorithm obeys the *semiring MPC model* discipline (§1.3): new
-  annotation values arise only by adding/multiplying existing ones.
+The rest of the validation kit lives where it is implemented:
+:meth:`Semiring.check_axioms <repro.semiring.Semiring.check_axioms>`
+spot-checks a custom semiring, :func:`repro.ram.evaluate` is the exact
+sequential oracle, and ``run_query(instance, ExecutionConfig(p,
+algorithm=a, validate=True))`` over
+:func:`~repro.core.executor.applicable_algorithms` cross-checks every
+algorithm against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from .core.executor import run_query
-from .data.query import Instance
-from .data.relation import Relation
-from .mpc.stats import CostReport
-from .ram.evaluate import evaluate
 from .semiring import Semiring
 
-__all__ = [
-    "check_semiring",
-    "oracle",
-    "compare_algorithms",
-    "OpaqueSemiring",
-]
-
-
-def check_semiring(semiring: Semiring, samples: Iterable[Any]) -> None:
-    """Raise :class:`~repro.semiring.SemiringError` if any semiring axiom
-    fails on the sampled elements (commutativity, associativity,
-    distributivity, identities, absorption, idempotency when claimed)."""
-    semiring.check_axioms(samples)
-
-
-def oracle(instance: Instance) -> Relation:
-    """The exact sequential answer (variable elimination on the query tree)."""
-    return evaluate(instance)
-
-
-def compare_algorithms(
-    instance: Instance,
-    p: int = 8,
-    algorithms: Sequence[str] = ("auto", "yannakakis"),
-) -> Dict[str, CostReport]:
-    """Run each algorithm, assert all results equal the oracle exactly
-    (annotations included), and return the per-algorithm cost reports."""
-    expected = oracle(instance)
-    reports: Dict[str, CostReport] = {}
-    for algorithm in algorithms:
-        result = run_query(instance, p=p, algorithm=algorithm)
-        if result.relation.tuples != expected.tuples:
-            raise AssertionError(
-                f"{algorithm!r} disagrees with the oracle: "
-                f"{len(result.relation)} vs {len(expected)} tuples"
-            )
-        reports[algorithm] = result.report
-    return reports
+__all__ = ["OpaqueSemiring"]
 
 
 class _Opaque:

@@ -2,8 +2,9 @@
 
 One import surface for everything the CLI can do: versioned ``__all__``
 contract, config-object signatures only (facade 2.0 removed the loose
-keywords and the deprecated ``reporting``/``testing`` forwarders), and
-eager :class:`~repro.errors.ConfigError` validation at construction.
+keywords and the deprecated ``reporting``/``testing`` forwarders; the
+executor itself and ``fuzz`` followed), and eager
+:class:`~repro.errors.ConfigError` validation at construction.
 """
 
 import pytest
@@ -18,10 +19,14 @@ from repro.workloads import planted_out_matmul
 
 
 def test_facade_exposes_every_entrypoint():
-    for name in ("run_query", "compare", "explain", "sweep", "table1",
-                 "fuzz", "chaos"):
+    for name in ("run_query", "compare", "explain", "table1", "fuzz",
+                 "materialize"):
         assert callable(getattr(api, name)), name
         assert name in api.__all__
+    # Duplicate doors are closed: ``view.apply``, ``fuzz`` with chaos
+    # invariants, and a loop over ``compare`` do what these did.
+    for name in ("sweep", "chaos", "apply_delta"):
+        assert not hasattr(api, name), name
 
 
 def test_facade_all_contract_is_exact():
@@ -32,12 +37,13 @@ def test_facade_all_contract_is_exact():
     for name in api.__all__:
         assert hasattr(api, name), name
     assert api.__version__ == repro.__version__ == "3.0.0"
-    # The 1.x transitional paths are gone.
-    from repro import reporting, testing
+    # The 1.x transitional paths are gone, and so is ``repro.reporting``;
+    # ``repro.testing`` keeps only the opaque semiring.
+    from repro import testing
 
-    assert not hasattr(reporting, "table1_report")
-    assert not hasattr(reporting, "compare_on")
-    assert not hasattr(testing, "fuzz_differential")
+    with pytest.raises(ImportError):
+        import repro.reporting  # noqa: F401
+    assert testing.__all__ == ["OpaqueSemiring"]
 
 
 def test_execution_config_validates():
@@ -47,8 +53,12 @@ def test_execution_config_validates():
         ExecutionConfig(p=0)
     with pytest.raises(ConfigError):
         ExecutionConfig(backend="fortran")
+    # Values from outside the program: p is an int (not a bool), validate
+    # a bool.
+    for bad in ({"p": "4"}, {"p": 2.5}, {"p": True}, {"validate": "yes"}):
+        with pytest.raises(ConfigError):
+            ExecutionConfig(**bad)
     config = ExecutionConfig(p=4, backend="pytuple")
-    assert config.with_backend("auto").backend == "auto"
     cluster = config.make_cluster()
     assert cluster.p == 4 and cluster.backend == "pytuple"
     # Frozen: configs are safe to share across runs.
@@ -89,17 +99,6 @@ def test_compare_packages_both_runs():
     assert row.label == "matmul"
     assert row.input_size == instance.total_size
     assert row.new_load == outcome.ours.report.max_load
-
-
-def test_sweep_labels_points_in_order():
-    config = ExecutionConfig(p=4)
-    series = [
-        ("n=30", planted_out_matmul(n=30, out=60)),
-        ("n=50", planted_out_matmul(n=50, out=100)),
-    ]
-    results = api.sweep(series, config)
-    assert [label for label, _ in results] == ["n=30", "n=50"]
-    assert all(done.speedup > 0 for _, done in results)
 
 
 def test_table1_family_selection():
@@ -158,29 +157,20 @@ def test_in_model_explain_is_backend_invariant_on_lookalike_values():
 
 
 def test_fuzz_override_kwargs():
-    summary = api.fuzz(iterations=2, seed=5, p=2, p_large=4)
+    """Knobs travel in the :class:`FuzzConfig`; loose keyword overrides
+    are rejected like ``run_query``'s."""
+    summary = api.fuzz(FuzzConfig(iterations=2, seed=5, p=2, p_large=4))
     assert summary.checked >= 2
     assert summary.to_dict()["seed"] == 5
+    with pytest.raises(TypeError):
+        api.fuzz(iterations=2)
 
 
 def test_chaos_pins_invariants():
-    summary = api.chaos(FuzzConfig(iterations=2, seed=3, p=2, p_large=4))
+    summary = api.fuzz(FuzzConfig(iterations=2, seed=3, p=2, p_large=4,
+                                  invariants=("differential", "chaos")))
     coverage = summary.to_dict()["coverage"]["invariant"]
     assert set(coverage) <= {"differential", "chaos"}
-
-
-# ------------------------------------------------- deprecated import paths
-
-
-def test_reporting_keeps_row_type_and_markdown():
-    """``repro.reporting`` is rows + rendering only; measurement lives on
-    the facade."""
-    from repro import reporting
-
-    rows = api.table1(scale=30, config=ExecutionConfig(p=4), families=["matmul"])
-    markdown = reporting.render_markdown(rows)
-    assert "| matmul |" in markdown
-    assert reporting.TABLE1_FAMILIES == api.TABLE1_FAMILIES
 
 
 # ----------------------------------------------------- Relation memoization

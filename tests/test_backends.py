@@ -248,7 +248,7 @@ def _run(instance, algorithm, backend, faults=None):
     cluster = MPCCluster(
         4, tracer=Tracer([ring]), faults=faults, backend=backend
     )
-    result = run_query(instance, cluster=cluster, algorithm=algorithm)
+    result = run_query(instance, ExecutionConfig(algorithm=algorithm), cluster=cluster)
     return result, ring.events
 
 
@@ -301,7 +301,9 @@ def test_backend_invariant_under_recoverable_faults():
     # the pytuple faulted run *exactly* — recovery metering included.
     instance = planted_out_matmul(n=60, out=240)
     clean_cluster = MPCCluster(4)
-    clean = run_query(instance, cluster=clean_cluster, algorithm="matmul")
+    clean = run_query(
+        instance, ExecutionConfig(algorithm="matmul"), cluster=clean_cluster
+    )
     cells = sorted(
         (r, s)
         for r, row in clean_cluster.tracker.load_cells().items()

@@ -154,7 +154,8 @@ def test_committed_chaos_corpus_entry_exists():
 def test_cli_chaos_smoke(capsys):
     from repro.cli import main
 
-    code = main(["chaos", "--iterations", "3", "--seed", "5", "--json",
+    code = main(["fuzz", "--chaos", "--invariants", "differential",
+                 "--iterations", "3", "--seed", "5", "--json",
                  "--schedules", "1", "--faults", "2"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)

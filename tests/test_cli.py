@@ -126,21 +126,6 @@ def test_trace_json(capsys, tmp_path):
     assert document["overall_skew"]["max"] == document["report"]["max_load"]
 
 
-def test_reporting_module():
-    from repro import api
-    from repro.config import ExecutionConfig
-    from repro.reporting import render_markdown
-
-    rows = api.table1(scale=80, config=ExecutionConfig(p=4))
-    assert [row.label for row in rows] == ["matmul", "line", "star", "tree"]
-    for row in rows:
-        assert row.baseline_load > 0 and row.new_load > 0
-        assert row.speedup == row.baseline_load / row.new_load
-    markdown = render_markdown(rows)
-    assert markdown.count("\n") == len(rows) + 1
-    assert "| matmul |" in markdown
-
-
 def test_fuzz_smoke(capsys):
     code = main(["fuzz", "--iterations", "6"])
     captured = capsys.readouterr()

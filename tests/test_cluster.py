@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.mpc import MPCCluster, RoutingError
 from repro.mpc.stats import LoadTracker
 
@@ -149,6 +150,6 @@ def test_algorithm_reports_include_phases():
     from repro import run_query
     from repro.workloads import planted_out_matmul
 
-    result = run_query(planted_out_matmul(n=150, out=9000), p=4)
+    result = run_query(planted_out_matmul(n=150, out=9000), ExecutionConfig(p=4))
     labels = [label for label, _load in result.report.phases]
     assert any(label.startswith("matmul-wc/") for label in labels)

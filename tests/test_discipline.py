@@ -14,12 +14,14 @@ import zlib
 import pytest
 
 from repro import run_query
-from repro.conformance import QUERY_FAMILIES, SKEW_PROFILES, FuzzCase
+from repro.config import ExecutionConfig
+from repro.conformance import QUERY_FAMILIES, SKEW_PROFILES, FuzzCase, FuzzConfig
 from repro.conformance.generators import random_query, random_skeleton
 from repro.conformance.invariants import check_opaque_discipline
 from repro.core.executor import applicable_algorithms
 from repro.data import Instance, Relation
-from repro.testing import OpaqueSemiring, compare_algorithms, oracle
+from repro.ram import evaluate
+from repro.testing import OpaqueSemiring
 from tests.conftest import (
     GENERAL_TREE_QUERY,
     LINE3_QUERY,
@@ -53,11 +55,11 @@ def _opaque_instance(query, seed, tuples=28, domain=5):
 @pytest.mark.parametrize("algorithm", ["auto", "yannakakis"])
 def test_algorithms_respect_the_semiring_model(query, algorithm):
     instance, counters = _opaque_instance(query, seed=11)
-    result = run_query(instance, p=6, algorithm=algorithm)
+    result = run_query(instance, ExecutionConfig(p=6, algorithm=algorithm))
     # Cross-check values against a plain-integer rerun of the oracle.
     plain = {
         key: OpaqueSemiring.unwrap(value)
-        for key, value in oracle(instance).tuples.items()
+        for key, value in evaluate(instance).tuples.items()
     }
     got = {
         key: OpaqueSemiring.unwrap(value)
@@ -67,10 +69,6 @@ def test_algorithms_respect_the_semiring_model(query, algorithm):
     # The algorithm actually used the semiring (for non-empty results).
     if plain:
         assert counters["mul"] > 0
-
-
-class _SeededConfig:
-    p = 5
 
 
 @pytest.mark.parametrize("family", QUERY_FAMILIES)
@@ -92,7 +90,7 @@ def test_every_registry_algorithm_respects_the_semiring_model(family, skew):
     )
     # Exercises every applicable registry algorithm over OpaqueSemiring and
     # cross-checks values against the counting oracle.
-    check_opaque_discipline(case, _SeededConfig())
+    check_opaque_discipline(case, FuzzConfig(p=5))
     # Sanity: the specialized algorithm for this family really was covered.
     covered = applicable_algorithms(query)
     assert set(covered) >= {"yannakakis", "tree"}
@@ -119,9 +117,16 @@ def test_opaque_elements_reject_foreign_arithmetic():
 
 
 def test_compare_algorithms_helper():
+    """Every applicable algorithm, cross-checked against the oracle by
+    ``validate=True``, over the opaque semiring."""
     instance, _counters = _opaque_instance(MATMUL_QUERY, seed=3)
-    reports = compare_algorithms(instance, p=4)
-    assert set(reports) == {"auto", "yannakakis"}
+    reports = {
+        algorithm: run_query(
+            instance, ExecutionConfig(p=4, algorithm=algorithm, validate=True)
+        ).report
+        for algorithm in applicable_algorithms(instance.query)
+    }
+    assert {"yannakakis", "line", "star"} <= set(reports)
     assert all(report.max_load >= 0 for report in reports.values())
 
 
@@ -130,4 +135,4 @@ def test_compare_algorithms_detects_disagreement():
     # silently passing.
     instance, _counters = _opaque_instance(STAR3_QUERY, seed=5)
     with pytest.raises(ValueError):
-        compare_algorithms(instance, p=4, algorithms=("line",))
+        run_query(instance, ExecutionConfig(p=4, algorithm="line", validate=True))

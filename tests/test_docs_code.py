@@ -41,7 +41,16 @@ def test_extending_doc_semiring_example_runs():
     assert blocks
     namespace = {}
     exec(blocks[0], namespace)  # noqa: S102  (the clearance semiring)
-    exec(blocks[1], {**namespace})  # noqa: S102  (check_semiring on it)
+    exec(blocks[1], {**namespace})  # noqa: S102  (check_axioms on it)
+
+
+def test_extending_doc_validation_loop_runs():
+    from repro.workloads import planted_out_matmul
+
+    blocks = _python_blocks(os.path.join(ROOT, "docs", "extending.md"))
+    namespace = {"instance": planted_out_matmul(n=30, out=60)}
+    exec(blocks[2], namespace)  # noqa: S102  (every algorithm, validated)
+    assert {"yannakakis", "line", "star"} <= set(namespace["reports"])
 
 
 def test_extending_doc_algorithm_walkthrough_runs():
@@ -86,5 +95,5 @@ def test_api_doc_mentions_every_public_module():
     for module in ("repro.semiring", "repro.data", "repro.mpc", "repro.primitives",
                    "repro.core", "repro.ram", "repro.workloads", "repro.queries",
                    "repro.linalg", "repro.interop", "repro.io", "repro.testing",
-                   "repro.reporting", "repro.obs"):
+                   "repro.obs"):
         assert module in text, module

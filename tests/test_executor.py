@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import MPCCluster, run_query
+from repro.config import ExecutionConfig
 from repro.data import Instance, Relation, TreeQuery
 from repro.ram import evaluate
 from repro.semiring import COUNTING
@@ -38,7 +39,7 @@ def test_auto_dispatch_matches_oracle_per_class():
         (twig_instance(25, 6, seed=4), "twig", "tree"),
     ]
     for instance, expected_class, expected_algorithm in cases:
-        result = run_query(instance, p=8, backend=_BACKEND)
+        result = run_query(instance, ExecutionConfig(p=8, backend=_BACKEND))
         assert result.query_class == expected_class
         assert result.algorithm == expected_algorithm
         assert result.relation.tuples == evaluate(instance).tuples
@@ -50,7 +51,7 @@ def test_free_connex_goes_to_yannakakis():
     query = TreeQuery(MATMUL_QUERY.relations, frozenset({"A", "B", "C"}))
     rng = random.Random(1)
     instance = random_instance(query, 40, 6, rng, COUNTING, lambda r: 1)
-    result = run_query(instance, p=4, backend=_BACKEND)
+    result = run_query(instance, ExecutionConfig(p=4, backend=_BACKEND))
     assert result.query_class == "free-connex"
     assert result.algorithm == "yannakakis"
     assert result.relation.tuples == evaluate(instance).tuples
@@ -61,7 +62,7 @@ def test_general_tree_dispatch():
     instance = random_instance(
         GENERAL_TREE_QUERY, 30, 6, rng, COUNTING, lambda r: r.randint(1, 3)
     )
-    result = run_query(instance, p=8, backend=_BACKEND)
+    result = run_query(instance, ExecutionConfig(p=8, backend=_BACKEND))
     assert result.query_class == "tree"
     assert result.algorithm == "tree"
     assert result.relation.tuples == evaluate(instance).tuples
@@ -69,8 +70,10 @@ def test_general_tree_dispatch():
 
 def test_forced_baseline_agrees_with_auto():
     instance = star_instance(3, 40, 9, 5, seed=7)
-    auto = run_query(instance, p=8, algorithm="auto", backend=_BACKEND)
-    baseline = run_query(instance, p=8, algorithm="yannakakis", backend=_BACKEND)
+    auto = run_query(instance, ExecutionConfig(p=8, algorithm="auto", backend=_BACKEND))
+    baseline = run_query(
+        instance, ExecutionConfig(p=8, algorithm="yannakakis", backend=_BACKEND)
+    )
     assert auto.relation.tuples == baseline.relation.tuples
     assert baseline.algorithm == "yannakakis"
 
@@ -78,15 +81,15 @@ def test_forced_baseline_agrees_with_auto():
 def test_forced_wrong_algorithm_raises():
     instance = star_instance(3, 20, 6, 4, seed=8)
     with pytest.raises(ValueError):
-        run_query(instance, p=4, algorithm="line", backend=_BACKEND)
+        run_query(instance, ExecutionConfig(p=4, algorithm="line", backend=_BACKEND))
     line = line_instance(3, 20, 6, seed=9)
     with pytest.raises(ValueError):
-        run_query(line, p=4, algorithm="star", backend=_BACKEND)
+        run_query(line, ExecutionConfig(p=4, algorithm="star", backend=_BACKEND))
 
 
 def test_result_schema_is_sorted_output():
     instance = twig_instance(20, 5, seed=10)
-    result = run_query(instance, p=4, backend=_BACKEND)
+    result = run_query(instance, ExecutionConfig(p=4, backend=_BACKEND))
     assert result.relation.schema == tuple(sorted(instance.query.output))
 
 
@@ -100,19 +103,19 @@ def test_supplied_cluster_is_used_and_metered():
 
 def test_single_server_execution():
     instance = starlike_instance([1, 1, 2], 20, 6, seed=11)
-    result = run_query(instance, p=1, backend=_BACKEND)
+    result = run_query(instance, ExecutionConfig(p=1, backend=_BACKEND))
     assert result.relation.tuples == evaluate(instance).tuples
 
 
 def test_unknown_algorithm_rejected():
     instance = planted_out_matmul(n=50, out=100)
     with pytest.raises(ValueError):
-        run_query(instance, p=2, algorithm="quantum", backend=_BACKEND)  # type: ignore[arg-type]
+        run_query(instance, ExecutionConfig(p=2, algorithm="quantum", backend=_BACKEND))
 
 
 def test_validate_flag_passes_on_correct_runs():
     instance = planted_out_matmul(n=60, out=240)
-    result = run_query(instance, p=4, validate=True, backend=_BACKEND)
+    result = run_query(instance, ExecutionConfig(p=4, validate=True, backend=_BACKEND))
     assert result.out_size == len(result.relation)
 
 
@@ -130,6 +133,50 @@ def test_validate_flag_is_a_real_check():
     executor_module._dispatch = sabotaged
     try:
         with pytest.raises(AssertionError):
-            run_query(instance, p=4, validate=True, backend=_BACKEND)
+            run_query(instance, ExecutionConfig(p=4, validate=True, backend=_BACKEND))
     finally:
         executor_module._dispatch = original
+
+
+# ---------------------------------------------------------- the front door
+
+
+def test_one_front_door():
+    """``repro.run_query``, the facade's and the executor's are one
+    function with one signature: every knob travels in the config."""
+    import inspect
+
+    import repro
+    from repro import api
+    from repro.core import executor
+
+    assert repro.run_query is api.run_query is executor.run_query
+    parameters = inspect.signature(run_query).parameters
+    assert [(name, p.kind, p.default) for name, p in parameters.items()] == [
+        ("instance", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("config", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+        ("cluster", inspect.Parameter.KEYWORD_ONLY, None),
+    ]
+    instance = planted_out_matmul(n=40, out=80)
+    for loose in ({"p": 4}, {"algorithm": "yannakakis"}, {"validate": False},
+                  {"backend": _BACKEND}):
+        with pytest.raises(TypeError):
+            run_query(instance, **loose)
+
+
+def test_supplied_cluster_runs_as_built():
+    """With ``cluster``, the run uses that cluster's servers and meters;
+    the config supplies the algorithm and the validation switch."""
+    instance = planted_out_matmul(n=40, out=80)
+    cluster = MPCCluster(4, backend=_BACKEND)
+    result = run_query(
+        instance,
+        ExecutionConfig(p=16, algorithm="yannakakis", validate=True),
+        cluster=cluster,
+    )
+    assert result.algorithm == "yannakakis"
+    assert result.report.max_load == cluster.report().max_load > 0
+    alone = run_query(
+        instance, ExecutionConfig(p=4, algorithm="yannakakis", backend=_BACKEND)
+    )
+    assert result.report.max_load == alone.report.max_load

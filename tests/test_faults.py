@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core.executor import run_query
 from repro.mpc import (
     FAULT_KINDS,
@@ -274,7 +275,9 @@ def test_report_json_identical_without_faults():
 def test_base_meters_unchanged_under_recoverable_faults():
     instance = planted_out_matmul(n=60, out=240)
     clean_cluster = MPCCluster(4)
-    clean = run_query(instance, cluster=clean_cluster, algorithm="matmul")
+    clean = run_query(
+        instance, ExecutionConfig(algorithm="matmul"), cluster=clean_cluster
+    )
 
     cells = sorted(
         (r, s)
@@ -285,7 +288,9 @@ def test_base_meters_unchanged_under_recoverable_faults():
     assert len(schedule) == 4
     injector = FaultInjector(schedule, RecoveryPolicy(spares=4))
     faulted = run_query(
-        instance, cluster=MPCCluster(4, faults=injector), algorithm="matmul"
+        instance,
+        ExecutionConfig(algorithm="matmul"),
+        cluster=MPCCluster(4, faults=injector),
     )
 
     assert faulted.relation.tuples == clean.relation.tuples

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.config import ExecutionConfig
 from repro.interop import matrix_from_relation, relation_from_matrix, sparse_matmul_scipy
 from repro.data import Relation
 from repro.semiring import COUNTING, TROPICAL_MIN_PLUS
@@ -41,7 +42,7 @@ def test_relation_from_matrix_rejects_bad_shapes():
 def test_matmul_matches_scipy(p):
     a = _random_sparse(40, 25, 0.15, seed=1)
     b = _random_sparse(25, 35, 0.15, seed=2)
-    product, report = sparse_matmul_scipy(a, b, p=p)
+    product, report = sparse_matmul_scipy(a, b, config=ExecutionConfig(p=p))
     expected = (a @ b).toarray()
     got = product.toarray()
     # Semiring arithmetic has no cancellation; with positive data the
@@ -53,7 +54,7 @@ def test_matmul_matches_scipy(p):
 def test_matmul_dense_inputs():
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
     b = np.array([[0.0, 3.0], [4.0, 0.0]])
-    product, _report = sparse_matmul_scipy(a, b, p=2)
+    product, _report = sparse_matmul_scipy(a, b, config=ExecutionConfig(p=2))
     assert np.allclose(product.toarray(), a @ b)
 
 
@@ -71,12 +72,12 @@ def test_matmul_tropical_semiring():
     instance = Instance(
         MATMUL_QUERY, {"R1": relation_a, "R2": relation_b}, TROPICAL_MIN_PLUS
     )
-    result = run_query(instance, p=2)
+    result = run_query(instance, ExecutionConfig(p=2))
     assert result.relation.tuples[(0, 0)] == min(0.0 + 9.0, 2.0 + 1.0, 5.0 + 1.0)
 
 
 def test_empty_product():
     a = sparse.coo_matrix(([1.0], ([0], [0])), shape=(2, 2))
     b = sparse.coo_matrix(([1.0], ([1], [1])), shape=(2, 2))
-    product, _report = sparse_matmul_scipy(a, b, p=2)
+    product, _report = sparse_matmul_scipy(a, b, config=ExecutionConfig(p=2))
     assert product.nnz == 0

@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.data import Relation
 from repro.linalg import matrix_power, transitive_closure
 from repro.queries import k_hop
@@ -49,7 +50,7 @@ def test_matrix_power_counts_walks():
 def test_matrix_power_agrees_with_line_query():
     relation, _graph = _random_digraph(12, 30, seed=2, weight_fn=lambda r: 1)
     via_power, _ = matrix_power(relation, 3, COUNTING, p=4)
-    via_line = k_hop(relation, 3, COUNTING, p=4)
+    via_line = k_hop(relation, 3, COUNTING, config=ExecutionConfig(p=4))
     assert via_power.tuples == dict(via_line.relation.tuples)
 
 

@@ -8,6 +8,7 @@ tests pin the exponents in CI.  All instances are deterministic.
 import math
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.core.matmul_output_sensitive import matmul_output_sensitive
 from repro.core.matmul_worst_case import matmul_worst_case
 from repro.data import DistRelation, Instance, Relation
@@ -105,7 +106,7 @@ def test_baseline_load_scales_linearly_in_out():
     loads = []
     for out in outs:
         instance = planted_out_matmul(n=1000, out=out)
-        result = run_query(instance, p=p, algorithm="yannakakis")
+        result = run_query(instance, ExecutionConfig(p=p, algorithm="yannakakis"))
         loads.append(result.report.max_load)
     slope = _slope(outs, loads)
     assert 0.75 <= slope <= 1.2, (loads, slope)
@@ -118,7 +119,7 @@ def test_new_algorithm_load_flat_in_out_beyond_crossover():
     loads = []
     for out in outs:
         instance = planted_out_matmul(n=1000, out=out)
-        result = run_query(instance, p=p, algorithm="auto")
+        result = run_query(instance, ExecutionConfig(p=p, algorithm="auto"))
         loads.append(result.report.max_load)
     slope = _slope(outs, loads)
     assert -0.2 <= slope <= 0.2, (loads, slope)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.lowerbounds import theorem2_instance, theorem3_instance
 from repro.ram import evaluate
 from repro.semiring import BOOLEAN, COUNTING
@@ -70,7 +71,7 @@ def test_measured_load_respects_lower_bound_envelope():
     # constant multiple of the upper bound on the hard family.
     p = 8
     hard = theorem3_instance(128, 128, 1024, COUNTING)
-    result = run_query(hard.instance, p=p)
+    result = run_query(hard.instance, ExecutionConfig(p=p))
     lower = matmul_lower_bound(hard.n1, hard.n2, hard.out, p)
     upper = matmul_new_load(hard.n1, hard.n2, hard.out, p)
     assert result.report.max_load >= lower / 4

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core.executor import run_query
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.stats import CostReport, LoadTracker
@@ -146,13 +147,13 @@ def test_inactive_tracer_emits_nothing():
 def _run_traced(instance, p, algorithm="auto"):
     ring = RingBufferSink()
     cluster = MPCCluster(p, tracer=Tracer([ring]))
-    result = run_query(instance, cluster=cluster, algorithm=algorithm)
+    result = run_query(instance, ExecutionConfig(algorithm=algorithm), cluster=cluster)
     return result, ring.events
 
 
 def test_tracing_does_not_perturb_metering():
     instance = planted_out_matmul(n=120, out=600)
-    plain = run_query(instance, p=4)
+    plain = run_query(instance, ExecutionConfig(p=4))
     traced, events = _run_traced(instance, p=4)
     assert events, "tracer saw no events"
     assert traced.report == plain.report
@@ -374,7 +375,9 @@ def _faulted_trace(path, instance, schedule):
     with Tracer([JsonlSink(str(path))]) as tracer:
         injector = FaultInjector(schedule, RecoveryPolicy(spares=len(schedule)))
         cluster = MPCCluster(4, tracer=tracer, faults=injector)
-        result = run_query(instance, cluster=cluster, algorithm="matmul")
+        result = run_query(
+            instance, ExecutionConfig(algorithm="matmul"), cluster=cluster
+        )
     return result.report
 
 
@@ -385,7 +388,7 @@ def test_same_seed_same_schedule_byte_identical_trace(tmp_path):
 
     instance = planted_out_matmul(n=80, out=320, seed=9)
     probe = MPCCluster(4)
-    run_query(instance, cluster=probe, algorithm="matmul")
+    run_query(instance, ExecutionConfig(algorithm="matmul"), cluster=probe)
     cells = sorted(
         (r, s)
         for r, row in probe.tracker.load_cells().items()

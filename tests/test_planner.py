@@ -180,7 +180,7 @@ def test_plan_is_deterministic_and_introspectable():
         assert {c.algorithm for c in plan.candidates} == set(
             applicable_algorithms(instance.query)
         )
-        assert run_query(instance, p=4).algorithm == plan.algorithm
+        assert run_query(instance, ExecutionConfig(p=4)).algorithm == plan.algorithm
 
 
 def test_in_model_statistics_are_metered():

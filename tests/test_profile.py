@@ -221,7 +221,9 @@ def test_profiled_run_leaves_trace_byte_identical(tmp_path):
 def test_profiled_run_is_bit_identical_under_faults():
     instance = planted_out_matmul(n=60, out=240)
     clean_cluster = MPCCluster(4)
-    clean = run_query(instance, cluster=clean_cluster, algorithm="matmul")
+    clean = run_query(
+        instance, ExecutionConfig(algorithm="matmul"), cluster=clean_cluster
+    )
     cells = sorted(
         (r, s)
         for r, row in clean_cluster.tracker.load_cells().items()
@@ -232,7 +234,7 @@ def test_profiled_run_is_bit_identical_under_faults():
     def faulted_run(profiler):
         injector = FaultInjector(schedule, RecoveryPolicy(spares=4))
         cluster = MPCCluster(4, faults=injector, profiler=profiler)
-        return run_query(instance, cluster=cluster, algorithm="matmul")
+        return run_query(instance, ExecutionConfig(algorithm="matmul"), cluster=cluster)
 
     plain = faulted_run(None)
     profiler = Profiler()

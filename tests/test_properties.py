@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.data import Instance, Relation, TreeQuery
 from repro.ram import evaluate
 from repro.semiring import COUNTING, TROPICAL_MIN_PLUS
@@ -63,7 +64,7 @@ def test_auto_matches_oracle_counting(query, seed, p):
         query, seed, COUNTING, lambda rng: rng.randint(1, 4)
     )
     want = evaluate(instance)
-    result = run_query(instance, p=p)
+    result = run_query(instance, ExecutionConfig(p=p))
     assert result.relation.tuples == want.tuples
 
 
@@ -74,7 +75,7 @@ def test_auto_matches_oracle_tropical(query, seed, p):
         query, seed, TROPICAL_MIN_PLUS, lambda rng: float(rng.randint(0, 9))
     )
     want = evaluate(instance)
-    result = run_query(instance, p=p)
+    result = run_query(instance, ExecutionConfig(p=p))
     assert result.relation.tuples == want.tuples
 
 
@@ -85,7 +86,7 @@ def test_baseline_matches_oracle(query, seed):
         query, seed, COUNTING, lambda rng: rng.randint(1, 3)
     )
     want = evaluate(instance)
-    result = run_query(instance, p=4, algorithm="yannakakis")
+    result = run_query(instance, ExecutionConfig(p=4, algorithm="yannakakis"))
     assert result.relation.tuples == want.tuples
 
 
@@ -95,7 +96,7 @@ def test_load_accounting_invariants(query, seed):
     instance = _random_instance(
         query, seed, COUNTING, lambda rng: 1
     )
-    result = run_query(instance, p=4)
+    result = run_query(instance, ExecutionConfig(p=4))
     report = result.report
     assert report.max_load >= 0
     assert report.total_communication >= report.max_load
@@ -121,5 +122,5 @@ def test_auto_matches_oracle_polynomial_provenance(query, seed):
         query, seed, POLYNOMIAL, lambda r: fresh_variable(r), tuples=8, domain=3
     )
     want = evaluate(instance)
-    result = run_query(instance, p=3)
+    result = run_query(instance, ExecutionConfig(p=3))
     assert result.relation.tuples == want.tuples

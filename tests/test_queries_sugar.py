@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.data import Relation
 from repro.queries import count_group_by, join_project, k_hop
 from repro.semiring import BOOLEAN, COUNTING, TROPICAL_MIN_PLUS
@@ -25,7 +26,7 @@ def test_count_group_by():
         {"R1": r1, "R2": r2},
         [("R1", ("A", "B")), ("R2", ("B", "C"))],
         group_by=["A"],
-        p=4,
+        config=ExecutionConfig(p=4),
     )
     # Annotations ignored (set to 1): each a joins 2 c's through b=0.
     assert result.relation.tuples == {(0,): 2, (1,): 2}
@@ -38,7 +39,7 @@ def test_count_star_full_join_size():
         {"R1": r1, "R2": r2},
         [("R1", ("A", "B")), ("R2", ("B", "C"))],
         group_by=[],
-        p=4,
+        config=ExecutionConfig(p=4),
     )
     assert result.relation.tuples == {(): 12}
 
@@ -50,27 +51,27 @@ def test_join_project():
         {"R1": r1, "R2": r2},
         [("R1", ("A", "B")), ("R2", ("B", "C"))],
         output=["A", "C"],
-        p=4,
+        config=ExecutionConfig(p=4),
     )
     assert projected == {(0, 5), (0, 6)}
 
 
 def test_k_hop_counting():
     edges = _chain_edges(weight=1)
-    result = k_hop(edges, 2, COUNTING, p=4)
+    result = k_hop(edges, 2, COUNTING, config=ExecutionConfig(p=4))
     # 2-hop paths: 0→1→2, 1→2→3, 0→2→3.
     assert result.relation.tuples == {(0, 2): 1, (1, 3): 1, (0, 3): 1}
 
 
 def test_k_hop_reachability():
     edges = _chain_edges(weight=True)
-    result = k_hop(edges, 3, BOOLEAN, p=4)
+    result = k_hop(edges, 3, BOOLEAN, config=ExecutionConfig(p=4))
     assert result.relation.tuples == {(0, 3): True}
 
 
 def test_k_hop_shortest_paths():
     edges = _chain_edges()
-    result = k_hop(edges, 2, TROPICAL_MIN_PLUS, p=4)
+    result = k_hop(edges, 2, TROPICAL_MIN_PLUS, config=ExecutionConfig(p=4))
     # 0→2 in two hops: via 1 costs 2.0 (beats nothing else 2-hop).
     assert result.relation.tuples[(0, 2)] == 2.0
     assert result.relation.tuples[(0, 3)] == 5.0 + 1.0  # 0→2 (5) → 3 (1)
@@ -78,7 +79,7 @@ def test_k_hop_shortest_paths():
 
 def test_k_hop_single_hop_is_the_relation():
     edges = _chain_edges()
-    result = k_hop(edges, 1, TROPICAL_MIN_PLUS, p=2)
+    result = k_hop(edges, 1, TROPICAL_MIN_PLUS, config=ExecutionConfig(p=2))
     assert result.relation.tuples == dict(edges.tuples)
 
 
@@ -105,7 +106,7 @@ def test_k_hop_matches_matrix_power():
         if (u, v) not in edges:
             edges.add((u, v), 1)
             adjacency[u, v] = 1
-    result = k_hop(edges, 3, COUNTING, p=8)
+    result = k_hop(edges, 3, COUNTING, config=ExecutionConfig(p=8))
     cube = np.linalg.matrix_power(adjacency, 3)
     expected = {
         (u, v): int(cube[u, v])

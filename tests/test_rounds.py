@@ -9,6 +9,7 @@ scales and assert near-equality.
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.workloads import (
     bowtie_line,
     overlapping_star,
@@ -19,7 +20,7 @@ from repro.workloads import (
 
 
 def _rounds(instance, algorithm="auto", p=8):
-    return run_query(instance, p=p, algorithm=algorithm).report.rounds
+    return run_query(instance, ExecutionConfig(p=p, algorithm=algorithm)).report.rounds
 
 
 def test_matmul_rounds_constant_in_n():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ExecutionConfig
 from repro.semiring import (
     BOOLEAN,
     COUNTING,
@@ -209,7 +210,7 @@ def test_top_k_through_a_distributed_query():
             seen.add(t)
             r2.add(t, (float(rng.randint(1, 9)),))
     instance = Instance(query, {"R1": r1, "R2": r2}, s)
-    result = run_query(instance, p=6)
+    result = run_query(instance, ExecutionConfig(p=6))
     assert result.relation.tuples == evaluate(instance).tuples
     # Every annotation is a sorted ≤3-tuple: the 3 cheapest 2-hop routes.
     for costs in result.relation.tuples.values():

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.data import Instance, Relation
 from repro.semiring import BOOLEAN, COUNTING, MAX_MIN, TROPICAL_MIN_PLUS
 from tests.conftest import (
@@ -68,7 +69,7 @@ def test_structure_is_semiring_invariant(query, algorithm):
     fingerprints = []
     supports = []
     for instance in instances:
-        result = run_query(instance, p=6, algorithm=algorithm)
+        result = run_query(instance, ExecutionConfig(p=6, algorithm=algorithm))
         report = result.report
         fingerprints.append(
             (report.elementary_products, report.total_communication,

@@ -165,10 +165,10 @@ def test_concurrent_queries_respect_the_admission_cap():
     lock = threading.Lock()
 
     def run(seed: int) -> None:
-        # distinct seeds → distinct cache keys → every request executes
+        # distinct server counts → distinct cache keys → every request executes
         status, _, payload, _ = state.handle(
             "POST", "/query",
-            _body({"instance": "mm", "config": {"p": 4, "seed": seed}}),
+            _body({"instance": "mm", "config": {"p": 2 + seed}}),
         )
         with lock:
             results.append((seed, status))
@@ -316,9 +316,9 @@ def test_http_status_mapping_end_to_end():
     status, document = post("/query", {"instance": "ghost"})
     assert (status, document["error"]) == (404, "UnknownInstanceError")
 
-    # 400: unknown config key (observers are server-side concerns, and
-    # ``workers`` is not a service knob)
-    for key, value in (("tracer", "yes"), ("workers", 1)):
+    # 400: unknown config key (observers are server-side concerns,
+    # ``workers`` is not a service knob, and ``seed`` is no knob at all)
+    for key, value in (("tracer", "yes"), ("workers", 1), ("seed", 0)):
         status, document = post("/query", {"instance": "star",
                                            "config": {key: value}})
         assert (status, document["error"]) == (400, "ConfigError")
@@ -347,6 +347,27 @@ def test_http_status_mapping_end_to_end():
     assert len(state.cache) == 0
 
 
+@pytest.mark.parametrize("endpoint, config", [
+    ("/query", {"p": "x"}),
+    ("/query", {"p": 2.5}),
+    ("/query", {"p": None}),
+    ("/query", {"p": [4]}),
+    ("/views", {"p": "x"}),
+    ("/query", {"p": True}),
+    ("/query", {"validate": "yes"}),
+])
+def test_malformed_config_values_are_400(endpoint, config):
+    """A mistyped ``p`` or ``validate`` is the client's error: 400 before
+    anything runs, never a 500 or a result cached under its own key."""
+    state = ServiceState()
+    _register(state, "mm", planted_out_matmul(n=20, out=40))
+    status, _, payload, _ = state.handle("POST", endpoint, _body(
+        {"name": "v", "instance": "mm", "config": config}))
+    assert (status, json.loads(payload)["error"]) == (400, "ConfigError")
+    assert state.admission.admitted == 0
+    assert len(state.cache) == 0
+
+
 # -- metrics -------------------------------------------------------------------
 
 
@@ -356,9 +377,9 @@ def test_metrics_exposes_prometheus_counters():
     state.handle("POST", "/query", _body({"instance": "mm"}))  # miss
     state.handle("POST", "/query", _body({"instance": "mm"}))  # hit
     state.handle("POST", "/query", _body({"instance": "ghost"}))  # 404
-    # a fresh cache key (new seed) so the budget check actually runs: 429
+    # a fresh cache key (new p) so the budget check actually runs: 429
     state.handle("POST", "/query", _body({
-        "instance": "mm", "config": {"seed": 9}, "load_budget": 1,
+        "instance": "mm", "config": {"p": 9}, "load_budget": 1,
     }))
 
     status, content_type, payload, _ = state.handle("GET", "/metrics", None)
@@ -619,7 +640,7 @@ def test_live_server_concurrent_clients_under_cap():
 
         def client(seed: int) -> None:
             status, _, _ = _http("POST", f"{server.url}/query", {
-                "instance": "mm", "config": {"p": 4, "seed": seed},
+                "instance": "mm", "config": {"p": 2 + seed},
             })
             with lock:
                 statuses.append(status)

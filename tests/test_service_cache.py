@@ -115,7 +115,7 @@ def test_fingerprint_ignores_backend():
 @pytest.mark.parametrize("kwargs", [
     {"p": 5},
     {"algorithm": "yannakakis"},
-    {"seed": 17},
+    {"algorithm": "matmul"},
     {"validate": True},
 ])
 def test_fingerprint_tracks_every_semantic_field(kwargs):

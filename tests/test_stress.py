@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro import run_query
+from repro.config import ExecutionConfig
 from repro.data import Instance, Relation, TreeQuery
 from repro.ram import evaluate
 from repro.semiring import COUNTING, TROPICAL_MIN_PLUS
@@ -37,7 +38,7 @@ def test_caterpillar_three_hubs():
     assert query.classify() == "twig"
     rng = random.Random(21)
     instance = random_instance(query, 20, 4, rng, COUNTING, lambda r: r.randint(1, 3))
-    result = run_query(instance, p=8)
+    result = run_query(instance, ExecutionConfig(p=8))
     assert result.relation.tuples == evaluate(instance).tuples
 
 
@@ -47,7 +48,7 @@ def test_caterpillar_four_hubs_tropical():
     instance = random_instance(
         query, 12, 3, rng, TROPICAL_MIN_PLUS, lambda r: float(r.randint(0, 9))
     )
-    result = run_query(instance, p=6)
+    result = run_query(instance, ExecutionConfig(p=6))
     assert result.relation.tuples == evaluate(instance).tuples
 
 
@@ -62,7 +63,7 @@ def test_mixed_outputs_long_chain():
     rng = random.Random(23)
     instance = random_instance(query, 30, 5, rng, COUNTING, lambda r: r.randint(1, 2))
     for algorithm in ("auto", "yannakakis"):
-        result = run_query(instance, p=8, algorithm=algorithm)
+        result = run_query(instance, ExecutionConfig(p=8, algorithm=algorithm))
         assert result.relation.tuples == evaluate(instance).tuples, algorithm
 
 
@@ -74,7 +75,7 @@ def test_wide_star_many_arms():
     assert query.classify() == "star"
     rng = random.Random(24)
     instance = random_instance(query, 18, 4, rng, COUNTING, lambda r: 1)
-    result = run_query(instance, p=8)
+    result = run_query(instance, ExecutionConfig(p=8))
     assert result.relation.tuples == evaluate(instance).tuples
 
 
@@ -85,7 +86,7 @@ def test_big_matmul_all_strategies_agree():
     expected = evaluate(instance)
     loads = {}
     for algorithm in ("auto", "yannakakis"):
-        result = run_query(instance, p=32, algorithm=algorithm)
+        result = run_query(instance, ExecutionConfig(p=32, algorithm=algorithm))
         assert result.relation.tuples == expected.tuples
         loads[algorithm] = result.report.max_load
     assert loads["auto"] > 0
@@ -103,5 +104,5 @@ def test_random_deep_trees(seed):
     outputs = frozenset(a for a in attrs if rng.random() < 0.4)
     query = TreeQuery(tuple(relations), outputs)
     instance = random_instance(query, 10, 3, rng, COUNTING, lambda r: r.randint(1, 2))
-    result = run_query(instance, p=5)
+    result = run_query(instance, ExecutionConfig(p=5))
     assert result.relation.tuples == evaluate(instance).tuples, query.classify()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.ram import evaluate, output_size
 from repro.semiring import COUNTING, TROPICAL_MIN_PLUS
 from repro.workloads import (
@@ -125,5 +126,5 @@ def test_caterpillar_instance_shape():
     # Runs end-to-end through §7.
     from repro import run_query
 
-    result = run_query(instance, p=4)
+    result = run_query(instance, ExecutionConfig(p=4))
     assert result.relation.tuples == evaluate(instance).tuples
