@@ -11,11 +11,11 @@ the cluster:
 
 The resolved name lives on :class:`~repro.mpc.cluster.MPCCluster` as
 ``cluster.backend``; primitives consult :func:`columnar_enabled` per view.
-Fault injection always forces the tuple kernels (the injector mutates
-per-server item lists in place), which keeps chaos runs on the reference
-path without any per-primitive special-casing.  So does an instance with a
-float, bool or subclass attribute value: the codec interns by dict
-equality, under which ``1``, ``1.0`` and ``True`` are one value, so
+Fault injection does not choose a path: the injector reads only the
+per-server counts every delivery charges, so a faulted run executes its
+resolved backend like a clean one.  An instance with a float, bool or
+subclass attribute value does force the tuple kernels: the codec interns
+by dict equality, under which ``1``, ``1.0`` and ``True`` are one value, so
 :func:`admit_instance` — called by the executor and by in-model
 ``explain`` — resolves such a run to ``pytuple`` before loading anything
 (:func:`~repro.backends.columnar.interns_exactly`).
@@ -69,20 +69,15 @@ def resolve_backend(backend: Optional[str], total_size: Optional[int] = None) ->
 def columnar_enabled(view) -> bool:
     """True when primitives on ``view`` take their array paths.
 
-    Requires a cluster resolved to the columnar backend and no fault
-    injector (the injector rewrites inboxes item-at-a-time).  The
-    array paths run vectorized local kernels and ship
+    Requires a cluster resolved to the columnar backend.  The array paths
+    run vectorized local kernels and ship
     :class:`~repro.backends.batch.ColumnarBatch` payloads through
     :meth:`~repro.mpc.cluster.ClusterView.exchange_batches`; datasets only
     decode at boundaries that still need tuples.  Routing decisions,
     delivery order, and per-server counts are identical to the item path,
     so meters and traces are bit-identical by construction.
     """
-    cluster = view.cluster
-    return (
-        getattr(cluster, "backend", "pytuple") == "columnar"
-        and cluster.faults is None
-    )
+    return view.cluster.backend == "columnar"
 
 
 def admit_instance(cluster, instance):

@@ -18,6 +18,7 @@ from typing import Any, Optional
 from .backends.dispatch import resolve_backend
 from .errors import ConfigError
 from .mpc.cluster import MPCCluster
+from .mpc.faults import FaultSchedule
 
 __all__ = ["ExecutionConfig"]
 
@@ -31,16 +32,17 @@ class ExecutionConfig:
     kernels, relations load as code columns and exchanges ship batches —
     identical results and meters), or ``"auto"`` (columnar when the
     instance is large enough to amortize encoding).
-    ``fault_schedule`` (a :class:`~repro.mpc.faults.FaultSchedule`)
-    forces the pytuple kernels for the faulted run — recovery replays
-    inboxes item-at-a-time.
+    ``fault_schedule`` (a :class:`~repro.mpc.faults.FaultSchedule`, the
+    only accepted type) injects its faults into every run, on either
+    backend; each cluster the config builds gets a fresh injector, so no
+    firing state leaks from one run into the next.
     """
 
     p: int = 8
     algorithm: str = "auto"
     backend: Optional[str] = None
     tracer: Optional[Any] = None
-    fault_schedule: Optional[Any] = None
+    fault_schedule: Optional[FaultSchedule] = None
     validate: bool = False
     #: Optional :class:`~repro.obs.profile.Profiler` recording wall-clock
     #: spans (phases, cluster ops, kernels, executor steps) of every run
@@ -72,6 +74,13 @@ class ExecutionConfig:
                 "ExecutionConfig accepts only workers=1"
             )
         resolve_backend(self.backend)  # rejects unknown backends
+        if self.fault_schedule is not None and not isinstance(
+            self.fault_schedule, FaultSchedule
+        ):
+            raise ConfigError(
+                "fault_schedule must be a FaultSchedule, not "
+                f"{type(self.fault_schedule).__name__}"
+            )
 
     def make_cluster(self, total_size: Optional[int] = None) -> MPCCluster:
         """A fresh cluster honouring every knob (meters start at zero).

@@ -39,7 +39,6 @@ from ..mpc import (
     FaultInjector,
     FaultSchedule,
     MPCCluster,
-    RecoveryPolicy,
     UnrecoverableFaultError,
 )
 from ..ram.evaluate import evaluate
@@ -103,8 +102,6 @@ def check_chaos(case: FuzzCase, config) -> None:
     """Answers and base meters must survive every recoverable schedule."""
     instance = materialize(case, profile="counting")
     expected = _answers(evaluate(instance))
-    # Faulted runs force the pytuple kernels (recovery replays inboxes), but
-    # the fault-free reference honours the campaign's backend choice.
     backend = resolve_backend(config.backend, instance.total_size)
 
     planted_cell: Tuple[int, int] = (-1, -1)
@@ -128,10 +125,8 @@ def check_chaos(case: FuzzCase, config) -> None:
             case.seed, algorithm_index, cells,
             config.chaos_schedules, config.chaos_faults,
         ):
-            injector = FaultInjector(
-                schedule, RecoveryPolicy(spares=len(schedule))
-            )
-            cluster = MPCCluster(config.p, faults=injector)
+            injector = FaultInjector(schedule, spares=len(schedule))
+            cluster = MPCCluster(config.p, faults=injector, backend=backend)
             try:
                 result = run_query(instance, run_config, cluster=cluster)
             except UnrecoverableFaultError as error:
@@ -194,14 +189,13 @@ def check_chaos(case: FuzzCase, config) -> None:
     # fail loudly, naming the failing round.
     round_index, server = planted_cell
     injector = FaultInjector(
-        FaultSchedule([Fault("crash", round_index, server)]),
-        RecoveryPolicy(spares=0),
+        FaultSchedule([Fault("crash", round_index, server)]), spares=0
     )
     try:
         run_query(
             instance,
             ExecutionConfig(algorithm=planted_algorithm),
-            cluster=MPCCluster(config.p, faults=injector),
+            cluster=MPCCluster(config.p, faults=injector, backend=backend),
         )
     except UnrecoverableFaultError as error:
         if error.round != round_index or f"round {round_index}" not in str(error):

@@ -16,7 +16,8 @@ so every distributed algorithm drifts from it as soon as real data moves.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, List
 
 from ..mpc.cluster import ClusterView
 from ..mpc.faults import FaultInjector
@@ -55,29 +56,53 @@ def planted_exchange_off_by_one() -> Iterator[None]:
 
 @contextmanager
 def planted_drop_blackhole() -> Iterator[None]:
-    """Monkeypatch drop-fault recovery into a silent blackhole.
+    """Monkeypatch the exchanges so a dropped delivery is never retransmitted.
 
-    While active, whenever a ``drop`` fault fires the retransmission never
-    arrives: the faulted server's inbox is emptied *after* metering, so
-    every meter still claims a successful recovery while the algorithm
-    silently computes on lost data.  Fault-free runs are untouched — only
-    the chaos tier (``repro fuzz --chaos`` / the ``chaos`` invariant) can
-    catch this bug, which is exactly what the chaos mutation smoke test
-    asserts.
+    While active, whenever a ``drop`` fault fires in an exchange the
+    faulted server's inbox — on the batch path, its range of delivered
+    rows — is emptied *after* metering, so every meter still claims a
+    successful recovery while the algorithm silently computes on lost
+    data.  Fault-free runs are untouched — only the chaos tier (``repro
+    fuzz --chaos`` / the ``chaos`` invariant) can catch this bug, which is
+    exactly what the chaos mutation smoke test asserts.
     """
-    original = FaultInjector.deliver
+    deliver = FaultInjector.deliver
+    exchange, exchange_batches = ClusterView.exchange, ClusterView.exchange_batches
+    dropped: List[int] = []  # servers a drop fired at in the last delivery
 
-    def buggy_deliver(self, view, round_index, counts, op, payloads=None):
-        fired_before = len(self.fired)
-        next_round = original(self, view, round_index, counts, op, payloads)
-        if payloads is not None:
-            for fault in self.fired[fired_before:]:
-                if fault.kind == "drop":
-                    payloads[fault.server].clear()
-        return next_round
+    def recording_deliver(self, view, round_index, counts):
+        before = len(self.fired)
+        extra = deliver(self, view, round_index, counts)
+        dropped.extend(f.server for f in self.fired[before:] if f.kind == "drop")
+        return extra
 
-    FaultInjector.deliver = buggy_deliver
+    def buggy_exchange(self, outboxes, *, op="exchange"):
+        dropped.clear()
+        inboxes = exchange(self, outboxes, op=op)
+        for server in dropped:
+            inboxes[server].clear()
+        return inboxes
+
+    def buggy_exchange_batches(self, dests, batch, *, op="exchange"):
+        from ..backends.dispatch import np
+
+        dropped.clear()
+        delivered, cuts = exchange_batches(self, dests, batch, op=op)
+        if not dropped:
+            return delivered, cuts
+        sizes = [high - low for low, high in zip(cuts, cuts[1:])]
+        keep = np.ones(delivered.size, dtype=bool)
+        for server in dropped:
+            keep[cuts[server]:cuts[server + 1]] = False
+            sizes[server] = 0
+        return delivered.take(np.flatnonzero(keep)), [0, *accumulate(sizes)]
+
+    FaultInjector.deliver = recording_deliver
+    ClusterView.exchange = buggy_exchange
+    ClusterView.exchange_batches = buggy_exchange_batches
     try:
         yield
     finally:
-        FaultInjector.deliver = original
+        FaultInjector.deliver = deliver
+        ClusterView.exchange = exchange
+        ClusterView.exchange_batches = exchange_batches

@@ -254,7 +254,7 @@ _PRODUCT_MUL_LIMIT = 1 << 62
 
 def vector_profile(view: Any, semiring: Semiring) -> Optional[Any]:
     """The reduce/join vectorization profile of ``semiring`` on this view's
-    cluster, or None (tuple backend, faults active, or no profile)."""
+    cluster, or None (tuple backend or no profile)."""
     if not columnar_enabled(view):
         return None
     from ..backends.columnar import profile_of

@@ -1,9 +1,9 @@
 """Simulated Massively Parallel Computation substrate (paper §1.3).
 
 Beyond the failure-free model, the substrate supports deterministic fault
-injection with checkpoint/replay recovery (:mod:`repro.mpc.faults`,
-:mod:`repro.mpc.recovery`): crashes, drops, duplicates and stragglers fire
-at seeded ``(round, server)`` coordinates, answers survive every
+injection with checkpoint/replay recovery (:mod:`repro.mpc.faults`):
+crashes, drops, duplicates and stragglers fire at seeded ``(round,
+server)`` coordinates on either backend, answers survive every
 recoverable schedule, and the repair cost is metered separately under the
 ``recovery`` tag of :class:`CostReport`.
 
@@ -17,7 +17,6 @@ from .cluster import ClusterView, MPCCluster
 from .distributed import Distributed
 from .faults import FAULT_KINDS, Fault, FaultInjector, FaultSchedule
 from .hashing import hash_to_bucket, hash_to_unit, stable_hash
-from .recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
 from .stats import CostReport, LoadTracker
 
 __all__ = [
@@ -34,9 +33,6 @@ __all__ = [
     "Fault",
     "FaultSchedule",
     "FaultInjector",
-    "RecoveryPolicy",
-    "RecoveryManager",
-    "CheckpointStore",
     "stable_hash",
     "hash_to_unit",
     "hash_to_bucket",

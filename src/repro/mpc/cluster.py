@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import RoutingError
+from ..errors import ConfigError, RoutingError
 from .stats import CostReport, LoadTracker
 
 __all__ = ["MPCCluster", "ClusterView"]
@@ -34,11 +34,12 @@ class MPCCluster:
     event.  Without it, operations pay only a ``None`` check — the metered
     load ``L`` is identical either way.
 
-    ``faults`` (a :class:`~repro.mpc.faults.FaultSchedule` or pre-built
-    :class:`~repro.mpc.faults.FaultInjector`, optional) enables
-    deterministic fault injection with checkpoint/replay recovery; without
-    it (the default) every delivering operation pays a single ``None``
-    check and all meters are bit-identical to a fault-free build.
+    ``faults`` (a :class:`~repro.mpc.faults.FaultSchedule`, or a
+    :class:`~repro.mpc.faults.FaultInjector` to set its ``spares``,
+    optional) enables deterministic fault injection with checkpoint/replay
+    recovery on either backend; without it (the default) every delivering
+    operation pays a single ``None`` check and all meters are
+    bit-identical to a fault-free build.
 
     ``backend`` (``"pytuple"`` or ``"columnar"``, default ``"pytuple"``)
     selects the kernel implementation the primitives use for their local
@@ -59,7 +60,7 @@ class MPCCluster:
                  faults: Optional[Any] = None, backend: str = "pytuple",
                  profiler: Optional[Any] = None) -> None:
         if p < 1:
-            raise ValueError("cluster needs at least one server")
+            raise ConfigError("cluster needs at least one server")
         self.p = p
         self.backend = backend
         self._codec: Optional[Any] = None
@@ -115,6 +116,17 @@ class ClusterView:
 
     # -- communication ---------------------------------------------------------
 
+    def _deliver(self, op: str, sizes: Tuple[int, ...]) -> None:
+        """The one delivery step of every communicating operation: charge
+        ``sizes[i]`` items to server ``i`` at the current round, fire the
+        faults scheduled there, and advance the cursor past the round and
+        any recovery rounds."""
+        round_index = self.round
+        self.tracker.charge_round(op, round_index, self.servers, sizes)
+        injector = self.cluster.faults
+        extra = 0 if injector is None else injector.deliver(self, round_index, sizes)
+        self.round = round_index + 1 + extra
+
     def exchange(
         self,
         outboxes: Sequence[Iterable[Tuple[int, Any]]],
@@ -135,7 +147,6 @@ class ClusterView:
             if len(outboxes) != p:
                 raise RoutingError(f"expected {p} outboxes, got {len(outboxes)}")
             inboxes: List[List[Any]] = [[] for _ in range(p)]
-            round_index = self.round
             for outbox in outboxes:
                 for dest, item in outbox:
                     # Checked per message: a negative index would otherwise
@@ -144,12 +155,7 @@ class ClusterView:
                         raise RoutingError(f"destination {dest} outside view of size {p}")
                     inboxes[dest].append(item)
             sizes = tuple(map(len, inboxes))
-            injector = self.cluster.faults
-            if injector is not None:
-                self.round = injector.deliver(self, round_index, sizes, op, inboxes)
-            else:
-                tracker.charge_round(op, round_index, self.servers, sizes)
-                self.round = round_index + 1
+            self._deliver(op, sizes)
             span.add_items(sum(sizes))
         return inboxes
 
@@ -180,14 +186,8 @@ class ClusterView:
         """
         from ..backends.dispatch import np
 
-        if self.cluster.faults is not None:
-            raise RoutingError(
-                "exchange_batches under fault injection: the injector "
-                "replays item lists; columnar paths must be gated off"
-            )
-        tracker = self.tracker
         p = self.p
-        with tracker.span(op, "op", self.cluster.backend) as span:
+        with self.tracker.span(op, "op", self.cluster.backend) as span:
             # Validate before any work (all-or-nothing, like the item
             # path's routing checks).
             if dests.shape[0] != batch.size:
@@ -205,8 +205,7 @@ class ClusterView:
             )
             sizes = tuple(np.bincount(dests, minlength=p).tolist())
             delivered = batch.take(order)
-            tracker.charge_round(op, self.round, self.servers, sizes)
-            self.round += 1
+            self._deliver(op, sizes)
             span.add_items(sum(sizes))
         return delivered, [0, *accumulate(sizes)]
 
@@ -215,18 +214,9 @@ class ClusterView:
         concatenation of all parts; charged the total row count each."""
         from ..backends.batch import ColumnarBatch
 
-        if self.cluster.faults is not None:
-            raise RoutingError(
-                "broadcast_batches under fault injection: columnar paths "
-                "must be gated off"
-            )
-        tracker = self.tracker
-        with tracker.span("broadcast", "op", self.cluster.backend) as span:
+        with self.tracker.span("broadcast", "op", self.cluster.backend) as span:
             everything = ColumnarBatch.concat(list(batches))
-            tracker.charge_round(
-                "broadcast", self.round, self.servers, (everything.size,) * self.p
-            )
-            self.round += 1
+            self._deliver("broadcast", (everything.size,) * self.p)
             span.add_items(everything.size * self.p)
         return everything
 
@@ -258,17 +248,9 @@ class ClusterView:
         One round; each server's incoming load is the total item count, which
         is how the paper charges a broadcast.
         """
-        tracker = self.tracker
-        with tracker.span("broadcast", "op", self.cluster.backend) as span:
+        with self.tracker.span("broadcast", "op", self.cluster.backend) as span:
             everything = [item for part in parts for item in part]
-            round_index = self.round
-            sizes = (len(everything),) * self.p
-            injector = self.cluster.faults
-            if injector is not None:
-                self.round = injector.deliver(self, round_index, sizes, "broadcast")
-            else:
-                tracker.charge_round("broadcast", round_index, self.servers, sizes)
-                self.round = round_index + 1
+            self._deliver("broadcast", (len(everything),) * self.p)
             span.add_items(len(everything) * self.p)
         return everything
 

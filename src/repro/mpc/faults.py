@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the simulated MPC cluster.
+"""Deterministic fault injection and recovery for the simulated cluster.
 
 The paper's §1.3 model assumes a perfectly synchronous, failure-free
 cluster.  This module drops that assumption *deterministically*: a seeded
@@ -13,15 +13,18 @@ cluster.  This module drops that assumption *deterministically*: a seeded
 * ``straggler`` — the server's round runs ``delay`` rounds slow, stalling
   the whole synchronous round.
 
-Injection rides on hooks inside :meth:`ClusterView.exchange` and
-``broadcast``: a cluster built without faults (the default) pays a single
-``None`` check per operation, so every metered number is bit-identical to a
-fault-free build.  With faults enabled, the *effective* deliveries after
-recovery equal the intended ones — algorithms still compute exact answers —
-while the repair cost (retries, replays, checkpoint restores, stalls) is
-metered separately under the ``recovery`` tag (see
-:mod:`repro.mpc.recovery` and :class:`~repro.mpc.stats.CostReport`).
-Unrecoverable schedules raise :class:`~repro.errors.UnrecoverableFaultError`
+The model, like §1.3's, sees only how many items each server receives per
+round: every delivering :class:`~repro.mpc.cluster.ClusterView` operation
+— item lists or columnar batches alike — makes its base charge and then
+hands the per-server counts to :meth:`FaultInjector.deliver`, which never
+touches a payload.  A cluster built without faults (the default) pays a
+single ``None`` check per operation, so every metered number is
+bit-identical to a fault-free build.  With faults, the effective
+deliveries after recovery equal the intended ones — algorithms still
+compute exact answers — while the repair cost (retries, replays,
+checkpoint restores, stalls) is metered separately under the
+``recovery`` tag of :class:`~repro.mpc.stats.CostReport`.  A crash with no
+spare server left raises :class:`~repro.errors.UnrecoverableFaultError`
 naming the round.
 """
 
@@ -29,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from .recovery import RecoveryManager, RecoveryPolicy
+from ..errors import ConfigError, UnrecoverableFaultError
 
 __all__ = ["FAULT_KINDS", "Fault", "FaultSchedule", "FaultInjector", "as_injector"]
 
@@ -56,11 +59,11 @@ class Fault:
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
+            raise ConfigError(f"unknown fault kind {self.kind!r}")
         if self.round < 0:
-            raise ValueError("fault round must be non-negative")
+            raise ConfigError("fault round must be non-negative")
         if self.kind == "straggler" and self.delay < 1:
-            raise ValueError("straggler faults need delay >= 1")
+            raise ConfigError("straggler faults need delay >= 1")
 
     def to_dict(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
@@ -137,93 +140,96 @@ class FaultSchedule:
 
 
 class FaultInjector:
-    """Per-run fault-injection state: schedule + recovery + firing log.
+    """Per-run fault-injection state: schedule, spares, checkpoints, log.
 
-    Attach via ``MPCCluster(p, faults=schedule)`` (the cluster wraps the
-    schedule in a fresh injector) or construct one explicitly to control
-    the :class:`~repro.mpc.recovery.RecoveryPolicy`.  Injectors are
-    single-use: one injector meters one cluster run.
+    ``MPCCluster(p, faults=schedule)`` wraps the schedule in a fresh
+    injector with the default two spares; build one explicitly to set
+    ``spares``, the number of replacement servers crash recovery may use.
+    Injectors are single-use: one injector meters one cluster run.
+
+    The checkpoint of a server is the number of items it has received so
+    far (round-0 placement is free, as in §1.3): the simulator needs no
+    state contents to recover, only the restore cost, which is exactly
+    that size.
     """
 
-    def __init__(self, schedule: FaultSchedule,
-                 policy: Optional[RecoveryPolicy] = None) -> None:
+    def __init__(self, schedule: FaultSchedule, spares: int = 2) -> None:
         self.schedule = schedule
-        self.recovery = RecoveryManager(policy or RecoveryPolicy())
-        self._pending: Dict[Tuple[int, int], List[int]] = {}
-        for index, fault in enumerate(schedule.faults):
-            self._pending.setdefault((fault.round, fault.server), []).append(index)
-        self._fired: set = set()
+        self.spares_left = spares
+        self._pending: Dict[Tuple[int, int], List[Fault]] = {}
+        for fault in schedule.faults:
+            self._pending.setdefault((fault.round, fault.server), []).append(fault)
+        self._state_items: Dict[int, int] = {}
         #: Faults that actually hit a delivery, in firing order.
         self.fired: List[Fault] = []
 
-    @property
-    def policy(self) -> RecoveryPolicy:
-        return self.recovery.policy
+    def deliver(self, view: Any, round_index: int, counts: Tuple[int, ...]) -> int:
+        """Fire the faults scheduled at ``round_index`` of a delivery whose
+        base charge ``counts`` the view has already made, checkpoint the
+        round, and return the extra rounds recovery consumed.
 
-    def deliver(self, view: Any, round_index: int, counts: Tuple[int, ...],
-                op: str, payloads: Optional[Sequence[List[Any]]] = None) -> int:
-        """The faulted delivery path for one cluster operation.
-
-        Performs exactly the base charging/tracing the fault-free path
-        would (so base meters match bit for bit), then fires any scheduled
-        faults whose ``(round, server)`` coordinates match, checkpoints the
-        round, and returns the next cursor position (base + recovery
-        stalls).
-
-        ``payloads`` are the per-server inboxes about to be handed to the
-        algorithm (``None`` for broadcasts, whose list is shared).  A
-        healthy injector never touches them — recovery restores every
-        delivery — but the hook is where mutation tests plant delivery-
-        corrupting bugs that the chaos tier must catch.
+        The cursor only moves forward, so every ``(round, server)`` cell
+        is delivered at most once and every fault fires at most once.
         """
-        view.tracker.charge_round(op, round_index, view.servers, counts)
         extra = 0
         for server, count in enumerate(counts):
-            indices = self._pending.get((round_index, server))
-            if not indices:
-                continue
-            for index in indices:
-                if index in self._fired:
-                    continue
-                self._fired.add(index)
-                fault = self.schedule.faults[index]
+            for fault in self._pending.pop((round_index, server), ()):
                 if count == 0 and fault.kind in ("drop", "duplicate"):
                     continue  # nothing was in transit: the fault is moot
                 self.fired.append(fault)
-                self._emit_fault(view, round_index, fault, count)
-                extra += self.recovery.recover(
-                    fault, view, round_index, server, count
+                _emit(view, "fault", round_index, kind=fault.kind,
+                      server=server, in_transit=count, delay=fault.delay)
+                extra += self._recover(view, round_index, fault, count)
+        for server, count in enumerate(counts):
+            if count:
+                self._state_items[server] = self._state_items.get(server, 0) + count
+        _emit(view, "checkpoint", round_index,
+              state_items=sum(self._state_items.values()))
+        return extra
+
+    def _recover(self, view: Any, round_index: int, fault: Fault, count: int) -> int:
+        """Repair one fired fault (``count`` items were due at its server);
+        returns the extra rounds it consumed.
+
+        A straggler stalls the synchronous round by its delay.  A duplicate
+        copy is discarded by sequence-number dedup: extra received items,
+        no extra round.  Dropped messages are retransmitted from the
+        senders' kept outboxes in the next round.  A crashed server is
+        replaced by a spare that restores the last checkpoint while the
+        senders replay the round: one extra round, restore + replay items.
+        """
+        server = fault.server
+        if fault.kind == "straggler":
+            items, extra = 0, fault.delay
+        else:
+            items, extra = count, int(fault.kind != "duplicate")
+        if fault.kind == "crash":
+            if self.spares_left < 1:
+                raise UnrecoverableFaultError(
+                    f"server {server} crashed at round {round_index} with no "
+                    f"spare server left",
+                    kind=fault.kind, round_index=round_index, server=server,
                 )
-        self.recovery.checkpoint_round(view, round_index, counts)
-        return round_index + 1 + extra
-
-    def _emit_fault(self, view: Any, round_index: int, fault: Fault,
-                    count: int) -> None:
-        tracer = view.tracker.tracer
-        if tracer is None or not tracer.active:
-            return
-        tracer.emit(
-            "fault",
-            round_index,
-            view.servers,
-            (),
-            view.tracker.phase_path(),
-            detail={
-                "kind": fault.kind,
-                "server": fault.server,
-                "in_transit": count,
-                "delay": fault.delay,
-            },
-        )
+            self.spares_left -= 1
+            items += self._state_items.get(server, 0)
+        view.tracker.record_recovery_receive(round_index + extra, server, items)
+        view.tracker.add_recovery_rounds(extra)
+        _emit(view, "recovery", round_index, kind=fault.kind, server=server,
+              items=items, extra_rounds=extra)
+        return extra
 
 
-def as_injector(faults: Any) -> "FaultInjector":
-    """Coerce a schedule or injector into a fresh-enough injector.
+def _emit(view: Any, op: str, round_index: int, **detail: Any) -> None:
+    """One fault-model trace event (no received counts) when a tracer listens."""
+    tracer = view.tracker.tracer
+    if tracer is not None and tracer.active:
+        tracer.emit(op, round_index, view.servers, (), view.tracker.phase_path(),
+                    detail=detail)
 
-    ``MPCCluster`` accepts either; passing a :class:`FaultSchedule` gets a
-    fresh injector with the default policy (the common case), while a
-    pre-built :class:`FaultInjector` carries a custom policy.
-    """
+
+def as_injector(faults: Any) -> FaultInjector:
+    """A schedule wrapped in a fresh default injector, or a pre-built
+    injector (which carries its own ``spares``) as is."""
     if isinstance(faults, FaultInjector):
         return faults
     if isinstance(faults, FaultSchedule):

@@ -131,9 +131,9 @@ def test_heavy_aggregation_cell_identical_across_backends():
     assert _heavy_aggregation_run("columnar") == reference
 
 
-def test_heavy_aggregation_cell_under_faults_runs_the_item_path():
-    """With a fault schedule the one gate sends a columnar cluster down the
-    item path: no kernel runs, and the faulted run equals pytuple's."""
+def test_heavy_aggregation_cell_under_faults_runs_the_array_path():
+    """A fault schedule does not choose the path: a faulted columnar run
+    executes its kernels, and still equals the faulted pytuple run."""
     from repro.mpc import Fault, FaultSchedule
     from repro.obs import Profiler
 
@@ -145,7 +145,7 @@ def test_heavy_aggregation_cell_under_faults_runs_the_item_path():
         "columnar", fault_schedule=schedule, profiler=profiler
     )
     assert faulted[1]["recovery_rounds"] > 0
-    assert not [node.label for node, _ in profiler.root.walk() if node.kind == "kernel"]
+    assert [node.label for node, _ in profiler.root.walk() if node.kind == "kernel"]
     assert faulted == _heavy_aggregation_run("pytuple", fault_schedule=schedule)
 
 

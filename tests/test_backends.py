@@ -22,11 +22,18 @@ from repro.backends.dispatch import (
 from repro.config import ExecutionConfig
 from repro.core.executor import applicable_algorithms, run_query
 from repro.errors import ConfigError
-from repro.mpc import FaultInjector, FaultSchedule, MPCCluster, RecoveryPolicy
+from repro.mpc import FaultInjector, FaultSchedule, MPCCluster
+from repro.mpc.cluster import ClusterView
 from repro.mpc.hashing import hash_to_bucket, hash_to_unit, stable_hash
 from repro.obs import RingBufferSink, Tracer
 from repro.semiring import COUNTING, REAL, TROPICAL_MIN_PLUS
-from repro.workloads import planted_out_matmul
+from repro.workloads import (
+    planted_out_line,
+    planted_out_matmul,
+    planted_out_star,
+    starlike_instance,
+    twig_instance,
+)
 from tests.conftest import (
     GENERAL_TREE_QUERY,
     LINE3_QUERY,
@@ -295,32 +302,57 @@ def test_real_semiring_runs_identically_via_fallback():
     assert ref_events == vec_events
 
 
-def test_backend_invariant_under_recoverable_faults():
-    # Fault injection forces the tuple kernels (columnar_enabled is False with
-    # an injector attached), so a columnar-configured faulted run must equal
-    # the pytuple faulted run *exactly* — recovery metering included.
-    instance = planted_out_matmul(n=60, out=240)
-    clean_cluster = MPCCluster(4)
-    clean = run_query(
-        instance, ExecutionConfig(algorithm="matmul"), cluster=clean_cluster
-    )
-    cells = sorted(
-        (r, s)
-        for r, row in clean_cluster.tracker.load_cells().items()
-        for s, count in row.items() if count > 0
-    )
-    schedule = FaultSchedule.random(seed=3, cells=cells, count=4)
+#: One small instance per query family, for the faulted-run comparison.
+FAULTED_FAMILIES = {
+    "matmul": lambda: planted_out_matmul(n=60, out=240),
+    "line": lambda: planted_out_line(length=3, n=40, out=200),
+    "star": lambda: planted_out_star(arms=3, n=30, out=400),
+    "star-like": lambda: starlike_instance((2, 1, 1), tuples=60, domain=10, seed=5),
+    "twig": lambda: twig_instance(tuples=50, domain=10, seed=2020),
+}
 
-    def faulted_run(backend):
-        injector = FaultInjector(schedule, RecoveryPolicy(spares=4))
-        return _run(instance, "matmul", backend, faults=injector)
 
-    reference, ref_events = faulted_run("pytuple")
-    vectorized, vec_events = faulted_run("columnar")
-    assert _exact_tuples(reference.relation) == _exact_tuples(vectorized.relation)
-    assert reference.report.to_dict() == vectorized.report.to_dict()
-    assert ref_events == vec_events
-    assert reference.relation.tuples == clean.relation.tuples
+def test_backend_invariant_under_recoverable_faults(monkeypatch):
+    # Faults read only the per-server counts every delivery charges, so a
+    # faulted columnar run executes the array engine — batch exchanges
+    # included — and must still equal the faulted pytuple run *exactly*,
+    # recovery metering and trace events included.
+    batch_exchanges = []
+    original = ClusterView.exchange_batches
+
+    def counting(self, *args, **kwargs):
+        batch_exchanges.append(self.cluster.faults is not None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterView, "exchange_batches", counting)
+    fired = 0
+    for family, factory in FAULTED_FAMILIES.items():
+        instance = factory()
+        clean_cluster = MPCCluster(4)
+        clean = run_query(instance, ExecutionConfig(), cluster=clean_cluster)
+        cells = sorted(
+            (r, s)
+            for r, row in clean_cluster.tracker.load_cells().items()
+            for s, count in row.items() if count > 0
+        )
+        schedule = FaultSchedule.random(seed=3, cells=cells, count=4)
+
+        def faulted_run(backend):
+            injector = FaultInjector(schedule, spares=4)
+            return _run(instance, "auto", backend, faults=injector) + (injector,)
+
+        reference, ref_events, _ = faulted_run("pytuple")
+        del batch_exchanges[:]
+        vectorized, vec_events, injector = faulted_run("columnar")
+        assert any(batch_exchanges), family  # the array engine really ran
+        fired += len(injector.fired)
+        assert _exact_tuples(reference.relation) == _exact_tuples(
+            vectorized.relation
+        ), family
+        assert reference.report.to_dict() == vectorized.report.to_dict(), family
+        assert ref_events == vec_events, family
+        assert reference.relation.tuples == clean.relation.tuples, family
+    assert fired > 0
 
 
 def test_executor_resolves_auto_backend_by_size():

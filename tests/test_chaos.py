@@ -104,35 +104,40 @@ def test_chaos_respects_config_knobs():
 def test_planted_recovery_bug_caught_shrunk_and_replayable(tmp_path):
     """A drop whose retransmission silently never arrives is invisible to
     the fault-free tiers but must be caught by a short chaos campaign,
-    shrunk, and serialized into a replayable corpus entry."""
-    corpus = str(tmp_path / "corpus")
-    config = FuzzConfig(
-        iterations=12,
-        seed=11,
-        invariants=("chaos",),
-        corpus=corpus,
-        fail_fast=True,
-        chaos_schedules=2,
-        chaos_faults=3,
-    )
-    with planted_drop_blackhole():
-        summary = fuzz(config)
-    assert not summary.ok, "planted recovery bug escaped a 12-iteration budget"
-    failure = summary.failures[0]
-    assert failure.invariant == "chaos"
-    assert failure.shrunk_tuples <= failure.original_tuples
+    shrunk, and serialized into a replayable corpus entry — on the item
+    exchange and on the batch exchange alike."""
+    for backend in ("pytuple", "columnar"):
+        corpus = str(tmp_path / backend)
+        config = FuzzConfig(
+            iterations=12,
+            seed=11,
+            invariants=("chaos",),
+            corpus=corpus,
+            fail_fast=True,
+            chaos_schedules=2,
+            chaos_faults=3,
+            backend=backend,
+        )
+        with planted_drop_blackhole():
+            summary = fuzz(config)
+        assert not summary.ok, (
+            f"planted recovery bug escaped a 12-iteration budget on {backend}"
+        )
+        failure = summary.failures[0]
+        assert failure.invariant == "chaos"
+        assert failure.shrunk_tuples <= failure.original_tuples
 
-    entries = corpus_files(corpus)
-    assert failure.corpus_file in entries
-    case, meta = load_case(failure.corpus_file)
-    assert skeleton_size(case) == failure.shrunk_tuples
+        entries = corpus_files(corpus)
+        assert failure.corpus_file in entries
+        case, meta = load_case(failure.corpus_file)
+        assert skeleton_size(case) == failure.shrunk_tuples
 
-    # Red while the blackhole is planted...
-    with planted_drop_blackhole():
-        with pytest.raises(Exception):
-            replay_case(case, meta)
-    # ...green once reverted.
-    replay_case(case, meta)
+        # Red while the blackhole is planted...
+        with planted_drop_blackhole():
+            with pytest.raises(Exception):
+                replay_case(case, meta)
+        # ...green once reverted.
+        replay_case(case, meta)
 
 
 def test_committed_chaos_corpus_entry_exists():

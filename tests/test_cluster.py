@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import ExecutionConfig
+from repro.errors import ConfigError
 from repro.mpc import MPCCluster, RoutingError
 from repro.mpc.stats import LoadTracker
 
@@ -91,7 +92,7 @@ def test_single_server_cluster_works():
 
 
 def test_cluster_requires_servers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MPCCluster(0)
 
 

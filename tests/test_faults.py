@@ -1,28 +1,29 @@
-"""Fault injection & recovery (src/repro/mpc/faults.py, recovery.py).
+"""Fault injection & recovery (src/repro/mpc/faults.py).
 
 Unit-level checks of the fault model: schedule serialization and seeding,
 per-kind recovery semantics and their exact charges under the ``recovery``
-tag, unrecoverable schedules failing loudly naming the round, and the
-zero-overhead guarantee — a cluster without faults takes the ``None`` fast
-path and its reports serialize without any recovery fields.
+tag — through the item and the batch exchange alike, with identical
+reports and traces — unrecoverable schedules failing loudly naming the
+round, and the zero-overhead guarantee: a cluster without faults takes the
+``None`` fast path and its reports serialize without any recovery fields.
 """
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.backends.batch import ColumnarBatch
 from repro.config import ExecutionConfig
 from repro.core.executor import run_query
+from repro.errors import ConfigError
 from repro.mpc import (
     FAULT_KINDS,
-    CheckpointStore,
     Fault,
     FaultError,
     FaultInjector,
     FaultSchedule,
     MPCCluster,
-    RecoveryManager,
-    RecoveryPolicy,
     UnrecoverableFaultError,
 )
 from repro.mpc.faults import as_injector
@@ -35,11 +36,11 @@ from repro.workloads import planted_out_matmul
 
 
 def test_fault_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Fault("meteor", 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Fault("crash", -1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # ConfigError keeps its ValueError base
         Fault("straggler", 0, 0)  # needs delay >= 1
     Fault("straggler", 0, 0, delay=2)
 
@@ -81,7 +82,7 @@ def test_random_schedule_degenerate_inputs():
 
 def test_as_injector_coercion():
     schedule = FaultSchedule([Fault("drop", 0, 0)])
-    injector = FaultInjector(schedule, RecoveryPolicy(spares=5))
+    injector = FaultInjector(schedule, spares=5)
     assert as_injector(injector) is injector
     assert as_injector(schedule).schedule is schedule
     with pytest.raises(TypeError):
@@ -91,21 +92,48 @@ def test_as_injector_coercion():
 # -------------------------------------------------------- per-kind recovery
 
 
-def _faulted_exchange(fault, policy=None, p=3, items=(2, 1, 0)):
-    """One exchange delivering ``items[i]`` to server i under ``fault``."""
-    injector = FaultInjector(FaultSchedule([fault]), policy)
-    cluster = MPCCluster(p, faults=injector)
+PATHS = ("exchange", "exchange_batches")
+
+
+def _deliveries(fault, path, spares=2, p=3, rounds=((2, 1, 0),)):
+    """Exchanges from server 0 under ``fault``, the ``i``-th delivering
+    ``rounds[i][d]`` items to server ``d``, through ``path``.
+
+    Returns the cluster, its injector, the last round's inbox sizes and
+    the trace."""
+    ring = RingBufferSink()
+    injector = FaultInjector(FaultSchedule([fault]), spares=spares)
+    backend = "columnar" if path == "exchange_batches" else "pytuple"
+    cluster = MPCCluster(p, tracer=Tracer([ring]), faults=injector, backend=backend)
     view = cluster.view()
-    outbox = [(dest, f"m{dest}{k}") for dest, n in enumerate(items)
-              for k in range(n)]
-    inboxes = view.exchange([outbox] + [[] for _ in range(p - 1)])
-    return cluster, view, injector, inboxes
+    for counts in rounds:
+        dests = [dest for dest, n in enumerate(counts) for _ in range(n)]
+        if path == "exchange":
+            outbox = [(dest, f"m{dest}{k}") for k, dest in enumerate(dests)]
+            sizes = [len(box) for box in view.exchange([outbox] + [[]] * (p - 1))]
+        else:
+            batch = ColumnarBatch((np.arange(len(dests), dtype=np.int64),), None,
+                                  len(dests))
+            _, cuts = view.exchange_batches(np.array(dests, dtype=np.int64), batch)
+            sizes = [high - low for low, high in zip(cuts, cuts[1:])]
+    return cluster, injector, sizes, ring.events
+
+
+def _faulted_exchange(fault, **kwargs):
+    """:func:`_deliveries` through both paths, which must agree on every
+    report, cursor, firing log, inbox size and trace event."""
+    item, batch = (_deliveries(fault, path, **kwargs) for path in PATHS)
+    assert item[0].report() == batch[0].report()
+    assert item[0].view().round == batch[0].view().round
+    assert item[1].fired == batch[1].fired
+    assert item[2:] == batch[2:]
+    return item
 
 
 def test_drop_retransmits_next_round():
-    cluster, view, injector, inboxes = _faulted_exchange(Fault("drop", 0, 0))
-    assert [len(box) for box in inboxes] == [2, 1, 0]  # delivery restored
-    assert view.round == 2  # base round + 1 retransmission round
+    cluster, injector, sizes, _ = _faulted_exchange(Fault("drop", 0, 0))
+    assert sizes == [2, 1, 0]  # delivery restored
+    assert cluster.view().round == 2  # base round + 1 retransmission round
     report = cluster.report()
     assert report.recovery_communication == 2  # the retransmitted items
     assert report.recovery_rounds == 1
@@ -113,138 +141,100 @@ def test_drop_retransmits_next_round():
 
 
 def test_duplicate_charges_items_but_no_round():
-    cluster, view, injector, _ = _faulted_exchange(Fault("duplicate", 0, 1))
-    assert view.round == 1
+    cluster, injector, _, _ = _faulted_exchange(Fault("duplicate", 0, 1))
+    assert cluster.view().round == 1
     report = cluster.report()
     assert report.recovery_communication == 1  # the discarded copy
     assert report.recovery_rounds == 0
 
 
 def test_straggler_stalls_by_its_delay():
-    cluster, view, injector, _ = _faulted_exchange(
+    cluster, injector, _, _ = _faulted_exchange(
         Fault("straggler", 0, 2, delay=3)
     )
-    assert view.round == 4  # 1 base + 3 stalled
+    assert cluster.view().round == 4  # 1 base + 3 stalled
     report = cluster.report()
     assert report.recovery_rounds == 3
     assert report.recovery_communication == 0
 
 
 def test_crash_restores_checkpoint_and_replays():
-    injector = FaultInjector(
-        FaultSchedule([Fault("crash", 1, 0)]), RecoveryPolicy(spares=1)
+    # Round 0 builds state (2 items at server 0); the crash fires in round 1.
+    cluster, injector, _, _ = _faulted_exchange(
+        Fault("crash", 1, 0), spares=1, p=2, rounds=((2, 1), (1, 0))
     )
-    cluster = MPCCluster(2, faults=injector)
-    view = cluster.view()
-    view.exchange([[(0, "a"), (0, "b"), (1, "c")], []])  # round 0: state builds
-    view.exchange([[(0, "d")], []])  # round 1: crash fires here
     report = cluster.report()
     # Restore = 2 checkpointed items, replay = 1 in-transit item.
     assert report.recovery_communication == 3
     assert report.recovery_rounds == 1
-    assert injector.recovery.spares_left == 0
-    assert view.round == 3
+    assert injector.spares_left == 0
+    assert cluster.view().round == 3
 
 
 def test_moot_faults_never_fire():
     # Drop/duplicate against a server receiving nothing, and any fault at
     # coordinates where no delivery happens, are silent no-ops.
-    cluster, view, injector, _ = _faulted_exchange(Fault("drop", 0, 2))
+    cluster, injector, _, _ = _faulted_exchange(Fault("drop", 0, 2))
     assert injector.fired == []
-    assert view.round == 1
+    assert cluster.view().round == 1
     assert cluster.report().recovery_communication == 0
 
-    injector = FaultInjector(FaultSchedule([Fault("crash", 9, 0)]))
-    cluster = MPCCluster(2, faults=injector)
-    cluster.view().exchange([[(0, "x")], []])
+    _, injector, _, _ = _faulted_exchange(Fault("crash", 9, 0), p=2, rounds=((1, 0),))
     assert injector.fired == []
 
 
 def test_faults_fire_on_broadcast_and_each_fires_once():
-    injector = FaultInjector(FaultSchedule([Fault("duplicate", 0, 1)]))
-    cluster = MPCCluster(3, faults=injector)
-    view = cluster.view()
-    view.broadcast([["x", "y"], [], []])
-    view.broadcast([["z"], [], []])  # same coordinates never re-fire
-    assert injector.fired == [Fault("duplicate", 0, 1)]
-    assert cluster.report().recovery_communication == 2
+    reports = []
+    for backend in ("pytuple", "columnar"):
+        injector = FaultInjector(FaultSchedule([Fault("duplicate", 0, 1)]))
+        cluster = MPCCluster(3, faults=injector, backend=backend)
+        view = cluster.view()
+        for size in (2, 1):  # same coordinates never re-fire
+            if backend == "pytuple":
+                view.broadcast([["x"] * size, [], []])
+            else:
+                view.broadcast_batches(
+                    [ColumnarBatch((np.arange(size, dtype=np.int64),), None, size)]
+                )
+        assert injector.fired == [Fault("duplicate", 0, 1)]
+        assert cluster.report().recovery_communication == 2
+        reports.append(cluster.report())
+    assert reports[0] == reports[1]
 
 
 # ------------------------------------------------------ unrecoverable cases
 
 
 def test_crash_without_spares_names_the_round():
-    with pytest.raises(UnrecoverableFaultError) as info:
-        _faulted_exchange(Fault("crash", 0, 0), RecoveryPolicy(spares=0))
-    error = info.value
-    assert error.kind == "crash" and error.round == 0 and error.server == 0
-    assert "round 0" in str(error)
-    assert isinstance(error, FaultError)
-
-
-def test_crash_without_checkpointing_is_unrecoverable():
-    with pytest.raises(UnrecoverableFaultError) as info:
-        _faulted_exchange(
-            Fault("crash", 0, 0), RecoveryPolicy(checkpoint=False)
-        )
-    assert "checkpoint" in str(info.value)
-
-
-def test_drop_without_retries_is_unrecoverable():
-    with pytest.raises(UnrecoverableFaultError) as info:
-        _faulted_exchange(Fault("drop", 0, 0), RecoveryPolicy(max_retries=0))
-    assert info.value.round == 0 and "round 0" in str(info.value)
-
-
-def test_unknown_kind_rejected_by_recovery():
-    manager = RecoveryManager(RecoveryPolicy())
-
-    class Bogus:
-        kind = "meteor"
-        delay = 0
-
-    cluster = MPCCluster(1)
-    with pytest.raises(ValueError):
-        manager.recover(Bogus(), cluster.view(), 0, 0, 1)
-
-
-# --------------------------------------------------------------- checkpoints
-
-
-def test_checkpoint_store_accumulates_state():
-    store = CheckpointStore()
-    assert store.last_round == -1 and store.state_size(0) == 0
-    store.extend(0, 3)
-    store.extend(0, 2)
-    store.extend(1, 0)  # zero deliveries do not allocate
-    store.mark_round(4)
-    assert store.state_size(0) == 5 and store.state_size(1) == 0
-    assert store.last_round == 4 and store.total_items == 5
+    for path in PATHS:
+        with pytest.raises(UnrecoverableFaultError) as info:
+            _deliveries(Fault("crash", 0, 0), path, spares=0)
+        error = info.value
+        assert error.kind == "crash" and error.round == 0 and error.server == 0
+        assert "round 0" in str(error)
+        assert isinstance(error, FaultError)
 
 
 # -------------------------------------------------- observability of faults
 
 
 def test_fault_events_are_emitted_and_tagged():
-    ring = RingBufferSink()
-    injector = FaultInjector(FaultSchedule([Fault("drop", 0, 0)]))
-    cluster = MPCCluster(2, tracer=Tracer([ring]), faults=injector)
-    cluster.view().exchange([[(0, "a")], []])
-    ops = [event.op for event in ring.events]
+    *_, events = _faulted_exchange(Fault("drop", 0, 0), p=2, rounds=((1, 0),))
+    ops = [event.op for event in events]
     assert ops == ["exchange", "fault", "recovery", "checkpoint"]
-    fault_event = ring.events[1]
+    fault_event = events[1]
     assert fault_event.detail == {
         "kind": "drop", "server": 0, "in_transit": 1, "delay": 0,
     }
-    recovery_event = ring.events[2]
+    recovery_event = events[2]
     assert recovery_event.detail["items"] == 1
     assert recovery_event.detail["extra_rounds"] == 1
-    assert ring.events[3].detail == {"state_items": 1}
+    assert events[3].detail == {"state_items": 1}
     # Fault-model ops are disjoint from the load-bearing ops and carry no
     # received counts, so trace aggregation never double-counts them.
     assert FAULT_OPS == {"fault", "recovery", "checkpoint"}
     assert not (FAULT_OPS & LOAD_OPS)
-    assert all(ring.events[i].received == () for i in (1, 2, 3))
+    assert all(events[i].received == () for i in (1, 2, 3))
 
 
 # -------------------------------------------- zero-overhead / base metering
@@ -286,7 +276,7 @@ def test_base_meters_unchanged_under_recoverable_faults():
     )
     schedule = FaultSchedule.random(seed=3, cells=cells, count=4)
     assert len(schedule) == 4
-    injector = FaultInjector(schedule, RecoveryPolicy(spares=4))
+    injector = FaultInjector(schedule, spares=4)
     faulted = run_query(
         instance,
         ExecutionConfig(algorithm="matmul"),
@@ -306,3 +296,19 @@ def test_recovery_meters_reject_negative_charges():
     cluster = MPCCluster(2)
     with pytest.raises(ValueError):
         cluster.tracker.record_recovery_receive(0, 0, -1)
+
+
+def test_reused_config_gives_every_run_a_fresh_injector():
+    # A config is reusable: each cluster it builds wraps the schedule in a
+    # fresh injector, so firing state and spares never leak between runs.
+    schedule = FaultSchedule([Fault("crash", 1, 0), Fault("drop", 2, 1)])
+    config = ExecutionConfig(p=4, fault_schedule=schedule)
+    instance = planted_out_matmul(n=40, out=80)
+    reports = [run_query(instance, config).report for _ in range(3)]
+    assert reports[0].recovery_rounds == 1
+    assert reports[1:] == reports[:-1]
+    # An injector is per-run state: the config refuses one.
+    with pytest.raises(ConfigError):
+        ExecutionConfig(fault_schedule=FaultInjector(schedule))
+    with pytest.raises(ConfigError):
+        ExecutionConfig(fault_schedule=[Fault("drop", 0, 0)])

@@ -370,10 +370,10 @@ def test_tracker_phase_path():
 
 
 def _faulted_trace(path, instance, schedule):
-    from repro.mpc import FaultInjector, MPCCluster, RecoveryPolicy
+    from repro.mpc import FaultInjector, MPCCluster
 
     with Tracer([JsonlSink(str(path))]) as tracer:
-        injector = FaultInjector(schedule, RecoveryPolicy(spares=len(schedule)))
+        injector = FaultInjector(schedule, spares=len(schedule))
         cluster = MPCCluster(4, tracer=tracer, faults=injector)
         result = run_query(
             instance, ExecutionConfig(algorithm="matmul"), cluster=cluster

@@ -14,8 +14,8 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core.executor import run_query
-from repro.errors import ApplicabilityError, RoutingError
-from repro.mpc import FaultInjector, FaultSchedule, MPCCluster, RecoveryPolicy
+from repro.errors import ApplicabilityError, RoutingError, UnrecoverableFaultError
+from repro.mpc import Fault, FaultInjector, FaultSchedule, MPCCluster
 from repro.obs import (
     MetricsRegistry,
     MetricsSink,
@@ -232,7 +232,7 @@ def test_profiled_run_is_bit_identical_under_faults():
     schedule = FaultSchedule.random(seed=3, cells=cells, count=4)
 
     def faulted_run(profiler):
-        injector = FaultInjector(schedule, RecoveryPolicy(spares=4))
+        injector = FaultInjector(schedule, spares=4)
         cluster = MPCCluster(4, faults=injector, profiler=profiler)
         return run_query(instance, ExecutionConfig(algorithm="matmul"), cluster=cluster)
 
@@ -369,18 +369,16 @@ def _routing_error_batches_mismatch(profiler):
     view.exchange_batches(dests, batch)
 
 
-def _faulted_view(profiler):
-    schedule = FaultSchedule.random(seed=0, cells=[(0, 0)], count=1)
-    return MPCCluster(2, faults=schedule, backend="columnar",
+def _unrecoverable_fault_batches(profiler):
+    from repro.backends.batch import ColumnarBatch
+    from repro.backends.dispatch import np
+
+    # A crash with no spare fires inside the batch exchange's span.
+    injector = FaultInjector(FaultSchedule([Fault("crash", 0, 1)]), spares=0)
+    view = MPCCluster(2, faults=injector, backend="columnar",
                       profiler=profiler).view()
-
-
-def _routing_error_batches_faulted(profiler):
-    _faulted_view(profiler).exchange_batches(None, None)
-
-
-def _routing_error_broadcast_batches_faulted(profiler):
-    _faulted_view(profiler).broadcast_batches([None, None])
+    batch = ColumnarBatch((np.arange(3, dtype=np.int64),), None, 3)
+    view.exchange_batches(np.array([0, 1, 1], dtype=np.int64), batch)
 
 
 def _applicability_error_dispatch(profiler):
@@ -392,8 +390,7 @@ def _applicability_error_dispatch(profiler):
 @pytest.mark.parametrize("failing, error", [
     (_routing_error_exchange, RoutingError),
     (_routing_error_batches_mismatch, RoutingError),
-    (_routing_error_batches_faulted, RoutingError),
-    (_routing_error_broadcast_batches_faulted, RoutingError),
+    (_unrecoverable_fault_batches, UnrecoverableFaultError),
     (_applicability_error_dispatch, ApplicabilityError),
 ])
 def test_errors_leave_spans_balanced_and_activation_restored(failing, error):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.backends import kernels
 from repro.backends.columnar import ValueCodec
 from repro.data import DistRelation, Relation
-from repro.mpc import Distributed, MPCCluster
+from repro.mpc import Distributed, Fault, FaultSchedule, MPCCluster
 from repro.obs import RingBufferSink, Tracer, event_to_dict
 from repro.primitives import (
     KMV,
@@ -256,7 +256,14 @@ def test_ranked_keys_take_the_array_path(query_keys, reference_keys):
 
 
 def test_item_path_is_what_pytuple_and_faulted_views_run():
-    for cluster in (MPCCluster(3), MPCCluster(3, backend="pytuple")):
+    """A pytuple view runs the item path, faulted or not: faults never
+    choose the path (a faulted columnar view searches as arrays)."""
+    faults = FaultSchedule([Fault("drop", 0, 0)])
+    columnar = Distributed.from_items(
+        MPCCluster(3, faults=faults, backend="columnar").view(), [1, 2, 3]
+    )
+    assert multi_search_rows(columnar, columnar, lambda k: k, lambda k: k) is not None
+    for cluster in (MPCCluster(3, faults=faults), MPCCluster(3, backend="pytuple")):
         view = cluster.view()
         dist = Distributed.from_items(view, [1, 2, 3])
         assert multi_search_rows(dist, dist, lambda k: k, lambda k: k) is None
