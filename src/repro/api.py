@@ -183,7 +183,9 @@ def explain(
     config = config or ExecutionConfig()
     view = None
     if stats_mode == "in-model":
-        view = admit_instance(config.make_cluster(instance.total_size), instance).view()
+        view = admit_instance(
+            config.make_cluster(instance.total_size), instance.relations.values()
+        ).view()
     return plan_query(
         instance,
         p=config.p,

@@ -17,9 +17,10 @@ round delivers the same rows in the same order to the same destinations,
 so the metered load ``L``, the :class:`~repro.mpc.stats.CostReport`, and
 the JSONL trace are bit-identical across backends — the columnar kernels
 are constructed to reproduce the tuple kernels' *first-occurrence* output
-order exactly (see docs/performance.md).  Semiring profiles without a
-numeric dtype (provenance, opaque, ad-hoc semirings) and fault-injection
-runs fall back to ``pytuple`` automatically.
+order exactly (see docs/performance.md).  Every semiring's annotations
+get a column — typed where the values fit a profile's dtype exactly, else
+an ``object`` array folded by the semiring's own ⊕/⊗ — so no annotation
+and no fault schedule sends a run back to ``pytuple``.
 """
 
 from .dispatch import BACKENDS, columnar_enabled, resolve_backend

@@ -3,7 +3,7 @@
 A :class:`ColumnarBatch` is the wire form of one server's slice of a
 dataset under the ``"columnar"`` backend: parallel int64 code columns (one
 per tuple position, codes from the cluster's shared
-:class:`~.columnar.ValueCodec`) plus an optional typed annotation array.
+:class:`~.columnar.ValueCodec`) plus an optional annotation column.
 :meth:`~repro.mpc.cluster.ClusterView.exchange_batches` splits batches by a
 destination array and concatenates the fragments — never touching a Python
 object per row — while the logical tuple counts (and therefore the load
@@ -31,9 +31,9 @@ __all__ = ["ColumnarBatch"]
 class ColumnarBatch:
     """One server's rows as parallel arrays.
 
-    ``columns`` are int64 codec codes; ``annotations`` is a profile-typed
-    array, or ``None`` for code-only payloads (distinct keys).  ``kind``
-    selects the decode layout (``"items"`` or ``"pairs"``).
+    ``columns`` are int64 codec codes; ``annotations`` is a typed or
+    ``object`` column, or ``None`` for code-only payloads (distinct keys).
+    ``kind`` selects the decode layout (``"items"`` or ``"pairs"``).
     """
 
     __slots__ = ("columns", "annotations", "size", "kind")

@@ -1,4 +1,4 @@
-"""Columnar value coding and the numeric semiring profiles.
+"""Columnar value coding and the annotation profiles.
 
 The columnar backend re-represents tuple batches as arrays, within a
 server and (as :class:`~repro.backends.batch.ColumnarBatch`) on the wire:
@@ -6,19 +6,17 @@ server and (as :class:`~repro.backends.batch.ColumnarBatch`) on the wire:
 * a :class:`ValueCodec` (one per cluster) interns every attribute/key value
   into a dense ``int64`` code, and memoizes the per-salt ``stable_hash`` of
   each interned value so repartitioning reuses hashes across rounds;
-* an :class:`AnnotationProfile` maps a semiring with numeric ⊕/⊗ onto a
-  dtype plus ufuncs (counting → int64 +/×, boolean → bool ∨/∧, the
-  tropical/max family → float64 or int64 min-max/+/×).  ``profile_of``
-  recognizes the standard semirings **by identity**, so a user-built
-  semiring — whose ⊕/⊗ could be anything — never silently vectorizes.
+* an :class:`AnnotationProfile` says how a semiring's annotations sit in a
+  column.  The standard semirings map onto a dtype plus ufuncs (counting →
+  int64 +/×, boolean → bool ∨/∧, the tropical/max family → float64 or
+  int64 min-max/+/×), recognized **by identity**; every other semiring —
+  whose ⊕/⊗ could be anything — gets :data:`OBJECT_PROFILE`.
 
-Exactness contract: every profile's operations are bit-exact against the
-scalar semiring.  Integer annotations stay in int64 ranges where +, × and
-segment sums cannot overflow (``encodable`` rejects larger values, which
-falls the call back to the tuple kernels); float operations are the same
-IEEE754 double operations CPython performs.  ⊕-reductions are only ever
-vectorized for order-insensitive ⊕ (ints, min, max, or) — the float ``+``
-of the REAL semiring is order-sensitive and has no profile on purpose.
+Exactness contract: :func:`encode_annotations` gives a typed column only
+when every value fits the profile's dtype exactly (ints in ranges where
++, × and segment sums cannot overflow, floats without NaN, one Python type
+per column), on which the typed ⊕ is order-insensitive; otherwise an
+``object`` column, folded by the caller's own ⊕ in arrival order.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .dispatch import np
 __all__ = [
     "AnnotationProfile",
     "FLOAT_MAX_PROFILE",
+    "OBJECT_PROFILE",
     "ValueCodec",
     "encode_annotations",
     "interns_exactly",
@@ -216,38 +215,26 @@ def _grown(size: int, tables: Tuple[Any, ...]) -> Tuple[Any, ...]:
 
 @dataclass(frozen=True)
 class AnnotationProfile:
-    """A semiring whose annotations vectorize: dtype + ⊕ ufunc + ⊗ kernel.
-
-    ``add_ufunc`` must be order-insensitive on the profile's dtypes (sum of
-    bounded ints, min, max, or) so segment reduction may reassociate;
-    ``mul(a, b)`` is elementwise ⊗; ``encodable`` is the per-value guard
-    deciding whether one annotation fits the dtype exactly.
-    """
+    """How a semiring's annotations sit in a column: a typed profile names
+    the ufuncs computing its ⊕ (order-insensitive, so segment reduction may
+    reassociate) and ⊗ exactly on its dtypes; :data:`OBJECT_PROFILE` types
+    nothing."""
 
     name: str
-    add_name: str  # "add" | "or" | "min" | "max"
-    mul_name: str  # "mul" | "and" | "add" | "min"
-    kind: str  # "int" | "bool" | "number"
+    add_name: Optional[str]  # "add" | "or" | "min" | "max"
+    mul_name: Optional[str]  # "mul" | "and" | "add" | "min"
+    kind: str  # "int" | "bool" | "number" | "object"
 
-    @property
-    def add_ufunc(self):
+    def adder(self, column: Any, add: Any) -> Any:
+        """The ⊕ ufunc folding ``column``: the profile's own on a typed
+        column, the caller's scalar ``add`` on an object column."""
+        if column.dtype == object:
+            return np.frompyfunc(add, 2, 1)
         return _UFUNCS[self.add_name]
 
     def mul(self, a, b):
+        """Elementwise ⊗ of two typed columns."""
         return _UFUNCS[self.mul_name](a, b)
-
-    def encodable(self, value: Any, int_limit: int = _INT_LIMIT) -> bool:
-        if self.kind == "bool":
-            return isinstance(value, bool)
-        if self.kind == "int":
-            return type(value) is int and -int_limit < value < int_limit
-        # "number": int (exactly representable) or any non-NaN float (NaN
-        # makes min/max order-sensitive, so it may never vectorize).
-        if isinstance(value, bool):
-            return False
-        if isinstance(value, float):
-            return value == value
-        return type(value) is int and -_FLOAT_EXACT < value < _FLOAT_EXACT
 
 
 #: exact annotation type -> the dtype :func:`encode_annotations` gives it.
@@ -273,60 +260,68 @@ _PROFILE_BY_SEMIRING: Dict[int, AnnotationProfile] = {
     )
 }
 
+#: The profile of every other semiring, and of reductions whose values are
+#: not annotations at all: every column an object array.
+OBJECT_PROFILE = AnnotationProfile("object", None, None, "object")
 
 #: Profile for plain numeric max-folds outside any semiring (KMV estimate
 #: tables); ⊕ = max is order-insensitive and exact on int64/float64.
 FLOAT_MAX_PROFILE = AnnotationProfile("float-max", "max", "min", "number")
 
 
-def profile_of(semiring: Semiring) -> Optional[AnnotationProfile]:
-    """The vectorization profile of ``semiring``, or None.
+def profile_of(semiring: Semiring) -> AnnotationProfile:
+    """The column profile of ``semiring``.
 
     Recognition is by object identity against the standard singletons:
     structurally similar user semirings may carry arbitrary ⊕/⊗ callables,
-    and REAL's float ⊕ is order-sensitive — both must stay on the tuple
-    kernels.
+    and REAL's float ⊕ is order-sensitive — both get
+    :data:`OBJECT_PROFILE` and fold by their own ⊕.
     """
-    return _PROFILE_BY_SEMIRING.get(id(semiring))
+    return _PROFILE_BY_SEMIRING.get(id(semiring), OBJECT_PROFILE)
 
 
-def encode_annotations(
-    annotations: Any,
-    profile: AnnotationProfile,
-    int_limit: int = _INT_LIMIT,
-):
-    """Annotations as a typed array, or None when any value does not fit;
-    an array (what some batch already holds) is checked and returned as is.
+def encode_annotations(annotations: Any, profile: AnnotationProfile) -> Any:
+    """Annotations as one column: a typed array when every value fits
+    ``profile``'s dtype exactly, else a 1-d object array of the values
+    themselves; an array some batch already holds is kept when it fits.
 
-    Semantically ``profile.encodable`` per value, but batched: the type
-    sweep runs at C level (``map(type, ...)``) and the range/NaN guards run
-    on the array, which matters because this sits on the per-batch hot path
-    of every vectorized fold.  A *mixed* int/float batch must not
-    vectorize: min/max over float64 would return a float where the scalar
-    semiring returns the original int object.
+    The type sweep runs at C level and the range/NaN guards on the array:
+    this sits on the per-batch hot path of every fold.  A *mixed* int/float
+    batch is objects: min/max over float64 would return a float where the
+    scalar semiring returns the original int object.
     """
-    if not isinstance(annotations, np.ndarray):
-        types = set(map(type, annotations))  # exact: a bool is not an int here
-        if len(types) > 1 or not types <= _ARRAY_TYPES.keys():
-            return None
+    if isinstance(annotations, np.ndarray):
+        if annotations.dtype == object or _fits(annotations, profile):
+            return annotations
+        return annotations.astype(object)
+    count = len(annotations)
+    types = set(map(type, annotations))  # exact: a bool is not an int here
+    if profile.kind != "object" and len(types) <= 1 and types <= _ARRAY_TYPES.keys():
         empty = bool if profile.kind == "bool" else int
         try:
-            annotations = np.fromiter(
-                annotations, _ARRAY_TYPES[types.pop() if types else empty],
-                count=len(annotations),
+            array = np.fromiter(
+                annotations, _ARRAY_TYPES[types.pop() if types else empty], count=count
             )
         except OverflowError:  # beyond int64 is certainly beyond any limit
-            return None
-    kind = annotations.dtype.kind
+            pass
+        else:
+            if _fits(array, profile):
+                return array
+    # fromiter, not np.array: a list of tuples would become a 2-d array.
+    return np.fromiter(annotations, object, count=count)
+
+
+def _fits(array: Any, profile: AnnotationProfile) -> bool:
+    """Does the typed ``array`` hold ``profile``'s annotations exactly?"""
+    kind = array.dtype.kind
     if profile.kind == "bool" or kind == "b":
-        fits = profile.kind == "bool" and kind == "b"
-    elif kind == "f":
-        # NaN makes min/max order-sensitive, so any NaN falls back.
-        fits = profile.kind == "number" and not np.isnan(annotations).any()
-    else:
-        limit = int_limit if profile.kind == "int" else _FLOAT_EXACT
-        fits = kind == "i" and (
-            not annotations.size
-            or -limit < int(annotations.min()) <= int(annotations.max()) < limit
-        )
-    return annotations if fits else None
+        return profile.kind == "bool" and kind == "b"
+    if kind == "f":
+        # NaN makes min/max order-sensitive.
+        return profile.kind == "number" and not np.isnan(array).any()
+    if profile.kind not in ("int", "number"):
+        return False
+    limit = _INT_LIMIT if profile.kind == "int" else _FLOAT_EXACT
+    return kind == "i" and (
+        not array.size or -limit < int(array.min()) <= int(array.max()) < limit
+    )

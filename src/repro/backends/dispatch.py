@@ -16,9 +16,11 @@ per-server counts every delivery charges, so a faulted run executes its
 resolved backend like a clean one.  An instance with a float, bool or
 subclass attribute value does force the tuple kernels: the codec interns
 by dict equality, under which ``1``, ``1.0`` and ``True`` are one value, so
-:func:`admit_instance` — called by the executor and by in-model
-``explain`` — resolves such a run to ``pytuple`` before loading anything
-(:func:`~repro.backends.columnar.interns_exactly`).
+:func:`admit_instance` — called by the executor, by in-model ``explain``
+and by :mod:`repro.linalg` — resolves such a run to ``pytuple`` before
+loading anything (:func:`~repro.backends.columnar.interns_exactly`).
+Annotations never choose the path: whatever the semiring, they load as
+one column, typed or of objects.
 """
 
 from __future__ import annotations
@@ -80,14 +82,15 @@ def columnar_enabled(view) -> bool:
     return view.cluster.backend == "columnar"
 
 
-def admit_instance(cluster, instance):
-    """``cluster``, put on the tuple kernels when it is columnar and
-    ``instance`` holds a value the codec would conflate with another
+def admit_instance(cluster, relations):
+    """``cluster``, put on the tuple kernels when it is columnar and one of
+    ``relations`` (logical :class:`~repro.data.relation.Relation` objects)
+    holds a value the codec would conflate with another
     (:func:`~repro.backends.columnar.interns_exactly`); called once per
-    run or in-model plan, before anything is loaded."""
+    run, in-model plan or linear-algebra call, before anything is loaded."""
     if cluster.backend == "columnar":
         from .columnar import interns_exactly
 
-        if not all(interns_exactly(list(r.tuples)) for r in instance.relations.values()):
+        if not all(interns_exactly(list(r.tuples)) for r in relations):
             cluster.backend = "pytuple"
     return cluster

@@ -14,16 +14,18 @@ which these kernels reconstruct with one stable argsort:
   probe loops (outer side in arrival order, matches in arrival order);
 * :func:`combine_columns` / :func:`split_codes` — pack multi-column keys
   into one int64 (mixed-radix over one base) and back;
+* :func:`row_ids` — one id per row of code columns: packed, or a dense
+  ranking of the rows for a key space too wide to pack;
 * :func:`fold_rows` — the dict ⊕-fold keyed by a row of code columns:
-  pack, :func:`group_reduce`, unpack, with a dense ranking of the rows
-  for a key space too wide to pack;
+  :func:`row_ids`, :func:`group_reduce`, unpack;
 * :func:`select_splitters` — regular-sampling splitter selection;
 * :func:`k_smallest_distinct` — the fold of ``KMV.merge`` per group, for
   every group, repetition and simulated server in one value sort;
 * :func:`sample_sort_routes` — the tie-split sample sort's order, samples,
   splitters and destinations for every simulated server at once.
 
-All inputs are int64 code arrays from a :class:`~.columnar.ValueCodec`.
+All keys are int64 code arrays from a :class:`~.columnar.ValueCodec`;
+values are typed or object columns (:func:`~.columnar.encode_annotations`).
 A call per simulated server is p tiny numpy calls where one suffices, so
 the primitives make the server one more column of the row: reduce-by-key
 folds ``(server, key columns…)`` with one :func:`fold_rows` per stage, and
@@ -46,6 +48,7 @@ __all__ = [
     "group_reduce",
     "hash_join",
     "k_smallest_distinct",
+    "row_ids",
     "sample_sort_routes",
     "segment_gather",
     "select_splitters",
@@ -106,8 +109,8 @@ def group_reduce(ids: Any, values: Any, add_ufunc: Any) -> Tuple[Any, Any]:
         for i, v in zip(ids, values):
             acc[i] = add(acc[i], v) if i in acc else v
 
-    ``add_ufunc`` must be order-insensitive on the dtype (the profiles
-    guarantee this), because segment reduction reassociates.
+    A typed column's ``add_ufunc`` must be order-insensitive (the profiles
+    guarantee this): segment reduction reassociates.
     """
     n = ids.shape[0]
     if n == 0:
@@ -120,15 +123,19 @@ def group_reduce(ids: Any, values: Any, add_ufunc: Any) -> Tuple[Any, Any]:
     # fold tolerates intra-group permutation whenever ⊕ is bitwise
     # permutation-insensitive on the dtype — true for the int/bool
     # profiles.  Float min/max is value-insensitive but can see ±0.0
-    # (equal-comparing, distinct bits), so floats keep the stable sort and
-    # its exact arrival-order fold.
-    stable = values.dtype.kind == "f"
+    # (equal-comparing, distinct bits) and an object ⊕ may be anything
+    # (REAL's +): both keep the stable sort's exact arrival-order fold.
+    stable = values.dtype.kind in "fO"
     order = np.argsort(ids, kind="stable" if stable else None)
     sorted_ids = ids[order]
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
     )
-    reduced = add_ufunc.reduceat(values[order], starts)
+    if values.dtype == object:  # Python warns of no IEEE flag (min of NaN)
+        with np.errstate(all="ignore"):
+            reduced = add_ufunc.reduceat(values[order], starts)
+    else:
+        reduced = add_ufunc.reduceat(values[order], starts)
     # First-occurrence position per group: directly under a stable sort,
     # else the minimum original position within each segment.
     firsts = order[starts] if stable else np.minimum.reduceat(order, starts)
@@ -278,6 +285,23 @@ def split_codes(packed: Any, base: int, width: int) -> List[Any]:
     return columns
 
 
+def row_ids(columns: Sequence[Any], size: int) -> Tuple[Any, Optional[int]]:
+    """``(ids, base)``: one int64 id per row of the parallel code
+    ``columns``, equal exactly when the rows are — packed by mixed radix
+    over the largest code (``base`` unpacks them), or where that does not
+    fit ranked densely column by column (never above ``size²``; ``base``
+    None)."""
+    base = 1 + max((int(column.max()) for column in columns if column.size), default=0)
+    ids, base = combine_columns(columns, base, size)
+    if ids is not None:
+        return ids, base
+    ids = np.zeros(size, dtype=np.int64)
+    for column in columns:
+        codes = np.unique(column, return_inverse=True)[1]
+        ids = np.unique(ids * (int(codes.max()) + 1) + codes, return_inverse=True)[1]
+    return ids, None
+
+
 @_profiled(lambda args: int((args[0][0] if args[1] is None else args[1]).shape[0]))
 def fold_rows(
     columns: Sequence[Any], values: Optional[Any], add_ufunc: Any = None
@@ -287,27 +311,18 @@ def fold_rows(
 
     Returns ``(columns of the distinct rows, reduced)``, rows in
     first-occurrence order — the ``.items()`` of the dict fold keyed by the
-    row tuple, which is never built.  Rows pack into one int64 by mixed
-    radix over the largest code present; when that does not fit, each
-    column in turn is ranked densely into the id (never above ``size²``),
-    and the distinct rows are read back at their first occurrences.
+    row tuple, which is never built.  Rows are keyed by :func:`row_ids`;
+    ranked ones are read back at their first occurrences.
     """
     size = int((columns[0] if values is None else values).shape[0])
     if size == 0:
         return [column[:0] for column in columns], values
-    base = 1 + max((int(column.max()) for column in columns), default=0)
-    ids, base = combine_columns(columns, base, size)
-    ranked = ids is None
-    if ranked:
-        ids = np.zeros(size, dtype=np.int64)
-        for column in columns:
-            codes = np.unique(column, return_inverse=True)[1]
-            ids = np.unique(ids * (int(codes.max()) + 1) + codes, return_inverse=True)[1]
+    ids, base = row_ids(columns, size)
     if values is None:
         unique, reduced = first_occurrence_unique(ids), None
     else:
         unique, reduced = group_reduce(ids, values, add_ufunc)
-    if not ranked:
+    if base is not None:
         return split_codes(unique, base, len(columns)), reduced
     rows = np.unique(ids, return_index=True)[1][unique]
     return [column[rows] for column in columns], reduced

@@ -90,7 +90,7 @@ def run_query(
         config = ExecutionConfig()
     if cluster is None:
         cluster = config.make_cluster(instance.total_size)
-    view = admit_instance(cluster, instance).view()
+    view = admit_instance(cluster, instance.relations.values()).view()
     query = instance.query
     semiring = instance.semiring
     query_class = query.classify()

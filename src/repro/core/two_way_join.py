@@ -130,39 +130,44 @@ def join_aggregate_pair(
     routed = left_msgs.concat(right_msgs).repartition(cell_server)
 
     tracker = view.tracker
-    out_key = layout.out_key
+    local_join = _local_join_cells_vec if layout.profile else _local_join_cells_dict
 
-    def local_join(part: List[Any]) -> Any:
-        if layout.profile is not None:
-            vectorized = _local_join_cells_vec(part, layout)
-            if vectorized is not None:
-                partials, products = vectorized
-                tracker.record_products(products)
-                return partials
-        lefts: Dict[Tuple, List[Tuple]] = {}
-        rights: Dict[Tuple, List[Tuple]] = {}
-        for tag, cell, item in part:
-            (lefts if tag == "L" else rights).setdefault(cell, []).append(item)
-        partials: Dict[Tuple, Any] = {}
-        products = 0
-        for cell, left_rows in lefts.items():
-            right_rows = rights.get(cell)
-            if not right_rows:
-                continue
-            for l_values, l_weight in left_rows:
-                for r_values, r_weight in right_rows:
-                    products += 1
-                    key = out_key(l_values, r_values)
-                    weight = semiring.mul(l_weight, r_weight)
-                    if key in partials:
-                        partials[key] = semiring.add(partials[key], weight)
-                    else:
-                        partials[key] = weight
+    def join_cells(part: List[Any]) -> Any:
+        partials, products = local_join(part, layout)
         tracker.record_products(products)
-        return list(partials.items())
+        return partials
 
-    partials = assemble(view, [[local_join(part)] for part in routed.parts])
+    partials = assemble(view, [[join_cells(part)] for part in routed.parts])
     return DistRelation(keep, _reduce_partials(partials, len(keep), semiring, salt + 13))
+
+
+def _local_join_cells_dict(
+    part: Sequence[Tuple[str, Tuple, Tuple]], layout: "JoinLayout"
+) -> Tuple[List[Any], int]:
+    """The cell-grouped local join of :func:`join_aggregate_pair` (tuple
+    backend): ``(partials, products)``, every cell's products streamed in
+    left-first-occurrence cell order and ⊕-aggregated by out-key."""
+    semiring, out_key = layout.semiring, layout.out_key
+    lefts: Dict[Tuple, List[Tuple]] = {}
+    rights: Dict[Tuple, List[Tuple]] = {}
+    for tag, cell, item in part:
+        (lefts if tag == "L" else rights).setdefault(cell, []).append(item)
+    partials: Dict[Tuple, Any] = {}
+    products = 0
+    for cell, left_rows in lefts.items():
+        right_rows = rights.get(cell)
+        if not right_rows:
+            continue
+        for l_values, l_weight in left_rows:
+            for r_values, r_weight in right_rows:
+                products += 1
+                key = out_key(l_values, r_values)
+                weight = semiring.mul(l_weight, r_weight)
+                if key in partials:
+                    partials[key] = semiring.add(partials[key], weight)
+                else:
+                    partials[key] = weight
+    return list(partials.items()), products
 
 
 def _estimate_join_size(view, left_full: Distributed, right_full: Distributed) -> int:
@@ -184,9 +189,10 @@ class JoinLayout:
     ``left_key``/``right_key`` are the columns of the shared attributes (in
     sorted attribute order) on each side, ``out_sources`` says where every
     ``keep`` attribute is read from (``("L"/"R", column)``, the left side
-    winning a tie), and ``codec``/``profile`` are what the view's cluster
-    lets the array kernels use (``profile`` None: tuple backend, fault
-    injection, or a semiring without a profile).  The tuple kernels' readers
+    winning a tie), ``codec``/``profile`` are what the view's cluster
+    lets the array kernels use (``profile`` None: the tuple backend), and
+    ``semiring`` supplies the scalar ⊕/⊗ of object columns.  The tuple
+    kernels' readers
     are derived here, once per layout rather than once per item:
     ``left_key_of``/``right_key_of`` map a values tuple to its join key (the
     bare value for a one-column key) and ``out_key(l_values, r_values)``
@@ -218,6 +224,7 @@ class JoinLayout:
             else:
                 raise ValueError(f"keep attribute {attribute!r} in neither schema")
         self.out_sources = tuple(sources)
+        self.semiring = semiring
         self.profile = vector_profile(view, semiring)
         self.codec = view.cluster.codec if self.profile is not None else None
         self.left_key_of = itemgetter(*self.left_key)
@@ -241,9 +248,8 @@ def _out_key_reader(sources: Tuple[Tuple[str, int], ...]) -> Any:
 # These replay the dict kernels' elementary-product stream with array ops
 # (see repro.backends.kernels): same products, same partials order, so the
 # pre-aggregated partials a server emits — and therefore every meter — are
-# identical.  Anything the codec/profile cannot represent exactly returns
-# None and the caller runs the dict kernel; the decision is always local,
-# never mid-communication.
+# identical.  Annotations the profile cannot type exactly are object
+# columns, multiplied and folded by the semiring's own ⊗/⊕.
 
 #: Integer product streams cap their length so segment sums stay exact
 #: (< 2^22 products, each < 2^40, sums < 2^62).
@@ -253,8 +259,8 @@ _PRODUCT_MUL_LIMIT = 1 << 62
 
 
 def vector_profile(view: Any, semiring: Semiring) -> Optional[Any]:
-    """The reduce/join vectorization profile of ``semiring`` on this view's
-    cluster, or None (tuple backend or no profile)."""
+    """The column profile of ``semiring`` on this view's cluster, or None
+    on the tuple backend."""
     if not columnar_enabled(view):
         return None
     from ..backends.columnar import profile_of
@@ -262,53 +268,67 @@ def vector_profile(view: Any, semiring: Semiring) -> Optional[Any]:
     return profile_of(semiring)
 
 
-def _mul_safe(profile: Any, left_ann: Any, right_ann: Any, products: int) -> bool:
-    """Can ``products`` ⊗-results be computed and ⊕-reduced exactly in the
-    profile's dtype?"""
-    if profile.kind == "int":
-        return products < _PRODUCT_SUM_GUARD
-    if (
-        profile.mul_name == "mul"
-        and left_ann.dtype == np.int64
-        and right_ann.dtype == np.int64
-        and left_ann.size
-        and right_ann.size
-    ):
+def _products(
+    layout: JoinLayout, left_ann: Any, right_ann: Any, l_pos: Any, r_pos: Any
+) -> Any:
+    """The ⊗ of every elementary product at ``(l_pos, r_pos)``: the
+    profile's ufunc when both columns share one typed dtype in which every
+    product and its ⊕-fold stay exact, else the semiring's ⊗ over objects.
+    Python's float ops warn about nothing, so neither do these."""
+    profile, dtype = layout.profile, left_ann.dtype
+    if dtype != right_ann.dtype or dtype == object:
+        exact = False
+    elif profile.kind == "int":
+        exact = l_pos.shape[0] < _PRODUCT_SUM_GUARD
+    elif profile.mul_name == "mul" and dtype == np.int64:
         bound = int(np.abs(left_ann).max()) * int(np.abs(right_ann).max())
-        return bound < _PRODUCT_MUL_LIMIT
-    return True
+        exact = bound < _PRODUCT_MUL_LIMIT
+    else:
+        exact = True
+    with np.errstate(all="ignore"):
+        if exact:
+            weights = profile.mul(left_ann[l_pos], right_ann[r_pos])
+            # inf + -inf is NaN, which makes a min/max fold order-sensitive.
+            if dtype.kind != "f" or not np.isnan(weights).any():
+                return weights
+        mul = np.frompyfunc(layout.semiring.mul, 2, 1)
+        return mul(
+            left_ann.astype(object, copy=False)[l_pos],
+            right_ann.astype(object, copy=False)[r_pos],
+        )
 
 
 def _partials_batch(
     layout: JoinLayout,
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
-    left_ann: Any,
-    right_ann: Any,
     l_pos: Any,
     r_pos: Any,
-) -> Optional[Tuple[Any, int]]:
+) -> Tuple[Any, int]:
     """The elementary products at ``(l_pos, r_pos)`` ⊕-aggregated by out-key:
     ``(batch, products)`` with the out-key's code columns and the reduced
     weights in key-first-occurrence order — exactly the ``.items()`` of the
-    dict the scalar kernels build, still in codes — or None when the
-    products cannot be computed exactly in the profile's dtype."""
+    dict the scalar kernels build, still in codes."""
     from ..backends.batch import ColumnarBatch
+    from ..backends.columnar import encode_annotations
     from ..backends.kernels import fold_rows
 
     products = int(l_pos.shape[0])
     if products == 0:
         return [], 0
-    if not _mul_safe(layout.profile, left_ann, right_ann, products):
-        return None
-    weights = layout.profile.mul(left_ann[l_pos], right_ann[r_pos])
+    profile = layout.profile
+    left_ann = encode_annotations([item[1] for item in left_items], profile)
+    right_ann = encode_annotations([item[1] for item in right_items], profile)
+    weights = _products(layout, left_ann, right_ann, l_pos, r_pos)
     sides = {"L": (left_items, l_pos), "R": (right_items, r_pos)}
     out_columns = []  # per output attribute: its code for every product
     for side, index in layout.out_sources:
         items, positions = sides[side]
         codes = layout.codec.encode_many([item[0][index] for item in items])
         out_columns.append(codes[positions])
-    columns, reduced = fold_rows(out_columns, weights, layout.profile.add_ufunc)
+    columns, reduced = fold_rows(
+        out_columns, weights, profile.adder(weights, layout.semiring.add)
+    )
     batch = ColumnarBatch(tuple(columns), reduced, int(reduced.shape[0]), "items")
     return batch, products
 
@@ -317,32 +337,30 @@ def _local_join_vec(
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
     layout: JoinLayout,
-) -> Optional[Tuple[Any, int]]:
+) -> Tuple[Any, int]:
     """Vectorized :func:`local_join_aggregate`: the right-outer probe stream
     (each right item in arrival order, its left matches in arrival order).
-    The probe joins one code column, so a multi-column key returns None."""
-    from ..backends.columnar import encode_annotations
-    from ..backends.kernels import hash_join
+    A multi-column join key is probed as one id per row
+    (:func:`~repro.backends.kernels.row_ids` over both sides at once)."""
+    from ..backends.kernels import hash_join, row_ids
 
-    if len(layout.shared) != 1:
-        return None
-    codec, profile = layout.codec, layout.profile
-    left_ann = encode_annotations([item[1] for item in left_items], profile)
-    right_ann = encode_annotations([item[1] for item in right_items], profile)
-    if left_ann is None or right_ann is None:
-        return None
-    left_col, right_col = layout.left_key[0], layout.right_key[0]
-    left_codes = codec.encode_many([item[0][left_col] for item in left_items])
-    right_codes = codec.encode_many([item[0][right_col] for item in right_items])
-    l_pos, r_pos = hash_join(left_codes, right_codes, outer="right")
-    return _partials_batch(
-        layout, left_items, right_items, left_ann, right_ann, l_pos, r_pos
-    )
+    codec = layout.codec
+    columns = [
+        codec.encode_many(
+            [item[0][left_col] for item in left_items]
+            + [item[0][right_col] for item in right_items]
+        )
+        for left_col, right_col in zip(layout.left_key, layout.right_key)
+    ]
+    ids = row_ids(columns, len(left_items) + len(right_items))[0]
+    split = len(left_items)
+    l_pos, r_pos = hash_join(ids[:split], ids[split:], outer="right")
+    return _partials_batch(layout, left_items, right_items, l_pos, r_pos)
 
 
 def _local_join_cells_vec(
     part: Sequence[Tuple[str, Tuple, Tuple]], layout: JoinLayout
-) -> Optional[Tuple[Any, int]]:
+) -> Tuple[Any, int]:
     """Vectorized cell-grouped local join (the fragment-replicate kernel of
     :func:`join_aggregate_pair`).
 
@@ -350,10 +368,9 @@ def _local_join_cells_vec(
     cell order; blocking the left rows by that rank (stable, so arrival
     order survives within a block) makes the left-outer probe replay the
     exact same stream."""
-    from ..backends.columnar import encode_annotations
     from ..backends.kernels import first_occurrence_unique, hash_join
 
-    codec, profile = layout.codec, layout.profile
+    codec = layout.codec
     left_rows: List[Tuple] = []
     right_rows: List[Tuple] = []
     left_cells: List[Tuple] = []
@@ -365,10 +382,6 @@ def _local_join_cells_vec(
         else:
             right_rows.append(item)
             right_cells.append(cell)
-    left_ann = encode_annotations([item[1] for item in left_rows], profile)
-    right_ann = encode_annotations([item[1] for item in right_rows], profile)
-    if left_ann is None or right_ann is None:
-        return None
     left_codes = codec.encode_many(left_cells)
     right_codes = codec.encode_many(right_cells)
     firsts = first_occurrence_unique(left_codes)
@@ -376,9 +389,7 @@ def _local_join_cells_vec(
     ranks = first_order[np.searchsorted(firsts[first_order], left_codes)]
     perm = np.argsort(ranks, kind="stable")
     l_block, r_pos = hash_join(left_codes[perm], right_codes, outer="left")
-    return _partials_batch(
-        layout, left_rows, right_rows, left_ann, right_ann, perm[l_block], r_pos
-    )
+    return _partials_batch(layout, left_rows, right_rows, perm[l_block], r_pos)
 
 
 def aggregate_relation(
@@ -425,13 +436,21 @@ def local_join_partials(
     :func:`~repro.mpc.columnar.assemble`: the ``(out_key, weight)`` item
     list of the tuple kernel below or, under the columnar backend, the same
     join run as array kernels — same products, same partials, same order —
-    still in codes.  Anything the arrays cannot represent exactly runs the
-    tuple kernel.
+    still in codes.
     """
     if layout.profile is not None:
-        vectorized = _local_join_vec(left_items, right_items, layout)
-        if vectorized is not None:
-            return vectorized
+        return _local_join_vec(left_items, right_items, layout)
+    return _local_join_dict(left_items, right_items, layout, semiring)
+
+
+def _local_join_dict(
+    left_items: Sequence[Tuple[Tuple, Any]],
+    right_items: Sequence[Tuple[Tuple, Any]],
+    layout: JoinLayout,
+    semiring: Semiring,
+) -> Tuple[List[Any], int]:
+    """The tuple kernel of :func:`local_join_partials`: the right-outer
+    probe of an index of the left items, partials in a dict."""
     left_key_of, right_key_of, out_key = (
         layout.left_key_of, layout.right_key_of, layout.out_key
     )

@@ -198,41 +198,27 @@ class DistRelation:
         """Round-0 placement of a logical relation (free, per the model).
 
         Under the ``"columnar"`` backend (and given the ``semiring``, so
-        the annotation dtype is known), the relation is encoded once into
+        the annotation profile is known), the relation is encoded once into
         a :class:`~repro.mpc.columnar.ColumnarData` — the same contiguous
-        ⌈n/p⌉ placement, physically stored as int64 code columns plus a
-        typed annotation array.  Anything that does not fit the semiring's
-        profile loads on the reference item path instead.
+        ⌈n/p⌉ placement, physically stored as int64 code columns plus one
+        annotation column, typed when the annotations fit the semiring's
+        profile and an object array otherwise.
         """
-        if semiring is not None:
-            from ..backends.dispatch import columnar_enabled
+        from ..backends.dispatch import columnar_enabled
 
-            if columnar_enabled(view):
-                columnar = cls._load_columnar(view, relation, semiring)
-                if columnar is not None:
-                    return columnar
-        return cls(relation.schema, Distributed.from_items(view, list(relation)))
-
-    @classmethod
-    def _load_columnar(
-        cls, view: ClusterView, relation: Relation, semiring: Semiring
-    ) -> Optional["DistRelation"]:
+        if semiring is None or not columnar_enabled(view):
+            return cls(relation.schema, Distributed.from_items(view, list(relation)))
         from ..backends.batch import ColumnarBatch
         from ..backends.columnar import encode_annotations, profile_of
         from ..mpc.columnar import ColumnarData
 
-        profile = profile_of(semiring)
-        if profile is None:
-            return None
         items = list(relation)
+        profile = profile_of(semiring)
         annotations = encode_annotations([item[1] for item in items], profile)
-        if annotations is None:
-            return None
         codec = view.cluster.codec
-        width = len(relation.schema)
         columns = tuple(
             codec.encode_many([item[0][j] for item in items])
-            for j in range(width)
+            for j in range(len(relation.schema))
         )
         batch = ColumnarBatch(columns, annotations, len(items), "items")
         return cls(relation.schema, ColumnarData.from_batch(view, batch, codec))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from .backends.dispatch import admit_instance
 from .core.matmul import sparse_matmul
 from .core.two_way_join import vector_profile
 from .data.relation import DistRelation, Relation
@@ -74,7 +75,7 @@ def matrix_power(
         raise ValueError("matrix_power needs a binary relation")
     if cluster is None:
         cluster = MPCCluster(p)
-    view = cluster.view()
+    view = admit_instance(cluster, [matrix]).view()
 
     base = _as_dist(view, matrix, ("A", "B"))
     result: Optional[DistRelation] = None
@@ -117,7 +118,7 @@ def transitive_closure(
         raise ValueError("transitive_closure needs a binary relation")
     if cluster is None:
         cluster = MPCCluster(p)
-    view = cluster.view()
+    view = admit_instance(cluster, [matrix]).view()
 
     working = Relation(matrix.name, ("A", "B"), list(matrix))
     if include_identity:

@@ -187,7 +187,7 @@ def _line_out_offline(
     """:func:`_kmv_out` on a throwaway one-server cluster whose meters
     nobody reads: the call in-model collection makes, unmetered."""
     cluster = MPCCluster(1, backend=resolve_backend(backend, instance.total_size))
-    view = admit_instance(cluster, instance).view()
+    view = admit_instance(cluster, instance.relations.values()).view()
     return _kmv_out(instance.query, _load(instance, view), order)
 
 

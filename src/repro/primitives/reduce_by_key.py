@@ -7,20 +7,21 @@ repartitioning of the ≤ p·K partials, then a final local combine.  The
 pre-aggregation is what caps the per-key fan-in at p and keeps heavy keys
 harmless.
 
-When the cluster runs the columnar backend and the caller identifies the
-combiner via a ``profile`` (an :class:`~repro.backends.columnar
-.AnnotationProfile`, or ``"distinct"`` for dedup-only reductions), both
-aggregation stages run as sort-and-segment-reduce kernels instead of dict
-folds and the partials ship as array batches.  The vectorized path emits
-partials in the same first-occurrence order and routes them to the same
-hashed destinations in the same delivery order, and therefore meters
-identically; anything it cannot encode exactly falls back to the dict
-kernels before any communication happens.
+On the columnar backend both aggregation stages run as
+sort-and-segment-reduce kernels instead of dict folds and the partials
+ship as array batches.  The caller may identify the combiner via a
+``profile`` (an :class:`~repro.backends.columnar.AnnotationProfile`, or
+``"distinct"`` for dedup-only reductions) so values that fit its dtype
+fold as typed columns; every other value — and every value of a call
+without a profile — folds as an object column by ``combine`` itself, in
+arrival order.  The array path emits partials in the same
+first-occurrence order and routes them to the same hashed destinations in
+the same delivery order, and therefore meters identically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..backends.dispatch import columnar_enabled
 from ..data.relation import ColumnKey, annotation_of
@@ -28,10 +29,6 @@ from ..mpc.distributed import Distributed
 from ..mpc.hashing import hash_to_bucket
 
 __all__ = ["reduce_by_key", "count_by_key", "distinct_keys"]
-
-#: Pre-aggregated partials may be much larger than raw annotations; the
-#: final stage admits ints below 2^40 (sums of ≤ 2^22 of them stay exact).
-_FINAL_INT_LIMIT = 1 << 40
 
 
 def reduce_by_key(
@@ -46,41 +43,31 @@ def reduce_by_key(
     hash-partitioned by key.
 
     ``profile`` (optional) declares what ``combine`` computes so the columnar
-    backend may vectorize: pass the semiring's
+    backend may fold typed columns: pass the semiring's
     :func:`~repro.backends.columnar.profile_of` result, or ``"distinct"``
-    when ``combine`` just keeps the first value.  The caller is responsible
+    when ``combine`` just keeps the first value; without one the values
+    fold as an object column by ``combine``.  The caller is responsible
     for profile/combine agreement; results and metering are identical with
     or without it.  A ``key_fn`` that is a
     :class:`~repro.data.relation.ColumnKey` says which columns the key is,
-    and the vectorized path then never builds the key tuples.
+    and the array path then never builds the key tuples.
     """
     view = dist.view
     p = view.p
 
-    if profile is not None and columnar_enabled(view):
-        result = _reduce_by_key_columnar(dist, key_fn, value_fn, combine, salt, profile)
-        if result is not None:
-            return result
+    if columnar_enabled(view):
+        return _reduce_by_key_columnar(dist, key_fn, value_fn, combine, salt, profile)
 
-    def pre_aggregate(part: List[Any]) -> List[Any]:
-        partials: Dict[Any, Any] = {}
-        for item in part:
-            key = key_fn(item)
-            value = value_fn(item)
-            if key in partials:
-                partials[key] = combine(partials[key], value)
-            else:
-                partials[key] = value
-        return list(partials.items())
-
-    partials = dist.map_parts(pre_aggregate)
+    partials = dist.map_parts(
+        lambda part: _fold_pairs(zip(map(key_fn, part), map(value_fn, part)), combine)
+    )
     routed = partials.repartition(lambda pair: hash_to_bucket(pair[0], p, salt))
     return routed.map_parts(lambda part: _fold_pairs(part, combine))
 
 
-def _fold_pairs(pairs: List[Any], combine: Callable[[Any, Any], Any]) -> List[Any]:
-    """The final local combine: ``(key, value)`` pairs folded per key, keys
-    in first-arrival order."""
+def _fold_pairs(pairs: Iterable[Any], combine: Callable[[Any, Any], Any]) -> List[Any]:
+    """The dict fold of both stages: ``(key, value)`` pairs folded per key,
+    keys in first-arrival order."""
     totals: Dict[Any, Any] = {}
     for key, value in pairs:
         if key in totals:
@@ -97,9 +84,8 @@ def _reduce_by_key_columnar(
     combine: Callable[[Any, Any], Any],
     salt: int,
     profile: Any,
-) -> Optional[Distributed]:
-    """The vectorized both-stages path; None ⇒ caller falls back (and no
-    communication has happened yet).
+) -> Distributed:
+    """The array path of both stages.
 
     A :class:`~repro.data.relation.ColumnKey` is folded, hashed and returned
     as one code column per key position (an ``"items"`` batch; the key
@@ -112,7 +98,7 @@ def _reduce_by_key_columnar(
     one batch for the exchange, one ``searchsorted`` for its cuts.
     """
     from ..backends.batch import ColumnarBatch
-    from ..backends.columnar import encode_annotations
+    from ..backends.columnar import OBJECT_PROFILE, encode_annotations
     from ..backends.dispatch import np
     from ..backends.kernels import fold_rows
     from ..mpc.columnar import ColumnarData, server_cuts
@@ -123,11 +109,9 @@ def _reduce_by_key_columnar(
     distinct = profile == "distinct"
     by_column = isinstance(key_fn, ColumnKey)
 
-    # Encode everything before touching the network, so a non-encodable
-    # annotation anywhere aborts cleanly into the dict path.  One array for
-    # all servers also refuses what must not concatenate: a "number"
-    # profile's ints on one server and floats on another would promote to
-    # floats where the reference path keeps the original objects.
+    # One column for all servers: a "number" profile's ints on one server
+    # and floats on another are one object column, where separate typed
+    # arrays would promote to floats on concatenation.
     arrays = by_column and isinstance(dist, ColumnarData)
     held = dist.batch if arrays else None
     if arrays and held.kind == "items" and (
@@ -146,12 +130,12 @@ def _reduce_by_key_columnar(
             ]
         else:
             columns = [codec.encode_many([key_fn(item) for item in items])]
+    add_ufunc = None
     if not distinct:
+        profile = profile or OBJECT_PROFILE
         values = encode_annotations(values, profile)
-        if values is None:
-            return None
+        add_ufunc = profile.adder(values, combine)
     kind = "items" if by_column else "pairs"
-    add_ufunc = None if distinct else profile.add_ufunc
 
     def stage(sizes: List[int], columns: List[Any], values: Any) -> ColumnarData:
         """The rows of p servers (``sizes`` apiece) ⊕-folded per server and
@@ -164,7 +148,8 @@ def _reduce_by_key_columnar(
 
     # The partials go through the wire as one (key-code columns, value array)
     # batch — same destinations, same delivery order, same per-server
-    # counts as the item path.
+    # counts as the item path.  A typed column's partials fold exactly in
+    # the final stage too: its ints are bounded, so their sums are.
     partials = stage(dist.part_sizes(), columns, values).batch
     if by_column:
         hashes = codec.row_hashes(partials.columns, partials.size, salt)
@@ -173,20 +158,9 @@ def _reduce_by_key_columnar(
     arrived, cuts = view.exchange_batches(
         (hashes % np.uint64(p)).astype(np.int64), partials
     )
-    values = arrived.annotations
-    if (
-        not distinct
-        and values.dtype == np.int64
-        and values.shape[0]
-        and max(abs(int(values.max())), abs(int(values.min()))) >= _FINAL_INT_LIMIT
-    ):
-        # Oversized partials: the reference stage 2 over the decoded pairs,
-        # after the (already identical) exchange.
-        inboxes = ColumnarData(view, arrived, cuts, codec).parts
-        return Distributed(view, [_fold_pairs(inbox, combine) for inbox in inboxes])
     # The result stays array-native; consumers that need tuples decode lazily.
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-    return stage(sizes, list(arrived.columns), values)
+    return stage(sizes, list(arrived.columns), arrived.annotations)
 
 
 def count_by_key(

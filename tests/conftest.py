@@ -129,3 +129,20 @@ GENERAL_TREE_QUERY = TreeQuery(
     ),
     frozenset({"A", "C"}),
 )
+
+
+@pytest.fixture
+def shipped(monkeypatch):
+    """The annotation dtype of every batch ``ClusterView.exchange_batches``
+    ships from here on (None for a code-only batch), in call order."""
+    from repro.mpc.cluster import ClusterView
+
+    dtypes = []
+    original = ClusterView.exchange_batches
+
+    def recording(self, dests, batch, **kwargs):
+        dtypes.append(None if batch.annotations is None else batch.annotations.dtype)
+        return original(self, dests, batch, **kwargs)
+
+    monkeypatch.setattr(ClusterView, "exchange_batches", recording)
+    return dtypes

@@ -26,7 +26,10 @@ from repro.mpc import FaultInjector, FaultSchedule, MPCCluster
 from repro.mpc.cluster import ClusterView
 from repro.mpc.hashing import hash_to_bucket, hash_to_unit, stable_hash
 from repro.obs import RingBufferSink, Tracer
+from repro.data import Instance, Relation
 from repro.semiring import COUNTING, REAL, TROPICAL_MIN_PLUS
+from repro.semiring.provenance import POLYNOMIAL, monomial
+from repro.testing import OpaqueSemiring
 from repro.workloads import (
     planted_out_line,
     planted_out_matmul,
@@ -46,6 +49,7 @@ from tests.conftest import (
 
 from repro.backends import kernels
 from repro.backends.columnar import (
+    OBJECT_PROFILE,
     ValueCodec,
     encode_annotations,
     profile_of,
@@ -218,28 +222,74 @@ def test_select_splitters_matches_python_slicing():
 # ------------------------------------------------------- annotation coding
 
 
+def _column(annotations, profile):
+    """``encode_annotations``' column with its kind: "typed" or "object"."""
+    column = encode_annotations(annotations, profile)
+    assert column.ndim == 1 and column.tolist() == list(annotations)
+    return "object" if column.dtype == object else "typed"
+
+
 def test_encode_annotations_counting_profile():
     profile = profile_of(COUNTING)
-    assert encode_annotations([1, 2, 3], profile).tolist() == [1, 2, 3]
-    assert encode_annotations([], profile).tolist() == []
-    assert encode_annotations([1, True, 2], profile) is None  # bools never coerce
-    assert encode_annotations([1, 2.0], profile) is None
-    assert encode_annotations([1, 1 << 40], profile) is None  # over _INT_LIMIT
-    assert encode_annotations([1, -(1 << 80)], profile) is None  # over int64
+    assert encode_annotations([1, 2, 3], profile).dtype == np.int64
+    assert _column([], profile) == "typed"
+    assert _column([1, True, 2], profile) == "object"  # bools never coerce
+    assert _column([1, 2.0], profile) == "object"
+    assert _column([1, 1 << 40], profile) == "object"  # over _INT_LIMIT
+    assert _column([1, -(1 << 80)], profile) == "object"  # over int64
+    assert [type(a) for a in encode_annotations([1, True], profile)] == [int, bool]
 
 
 def test_encode_annotations_number_profile():
     profile = profile_of(TROPICAL_MIN_PLUS)
     assert encode_annotations([1.5, 2.0], profile).dtype == np.float64
     assert encode_annotations([1, 2], profile).dtype == np.int64
-    assert encode_annotations([1, 2.0], profile) is None  # mixed batch
-    assert encode_annotations([1.0, float("nan")], profile) is None
-    assert encode_annotations([True], profile) is None
+    assert _column([1, 2.0], profile) == "object"  # mixed batch
+    assert _column([True], profile) == "object"
+    nan = encode_annotations([1.0, float("nan")], profile)
+    assert nan.dtype == object and repr(nan.tolist()) == "[1.0, nan]"
 
 
 def test_real_semiring_has_no_profile():
-    # Float ⊕=+ is order-sensitive; it must never vectorize.
-    assert profile_of(REAL) is None
+    # Float ⊕=+ is order-sensitive: REAL has no typed profile, its
+    # annotations are object columns folded by its own + in arrival order.
+    assert profile_of(REAL) is OBJECT_PROFILE
+    assert _column([0.1, 0.2], profile_of(REAL)) == "object"
+
+
+def test_object_columns_of_tuple_annotations_stay_one_dimensional():
+    # np.array over a list of tuples would build a 2-d array.
+    pairs = [(1, 2), (3, 4), ("x", None)]
+    column = encode_annotations(pairs, OBJECT_PROFILE)
+    assert column.shape == (3,) and column.tolist() == pairs
+    assert encode_annotations([], OBJECT_PROFILE).shape == (0,)
+
+
+def test_object_fold_of_real_sums_is_bit_equal_to_the_dict_fold():
+    # 0.1 + 0.2 + 0.3 depends on the order: the fold keeps arrival order.
+    ids = [2, 0, 2, 1, 0, 2, 0]
+    values = [0.3, 0.1, 0.1, 0.5, 0.2, 0.2, 0.3]
+    column = encode_annotations(values, profile_of(REAL))
+    unique, reduced = kernels.group_reduce(
+        np.asarray(ids), column, OBJECT_PROFILE.adder(column, REAL.add)
+    )
+    expected = _dict_fold(zip(ids, values), REAL.add)
+    assert unique.tolist() == list(expected)
+    assert [v.hex() for v in reduced.tolist()] == [v.hex() for v in expected.values()]
+
+
+def test_object_min_over_nan_gives_pythons_answers_without_a_warning():
+    import warnings
+
+    profile = profile_of(TROPICAL_MIN_PLUS)
+    for values, expected in (([1.0, float("nan")], "[1.0]"), ([float("nan"), 1.0], "[nan]")):
+        column = encode_annotations(values, profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _ids, reduced = kernels.group_reduce(
+                np.zeros(2, dtype=np.int64), column, profile.adder(column, min)
+            )
+        assert repr(reduced.tolist()) == expected == repr([min(*values)])
 
 
 # ------------------------------------- run_query equivalence across backends
@@ -288,18 +338,20 @@ def test_every_algorithm_is_backend_invariant(shape_name, query, semiring, sampl
         assert ref_events == vec_events, (shape_name, semiring.name, algorithm)
 
 
-def test_real_semiring_runs_identically_via_fallback():
-    # REAL has no annotation profile: the columnar backend must fall back to
-    # the tuple kernels wherever annotations flow, and still agree.
+def test_real_semiring_runs_identically_on_object_columns(shipped):
+    # REAL has no typed profile: its annotations load, join and reduce as
+    # object columns under REAL's own ⊕/⊗, and the run still agrees.
     rng = random.Random(9)
     instance = random_instance(
         MATMUL_QUERY, 30, 5, rng, REAL, lambda r: r.random()
     )
-    reference, ref_events = _run(instance, "auto", "pytuple")
-    vectorized, vec_events = _run(instance, "auto", "columnar")
-    assert _exact_tuples(reference.relation) == _exact_tuples(vectorized.relation)
-    assert reference.report.to_dict() == vectorized.report.to_dict()
-    assert ref_events == vec_events
+    for algorithm in ("auto", "yannakakis"):  # the baseline ships its ⊕ partials
+        reference, ref_events = _run(instance, algorithm, "pytuple")
+        vectorized, vec_events = _run(instance, algorithm, "columnar")
+        assert _exact_tuples(reference.relation) == _exact_tuples(vectorized.relation)
+        assert reference.report.to_dict() == vectorized.report.to_dict()
+        assert ref_events == vec_events
+    assert shipped[-1] == object
 
 
 #: One small instance per query family, for the faulted-run comparison.
@@ -353,6 +405,58 @@ def test_backend_invariant_under_recoverable_faults(monkeypatch):
         assert ref_events == vec_events, family
         assert reference.relation.tuples == clean.relation.tuples, family
     assert fired > 0
+
+
+#: Annotation regimes no typed profile holds: name -> (semiring factory,
+#: annotation of the i-th tuple of weight w).
+UNTYPED_ANNOTATIONS = {
+    "provenance": (lambda: POLYNOMIAL, lambda i, w: monomial(f"t{i}", *["x"] * w)),
+    "opaque": (lambda: OpaqueSemiring.make()[0], lambda i, w: OpaqueSemiring.wrap(w)),
+    "real": (lambda: REAL, lambda i, w: w / 7),
+    "int-float-tropical": (lambda: TROPICAL_MIN_PLUS, lambda i, w: w if i % 2 else float(w)),
+    "counting-2^20": (lambda: COUNTING, lambda i, w: (1 << 20) + w),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(UNTYPED_ANNOTATIONS))
+def test_columnar_runs_no_dict_body_whatever_the_annotations(monkeypatch, shipped, regime):
+    # Every annotation has a column: on a columnar cluster the dict folds
+    # of reduce-by-key and both local-join dict loops never run, and the
+    # five families still equal the pytuple run exactly.
+    import importlib
+
+    join_module = importlib.import_module("repro.core.two_way_join")
+    reduce_module = importlib.import_module("repro.primitives.reduce_by_key")
+    make, annotate = UNTYPED_ANNOTATIONS[regime]
+    semiring = make()
+    for family, factory in FAULTED_FAMILIES.items():
+        base = factory()
+        relations = {
+            name: Relation(name, relation.schema, [
+                (values, annotate(i, weight))
+                for i, (values, weight) in enumerate(relation.tuples.items())
+            ])
+            for name, relation in base.relations.items()
+        }
+        instance = Instance(base.query, relations, semiring)
+        reference, ref_events = _run(instance, "auto", "pytuple")
+        with monkeypatch.context() as patch:
+            for module, body in ((reduce_module, "_fold_pairs"),  # both stages
+                                 (join_module, "_local_join_dict"),
+                                 (join_module, "_local_join_cells_dict")):
+                patch.setattr(module, body, _refuse)
+            vectorized, vec_events = _run(instance, "auto", "columnar")
+        assert _exact_tuples(reference.relation) == _exact_tuples(
+            vectorized.relation
+        ), family
+        assert reference.report.to_dict() == vectorized.report.to_dict(), family
+        assert ref_events == vec_events, family
+    # Some family ships its ⊕ partials, and they travel as objects.
+    assert object in [dtype for dtype in shipped if dtype is not None]
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a dict body ran on a columnar cluster")
 
 
 def test_executor_resolves_auto_backend_by_size():

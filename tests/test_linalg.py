@@ -117,3 +117,28 @@ def test_closure_on_cycle_terminates():
     # Every pair reachable on the 6-cycle, incl. the full loop back to self.
     assert len(closure) == 36
     assert closure.annotation((0, 0)) == 6.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_look_alike_values_meter_alike_on_both_backends(seed):
+    """``1``, ``1.0`` and ``True`` are one key to the columnar codec, so
+    ``linalg`` passes its matrix through the executor's admission check:
+    a matrix holding them runs the tuple kernels whatever the backend, and
+    every meter matches."""
+    from repro.mpc import MPCCluster
+
+    pool = [1, 1.0, True, 2, 2.0, 0, 0.0, False, 3, 4]
+    rng = random.Random(seed)
+    matrix = Relation("R", ("A", "B"))
+    for _ in range(40):
+        matrix.add((rng.choice(pool), rng.choice(pool)), 1, COUNTING)
+    closure = Relation("R", ("A", "B"), [(values, True) for values in matrix.tuples])
+    for run in (
+        lambda cluster: matrix_power(matrix, 2, COUNTING, cluster=cluster),
+        lambda cluster: transitive_closure(closure, BOOLEAN, cluster=cluster),
+    ):
+        (reference, ref_report), (columnar, col_report) = (
+            run(MPCCluster(4, backend=backend)) for backend in ("pytuple", "columnar")
+        )
+        assert reference.tuples == columnar.tuples
+        assert ref_report.to_dict() == col_report.to_dict()

@@ -32,7 +32,6 @@ from repro.mpc.columnar import ColumnarData
 from repro.mpc.distributed import Distributed
 from repro.mpc.hashing import stable_hash
 from repro.primitives import reduce_by_key
-from repro.primitives.reduce_by_key import _FINAL_INT_LIMIT, _reduce_by_key_columnar
 from repro.semiring.standard import COUNTING
 
 from .test_planted_round_properties import _PROFILES
@@ -202,11 +201,12 @@ def test_distinct_over_a_loaded_relation_ignores_its_annotations():
 
 
 @pytest.mark.parametrize("arrays", [False, True], ids=["items", "arrays"])
-def test_oversized_partials_of_a_column_key_fold_by_dict(arrays):
-    big = _FINAL_INT_LIMIT + 7
+def test_oversized_partials_of_a_column_key_fold_exactly(shipped, arrays):
+    big = (1 << 40) + 7
     rows = [[(0, big), (1, 5), (0, big + 1)], [(0, big - 9), (1, 3)], []]
     run = _column_reduced("tropical", "2-tuple", rows, arrays=arrays)
     columnar = _observed("columnar", 3, run)
+    assert shipped == ["int64"]
     assert columnar == _observed("pytuple", 3, run)
     assert sorted(pair for part in columnar[0] for pair in part) == [
         (("s0", 0), big - 9), (("s1", 0), 3)]
@@ -217,23 +217,23 @@ def test_oversized_partials_of_a_column_key_fold_by_dict(arrays):
     ("tropical", [1, 2.0]), ("tropical", [1.0, float("nan")]),
     ("counting", [1, 1 << 30]), ("boolean", [True, 1]),
 ], ids=["int-float-mix", "nan", "oversized", "int-as-bool"])
-def test_a_column_key_is_refused_before_any_communication(name, values):
+def test_column_key_folds_untyped_values_as_objects(shipped, name, values):
     profile, combine, _values = _PROFILES[name]
 
-    def run(view, reduce=reduce_by_key):
+    def run(view):
         dist = _parts(view, [[(("a", 0), values[0])], [], [(("a", 0), values[1])]])
-        return reduce(dist, ColumnKey((0, 1)), annotation_of, combine, 0, profile)
+        return reduce_by_key(dist, ColumnKey((0, 1)), annotation_of, combine, 0, profile)
 
-    cluster = MPCCluster(3, backend="columnar")
-    assert run(cluster.view(), _reduce_by_key_columnar) is None
-    report = cluster.report()
-    assert (report.rounds, report.total_communication) == (0, 0)
-    assert repr(_observed("columnar", 3, run)) == repr(_observed("pytuple", 3, run))
+    columnar = _observed("columnar", 3, run)
+    assert shipped == [object]
+    assert repr(columnar) == repr(_observed("pytuple", 3, run))
 
 
 def test_array_annotations_are_checked_like_lists():
-    """An array a batch already holds passes ``encode_annotations`` exactly
-    when its ``tolist()`` would: wrong dtype, range and NaN still refuse."""
+    """An array a batch already holds is typed by ``encode_annotations``
+    exactly when its ``tolist()`` would be — wrong dtype, range and NaN
+    make an object column of the same values — and kept as is when it
+    fits."""
     counting, boolean, tropical = (_PROFILES[n][0] for n in ("counting", "boolean", "tropical"))
     cases = [
         np.array([1, 2, -3]), np.array([1, 1 << 20]), np.array([1.5, -0.0]),
@@ -244,9 +244,12 @@ def test_array_annotations_are_checked_like_lists():
         for array in cases:
             from_list = encode_annotations(array.tolist(), profile)
             from_array = encode_annotations(array, profile)
+            assert from_array.ndim == 1
+            assert repr(from_array.tolist()) == repr(array.tolist())
             if array.size:
-                assert (from_array is None) == (from_list is None), (profile.name, array)
-            if from_array is not None:
+                assert (from_array.dtype == object) == (from_list.dtype == object), (
+                    profile.name, array)
+            if from_array.dtype != object:
                 assert from_array is array
 
 

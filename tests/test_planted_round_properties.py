@@ -22,7 +22,6 @@ from repro.backends.columnar import profile_of
 from repro.mpc import MPCCluster, hashing
 from repro.primitives import anti_semijoin, attach_by_key, reduce_by_key, semijoin
 from repro.primitives.multi_search import multi_search_items, multi_search_rows
-from repro.primitives.reduce_by_key import _FINAL_INT_LIMIT, _reduce_by_key_columnar
 from repro.semiring.standard import BOOLEAN, COUNTING, TROPICAL_MIN_PLUS
 
 from .test_sketch_search_properties import _observed, _parts
@@ -182,11 +181,11 @@ def test_whole_batch_reduce_corner_shapes(name, rows, p):
     assert _observed("columnar", p, run) == _observed("pytuple", p, run)
 
 
-def test_oversized_partials_fold_by_dict_after_an_identical_exchange():
-    """An int partial ≥ ``_FINAL_INT_LIMIT`` (legal under a "number"
-    profile) leaves the final stage to the dict fold; the exchange before
-    it has already happened, identically."""
-    big = _FINAL_INT_LIMIT + 7
+def test_oversized_partials_fold_exactly_through_one_exchange(shipped):
+    """Int partials far beyond the counting range are exact under a
+    "number" profile's min: they fold as an int64 column in both stages,
+    through the one exchange the item path makes."""
+    big = (1 << 40) + 7
     rows = [[(0, big), (1, 5), (0, big + 1)], [(0, big - 9), (1, 3)], []]
 
     def run(view):
@@ -195,6 +194,7 @@ def test_oversized_partials_fold_by_dict_after_an_identical_exchange():
                              profile=_PROFILES["tropical"][0])
 
     columnar = _observed("columnar", 3, run)
+    assert shipped == ["int64"]
     assert columnar == _observed("pytuple", 3, run)
     assert sorted(pair for part in columnar[0] for pair in part) == [(0, big - 9), (1, 3)]
     assert columnar[1]["rounds"] == 1
@@ -207,20 +207,20 @@ def test_oversized_partials_fold_by_dict_after_an_identical_exchange():
     ("counting", [1, 2.5]),                 # not an int at all
     ("boolean", [True, 1]),
 ], ids=["int-float-mix", "nan", "oversized", "non-int", "int-as-bool"])
-def test_unencodable_annotations_are_refused_before_any_communication(name, values):
+def test_untyped_values_fold_as_one_object_column(shipped, name, values):
+    """Values the profile cannot type exactly are one object column for all
+    servers, folded by ``combine``: the ⊕ partials ship as one object
+    batch, and the call is the item path's (repr: NaN != NaN)."""
     profile, combine, _values = _PROFILES[name]
 
-    def run(view, reduce=reduce_by_key):
-        # The two values sit on different servers: each part alone would encode.
+    def run(view):
+        # The two values sit on different servers: each part alone would type.
         dist = _parts(view, [[("a", values[0])], [], [("a", values[1])]])
-        return reduce(dist, lambda row: row[0], lambda row: row[1], combine, 0, profile)
+        return reduce_by_key(dist, lambda row: row[0], lambda row: row[1], combine, 0, profile)
 
-    cluster = MPCCluster(3, backend="columnar")
-    assert run(cluster.view(), _reduce_by_key_columnar) is None
-    report = cluster.report()
-    assert (report.rounds, report.total_communication) == (0, 0)
-    # ...and the call as a whole is the item path's (repr: NaN != NaN).
-    assert repr(_observed("columnar", 3, run)) == repr(_observed("pytuple", 3, run))
+    columnar = _observed("columnar", 3, run)
+    assert shipped == [object]
+    assert repr(columnar) == repr(_observed("pytuple", 3, run))
 
 
 # -- ranked multi-search ≡ item path --------------------------------------------

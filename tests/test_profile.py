@@ -487,9 +487,12 @@ def test_planted_line_run_interns_no_output_tuple():
 def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
     """The primitives call a kernel once per stage, not once per simulated
     server: the ledger's twig at p=16 recorded 12,788 kernel spans while
-    reduce-by-key looped over the servers and records 4,441 now (the count
-    is deterministic).  A per-server loop creeping back roughly triples
-    it; the exchanges do not move either way."""
+    reduce-by-key looped over the servers and records 4,473 now (the count
+    is deterministic).  That is 4,441 plus 32: the eight reductions
+    without a profile (the twig's side, x and y tables) fold as object
+    columns since every value has a column, two stages of ``fold_rows`` +
+    ``group_reduce`` each.  A per-server loop creeping back roughly
+    triples it; the exchanges do not move either way."""
     def observed(backend):
         profiler = Profiler()
         run_query(twig_instance(tuples=100, domain=30, seed=2020),
@@ -500,7 +503,7 @@ def test_twig_kernel_spans_stay_under_half_of_the_per_server_count():
                        for node in spans if node.kind == "op"))
 
     kernels, ops = observed("columnar")
-    assert kernels == 4441
+    assert kernels == 4473
     assert kernels <= 12788 // 2
     assert observed("pytuple") == (0, ops)
     assert (sum(calls for _, calls, _ in ops),

@@ -16,7 +16,7 @@ from repro.core.two_way_join import (
 )
 from repro.mpc import Distributed
 from repro.ram import evaluate
-from repro.semiring import COUNTING, TROPICAL_MIN_PLUS
+from repro.semiring import COUNTING, MAX_MIN, TROPICAL_MIN_PLUS
 from tests.conftest import MATMUL_QUERY, random_instance
 
 
@@ -238,20 +238,32 @@ def test_layout_tuple_kernel_equals_array_kernel(left_schema, right_schema, keep
     assert reference == (list(expected.items()), len(bound))
 
 
-def test_two_column_key_runs_the_tuple_kernel_under_columnar(monkeypatch):
-    import repro.backends.kernels as kernels
+def test_two_column_key_probes_one_id_per_row_under_columnar(monkeypatch):
+    """A two-column join key is packed into one id per row over both sides
+    (``kernels.row_ids``), so the array probe runs and the tuple kernel
+    does not; the partials are the tuple backend's."""
+    import importlib
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the array probe joins one code column")
-
-    monkeypatch.setattr(kernels, "hash_join", refuse)
-    view = MPCCluster(2, backend="columnar").view()
-    layout = JoinLayout(view, COUNTING, ("A", "B", "C"), ("C", "B", "D"), ("A", "D"))
-    assert layout.shared == ("B", "C")
-    assert (layout.left_key, layout.right_key) == ((1, 2), (1, 0))
+    join_module = importlib.import_module("repro.core.two_way_join")
     left_items = [((a, a % 2, a % 3), 1) for a in range(12)]
     right_items = [((d % 3, d % 2, d), 2) for d in range(6)]
-    partials, products = local_join_aggregate(left_items, right_items, layout, COUNTING)
+
+    def joined(backend):
+        view = MPCCluster(2, backend=backend).view()
+        layout = JoinLayout(view, COUNTING, ("A", "B", "C"), ("C", "B", "D"), ("A", "D"))
+        assert layout.shared == ("B", "C")
+        assert (layout.left_key, layout.right_key) == ((1, 2), (1, 0))
+        return local_join_aggregate(left_items, right_items, layout, COUNTING)
+
+    reference = joined("pytuple")
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the tuple kernel ran on a columnar view")
+
+    monkeypatch.setattr(join_module, "_local_join_dict", refuse)
+    partials, products = joined("columnar")
+    assert (partials, products) == reference
+    assert list(partials.items()) == list(reference[0].items())  # same order
     assert products == sum(
         1 for a in range(12) for d in range(6) if (a % 2, a % 3) == (d % 2, d % 3)
     )
@@ -283,3 +295,38 @@ def test_naive_join_is_one_task_over_the_view(backend):
     )
     assert dict(joined.data.collect()) == dict(evaluate(instance).tuples)
     assert cluster.report().rounds == 2
+
+
+def test_int_beside_float_annotations_keep_their_types_under_max_min():
+    """``min(2, 2.5)`` is the int 2: an int column beside a float one is
+    multiplied as objects, never promoted to float64 together."""
+    left = [(("a", 0), 2), (("b", 0), 3)]
+    right = [((0, "c"), 2.5), ((0, "d"), 1.5)]
+
+    def joined(backend):
+        view = MPCCluster(2, backend=backend).view()
+        layout = JoinLayout(view, MAX_MIN, ("A", "B"), ("B", "C"), ("A", "C"))
+        partials, _ = local_join_aggregate(left, right, layout, MAX_MIN)
+        return [(key, type(value), value) for key, value in partials.items()]
+
+    assert joined("columnar") == joined("pytuple")
+    assert (("a", "c"), int, 2) in joined("columnar")
+
+
+def test_a_nan_product_folds_in_arrival_order_without_a_warning():
+    """Tropical ``inf + -inf`` is NaN, under which ``min`` depends on the
+    order: the products go to objects and fold as the tuple kernel does
+    (``min(2.0, nan)`` is 2.0), and no numpy warning escapes."""
+    import warnings
+
+    left = [(("a", 1), 1.0), (("a", 0), float("inf"))]
+    right = [((1, "c"), 1.0), ((0, "c"), float("-inf"))]
+
+    def joined(backend):
+        view = MPCCluster(2, backend=backend).view()
+        layout = JoinLayout(view, TROPICAL_MIN_PLUS, ("A", "B"), ("B", "C"), ("A", "C"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return local_join_aggregate(left, right, layout, TROPICAL_MIN_PLUS)
+
+    assert joined("columnar") == joined("pytuple") == ({("a", "c"): 2.0}, 2)
