@@ -84,17 +84,21 @@ class ColumnarBatch:
         if first.annotations is None:
             annotations = None
         else:
-            annotations = np.concatenate([b.annotations for b in batches])
+            columns_in = [b.annotations for b in batches]
+            if len({column.dtype for column in columns_in}) > 1:
+                # Never promote (an int beside a float): every value keeps
+                # its type in an ``object`` column.
+                columns_in = [column.astype(object) for column in columns_in]
+            annotations = np.concatenate(columns_in)
         return ColumnarBatch(
             columns, annotations, sum(b.size for b in batches), first.kind
         )
 
     def layout(self) -> Tuple[Any, ...]:
         """What two batches must share for their rows to concatenate into
-        one typed batch: decode layout, width and annotation dtype (an int
-        array beside a float one would promote where items keep both)."""
-        dtype = None if self.annotations is None else self.annotations.dtype
-        return self.kind, len(self.columns), dtype
+        one batch: decode layout, width and whether they carry annotations
+        (:meth:`concat` reconciles annotation dtypes)."""
+        return self.kind, len(self.columns), self.annotations is None
 
     def to_items(self, codec: Any) -> List[Any]:
         """Decode to ``(key, annotation)`` rows, order preserved: the key is

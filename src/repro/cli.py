@@ -853,7 +853,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 instance = instance_from_json(handle.read())
-            entry = state.registry.register(name, instance)
+            entry, _dropped = state.register(name, instance)
         except (OSError, ReproError, ValueError, KeyError) as error:
             print(f"ERROR: cannot preload {name!r} from {path}: {error}",
                   file=sys.stderr)

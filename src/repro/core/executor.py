@@ -158,7 +158,7 @@ class AlgorithmSpec:
 def _run_yannakakis(
     instance: Instance, view: ClusterView, loaded: Dict[str, DistRelation]
 ) -> DistRelation:
-    return yannakakis_mpc_distributed(instance, view)
+    return yannakakis_mpc_distributed(instance, loaded)
 
 
 def _run_line(

@@ -24,16 +24,13 @@ __all__ = ["yannakakis_mpc", "yannakakis_mpc_distributed"]
 
 
 def yannakakis_mpc_distributed(
-    instance: Instance, view: ClusterView
+    instance: Instance, relations: Dict[str, DistRelation]
 ) -> DistRelation:
-    """Run the baseline and leave the result distributed (canonical schema:
-    output attributes in sorted order)."""
+    """Run the baseline over the instance's loaded ``relations`` and leave
+    the result distributed (canonical schema: output attributes in sorted
+    order)."""
     query = instance.query
     semiring = instance.semiring
-    relations: Dict[str, DistRelation] = {
-        name: DistRelation.load(view, instance.relation(name))
-        for name, _ in query.relations
-    }
     relations = remove_dangling(query, relations)
 
     for step in yannakakis_plan(query):
@@ -50,5 +47,9 @@ def yannakakis_mpc_distributed(
 
 def yannakakis_mpc(instance: Instance, view: ClusterView) -> Relation:
     """Run the baseline and materialize the result at the coordinator."""
-    distributed = yannakakis_mpc_distributed(instance, view)
+    relations = {
+        name: DistRelation.load(view, instance.relation(name), instance.semiring)
+        for name, _ in instance.query.relations
+    }
+    distributed = yannakakis_mpc_distributed(instance, relations)
     return distributed.collect("yannakakis_mpc", instance.semiring)

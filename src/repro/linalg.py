@@ -30,9 +30,10 @@ from .semiring import Semiring
 __all__ = ["matrix_power", "transitive_closure"]
 
 
-def _as_dist(view: ClusterView, relation: Relation, schema) -> DistRelation:
+def _as_dist(view: ClusterView, relation: Relation, schema,
+             semiring: Semiring) -> DistRelation:
     oriented = Relation(relation.name, schema, list(relation))
-    return DistRelation.load(view, oriented)
+    return DistRelation.load(view, oriented, semiring)
 
 
 def _multiply(
@@ -77,7 +78,7 @@ def matrix_power(
         cluster = MPCCluster(p)
     view = admit_instance(cluster, [matrix]).view()
 
-    base = _as_dist(view, matrix, ("A", "B"))
+    base = _as_dist(view, matrix, ("A", "B"), semiring)
     result: Optional[DistRelation] = None
     square = base
     salt = 0
@@ -126,7 +127,7 @@ def transitive_closure(
         for value in values:
             working.add((value, value), semiring.one, semiring)
 
-    closure = _as_dist(view, working, ("A", "B"))
+    closure = _as_dist(view, working, ("A", "B"), semiring)
     salt = 0
     for _ in range(max_doublings):
         squared = _multiply(closure, closure, semiring, salt)

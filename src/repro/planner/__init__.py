@@ -18,7 +18,6 @@ from .plan import CandidateScore, Plan, plan_query
 from .stats import (
     QueryStatistics,
     RelationStats,
-    StatisticsCatalog,
     collect_statistics,
     collect_statistics_in_model,
     estimate_out,
@@ -31,7 +30,6 @@ __all__ = [
     "Plan",
     "QueryStatistics",
     "RelationStats",
-    "StatisticsCatalog",
     "calibration_constant",
     "collect_statistics",
     "collect_statistics_in_model",

@@ -127,8 +127,8 @@ def plan_query(
 ) -> Plan:
     """Predict the load of every runnable algorithm on ``instance``.
 
-    ``statistics`` short-circuits collection (a
-    :class:`~repro.planner.stats.StatisticsCatalog` hit); otherwise
+    ``statistics`` short-circuits collection (the service passes the
+    snapshot memoized on its registered instance); otherwise
     ``stats_mode`` selects offline collection (default, unmetered; its
     §2.2 estimator runs on ``backend``) or in-model collection on ``view``
     (metered — requires ``view``).  Deterministic: the same instance and

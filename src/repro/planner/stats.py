@@ -42,7 +42,7 @@ one ran):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..backends.dispatch import admit_instance, resolve_backend
@@ -54,7 +54,6 @@ from ..semiring import BOOLEAN
 __all__ = [
     "RelationStats",
     "QueryStatistics",
-    "StatisticsCatalog",
     "collect_statistics",
     "collect_statistics_in_model",
     "estimate_out",
@@ -166,7 +165,7 @@ def _relation_stats(name: str, relation: Relation) -> RelationStats:
 
 def _load(instance: Instance, view) -> Dict[str, DistRelation]:
     return {
-        name: DistRelation.load(view, instance.relation(name))
+        name: DistRelation.load(view, instance.relation(name), instance.semiring)
         for name, _attrs in instance.query.relations
     }
 
@@ -344,35 +343,3 @@ def collect_statistics_in_model(instance: Instance, view) -> QueryStatistics:
         mode="in-model",
         metered_load=max(0, tracker.max_load - before),
     )
-
-
-# -- the catalog ---------------------------------------------------------------
-
-
-@dataclass
-class StatisticsCatalog:
-    """A keyed cache of :class:`QueryStatistics` snapshots.
-
-    A long-lived service would refresh entries as data changes; here the
-    catalog lets benchmark sweeps and the service share one collection
-    pass per instance: ``catalog.for_instance(key, instance)`` computes at
-    most once per key.
-    """
-
-    entries: Dict[str, QueryStatistics] = field(default_factory=dict)
-
-    def for_instance(
-        self,
-        key: str,
-        instance: Instance,
-        backend: Optional[str] = None,
-    ) -> QueryStatistics:
-        if key not in self.entries:
-            self.entries[key] = collect_statistics(instance, backend)
-        return self.entries[key]
-
-    def put(self, key: str, statistics: QueryStatistics) -> None:
-        self.entries[key] = statistics
-
-    def get(self, key: str) -> Optional[QueryStatistics]:
-        return self.entries.get(key)

@@ -5,9 +5,13 @@ A dependency-free HTTP/JSON server (stdlib ``http.server`` with the
 threading mix-in) that turns the batch reproduction into something that
 can plausibly serve traffic:
 
-* **named registered instances** (:mod:`~repro.service.registry`) —
-  upload data once, query it by name; every registration carries a
-  content digest;
+* **one store** (:mod:`~repro.service.registry`) — upload data once,
+  query it by name.  Each name holds one immutable entry: the instance,
+  its content digest, its materialized views and the planner's
+  statistics.  Every write of a name (register, drop, delta, view create
+  or drop) holds that name's lock from read to swap, so concurrent
+  deltas lose no update and a view read equals a recompute at the
+  generation it reports;
 * **a result cache** (:mod:`~repro.service.cache`) keyed by
   (instance digest, canonical query form, semiring, config fingerprint),
   LRU-evicted under a byte budget and invalidated when an instance is
@@ -19,18 +23,14 @@ can plausibly serve traffic:
 * **observability** — ``GET /metrics`` renders the shared
   :class:`~repro.obs.registry.MetricsRegistry` in Prometheus 0.0.4 text
   format; ``GET /healthz`` is the liveness probe;
-* **planner reuse** — a server-side
-  :class:`~repro.planner.stats.StatisticsCatalog` keyed by instance
-  digest feeds both admission estimates and ``POST /explain``;
-* **materialized views** (:mod:`~repro.service.views`) — ``POST /views``
-  pins a :class:`~repro.ivm.MaterializedView` over a registered
-  instance; ``POST /instances/<name>/deltas`` mutates the instance,
-  invalidates only the stale digest's cache entries, and refreshes
-  dependent views by delta propagation instead of recomputing
-  (docs/ivm.md).
+* **materialized views** — ``POST /views`` pins a
+  :class:`~repro.ivm.MaterializedView` over a registered instance;
+  ``POST /instances/<name>/deltas`` mutates the instance, invalidates only
+  the stale digest's cache entries, and refreshes dependent views by delta
+  propagation instead of recomputing (docs/ivm.md).
 
-See docs/service.md for the endpoint reference and the error → HTTP
-status table.
+See docs/service.md for the endpoint reference, the error → HTTP status
+table and the concurrency rules.
 
 >>> from repro.service import ReproServer, ServiceState
 >>> with ReproServer(ServiceState(max_concurrent=2)) as server:
@@ -46,9 +46,14 @@ from .cache import (
     instance_digest,
 )
 from .handlers import ERROR_STATUS, PayloadTooLarge, ServiceState, status_for
-from .registry import InstanceRegistry, RegisteredInstance, UnknownInstanceError
+from .registry import (
+    InstanceRegistry,
+    RegisteredInstance,
+    RegisteredView,
+    UnknownInstanceError,
+    UnknownViewError,
+)
 from .server import ReproServer, serve
-from .views import RegisteredView, UnknownViewError, ViewRegistry
 
 __all__ = [
     "AdmissionController",
@@ -63,7 +68,6 @@ __all__ = [
     "ServiceState",
     "UnknownInstanceError",
     "UnknownViewError",
-    "ViewRegistry",
     "cache_key",
     "canonical_query",
     "config_fingerprint",

@@ -7,8 +7,8 @@ cluster work happens:
 1. **Load budget** — the planner's predicted load for the request
    (:meth:`AdmissionController.check_load`) must not exceed the
    controller's budget (or the request's own stricter one).  Estimation
-   reuses the server-side statistics catalog, so a repeated query pays
-   nothing for it.
+   reuses the statistics memoized on the registered instance, so a
+   repeated query pays nothing for it.
 2. **Concurrency cap** — at most ``max_concurrent`` executions run at
    once.
 3. **Queue depth** — when the cap is reached, up to ``queue_depth``

@@ -282,11 +282,6 @@ class ResultCache:
             self.invalidations += len(doomed)
             return len(doomed)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
     def stats(self) -> Dict[str, int]:
         """A snapshot for ``/metrics`` and tests."""
         with self._lock:

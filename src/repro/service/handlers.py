@@ -55,11 +55,16 @@ from ..ivm import mutate_instance
 from ..obs import RingBufferSink, Tracer, observe_report
 from ..obs.registry import MetricsRegistry
 from ..planner import plan_query
-from ..planner.stats import StatisticsCatalog
 from .admission import AdmissionController, AdmissionRejected
 from .cache import ResultCache, cache_key, moved_sums
-from .registry import InstanceRegistry, UnknownInstanceError
-from .views import UnknownViewError, ViewRegistry
+from .registry import (
+    InstanceRegistry,
+    RegisteredInstance,
+    RegisteredView,
+    UnknownInstanceError,
+    UnknownViewError,
+    successor,
+)
 
 __all__ = [
     "ERROR_STATUS",
@@ -166,13 +171,12 @@ def _trace_summary(events: List[Any]) -> Dict[str, Any]:
 class ServiceState:
     """Everything one server process owns, wired together.
 
-    * an :class:`InstanceRegistry` (named data + digests);
+    * an :class:`InstanceRegistry`, the one store: per name the data, its
+      digest, its views and the planner's statistics (collected once per
+      entry and reused by every budgeted ``/query`` admission estimate and
+      ``/explain`` request), written by one writer per name;
     * a :class:`ResultCache` (bit-identical warm responses);
     * an :class:`AdmissionController` (429 before work, never after);
-    * a :class:`~repro.planner.stats.StatisticsCatalog` keyed by instance
-      digest — the planner's statistics are collected once per registered
-      dataset and reused by every budgeted ``/query`` admission estimate
-      and ``/explain`` request;
     * a :class:`~repro.obs.registry.MetricsRegistry` rendered by
       ``GET /metrics``.
 
@@ -189,14 +193,12 @@ class ServiceState:
         default_config: Optional[ExecutionConfig] = None,
     ) -> None:
         self.registry = InstanceRegistry()
-        self.views = ViewRegistry()
         self.cache = ResultCache(max_bytes=cache_bytes)
         self.admission = AdmissionController(
             max_concurrent=max_concurrent,
             queue_depth=queue_depth,
             load_budget=load_budget,
         )
-        self.statistics = StatisticsCatalog()
         self.metrics = MetricsRegistry()
         self.default_config = default_config or ExecutionConfig()
         self._requests = self.metrics.counter(
@@ -345,23 +347,31 @@ class ServiceState:
             )
         return replace(self.default_config, **overrides)
 
-    def _resolve(self, document: Dict[str, Any]):
+    @staticmethod
+    def _instance_name(document: Dict[str, Any]) -> str:
         name = document.get("instance")
         if not isinstance(name, str) or not name:
             raise ConfigError('request needs an "instance": "<name>" field')
-        return self.registry.get(name)
+        return name
+
+    def _resolve(self, document: Dict[str, Any]) -> RegisteredInstance:
+        return self.registry.get(self._instance_name(document))
+
+    def _commit(self, name: str, entry: Optional[RegisteredInstance]) -> None:
+        """Swap ``entry`` in under ``name`` (None: drop it); the caller holds
+        the name's writer lock.  The one place a digest leaves the cache."""
+        previous = self.registry.swap(name, entry)
+        if previous is not None and (entry is None or entry.digest != previous.digest):
+            self.cache.invalidate(previous.digest)
 
     def _predicted_load(self, entry, config: ExecutionConfig) -> Optional[float]:
         """The planner's load estimate for the algorithm this request runs,
-        from cached statistics.  ``None`` when the planner cannot score it."""
+        from the entry's statistics.  ``None`` when the planner cannot score it."""
         try:
-            statistics = self.statistics.for_instance(
-                entry.digest, entry.instance, backend=config.backend
-            )
             plan = plan_query(
                 entry.instance,
                 p=config.p,
-                statistics=statistics,
+                statistics=entry.statistics(config.backend),
                 backend=config.backend,
             )
         except ReproError:
@@ -380,6 +390,7 @@ class ServiceState:
     def _refresh_gauges(self) -> None:
         cache = self.cache.stats()
         admission = self.admission.stats()
+        entries = self.registry.entries()
         self.metrics.gauge(
             "repro_service_cache_entries", "Entries in the result cache."
         ).set(cache["entries"])
@@ -388,10 +399,10 @@ class ServiceState:
         ).set(cache["bytes"])
         self.metrics.gauge(
             "repro_service_instances", "Registered instances."
-        ).set(len(self.registry))
+        ).set(len(entries))
         self.metrics.gauge(
             "repro_service_views", "Registered materialized views."
-        ).set(len(self.views))
+        ).set(sum(len(entry.views) for entry in entries))
         self.metrics.gauge(
             "repro_service_active_executions", "Executions running now."
         ).set(admission["active"])
@@ -407,6 +418,20 @@ class ServiceState:
         delta = cache["evictions"] - evictions.value()
         if delta > 0:
             evictions.inc(delta)
+
+    def register(
+        self, name: str, instance: Instance
+    ) -> Tuple[RegisteredInstance, List[str]]:
+        """Register (or replace) ``name``; returns the new entry and the
+        names of the views it dropped.  Different data drops the dependent
+        views: a wholesale replacement is not a delta, so their maintained
+        state is stale."""
+        with self.registry.writer(name):
+            previous = self.registry.find(name)
+            entry = successor(name, instance, previous)
+            self._commit(name, entry)
+        dropped = sorted(set(previous.views) - set(entry.views)) if previous else []
+        return entry, dropped
 
     # -- endpoints -------------------------------------------------------------
 
@@ -432,112 +457,110 @@ class ServiceState:
             instance = instance_from_json(payload)
         except (ValueError, KeyError, TypeError) as error:
             raise ConfigError(f"malformed instance document: {error}")
-        entry, old_digest = self.registry.replace(name, instance)
+        entry, dropped_views = self.register(name, instance)
         document_out = {"registered": entry.describe()}
-        if old_digest is not None:
-            # The name now points at different data: every cached response
-            # and statistics snapshot derived from the old content is stale
-            # — and so is the maintained state of any dependent view
-            # (wholesale replacement is not a delta; re-materialize).
-            self.cache.invalidate(old_digest)
-            self.statistics.entries.pop(old_digest, None)
-            dropped_views = self.views.drop_instance(name)
-            if dropped_views:
-                document_out["views_dropped"] = dropped_views
+        if dropped_views:
+            document_out["views_dropped"] = dropped_views
         return 200, document_out, {}
 
     def _handle_drop(self, path, document):
         name = path.rstrip("/").rsplit("/", 1)[-1]
-        entry = self.registry.drop(name)
-        self.cache.invalidate(entry.digest)
-        self.statistics.entries.pop(entry.digest, None)
+        with self.registry.writer(name):
+            entry = self.registry.get(name)
+            self._commit(name, None)
         document_out = {"dropped": entry.describe()}
-        dropped_views = self.views.drop_instance(name)
-        if dropped_views:
-            document_out["views_dropped"] = dropped_views
+        if entry.views:
+            document_out["views_dropped"] = sorted(entry.views)
         return 200, document_out, {}
 
     def _handle_apply_delta(self, path, document):
         """Mutate a registered instance by one delta batch.
 
         The instance is replaced by its mutated form (new digest → only
-        the *old* digest's cache entries and statistics are invalidated;
-        responses for other instances stay warm), and every dependent
-        view refreshes by delta propagation — never by recomputation.
+        the *old* digest's cache entries are invalidated; responses for
+        other instances stay warm), and every dependent view refreshes by
+        delta propagation — never by recomputation — before the name's
+        writer lock is released, so no read sees a view behind its data.
         """
         name = path.rstrip("/").rsplit("/", 2)[-2]
-        entry = self.registry.get(name)
-        payload = document.get("delta")
-        if payload is None:
-            raise ConfigError('request needs a "delta" document '
-                              '(the repro-delta/v1 format)')
-        try:
-            batch = delta_from_json(payload)
-        except (ValueError, KeyError, TypeError) as error:
-            if isinstance(error, ReproError):
-                raise
-            raise ConfigError(f"malformed delta document: {error}")
-        mutated = mutate_instance(entry.instance, batch)
-        sums = moved_sums(
-            entry.sums, entry.instance, mutated,
-            ((change.relation, change.values) for change in batch),
-        )
-        new_entry, old_digest = self.registry.replace(name, mutated, sums)
-        if old_digest is not None:
-            self.cache.invalidate(old_digest)
-            self.statistics.entries.pop(old_digest, None)
-        refreshed: List[Dict[str, Any]] = []
-        for view_entry in self.views.views_for(name):
-            started = time.perf_counter()
-            result = view_entry.view.apply(batch)
-            self._view_refresh_seconds.inc(time.perf_counter() - started)
-            refreshed.append({"view": view_entry.name, **result.to_dict()})
+        with self.registry.writer(name):
+            entry = self.registry.get(name)
+            payload = document.get("delta")
+            if payload is None:
+                raise ConfigError('request needs a "delta" document '
+                                  '(the repro-delta/v1 format)')
+            try:
+                batch = delta_from_json(payload)
+            except (ValueError, KeyError, TypeError) as error:
+                if isinstance(error, ReproError):
+                    raise
+                raise ConfigError(f"malformed delta document: {error}")
+            mutated = mutate_instance(entry.instance, batch)
+            sums = moved_sums(
+                entry.sums, entry.instance, mutated,
+                ((change.relation, change.values) for change in batch),
+            )
+            new_entry = successor(name, mutated, entry, sums, keep_views=True)
+            self._commit(name, new_entry)
+            refreshed: List[Dict[str, Any]] = []
+            for view_name in sorted(new_entry.views):
+                started = time.perf_counter()
+                result = new_entry.views[view_name].view.apply(batch)
+                self._view_refresh_seconds.inc(time.perf_counter() - started)
+                refreshed.append({"view": view_name, **result.to_dict()})
         self._deltas_applied.inc(instance=name)
         return 200, {
             "instance": name,
             "digest": new_entry.digest,
             "generation": new_entry.generation,
             "changes": len(batch),
-            "cache_invalidated": old_digest is not None,
+            "cache_invalidated": new_entry.digest != entry.digest,
             "views_refreshed": refreshed,
         }, {}
 
     def _handle_view_list(self, path, document):
-        return 200, {"views": self.views.list()}, {}
+        return 200, {"views": self.registry.list_views()}, {}
 
     def _handle_view_get(self, path, document):
         name = path.rstrip("/").rsplit("/", 1)[-1]
-        entry = self.views.get(name)
-        summary = entry.describe()
-        summary["answer"] = _answer_rows(entry.view.answer())
+        with self.registry.view(name) as (_entry, view_entry):
+            summary = view_entry.describe()
+            answer = view_entry.view.answer()
+        summary["answer"] = _answer_rows(answer)
         return 200, {"view": summary}, {}
 
     def _handle_view_create(self, path, document):
         """Materialize a view over a registered instance.
 
         The materialization is a real execution (one distributed run), so
-        it takes an admission slot like ``/query``; subsequent deltas
-        refresh the view under the ``maintenance`` meter tag only.
+        it takes an admission slot like ``/query`` — inside the instance's
+        writer lock, so no delta commits between the state it reads and
+        the entry it joins; subsequent deltas refresh the view under the
+        ``maintenance`` meter tag only.
         """
         name = document.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigError('view creation needs a "name": "<string>" field')
-        entry = self._resolve(document)
-        config = self._config_from(document)
-        with self.admission.slot():
-            view = api.materialize(entry.instance, config, name=name)
-        self._executions.inc(endpoint="views")
-        observe_report(self.metrics, view.base_report, scope=entry.name)
-        view_entry = self.views.register(name, entry.name, view)
-        return 200, {
-            "view": view_entry.describe(),
-            "digest": entry.digest,
-        }, {}
+        instance_name = self._instance_name(document)
+        with self.registry.writer(instance_name):
+            entry = self.registry.get(instance_name)
+            config = self._config_from(document)
+            with self.admission.slot():
+                view = api.materialize(entry.instance, config, name=name)
+            self._executions.inc(endpoint="views")
+            observe_report(self.metrics, view.base_report, scope=entry.name)
+            view_entry = RegisteredView(name=name, instance=entry.name, view=view)
+            self._commit(instance_name, replace(entry, views={**entry.views, name: view_entry}))
+            summary = view_entry.describe()
+        return 200, {"view": summary, "digest": entry.digest}, {}
 
     def _handle_view_drop(self, path, document):
         name = path.rstrip("/").rsplit("/", 1)[-1]
-        entry = self.views.drop(name)
-        return 200, {"dropped": entry.describe()}, {}
+        with self.registry.view(name) as (entry, view_entry):
+            views = {key: value for key, value in entry.views.items() if key != name}
+            self._commit(entry.name, replace(entry, views=views))
+            summary = view_entry.describe()
+        return 200, {"dropped": summary}, {}
 
     def _handle_query(self, path, document):
         return self._execute_cached("query", document, self._run_query)
@@ -548,13 +571,10 @@ class ServiceState:
     def _handle_explain(self, path, document):
         entry = self._resolve(document)
         config = self._config_from(document)
-        statistics = self.statistics.for_instance(
-            entry.digest, entry.instance, backend=config.backend
-        )
         plan = plan_query(
             entry.instance,
             p=config.p,
-            statistics=statistics,
+            statistics=entry.statistics(config.backend),
             backend=config.backend,
         )
         return 200, {

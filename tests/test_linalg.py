@@ -142,3 +142,30 @@ def test_look_alike_values_meter_alike_on_both_backends(seed):
         )
         assert reference.tuples == columnar.tuples
         assert ref_report.to_dict() == col_report.to_dict()
+
+
+def test_matrix_power_loads_columns_on_the_columnar_backend(monkeypatch):
+    """``linalg`` loads its matrix with the semiring, so a columnar run
+    multiplies array datasets from the first step, and meters alike."""
+    import repro.linalg as linalg
+    from repro.mpc import MPCCluster
+
+    relation, _graph = _random_digraph(12, 40, seed=4, weight_fn=lambda r: r.randint(1, 3))
+    operands = []
+    multiply = linalg._multiply
+
+    def spying(left, right, semiring, salt):
+        operands.append((type(left.data).__name__, type(right.data).__name__))
+        return multiply(left, right, semiring, salt)
+
+    monkeypatch.setattr(linalg, "_multiply", spying)
+    runs = {}
+    for backend in ("pytuple", "columnar"):
+        operands.clear()
+        runs[backend] = matrix_power(relation, 3, COUNTING,
+                                     cluster=MPCCluster(4, backend=backend))
+        if backend == "columnar":
+            assert operands[0] == ("ColumnarData", "ColumnarData")
+    (reference, ref_report), (columnar, col_report) = runs["pytuple"], runs["columnar"]
+    assert reference.tuples == columnar.tuples
+    assert ref_report.total_communication == col_report.total_communication

@@ -312,7 +312,10 @@ def test_join_tasked_batches_equal_dict_partials(servers):
     assert _observed("columnar", 3, run) == _observed("pytuple", 3, run)
 
 
-def test_one_fallback_task_decays_the_servers_partials_before_the_reduce():
+def test_one_fallback_task_keeps_the_servers_partials_columnar_for_the_reduce():
+    """A task beyond the exact-product range joins by the tuple kernel, its
+    partial an ``object`` column beside the typed ones: the server's
+    partials still concatenate, and the reduce gets an array dataset."""
     fits = [("L", 0, (("a", 0), 2)), ("R", 0, ((0, "c"), 3))]
     too_big = [("L", 1, (("a", 0), 1 << 21)), ("R", 1, ((0, "d"), 1))]
     seen = []
@@ -330,7 +333,7 @@ def test_one_fallback_task_decays_the_servers_partials_before_the_reduce():
             assert _observed("columnar", 3, run) == _observed("pytuple", 3, run)
     finally:
         module.reduce_by_key = original
-    assert seen == ["ColumnarData", "Distributed", "Distributed", "Distributed"]
+    assert seen == ["ColumnarData", "Distributed", "ColumnarData", "Distributed"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,9 +380,10 @@ def test_union_concatenates_batches_and_decays_beside_items():
     ):
         union = Distributed.union(view, mixed)
         assert type(union) is Distributed and union.parts == folded
-    # An int batch beside a float one would promote: items keep both.
+    # An int batch beside a float one never promotes: an object column
+    # keeps both types.
     union = Distributed.union(view, [_as_arrays(first, counting), _as_arrays(floats, tropical)])
-    assert type(union) is Distributed
+    assert isinstance(union, ColumnarData) and union.batch.annotations.dtype == object
     assert union.parts == first.concat(floats).parts
     assert [type(item[1]) for part in union.parts for item in part] == [int, float, int, int]
     empty = Distributed.union(view, [])

@@ -298,7 +298,7 @@ def test_no_budget_means_no_plan_and_no_statistics(monkeypatch):
     _register(state, "mm", planted_out_matmul(n=40, out=80))
     status, _, _, headers = _query(state, {"instance": "mm", "config": {"p": 4}})
     assert status == 200 and headers["X-Repro-Cache"] == "miss"
-    assert state.statistics.entries == {}
+    assert state.registry.get("mm").memo == []
 
 
 # -- error mapping end to end -------------------------------------------------
@@ -570,6 +570,27 @@ def test_dropping_or_replacing_an_instance_drops_its_views():
     assert "v2" in json.loads(payload)["views_dropped"]
     status, _, _, _ = state.handle("GET", "/views/v2", None)
     assert status == 404
+
+
+def test_a_view_name_belongs_to_one_instance():
+    from repro.workloads import zipf_matmul
+
+    state = ServiceState()
+    _register(state, "m", zipf_matmul(40, 40, 9, seed=7))
+    _register(state, "n", zipf_matmul(40, 40, 9, seed=8))
+    assert state.handle("POST", "/views", _body({"name": "v", "instance": "m"}))[0] == 200
+    status, _, payload, _ = state.handle(
+        "POST", "/views", _body({"name": "v", "instance": "n"}))
+    assert status == 400 and "maintains instance 'm'" in json.loads(payload)["message"]
+    status, _, payload, _ = state.handle("GET", "/views/v", None)
+    assert status == 200 and json.loads(payload)["view"]["instance"] == "m"
+    # re-creating it over its own instance replaces it; after a drop the
+    # name is free for the other
+    assert state.handle("POST", "/views", _body({"name": "v", "instance": "m"}))[0] == 200
+    assert state.handle("DELETE", "/views/v", None)[0] == 200
+    assert state.handle("POST", "/views", _body({"name": "v", "instance": "n"}))[0] == 200
+    status, _, payload, _ = state.handle("GET", "/views", None)
+    assert [view["instance"] for view in json.loads(payload)["views"]] == ["n"]
 
 
 # -- the live HTTP server ------------------------------------------------------
