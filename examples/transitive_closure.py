@@ -12,6 +12,7 @@ Run:  python examples/transitive_closure.py
 
 import networkx as nx
 
+from repro.config import ExecutionConfig
 from repro.data import Relation
 from repro.linalg import transitive_closure
 from repro.semiring import BOOLEAN, TROPICAL_MIN_PLUS
@@ -24,13 +25,15 @@ def main() -> None:
 
     # Reachability (boolean semiring).
     boolean_edges = Relation("E", ("A", "B"), [(k, True) for k, _ in edges])
-    reach, report = transitive_closure(boolean_edges, BOOLEAN, p=16)
+    config = ExecutionConfig(p=16)
+    reach, report = transitive_closure(boolean_edges, BOOLEAN, config=config)
     print(f"reachable pairs: {len(reach)}  "
           f"(closure load={report.max_load}, rounds={report.rounds})")
 
     # All-pairs shortest paths (tropical semiring, unit edge costs).
     unit_edges = Relation("E", ("A", "B"), [(k, 1.0) for k, _ in edges])
-    distances, report = transitive_closure(unit_edges, TROPICAL_MIN_PLUS, p=16)
+    distances, report = transitive_closure(unit_edges, TROPICAL_MIN_PLUS,
+                                           config=config)
     print(f"shortest-path pairs: {len(distances)}  "
           f"(load={report.max_load}, rounds={report.rounds})")
 

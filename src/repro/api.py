@@ -161,38 +161,20 @@ def compare(
 
 
 def explain(
-    instance: Instance,
-    config: Optional[ExecutionConfig] = None,
-    stats_mode: str = "offline",
+    instance: Instance, config: Optional[ExecutionConfig] = None
 ) -> "Plan":
     """The planner's predictions for ``instance`` — no execution.
 
     Returns the :class:`repro.planner.Plan`: the algorithm
     ``algorithm="auto"`` runs as ``chosen``, every runnable algorithm's
-    predicted load, and the statistics snapshot behind them.
-    ``stats_mode="in-model"`` collects the statistics on a throwaway
-    cluster so the plan reports their metered cost; the default
-    ``"offline"`` snapshot is free; any other value raises
-    :class:`~repro.errors.ConfigError`.  Deterministic: same instance,
-    same calibration file, byte-identical
-    :meth:`~repro.planner.Plan.to_dict`.
+    predicted load at ``config.p``, and the unmetered statistics snapshot
+    behind them.  Deterministic: same instance, same calibration file,
+    byte-identical :meth:`~repro.planner.Plan.to_dict`.
     """
-    from .backends.dispatch import admit_instance
     from .planner import plan_query
 
     config = config or ExecutionConfig()
-    view = None
-    if stats_mode == "in-model":
-        view = admit_instance(
-            config.make_cluster(instance.total_size), instance.relations.values()
-        ).view()
-    return plan_query(
-        instance,
-        p=config.p,
-        stats_mode=stats_mode,
-        view=view,
-        backend=config.backend,
-    )
+    return plan_query(instance, p=config.p, backend=config.backend)
 
 
 #: Table-1 row labels in presentation order.

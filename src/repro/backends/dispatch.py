@@ -16,9 +16,9 @@ per-server counts every delivery charges, so a faulted run executes its
 resolved backend like a clean one.  An instance with a float, bool or
 subclass attribute value does force the tuple kernels: the codec interns
 by dict equality, under which ``1``, ``1.0`` and ``True`` are one value, so
-:func:`admit_instance` — called by the executor, by in-model ``explain``
-and by :mod:`repro.linalg` — resolves such a run to ``pytuple`` before
-loading anything (:func:`~repro.backends.columnar.interns_exactly`).
+:func:`admit_instance` — called by the executor, by the planner's OUT
+estimate and by :mod:`repro.linalg` — resolves such a run to ``pytuple``
+before loading anything (:func:`~repro.backends.columnar.interns_exactly`).
 Annotations never choose the path: whatever the semiring, they load as
 one column, typed or of objects.
 """
@@ -87,7 +87,8 @@ def admit_instance(cluster, relations):
     ``relations`` (logical :class:`~repro.data.relation.Relation` objects)
     holds a value the codec would conflate with another
     (:func:`~repro.backends.columnar.interns_exactly`); called once per
-    run, in-model plan or linear-algebra call, before anything is loaded."""
+    run, planner OUT estimate or linear-algebra call, before anything is
+    loaded."""
     if cluster.backend == "columnar":
         from .columnar import interns_exactly
 

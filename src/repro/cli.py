@@ -13,7 +13,7 @@ Commands aimed at kicking the tires without writing code:
 * ``explain`` — the planner's candidate table for one instance
   (docs/planner.md), **without executing anything**: predicted load per
   applicable algorithm, the one ``auto`` runs, and the statistics behind
-  the predictions (``--stats in-model`` meters the statistics collection);
+  the predictions;
 * ``trace`` — run one instance with the observability layer on: dump a
   JSONL trace (see docs/observability.md for the schema) and print an
   ASCII per-round × per-server load heatmap plus skew statistics
@@ -62,7 +62,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
 from . import api
 from .backends.dispatch import BACKENDS
@@ -75,6 +76,7 @@ from .conformance import (
     FuzzConfig,
 )
 from .data.query import Instance
+from .errors import ConfigError, ReproError
 from .obs import (
     JsonlSink,
     MetricsRegistry,
@@ -124,6 +126,52 @@ def _families() -> Dict[str, Callable[[argparse.Namespace], Instance]]:
     }
 
 
+#: Help texts more than one command shares.
+_BACKEND_HELP = ("kernel backend (results and meters are identical; columnar "
+                 "is faster on large instances)")
+_EXPORT_JSON_HELP = "print a machine-readable JSON document instead of tables"
+_EXPORT_TRACE = (None, "write a JSONL trace of the paper algorithm's run(s)")
+_VERSUS_BASELINE_HELP = ("what to run against the baseline: 'auto' (the "
+                         "paper's per-class choice) or an explicit algorithm "
+                         "name")
+
+
+def _add_shared(
+    command: argparse.ArgumentParser,
+    p: int = 16,
+    p_help: Optional[str] = "number of servers",
+    backend_help: str = _BACKEND_HELP,
+    json_help: Optional[str] = None,
+    trace_out: Optional[Tuple[Optional[str], str]] = None,
+    algorithm_help: Optional[str] = None,
+) -> None:
+    """The one declaration of each flag several commands share: ``--p`` and
+    ``--backend`` always; ``--json``, ``--trace-out`` (``(default, help)``)
+    and ``--algorithm`` where the command passes their help text."""
+    command.add_argument("--p", type=int, default=p, help=p_help)
+    command.add_argument("--backend", choices=BACKENDS, default="pytuple",
+                         help=backend_help)
+    if json_help is not None:
+        command.add_argument("--json", action="store_true", help=json_help)
+    if trace_out is not None:
+        command.add_argument("--trace-out", default=trace_out[0], metavar="PATH",
+                             help=trace_out[1])
+    if algorithm_help is not None:
+        command.add_argument("--algorithm", default="auto", help=algorithm_help)
+
+
+def _add_instance(command: argparse.ArgumentParser) -> None:
+    """The workload-family knobs of the commands that build one instance."""
+    command.add_argument("--family", choices=sorted(_families()), default="matmul")
+    command.add_argument("--tuples", type=int, default=400,
+                         help="tuples per relation (size knob)")
+    command.add_argument("--domain", type=int, default=20,
+                         help="domain width / family-specific knob")
+    command.add_argument("--out", type=int, default=None,
+                         help="target OUT (planted families)")
+    command.add_argument("--seed", type=int, default=0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -131,84 +179,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", choices=sorted(_families()), default="matmul")
-        p.add_argument("--tuples", type=int, default=400,
-                       help="tuples per relation (size knob)")
-        p.add_argument("--domain", type=int, default=20,
-                       help="domain width / family-specific knob")
-        p.add_argument("--out", type=int, default=None,
-                       help="target OUT (planted families)")
-        p.add_argument("--p", type=int, default=16, help="number of servers")
-        p.add_argument("--seed", type=int, default=0)
-        add_backend(p)
-
-    def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=BACKENDS, default="pytuple",
-                       help="kernel backend (results and meters are "
-                       "identical; columnar is faster on large instances)")
-
-    def add_export(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true",
-                       help="print a machine-readable JSON document instead of tables")
-        p.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write a JSONL trace of the paper algorithm's run(s)")
-
-    def add_algorithm(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--algorithm", default="auto",
-                       help="what to run against the baseline: 'auto' (the "
-                       "paper's per-class choice) or an explicit algorithm "
-                       "name")
-
     compare = sub.add_parser("compare", help="baseline vs paper algorithm, one instance")
-    add_common(compare)
-    add_export(compare)
-    add_algorithm(compare)
+    _add_instance(compare)
+    _add_shared(compare, json_help=_EXPORT_JSON_HELP, trace_out=_EXPORT_TRACE,
+                algorithm_help=_VERSUS_BASELINE_HELP)
 
     sweep = sub.add_parser(
         "sweep",
         help="sweep the family's size knob (OUT for matmul, --tuples otherwise)",
     )
-    add_common(sweep)
-    add_export(sweep)
-    add_algorithm(sweep)
+    _add_instance(sweep)
+    _add_shared(sweep, json_help=_EXPORT_JSON_HELP, trace_out=_EXPORT_TRACE,
+                algorithm_help=_VERSUS_BASELINE_HELP)
     sweep.add_argument("--points", type=int, default=4)
 
     explain = sub.add_parser(
         "explain",
         help="print the planner's predicted loads (no execution)",
     )
-    add_common(explain)
-    explain.add_argument("--stats", choices=("offline", "in-model"),
-                         default="offline", dest="stats_mode",
-                         help="statistics collection mode (in-model meters "
-                         "the collection on a throwaway cluster)")
-    explain.add_argument("--json", action="store_true",
-                         help="print the full plan as JSON (byte-stable for "
-                         "a fixed instance and calibration)")
+    _add_instance(explain)
+    _add_shared(explain, json_help="print the full plan as JSON (byte-stable "
+                "for a fixed instance and calibration)")
 
     table1 = sub.add_parser(
         "table1", help="reproduce the paper's Table 1 (one row per query class)"
     )
-    table1.add_argument("--p", type=int, default=16)
+    _add_shared(table1, p_help=None, json_help=_EXPORT_JSON_HELP,
+                trace_out=_EXPORT_TRACE)
     table1.add_argument("--scale", type=int, default=300,
                         help="instance size knob (tuples per relation)")
     table1.add_argument("--families", nargs="*", default=None, metavar="FAMILY",
                         help="subset of Table-1 rows to measure (default: all)")
-    add_backend(table1)
-    add_export(table1)
 
     trace = sub.add_parser(
         "trace",
         help="run one instance with tracing on: JSONL trace + ASCII load heatmap",
     )
-    add_common(trace)
-    trace.add_argument("--algorithm", default="auto",
-                       help="algorithm to trace (default: the paper's choice)")
-    trace.add_argument("--trace-out", default="repro-trace.jsonl", metavar="PATH",
-                       help="JSONL trace destination (default: %(default)s)")
-    trace.add_argument("--json", action="store_true",
-                       help="print the run summary as JSON instead of the heatmap")
+    _add_instance(trace)
+    _add_shared(
+        trace,
+        json_help="print the run summary as JSON instead of the heatmap",
+        trace_out=("repro-trace.jsonl",
+                   "JSONL trace destination (default: %(default)s)"),
+        algorithm_help="algorithm to trace (default: the paper's choice)",
+    )
     trace.add_argument("--phase", default=None, metavar="SUBSTR",
                        help="analyse only events whose phase path contains "
                        "SUBSTR (the JSONL file still holds every event)")
@@ -223,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one instance under the wall-clock profiler: hotspot table "
         "+ speedscope flamegraph JSON",
     )
-    add_common(profile)
-    add_algorithm(profile)
+    _add_instance(profile)
+    _add_shared(profile, json_help="print the profile summary as JSON",
+                algorithm_help=_VERSUS_BASELINE_HELP)
     profile.add_argument("--profile-out", default="repro-profile.speedscope.json",
                          metavar="PATH",
                          help="speedscope JSON destination (default: %(default)s)")
@@ -239,20 +254,18 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--tree", action="store_true",
                          help="print the full span tree instead of the "
                          "hotspot table")
-    profile.add_argument("--json", action="store_true",
-                         help="print the profile summary as JSON")
 
     fuzz = sub.add_parser(
         "fuzz",
         help="conformance fuzzing: differential + metamorphic invariants",
     )
+    _add_shared(fuzz, p=4, json_help="print the campaign summary as JSON")
     fuzz.add_argument("--iterations", type=int, default=25,
                       help="cases to check (ignored when --seconds is given)")
     fuzz.add_argument("--seconds", type=float, default=None,
                       help="wall-clock budget instead of an iteration count")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed; same seed → byte-identical --json output")
-    fuzz.add_argument("--p", type=int, default=4, help="number of servers")
     fuzz.add_argument("--p-large", type=int, default=8,
                       help="larger server count for the scaling invariant")
     fuzz.add_argument("--tuples", type=int, default=12,
@@ -271,9 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="skip delta-debugging of failures")
     fuzz.add_argument("--fail-fast", action="store_true",
                       help="stop at the first invariant violation")
-    fuzz.add_argument("--json", action="store_true",
-                      help="print the campaign summary as JSON")
-    add_backend(fuzz)
     fuzz.add_argument("--invariants", nargs="+", default=None,
                       metavar="NAME", help="restrict the invariant catalog "
                       f"(default: {', '.join(DEFAULT_INVARIANTS)})")
@@ -289,19 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "ivm",
         help="materialize a view and apply delta batches (docs/ivm.md)",
     )
+    _add_shared(ivm, p=8, json_help="print a machine-readable JSON document")
     ivm.add_argument("--instance", required=True, metavar="PATH",
                      help="instance JSON file (the repro.io format)")
     ivm.add_argument("--delta", action="append", default=[], metavar="PATH",
                      help="delta JSON file (repro-delta/v1); repeatable, "
                      "applied in order")
-    ivm.add_argument("--p", type=int, default=8, help="number of servers")
-    add_backend(ivm)
     ivm.add_argument("--check", action="store_true",
                      help="also recompute from scratch on the mutated "
                      "instance and exit 1 unless the incremental answer "
                      "is bit-identical")
-    ivm.add_argument("--json", action="store_true",
-                     help="print a machine-readable JSON document")
     ivm.add_argument("--export", default=None, metavar="PATH",
                      help="write the maintained answer as TSV")
 
@@ -309,6 +316,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the HTTP/JSON query service (docs/service.md)",
     )
+    _add_shared(serve, p=8,
+                p_help="default server count for requests that omit "
+                "config.p (default: %(default)s)",
+                backend_help="default kernel backend for requests that omit "
+                "config.backend")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8750,
@@ -326,12 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--load-budget", type=float, default=None, metavar="L",
                        help="reject requests whose planner-predicted load "
                        "exceeds L (default: unlimited)")
-    serve.add_argument("--p", type=int, default=8,
-                       help="default server count for requests that omit "
-                       "config.p (default: %(default)s)")
-    serve.add_argument("--backend", choices=BACKENDS, default="pytuple",
-                       help="default kernel backend for requests that omit "
-                       "config.backend")
     serve.add_argument("--preload", nargs="*", default=(), metavar="NAME=PATH",
                        help="register instance JSON files (repro.io format) "
                        "at startup")
@@ -347,32 +353,41 @@ def _print_report(label: str, result) -> None:
           f"rounds={report.rounds:<4} products={report.elementary_products}")
 
 
-def _tracer_for(args: argparse.Namespace) -> Optional[Tracer]:
-    """A JSONL-backed tracer when ``--trace-out`` was given, else None."""
-    if getattr(args, "trace_out", None) is None:
-        return None
-    return Tracer([JsonlSink(args.trace_out)])
+def _config(args: argparse.Namespace, **observers: Any) -> ExecutionConfig:
+    """The one place a command's :class:`ExecutionConfig` is built: ``--p``,
+    ``--backend`` and, on the commands that have it, ``--algorithm``, plus
+    the command's observers (``tracer=``, ``profiler=``)."""
+    return ExecutionConfig(p=args.p, backend=args.backend,
+                           algorithm=getattr(args, "algorithm", "auto"),
+                           **observers)
+
+
+def _tracer(
+    args: argparse.Namespace, *sinks: Any, scope: str = ""
+) -> ContextManager[Optional[Tracer]]:
+    """A tracer over ``sinks`` plus a JSONL sink when ``--trace-out`` was
+    given, to hold for one ``with`` block (which closes it); a null context
+    yielding None when that leaves no sink."""
+    if args.trace_out:
+        sinks += (JsonlSink(args.trace_out),)
+    return Tracer(sinks, scope=scope) if sinks else nullcontext()
 
 
 def _command_compare(args: argparse.Namespace) -> int:
     instance = _families()[args.family](args)
-    tracer = _tracer_for(args)
     if not args.json:
         print(f"family={args.family}  N={instance.total_size}  p={args.p}  "
               f"class={instance.query.classify()}")
-    config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, tracer=tracer)
-    try:
-        result = api.compare(instance, config, scope=args.family)
-    except AssertionError:
-        print("ERROR: algorithms disagree!", file=sys.stderr)
-        return 1
-    except ValueError as error:
-        print(f"ERROR: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
+    with _tracer(args) as tracer:
+        try:
+            result = api.compare(instance, _config(args, tracer=tracer),
+                                 scope=args.family)
+        except AssertionError:
+            print("ERROR: algorithms disagree!", file=sys.stderr)
+            return 1
+        except ValueError as error:
+            print(f"ERROR: {error}", file=sys.stderr)
+            return 2
     baseline, ours = result.baseline, result.ours
     speedup = result.speedup
     if args.json:
@@ -401,9 +416,6 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     """Sweep OUT for ``matmul``; sweep ``--tuples`` (doubling) otherwise."""
-    tracer = _tracer_for(args)
-    config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, tracer=tracer)
     matmul = args.family == "matmul"
     knob_name = "OUT" if matmul else "tuples"
     points: List[Dict[str, Any]] = []
@@ -430,24 +442,22 @@ def _command_sweep(args: argparse.Namespace) -> int:
             out *= 8
             tuples *= 2
 
-    for scope, knob, instance in instances():
-        try:
-            result = api.compare(instance, config, scope=scope)
-        except ValueError as error:
-            print(f"ERROR: {error}", file=sys.stderr)
-            if tracer is not None:
-                tracer.close()
-            return 2
-        points.append({
-            knob_name.lower(): knob,
-            "input_size": instance.total_size,
-            "out_size": result.ours.out_size,
-            "baseline_load": result.baseline.report.max_load,
-            "new_load": result.ours.report.max_load,
-            "speedup": result.speedup,
-        })
-    if tracer is not None:
-        tracer.close()
+    with _tracer(args) as tracer:
+        config = _config(args, tracer=tracer)
+        for scope, knob, instance in instances():
+            try:
+                result = api.compare(instance, config, scope=scope)
+            except ValueError as error:
+                print(f"ERROR: {error}", file=sys.stderr)
+                return 2
+            points.append({
+                knob_name.lower(): knob,
+                "input_size": instance.total_size,
+                "out_size": result.ours.out_size,
+                "baseline_load": result.baseline.report.max_load,
+                "new_load": result.ours.report.max_load,
+                "speedup": result.speedup,
+            })
     if not points:
         return 1
 
@@ -472,16 +482,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 def _command_table1(args: argparse.Namespace) -> int:
     """One adversarial instance per Table-1 row, baseline vs new algorithm."""
-    tracer = _tracer_for(args)
-    config = ExecutionConfig(p=args.p, backend=args.backend, tracer=tracer)
-    try:
-        rows = api.table1(scale=args.scale, config=config, families=args.families)
-    except (AssertionError, ValueError) as error:
-        print(f"ERROR: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if tracer is not None:
-            tracer.close()
+    with _tracer(args) as tracer:
+        try:
+            rows = api.table1(scale=args.scale, config=_config(args, tracer=tracer),
+                              families=args.families)
+        except (AssertionError, ValueError) as error:
+            print(f"ERROR: {error}", file=sys.stderr)
+            return 1
     if args.json:
         document = {
             "p": args.p,
@@ -507,14 +514,11 @@ def _command_table1(args: argparse.Namespace) -> int:
 def _command_explain(args: argparse.Namespace) -> int:
     """Print the planner's candidate table for one instance, no execution."""
     instance = _families()[args.family](args)
-    config = ExecutionConfig(p=args.p, backend=args.backend)
-    plan = api.explain(instance, config, stats_mode=args.stats_mode)
+    plan = api.explain(instance, _config(args))
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
         return 0
-    print(f"family={args.family}  stats={plan.statistics.mode}"
-          + (f" (metered load {plan.statistics.metered_load})"
-             if plan.statistics.mode == "in-model" else ""))
+    print(f"family={args.family}")
     print(plan.render())
     return 0
 
@@ -522,20 +526,13 @@ def _command_explain(args: argparse.Namespace) -> int:
 def _command_trace(args: argparse.Namespace) -> int:
     instance = _families()[args.family](args)
     ring = RingBufferSink()
-    sinks = [ring]
-    if args.trace_out:
-        sinks.append(JsonlSink(args.trace_out))
-    tracer = Tracer(sinks, scope=args.family)
-    config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, tracer=tracer)
-    try:
-        result = api.run_query(instance, config)
-    except (KeyError, ValueError) as error:
-        print(f"ERROR: cannot run {args.algorithm!r} on family "
-              f"{args.family!r}: {error}", file=sys.stderr)
-        return 2
-    finally:
-        tracer.close()
+    with _tracer(args, ring, scope=args.family) as tracer:
+        try:
+            result = api.run_query(instance, _config(args, tracer=tracer))
+        except (KeyError, ValueError) as error:
+            print(f"ERROR: cannot run {args.algorithm!r} on family "
+                  f"{args.family!r}: {error}", file=sys.stderr)
+            return 2
 
     report = result.report
     events = ring.events
@@ -615,10 +612,8 @@ def _command_profile(args: argparse.Namespace) -> int:
     """Run one instance under the profiler; hotspots + flamegraph exports."""
     instance = _families()[args.family](args)
     profiler = Profiler()
-    config = ExecutionConfig(p=args.p, algorithm=args.algorithm,
-                             backend=args.backend, profiler=profiler)
     try:
-        result = api.run_query(instance, config)
+        result = api.run_query(instance, _config(args, profiler=profiler))
     except (KeyError, ValueError) as error:
         print(f"ERROR: cannot run {args.algorithm!r} on family "
               f"{args.family!r}: {error}", file=sys.stderr)
@@ -751,7 +746,6 @@ def _answer_map(relation) -> Dict[Any, Any]:
 
 def _command_ivm(args: argparse.Namespace) -> int:
     """Materialize a view, stream deltas through it, optionally verify."""
-    from .errors import ReproError
     from .io import read_delta_json, read_instance_json, write_relation_tsv
     from .ivm import mutate_instance
 
@@ -761,7 +755,7 @@ def _command_ivm(args: argparse.Namespace) -> int:
     except (OSError, ReproError, ValueError, KeyError) as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
-    config = ExecutionConfig(p=args.p, backend=args.backend)
+    config = _config(args)
     try:
         view = api.materialize(instance, config)
         results = [view.apply(batch) for batch in batches]
@@ -776,8 +770,7 @@ def _command_ivm(args: argparse.Namespace) -> int:
         mutated = instance
         for batch in batches:
             mutated = mutate_instance(mutated, batch)
-        recompute = api.run_query(mutated, ExecutionConfig(
-            p=args.p, backend=args.backend))
+        recompute = api.run_query(mutated, config)
         check = {
             "identical": _answer_map(answer) == _answer_map(recompute.relation),
             "recompute_load": recompute.report.max_load,
@@ -827,7 +820,7 @@ def _command_ivm(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     """Start the HTTP/JSON query service (blocks until interrupted)."""
-    from .errors import ConfigError, ReproError
+    from .io import instance_from_json
     from .service import ServiceState, serve
 
     try:
@@ -836,13 +829,11 @@ def _command_serve(args: argparse.Namespace) -> int:
             max_concurrent=args.max_concurrent,
             queue_depth=args.queue_depth,
             load_budget=args.load_budget,
-            default_config=ExecutionConfig(p=args.p, backend=args.backend),
+            default_config=_config(args),
         )
     except ConfigError as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
-
-    from .io import instance_from_json
 
     for spec in args.preload:
         name, separator, path = spec.partition("=")
@@ -865,28 +856,23 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "compare": _command_compare,
+    "sweep": _command_sweep,
+    "table1": _command_table1,
+    "explain": _command_explain,
+    "trace": _command_trace,
+    "profile": _command_profile,
+    "fuzz": _command_fuzz,
+    "ivm": _command_ivm,
+    "serve": _command_serve,
+}
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "compare":
-        return _command_compare(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    if args.command == "table1":
-        return _command_table1(args)
-    if args.command == "explain":
-        return _command_explain(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "profile":
-        return _command_profile(args)
-    if args.command == "fuzz":
-        return _command_fuzz(args)
-    if args.command == "ivm":
-        return _command_ivm(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    return 2  # pragma: no cover
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,8 +42,7 @@ class ConfigError(ReproError, ValueError):
 
     Raised eagerly — :class:`~repro.config.ExecutionConfig` rejects
     unknown backends and ``p < 1`` at *construction* time, so a bad config
-    never reaches the executor; :func:`repro.api.explain` rejects an
-    unknown ``stats_mode``.
+    never reaches the executor.
     """
 
 

@@ -11,7 +11,9 @@ iterated operations on top of it, all distributed:
   paths over (min,+)), iterated to a fixpoint by doubling.
 
 Both operate on square "matrices" given as binary relations whose two
-columns share one value domain.
+columns share one value domain, and run on a fresh cluster built by an
+optional :class:`~repro.config.ExecutionConfig` (default
+``ExecutionConfig(p=16)``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .backends.dispatch import admit_instance
+from .config import ExecutionConfig
 from .core.matmul import sparse_matmul
 from .core.two_way_join import vector_profile
 from .data.relation import DistRelation, Relation
@@ -28,6 +31,13 @@ from .primitives.reduce_by_key import reduce_by_key
 from .semiring import Semiring
 
 __all__ = ["matrix_power", "transitive_closure"]
+
+
+def _cluster(config: Optional[ExecutionConfig], matrix: Relation) -> MPCCluster:
+    """A fresh cluster from ``config``, on the tuple kernels when the matrix
+    holds values the columnar codec would conflate."""
+    config = config or ExecutionConfig(p=16)
+    return admit_instance(config.make_cluster(len(matrix)), [matrix])
 
 
 def _as_dist(view: ClusterView, relation: Relation, schema,
@@ -62,8 +72,7 @@ def matrix_power(
     matrix: Relation,
     k: int,
     semiring: Semiring,
-    p: int = 16,
-    cluster: Optional[MPCCluster] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Relation, CostReport]:
     """``matrix^k`` under the semiring, by repeated squaring.
 
@@ -74,9 +83,8 @@ def matrix_power(
         raise ValueError("matrix_power needs k ≥ 1")
     if len(matrix.schema) != 2:
         raise ValueError("matrix_power needs a binary relation")
-    if cluster is None:
-        cluster = MPCCluster(p)
-    view = admit_instance(cluster, [matrix]).view()
+    cluster = _cluster(config, matrix)
+    view = cluster.view()
 
     base = _as_dist(view, matrix, ("A", "B"), semiring)
     result: Optional[DistRelation] = None
@@ -100,10 +108,9 @@ def matrix_power(
 def transitive_closure(
     matrix: Relation,
     semiring: Semiring,
-    p: int = 16,
     include_identity: bool = False,
     max_doublings: int = 64,
-    cluster: Optional[MPCCluster] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> Tuple[Relation, CostReport]:
     """The Kleene closure ``R ⊕ R² ⊕ R³ ⊕ …`` for idempotent semirings.
 
@@ -117,9 +124,8 @@ def transitive_closure(
         raise ValueError("transitive closure needs an idempotent semiring")
     if len(matrix.schema) != 2:
         raise ValueError("transitive_closure needs a binary relation")
-    if cluster is None:
-        cluster = MPCCluster(p)
-    view = admit_instance(cluster, [matrix]).view()
+    cluster = _cluster(config, matrix)
+    view = cluster.view()
 
     working = Relation(matrix.name, ("A", "B"), list(matrix))
     if include_identity:

@@ -19,7 +19,6 @@ from .stats import (
     QueryStatistics,
     RelationStats,
     collect_statistics,
-    collect_statistics_in_model,
     estimate_out,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "RelationStats",
     "calibration_constant",
     "collect_statistics",
-    "collect_statistics_in_model",
     "estimate_out",
     "invalidate_calibration_cache",
     "load_calibration",

@@ -8,7 +8,7 @@ the cluster meter reports — by instantiating the paper's closed forms
 
 * ``yannakakis`` — the first column of Table 1 (baseline loads);
 * ``matmul`` / ``line`` on a matmul query — Theorem 1's dispatch:
-  an in-model OUT-estimation pass plus the min of the worst-case and
+  a metered OUT-estimation pass plus the min of the worst-case and
   output-sensitive terms;
 * ``matmul-worst-case`` — §3.1 alone: ``(N1+N2)/p + √(N1N2/p)``;
 * ``matmul-output-sensitive`` — §3.2 alone, which still pays its own

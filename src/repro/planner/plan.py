@@ -22,13 +22,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..backends.dispatch import resolve_backend
 from ..data.query import Instance
-from ..errors import ConfigError
 from .cost import COST_MODELS, calibration_constant, predict_load, raw_load
-from .stats import (
-    QueryStatistics,
-    collect_statistics,
-    collect_statistics_in_model,
-)
+from .stats import QueryStatistics, collect_statistics
 
 __all__ = ["CandidateScore", "Plan", "plan_query"]
 
@@ -121,34 +116,20 @@ def plan_query(
     instance: Instance,
     p: int = 8,
     statistics: Optional[QueryStatistics] = None,
-    stats_mode: str = "offline",
-    view: Optional[Any] = None,
     backend: Optional[str] = None,
 ) -> Plan:
     """Predict the load of every runnable algorithm on ``instance``.
 
     ``statistics`` short-circuits collection (the service passes the
-    snapshot memoized on its registered instance); otherwise
-    ``stats_mode`` selects offline collection (default, unmetered; its
-    §2.2 estimator runs on ``backend``) or in-model collection on ``view``
-    (metered — requires ``view``).  Deterministic: the same instance and
-    calibration produce an identical plan, byte for byte through
-    :meth:`Plan.to_dict`.
+    snapshot memoized on its registered instance); otherwise the unmetered
+    snapshot is collected, its §2.2 estimator running on ``backend``.
+    Deterministic: the same instance and calibration produce an identical
+    plan, byte for byte through :meth:`Plan.to_dict`.
     """
     from ..core.executor import AUTO_CHOICE, applicable_algorithms
 
     if statistics is None:
-        if stats_mode == "in-model":
-            if view is None:
-                raise ConfigError("in-model statistics need a cluster view")
-            statistics = collect_statistics_in_model(instance, view)
-        elif stats_mode == "offline":
-            statistics = collect_statistics(instance, backend=backend)
-        else:
-            raise ConfigError(
-                f"unknown stats_mode {stats_mode!r}; "
-                "expected 'offline' or 'in-model'"
-            )
+        statistics = collect_statistics(instance, backend=backend)
 
     query_class = statistics.query_class
     scores = sorted(

@@ -3,41 +3,30 @@
 Every Table 1 load formula is a function of a handful of per-instance
 statistics: relation sizes ``N_e``, the total input ``N``, and the output
 size ``OUT``.  The planner never looks at the data when it predicts —
-it looks at a :class:`QueryStatistics` snapshot produced here, in one of
-two modes:
-
-* **offline** (default) — a sequential ANALYZE-style scan of the local
-  :class:`~repro.data.relation.Relation` objects: exact sizes, per-attribute
-  distinct counts, maximum degrees and heavy-hitter counts, plus an OUT
-  estimate whose estimator depends on the query shape (see below).  Nothing
-  is metered; the snapshot is free in the MPC cost model, the way a real
-  system's catalog is maintained outside the query path.
-* **in-model** — the same snapshot collected *on the cluster* with metered
-  load: relations are loaded, degrees come from
-  :func:`~repro.primitives.degrees.degree_table`, and OUT comes from the
-  paper's §2.2 KMV-sketch estimator
-  (:func:`~repro.primitives.estimate_out.estimate_path_out`) where it
-  applies.  The charge lands on the caller's meter under a
-  ``planner/stats`` phase, so a plan that pays for its statistics shows
-  that load in the caller's :class:`~repro.mpc.stats.CostReport`.
+it looks at a :class:`QueryStatistics` snapshot produced here by a
+sequential ANALYZE-style scan of the local
+:class:`~repro.data.relation.Relation` objects: exact sizes, per-attribute
+distinct counts, maximum degrees and heavy-hitter counts, plus an OUT
+estimate whose estimator depends on the query shape (see below).  Nothing
+is metered; the snapshot is free in the MPC cost model, the way a real
+system's catalog is maintained outside the query path.  (The algorithms
+that need OUT meter their own §2.2 estimate, as the ``line/estimate-out``
+phase of their runs.)
 
 OUT estimators by query shape (the ``out_provenance`` field records which
 one ran):
 
 * ``kmv-sketch`` — line-shaped queries (matmul included): the §2.2
   right-to-left KMV propagation,
-  :func:`~repro.primitives.estimate_out.estimate_path_out`, in both modes —
-  on a throwaway one-server cluster whose meters nobody reads (offline) or
-  on the caller's view (in-model).  Exact whenever every per-value reach
-  is below the sketch width ``k``.
+  :func:`~repro.primitives.estimate_out.estimate_path_out`, on a throwaway
+  one-server cluster whose meters nobody reads.  Exact whenever every
+  per-value reach is below the sketch width ``k``.
 * ``degree-bound`` — star queries: ``Σ_b Π_i d_i(b)`` over centre values
   ``b`` and per-arm distinct counts ``d_i(b)`` — an exact count of arm
   combinations and an upper bound on OUT (distinct centres may emit the
   same output tuple).
 * ``oracle`` — everything else (star-like, twig, general trees): the
   boolean-semiring sequential oracle, i.e. exact OUT by full evaluation.
-  Only ever used offline; in-model collection falls back to the offline
-  scan for these shapes and records ``oracle-offline-fallback``.
 """
 
 from __future__ import annotations
@@ -46,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..backends.dispatch import admit_instance, resolve_backend
-from ..data.query import Instance, TreeQuery
+from ..data.query import Instance
 from ..data.relation import DistRelation, Relation
 from ..mpc.cluster import MPCCluster
 from ..semiring import BOOLEAN
@@ -55,12 +44,10 @@ __all__ = [
     "RelationStats",
     "QueryStatistics",
     "collect_statistics",
-    "collect_statistics_in_model",
     "estimate_out",
 ]
 
-#: Hash salt of the §2.2 sketches (both modes) and, offset per attribute,
-#: of the in-model degree tables.
+#: Hash salt of the §2.2 sketches.
 _SKETCH_SALT = 7000
 
 
@@ -77,9 +64,6 @@ class RelationStats:
     #: attr → count of heavy hitters (values with degree² > size, the
     #: paper's √N heavy/light threshold).
     heavy_hitters: Tuple[Tuple[str, int], ...]
-
-    def max_degree_of(self, attr: str) -> int:
-        return dict(self.max_degree).get(attr, 0)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -101,16 +85,6 @@ class QueryStatistics:
     out_estimate: float
     #: Which estimator produced ``out_estimate`` (see module docstring).
     out_provenance: str
-    #: ``"offline"`` or ``"in-model"``.
-    mode: str
-    #: Load charged to the collecting cluster (0 for offline snapshots).
-    metered_load: int = 0
-
-    def relation_named(self, name: str) -> RelationStats:
-        for stats in self.relations:
-            if stats.name == name:
-                return stats
-        raise KeyError(name)
 
     def sizes(self) -> List[int]:
         return [stats.size for stats in self.relations]
@@ -122,8 +96,6 @@ class QueryStatistics:
             "relations": [stats.to_dict() for stats in self.relations],
             "out_estimate": round(self.out_estimate, 3),
             "out_provenance": self.out_provenance,
-            "mode": self.mode,
-            "metered_load": self.metered_load,
         }
 
 
@@ -163,31 +135,24 @@ def _relation_stats(name: str, relation: Relation) -> RelationStats:
 # -- OUT estimators ------------------------------------------------------------
 
 
-def _load(instance: Instance, view) -> Dict[str, DistRelation]:
-    return {
+def _line_out(
+    instance: Instance, order: Sequence[str], backend: Optional[str]
+) -> float:
+    """The §2.2 estimator on a throwaway one-server cluster whose meters
+    nobody reads."""
+    from ..primitives.estimate_out import estimate_path_out
+
+    cluster = MPCCluster(1, backend=resolve_backend(backend, instance.total_size))
+    view = admit_instance(cluster, instance.relations.values()).view()
+    loaded = {
         name: DistRelation.load(view, instance.relation(name), instance.semiring)
         for name, _attrs in instance.query.relations
     }
-
-
-def _kmv_out(
-    query: TreeQuery, loaded: Dict[str, DistRelation], order: Sequence[str]
-) -> float:
-    """The §2.2 estimator over relations already loaded on one view."""
-    from ..primitives.estimate_out import estimate_path_out
-
-    path = [loaded[query.relation_between(x, y)] for x, y in zip(order, order[1:])]
+    path = [
+        loaded[instance.query.relation_between(x, y)]
+        for x, y in zip(order, order[1:])
+    ]
     return estimate_path_out(path, list(order), base_salt=_SKETCH_SALT)[0]
-
-
-def _line_out_offline(
-    instance: Instance, order: Sequence[str], backend: Optional[str]
-) -> float:
-    """:func:`_kmv_out` on a throwaway one-server cluster whose meters
-    nobody reads: the call in-model collection makes, unmetered."""
-    cluster = MPCCluster(1, backend=resolve_backend(backend, instance.total_size))
-    view = admit_instance(cluster, instance.relations.values()).view()
-    return _kmv_out(instance.query, _load(instance, view), order)
 
 
 def _star_out_degree_bound(instance: Instance) -> float:
@@ -240,7 +205,7 @@ def estimate_out(
     query = instance.query
     order = query.path_order()
     if order is not None and query.is_line():
-        return _line_out_offline(instance, order, backend), "kmv-sketch"
+        return _line_out(instance, order, backend), "kmv-sketch"
     if query.is_star():
         return _star_out_degree_bound(instance), "degree-bound"
     return _oracle_out(instance), "oracle"
@@ -252,7 +217,7 @@ def estimate_out(
 def collect_statistics(
     instance: Instance, backend: Optional[str] = None
 ) -> QueryStatistics:
-    """Offline (unmetered) snapshot of every statistic the planner reads;
+    """Unmetered snapshot of every statistic the planner reads;
     ``backend`` as in :func:`estimate_out`."""
     relations = tuple(
         _relation_stats(name, instance.relation(name))
@@ -265,81 +230,4 @@ def collect_statistics(
         relations=relations,
         out_estimate=out_estimate,
         out_provenance=provenance,
-        mode="offline",
-    )
-
-
-def collect_statistics_in_model(instance: Instance, view) -> QueryStatistics:
-    """Metered snapshot: statistics computed *on the cluster*.
-
-    Sizes and degree statistics are collected through metered degree
-    tables; OUT uses the distributed §2.2 estimator for line-shaped
-    queries and falls back to the offline estimator otherwise (recorded in
-    the provenance).  The charged load is the difference of the view's
-    meter around the collection, reported in ``metered_load`` — and left
-    on the meter.
-    """
-    from ..primitives.degrees import degree_table
-
-    tracker = view.tracker
-    before = tracker.max_load
-    query = instance.query
-    with tracker.phase("planner/stats"):
-        loaded = _load(instance, view)
-        relations: List[RelationStats] = []
-        for name, attrs in query.relations:
-            relation = loaded[name]
-            distinct: List[Tuple[str, int]] = []
-            max_degree: List[Tuple[str, int]] = []
-            heavy: List[Tuple[str, int]] = []
-            size = relation.total_size
-            for offset, attr in enumerate(sorted(attrs)):
-                index = relation.attr_index(attr)
-                degrees = degree_table(
-                    relation.data,
-                    lambda item, index=index: item[0][index],
-                    salt=_SKETCH_SALT + 31 * offset,
-                )
-                local = [
-                    [degree for _value, degree in part]
-                    for part in degrees.parts
-                ]
-                view.control_gather([len(part) for part in local])
-                distinct.append((attr, sum(len(part) for part in local)))
-                max_degree.append(
-                    (attr, max((max(part) for part in local if part), default=0))
-                )
-                heavy.append(
-                    (
-                        attr,
-                        sum(
-                            sum(1 for d in part if d * d > size)
-                            for part in local
-                        ),
-                    )
-                )
-            relations.append(
-                RelationStats(
-                    name=name,
-                    size=size,
-                    distinct=tuple(distinct),
-                    max_degree=tuple(max_degree),
-                    heavy_hitters=tuple(heavy),
-                )
-            )
-        order = query.path_order()
-        if order is not None and query.is_line():
-            out_estimate, provenance = _kmv_out(query, loaded, order), "kmv-sketch"
-        else:
-            out_estimate, provenance = estimate_out(instance)
-            if provenance == "oracle":
-                provenance = "oracle-offline-fallback"
-    return QueryStatistics(
-        query_class=query.classify(),
-        total_size=instance.total_size,
-        relations=tuple(relations),
-        out_estimate=out_estimate,
-        out_provenance=provenance,
-        mode="in-model",
-        metered_load=max(0, tracker.max_load - before),
     )

@@ -69,6 +69,7 @@ from .registry import (
 __all__ = [
     "ERROR_STATUS",
     "PayloadTooLarge",
+    "UnknownRouteError",
     "status_for",
     "ServiceState",
 ]
@@ -78,12 +79,18 @@ class PayloadTooLarge(ReproError):
     """A request announced a body over the server's cap (HTTP 413)."""
 
 
+class UnknownRouteError(ReproError):
+    """No endpoint serves the request's method and path (HTTP 404)."""
+
+
 #: Deterministic exception-class → HTTP status mapping, checked in MRO
 #: order (first match wins).  Subclasses inherit their nearest ancestor's
-#: status unless listed themselves.
+#: status unless listed themselves; anything unlisted, a builtin
+#: ``KeyError`` or ``ValueError`` from inside a run included, is a 500.
 ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (AdmissionRejected, 429),
     (PayloadTooLarge, 413),
+    (UnknownRouteError, 404),
     (UnknownInstanceError, 404),
     (UnknownViewError, 404),
     (UnsupportedDeltaError, 422),
@@ -92,8 +99,6 @@ ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (FaultError, 500),
     (MPCError, 500),
     (ReproError, 500),
-    (KeyError, 404),
-    (ValueError, 400),
 )
 
 
@@ -259,7 +264,7 @@ class ServiceState:
             if refused is not None:
                 raise refused
             if handler is None:
-                raise LookupError(f"no route for {method} {path}")
+                raise UnknownRouteError(f"no route for {method} {path}")
             document = self._parse_json(body) if needs_body else None
             status, payload, extra = handler(path, document)
             content_type = extra.pop("__content_type__", _JSON)
@@ -269,9 +274,7 @@ class ServiceState:
                 else _canonical_body(payload)
             )
         except Exception as error:  # deterministic mapping, no bare 500 pages
-            status = 404 if isinstance(error, LookupError) and not isinstance(
-                error, ReproError
-            ) else status_for(error)
+            status = status_for(error)
             if isinstance(error, AdmissionRejected):
                 self._rejections.inc(reason=error.reason)
                 headers["Retry-After"] = "1"
@@ -613,6 +616,11 @@ class ServiceState:
         with self.admission.slot():
             body = runner(endpoint, entry, config)
         self.cache.put(key, entry.digest, body)
+        # A delta that retired this digest meanwhile has already invalidated
+        # it (``_commit`` swaps, then invalidates): drop the body put after.
+        current = self.registry.find(entry.name)
+        if current is None or current.digest != entry.digest:
+            self.cache.invalidate(entry.digest)
         return 200, body, {"X-Repro-Cache": "miss"}
 
     def _run_query(self, endpoint: str, entry, config: ExecutionConfig) -> bytes:

@@ -136,21 +136,35 @@ def _lookalike_matmul(seed=5):
                                    "R2": relation("R2", ("B", "C"))}, COUNTING)
 
 
-def test_in_model_explain_is_backend_invariant_on_lookalike_values():
-    """In-model statistics of an instance the codec would conflate are
-    collected on the tuple kernels, as ``run_query`` runs it: the columnar
-    plan's statistics (distinct ``B`` counts, metered load, OUT estimate)
-    are the pytuple plan's."""
+def test_explain_is_backend_invariant_on_lookalike_values():
+    """The §2.2 OUT estimate of an instance the codec would conflate runs
+    on the tuple kernels, as ``run_query`` runs it: the columnar plan's
+    statistics (distinct ``B`` counts, OUT estimate) are the pytuple
+    plan's."""
     instance = _lookalike_matmul()
     plans = [
-        api.explain(instance, ExecutionConfig(p=8, backend=backend),
-                    stats_mode="in-model").to_dict()
+        api.explain(instance, ExecutionConfig(p=8, backend=backend)).to_dict()
         for backend in ("pytuple", "columnar")
     ]
     assert plans[0]["statistics"] == plans[1]["statistics"]
     runs = [api.run_query(instance, ExecutionConfig(p=8, backend=backend))
             for backend in ("pytuple", "columnar")]
     assert runs[0].report.to_dict() == runs[1].report.to_dict()
+
+
+def test_cli_p_and_backend_defaults_per_command():
+    """``--p`` and ``--backend`` are declared once for every command; each
+    command keeps its own ``--p`` default."""
+    from repro import cli
+
+    expected_p = {"compare": 16, "sweep": 16, "explain": 16, "trace": 16,
+                  "profile": 16, "table1": 16, "fuzz": 4, "ivm": 8, "serve": 8}
+    assert set(expected_p) == set(cli._COMMANDS)
+    parser = cli._build_parser()
+    for command, p in expected_p.items():
+        argv = [command] + (["--instance", "x.json"] if command == "ivm" else [])
+        args = parser.parse_args(argv)
+        assert (args.p, args.backend) == (p, "pytuple"), command
 
 
 # ------------------------------------------------------------ fuzz / chaos

@@ -8,8 +8,7 @@ Three contracts:
   ``except ValueError`` call sites work;
 * :class:`~repro.config.ExecutionConfig` validates eagerly — every bad
   knob raises :class:`~repro.errors.ConfigError` at construction, never
-  later — and :func:`repro.api.explain` rejects an unknown ``stats_mode``
-  the same way;
+  later;
 * the service's :func:`repro.service.status_for` maps exception class →
   HTTP status deterministically, first :data:`~repro.service.ERROR_STATUS`
   match in MRO-sensitive order winning.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import api, errors
+from repro import errors
 from repro.config import ExecutionConfig
 from repro.errors import (
     ApplicabilityError,
@@ -31,7 +30,7 @@ from repro.errors import (
     UnrecoverableFaultError,
 )
 from repro.service import AdmissionRejected, UnknownInstanceError, status_for
-from repro.workloads import planted_out_matmul
+from repro.service.handlers import UnknownRouteError
 
 
 # -- hierarchy shape ---------------------------------------------------------
@@ -88,12 +87,6 @@ def test_execution_config_rejects_bad_knobs_at_construction(kwargs):
         ExecutionConfig(**kwargs)
 
 
-def test_explain_rejects_an_unknown_stats_mode():
-    instance = planted_out_matmul(n=10, out=20)
-    with pytest.raises(ConfigError, match="psychic"):
-        api.explain(instance, stats_mode="psychic")
-
-
 # -- exception class → HTTP status -------------------------------------------
 
 
@@ -109,9 +102,10 @@ def test_explain_rejects_an_unknown_stats_mode():
     (type("UnlistedMPCError", (MPCError,), {})("subclass"), 500),
     (MPCError("cluster"), 500),
     (ReproError("generic"), 500),
-    (KeyError("missing"), 404),
-    (ValueError("plain"), 400),
+    (KeyError("missing"), 500),
+    (ValueError("plain"), 500),
     (RuntimeError("unlisted"), 500),
+    (UnknownRouteError("no route"), 404),
 ])
 def test_status_for_is_deterministic(error, status):
     assert status_for(error) == status
@@ -121,6 +115,7 @@ def test_specific_statuses_beat_ancestor_entries():
     """Listing order is MRO-aware: UnknownInstanceError gets 404 even
     though it is a ReproError (500) and a KeyError."""
     assert status_for(UnknownInstanceError("x")) == 404
-    # A ConfigError is a ValueError, but the typed entry (400) wins anyway
-    # and agrees with the legacy catch-all, so the mapping is stable.
-    assert status_for(ConfigError("x")) == status_for(ValueError("x")) == 400
+    # A ConfigError is a ValueError: the typed entry gives it 400, while a
+    # builtin ValueError (a bug inside a run) is a 500.
+    assert status_for(ConfigError("x")) == 400
+    assert status_for(ValueError("x")) == 500

@@ -34,7 +34,7 @@ def test_matrix_power_counts_walks():
     for (u, v), _w in relation:
         adjacency[u, v] = 1
     for k in (1, 2, 3, 5):
-        power, report = matrix_power(relation, k, COUNTING, p=6)
+        power, report = matrix_power(relation, k, COUNTING, config=ExecutionConfig(p=6))
         truth = np.linalg.matrix_power(adjacency, k)
         expected = {
             (u, v): int(truth[u, v])
@@ -49,7 +49,7 @@ def test_matrix_power_counts_walks():
 
 def test_matrix_power_agrees_with_line_query():
     relation, _graph = _random_digraph(12, 30, seed=2, weight_fn=lambda r: 1)
-    via_power, _ = matrix_power(relation, 3, COUNTING, p=4)
+    via_power, _ = matrix_power(relation, 3, COUNTING, config=ExecutionConfig(p=4))
     via_line = k_hop(relation, 3, COUNTING, config=ExecutionConfig(p=4))
     assert via_power.tuples == dict(via_line.relation.tuples)
 
@@ -64,7 +64,8 @@ def test_matrix_power_validation():
 
 def test_transitive_closure_reachability():
     relation, graph = _random_digraph(14, 24, seed=3, weight_fn=lambda r: True)
-    closure, _report = transitive_closure(relation, BOOLEAN, p=6)
+    closure, _report = transitive_closure(relation, BOOLEAN,
+                                          config=ExecutionConfig(p=6))
     # Ground truth: v reachable from u by a path of ≥ 1 edges.  That
     # includes (u, u) when u lies on a cycle (nx.descendants excludes the
     # source, so handle the diagonal separately).
@@ -82,7 +83,8 @@ def test_transitive_closure_shortest_paths():
     relation, graph = _random_digraph(
         12, 28, seed=4, weight_fn=lambda r: float(r.randint(1, 9))
     )
-    closure, _report = transitive_closure(relation, TROPICAL_MIN_PLUS, p=6)
+    closure, _report = transitive_closure(relation, TROPICAL_MIN_PLUS,
+                                          config=ExecutionConfig(p=6))
     lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
     for (u, v), distance in closure:
         if u == v:
@@ -98,7 +100,7 @@ def test_transitive_closure_shortest_paths():
 def test_reflexive_closure_includes_diagonal():
     relation = Relation("E", ("A", "B"), [((0, 1), True)])
     closure, _ = transitive_closure(
-        relation, BOOLEAN, p=2, include_identity=True
+        relation, BOOLEAN, include_identity=True, config=ExecutionConfig(p=2)
     )
     assert (0, 0) in closure and (1, 1) in closure and (0, 1) in closure
 
@@ -113,7 +115,8 @@ def test_closure_on_cycle_terminates():
     relation = Relation("E", ("A", "B"))
     for i in range(6):
         relation.add((i, (i + 1) % 6), 1.0)
-    closure, _ = transitive_closure(relation, TROPICAL_MIN_PLUS, p=3)
+    closure, _ = transitive_closure(relation, TROPICAL_MIN_PLUS,
+                                    config=ExecutionConfig(p=3))
     # Every pair reachable on the 6-cycle, incl. the full loop back to self.
     assert len(closure) == 36
     assert closure.annotation((0, 0)) == 6.0
@@ -125,8 +128,6 @@ def test_look_alike_values_meter_alike_on_both_backends(seed):
     ``linalg`` passes its matrix through the executor's admission check:
     a matrix holding them runs the tuple kernels whatever the backend, and
     every meter matches."""
-    from repro.mpc import MPCCluster
-
     pool = [1, 1.0, True, 2, 2.0, 0, 0.0, False, 3, 4]
     rng = random.Random(seed)
     matrix = Relation("R", ("A", "B"))
@@ -134,11 +135,12 @@ def test_look_alike_values_meter_alike_on_both_backends(seed):
         matrix.add((rng.choice(pool), rng.choice(pool)), 1, COUNTING)
     closure = Relation("R", ("A", "B"), [(values, True) for values in matrix.tuples])
     for run in (
-        lambda cluster: matrix_power(matrix, 2, COUNTING, cluster=cluster),
-        lambda cluster: transitive_closure(closure, BOOLEAN, cluster=cluster),
+        lambda config: matrix_power(matrix, 2, COUNTING, config=config),
+        lambda config: transitive_closure(closure, BOOLEAN, config=config),
     ):
         (reference, ref_report), (columnar, col_report) = (
-            run(MPCCluster(4, backend=backend)) for backend in ("pytuple", "columnar")
+            run(ExecutionConfig(p=4, backend=backend))
+            for backend in ("pytuple", "columnar")
         )
         assert reference.tuples == columnar.tuples
         assert ref_report.to_dict() == col_report.to_dict()
@@ -148,7 +150,6 @@ def test_matrix_power_loads_columns_on_the_columnar_backend(monkeypatch):
     """``linalg`` loads its matrix with the semiring, so a columnar run
     multiplies array datasets from the first step, and meters alike."""
     import repro.linalg as linalg
-    from repro.mpc import MPCCluster
 
     relation, _graph = _random_digraph(12, 40, seed=4, weight_fn=lambda r: r.randint(1, 3))
     operands = []
@@ -163,7 +164,7 @@ def test_matrix_power_loads_columns_on_the_columnar_backend(monkeypatch):
     for backend in ("pytuple", "columnar"):
         operands.clear()
         runs[backend] = matrix_power(relation, 3, COUNTING,
-                                     cluster=MPCCluster(4, backend=backend))
+                                     config=ExecutionConfig(p=4, backend=backend))
         if backend == "columnar":
             assert operands[0] == ("ColumnarData", "ColumnarData")
     (reference, ref_report), (columnar, col_report) = runs["pytuple"], runs["columnar"]

@@ -2,9 +2,9 @@
 
 Two layers:
 
-* unit behaviour — statistics collection (offline and in-model agree on
-  the §2.2 estimate), plan determinism and introspection, and the
-  contract that ``chosen`` is what ``algorithm="auto"`` runs;
+* unit behaviour — statistics collection (the §2.2 estimate does not
+  depend on ``p`` or the backend), plan determinism and introspection,
+  and the contract that ``chosen`` is what ``algorithm="auto"`` runs;
 * the Theorem 1 crossover — the worst-case ↔ output-sensitive predicted
   ranking flips at the Table-1-predicted threshold ``OUT* = √(N1·N2·p)``.
 """
@@ -23,7 +23,6 @@ from repro.planner import (
     QueryStatistics,
     RelationStats,
     collect_statistics,
-    collect_statistics_in_model,
     plan_query,
     predict_load,
     raw_load,
@@ -67,7 +66,6 @@ def _matmul_stats(n1: int, n2: int, out: float) -> QueryStatistics:
         relations=(rel("R1", ("A", "B"), n1), rel("R2", ("B", "C"), n2)),
         out_estimate=float(out),
         out_provenance="oracle",
-        mode="offline",
     )
 
 
@@ -183,36 +181,35 @@ def test_plan_is_deterministic_and_introspectable():
         assert run_query(instance, ExecutionConfig(p=4)).algorithm == plan.algorithm
 
 
-def test_in_model_statistics_are_metered():
-    instance = _diagonal_matmul(16)
-    offline = plan_query(instance, p=4, stats_mode="offline")
-    assert offline.statistics.mode == "offline"
-    assert offline.statistics.metered_load == 0
-    with pytest.raises(ValueError):
-        plan_query(instance, p=4, stats_mode="in-model")  # needs a view
-    with pytest.raises(ValueError):
-        plan_query(instance, p=4, stats_mode="telepathy")
+def test_kmv_out_estimate_is_p_and_backend_invariant():
+    """The planner's §2.2 OUT estimate (a one-server cluster) equals the
+    estimator run directly on a ``p``-server cluster, up to float summation
+    order, at any ``p`` on either backend — including instances large
+    enough that the sketches are not exact."""
+    from repro.data import DistRelation
+    from repro.planner.stats import _SKETCH_SALT
+    from repro.primitives.estimate_out import estimate_path_out
 
-    # Both modes estimate line-shaped OUT with the one §2.2 estimator, so
-    # they agree up to float summation order at any p on either backend —
-    # including instances large enough that the sketches are not exact.
     for instance in (
-        instance,
+        _diagonal_matmul(16),
         planted_out_matmul(n=300, out=1200),
         line_instance(2, 1200, 100, seed=3),  # reaches > k: inexact sketches
         line_instance(3, 900, 100, seed=4),
     ):
+        order = instance.query.path_order()
         for backend in ("pytuple", "columnar"):
             offline = collect_statistics(instance, backend=backend)
             assert offline.out_provenance == "kmv-sketch"
             for p in (1, 4, 16):
                 view = MPCCluster(p, backend=backend).view()
-                in_model = collect_statistics_in_model(instance, view)
-                assert in_model.out_provenance == "kmv-sketch"
-                assert in_model.metered_load > 0
-                assert in_model.out_estimate == pytest.approx(
-                    offline.out_estimate, rel=1e-12
-                )
+                path = [
+                    DistRelation.load(view, instance.relation(
+                        instance.query.relation_between(x, y)), instance.semiring)
+                    for x, y in zip(order, order[1:])
+                ]
+                estimate = estimate_path_out(path, list(order),
+                                             base_salt=_SKETCH_SALT)[0]
+                assert estimate == pytest.approx(offline.out_estimate, rel=1e-12)
 
 
 def test_predictions_scale_with_calibration_constants():

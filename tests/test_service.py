@@ -347,6 +347,25 @@ def test_http_status_mapping_end_to_end():
     assert len(state.cache) == 0
 
 
+@pytest.mark.parametrize("error", [KeyError, IndexError, ValueError])
+def test_an_internal_builtin_error_is_a_500(monkeypatch, error):
+    """A bug that raises a builtin ``KeyError``/``IndexError``/``ValueError``
+    inside a run is the server's fault: 500 with the class name, not
+    "not found" or a client error."""
+    import repro.core.executor as executor
+
+    def broken(*_args, **_kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr(executor, "_dispatch", broken)
+    state = ServiceState()
+    _register(state, "mm", planted_out_matmul(n=20, out=40))
+    status, _, payload, _ = state.handle("POST", "/query", _body({"instance": "mm"}))
+    document = json.loads(payload)
+    assert (status, document["status"], document["error"]) == (500, 500, error.__name__)
+    assert len(state.cache) == 0
+
+
 @pytest.mark.parametrize("endpoint, config", [
     ("/query", {"p": "x"}),
     ("/query", {"p": 2.5}),

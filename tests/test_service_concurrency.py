@@ -177,6 +177,30 @@ def test_concurrent_deltas_views_and_queries_replay_serially():
         assert _rows(final["view"]["answer"]) == answer_at(len(states))
 
 
+def test_no_cache_entry_outlives_its_digest():
+    """A query that ran on an entry a concurrent delta retired puts its body
+    after the delta invalidated that digest; the put re-reads the name and
+    drops the body, so every cached body belongs to a registered digest."""
+    state = ServiceState(max_concurrent=THREADS, default_config=CONFIG)
+    bases = {name: zipf_matmul(60, 60, 10, seed=seed) for seed, name in enumerate("ab")}
+    for name, instance in bases.items():
+        _register(state, name, instance)
+    statuses: List[int] = []
+    barrier = threading.Barrier(THREADS)
+
+    def worker(plan) -> None:
+        barrier.wait(timeout=60)
+        for name, change in plan:
+            statuses.append(_post_delta(state, name, change)[0])
+            statuses.append(_call(state, "POST", "/query", {"instance": name})[0])
+
+    _run([lambda plan=plan: worker(plan) for plan in _plans(bases, random.Random(5))])
+    assert set(statuses) == {200}
+    live = {entry.digest for entry in state.registry.entries()}
+    cached = {digest for digest, _body in state.cache._entries.values()}
+    assert cached <= live, f"{len(cached - live)} of {len(cached)} cached digests retired"
+
+
 def test_a_delta_racing_a_drop_never_resurrects_the_name():
     """Writers delete disjoint rows until their first 404 while one thread
     drops the name: each writer sees 200s then one 404, and nothing
