@@ -239,7 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_instance(profile)
     _add_shared(profile, json_help="print the profile summary as JSON",
-                algorithm_help=_VERSUS_BASELINE_HELP)
+                algorithm_help="algorithm to profile: 'auto' (the paper's "
+                "per-class choice) or an explicit algorithm name")
     profile.add_argument("--profile-out", default="repro-profile.speedscope.json",
                          metavar="PATH",
                          help="speedscope JSON destination (default: %(default)s)")

@@ -37,6 +37,7 @@ __all__ = [
     "delta_from_json",
     "write_delta_json",
     "read_delta_json",
+    "jsonify",
 ]
 
 #: Format tag stamped into every serialized delta document.
@@ -113,8 +114,8 @@ def _auto_parse(cell: str) -> Any:
 def instance_to_json(instance: Instance) -> str:
     """Serialize an instance (query + data + semiring name) to JSON.
 
-    Annotations and attribute values must be JSON-serializable; tuples in
-    values are stored as lists and restored as tuples.
+    Annotations and attribute values must be JSON-serializable; tuples are
+    stored in the :func:`jsonify` form and restored as tuples.
     """
     if instance.semiring.name not in _SEMIRINGS_BY_NAME:
         raise ValueError(
@@ -129,7 +130,7 @@ def instance_to_json(instance: Instance) -> str:
                 "name": name,
                 "schema": list(attrs),
                 "tuples": [
-                    [_jsonify(v) for v in values] + [_jsonify(w)]
+                    [jsonify(v) for v in values] + [jsonify(w)]
                     for values, w in instance.relation(name)
                 ],
             }
@@ -178,8 +179,8 @@ def delta_to_json(batch: "DeltaBatch") -> str:
     """Serialize a :class:`~repro.ivm.DeltaBatch` to JSON.
 
     Annotations and attribute values must be JSON-serializable (the same
-    constraint as :func:`instance_to_json`); tuples in values are stored
-    as lists and restored as tuples.
+    constraint as :func:`instance_to_json`); tuples are stored in the
+    :func:`jsonify` form and restored as tuples.
     """
     document = {
         "format": DELTA_FORMAT,
@@ -187,9 +188,9 @@ def delta_to_json(batch: "DeltaBatch") -> str:
             {
                 "relation": change.relation,
                 "op": change.op,
-                "values": [_jsonify(v) for v in change.values],
+                "values": [jsonify(v) for v in change.values],
                 **(
-                    {"annotation": _jsonify(change.annotation)}
+                    {"annotation": jsonify(change.annotation)}
                     if change.annotation is not None
                     else {}
                 ),
@@ -238,9 +239,12 @@ def read_delta_json(path: str) -> "DeltaBatch":
         return delta_from_json(json.load(handle))
 
 
-def _jsonify(value: Any) -> Any:
+def jsonify(value: Any) -> Any:
+    """The JSON form of an attribute value or annotation: tuples, at any
+    depth, become ``{"__tuple__": [...]}``; everything else is unchanged.
+    The one definition of the convention, for documents and service bodies."""
     if isinstance(value, tuple):
-        return {"__tuple__": [_jsonify(v) for v in value]}
+        return {"__tuple__": [jsonify(v) for v in value]}
     return value
 
 

@@ -14,9 +14,11 @@ A :class:`DeltaBatch` is an ordered set of tuple-level changes against one
 
 Batch semantics are defined once here and shared by the incremental path
 (:class:`~repro.ivm.view.MaterializedView`) and the from-scratch oracle
-(:func:`mutate_instance`): relations are processed in query order, and
-within each relation all deletions apply first (against the pre-batch
-state of that relation), then insertions in batch order.
+(:func:`mutate_instance`): :func:`validate_batch` checks the whole batch
+against the pre-batch instance before anything moves, and
+:func:`apply_to_relation` applies one relation's changes — all deletions
+first (each a distinct key present before the batch), then insertions
+⊕-combined in batch order.  Relations are processed in query order.
 
 The module also builds the *support semiring* ``base × ℤ``: annotations
 are ``(value, support)`` pairs where the second slot counts contributing
@@ -67,6 +69,13 @@ class DeltaChange:
         if self.op not in _OPS:
             raise ConfigError(f"unknown delta op {self.op!r}; expected {_OPS}")
         object.__setattr__(self, "values", tuple(self.values))
+        try:
+            hash(self.values)
+        except TypeError:
+            raise ConfigError(
+                f"delta tuple {self.values!r} is not hashable; attribute "
+                "values must be scalars or tuples"
+            ) from None
         if self.op == INSERT and self.annotation is None:
             raise ConfigError(
                 f"insert into {self.relation!r} needs an annotation "
@@ -94,16 +103,11 @@ class DeltaBatch:
     def __iter__(self):
         return iter(self.changes)
 
-    def relations(self) -> Tuple[str, ...]:
-        """Distinct relation names touched, in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for change in self.changes:
-            seen.setdefault(change.relation, None)
-        return tuple(seen)
-
-    @property
-    def has_deletions(self) -> bool:
-        return any(change.op == DELETE for change in self.changes)
+    def split(self, relation: str) -> Tuple[List[DeltaChange], List[DeltaChange]]:
+        """(deletions, insertions) of one relation, each in batch order."""
+        mine = [change for change in self.changes if change.relation == relation]
+        return ([c for c in mine if c.op == DELETE],
+                [c for c in mine if c.op == INSERT])
 
 
 def insert(relation: str, values: Sequence[Any], annotation: Any) -> DeltaChange:
@@ -117,11 +121,12 @@ def delete(relation: str, values: Sequence[Any]) -> DeltaChange:
 
 
 def validate_batch(batch: DeltaBatch, instance: Instance) -> None:
-    """Structural validation of ``batch`` against ``instance``.
+    """The whole check of ``batch`` against ``instance``, before anything moves.
 
-    Checks relation names, tuple arities, and — for deletions — that the
-    semiring is invertible.  Existence of deleted tuples is checked at
-    apply time (an earlier change in the batch may affect it).
+    Checks relation names, tuple arities, that deletions have a semiring
+    with additive inverses, and that every deletion names a distinct key
+    present in the pre-batch relation.  Deletions resolve against the
+    pre-batch state, so a batch that passes applies without error.
     """
     schemas = {name: attrs for name, attrs in instance.query.relations}
     for change in batch:
@@ -136,33 +141,34 @@ def validate_batch(batch: DeltaBatch, instance: Instance) -> None:
                 f"delta tuple {change.values!r} has arity {len(change.values)}, "
                 f"but {change.relation!r} has schema {attrs!r}"
             )
-    if batch.has_deletions and instance.semiring.negate is None:
+    deletions = [change for change in batch if change.op == DELETE]
+    if deletions and instance.semiring.negate is None:
         raise UnsupportedDeltaError(
             f"deletions need additive inverses, but semiring "
             f"{instance.semiring.name!r} declares no negate; only insert-only "
             "deltas are maintainable over it (the paper's semiring model "
             "forbids subtraction)"
         )
-
-
-def _grouped(batch: DeltaBatch, name: str) -> Tuple[List[DeltaChange], List[DeltaChange]]:
-    """(deletions, insertions) of one relation, in batch order."""
-    deletions = [c for c in batch if c.relation == name and c.op == DELETE]
-    insertions = [c for c in batch if c.relation == name and c.op == INSERT]
-    return deletions, insertions
+    deleted = set()
+    for change in deletions:
+        target = (change.relation, change.values)
+        if (target in deleted
+                or change.values not in instance.relation(change.relation).tuples):
+            raise ConfigError(
+                f"delete of absent tuple {change.values!r} from "
+                f"{change.relation!r}"
+            )
+        deleted.add(target)
 
 
 def apply_to_relation(relation: Relation, batch: DeltaBatch,
                       semiring: Semiring) -> None:
-    """Apply ``batch``'s changes for one relation in place (batch semantics)."""
-    deletions, insertions = _grouped(batch, relation.name)
+    """Apply ``batch``'s changes for one relation in place (batch semantics);
+    ``batch`` has passed :func:`validate_batch` against the relation."""
+    deletions, insertions = batch.split(relation.name)
     for change in deletions:
-        if change.values not in relation.tuples:
-            raise ConfigError(
-                f"delete of absent tuple {change.values!r} from "
-                f"{relation.name!r}"
-            )
         del relation.tuples[change.values]
+    if deletions:
         relation._indexes.clear()
     for change in insertions:
         relation.add(change.values, change.annotation, semiring)

@@ -7,11 +7,14 @@ The design target is the instance-optimality lens of Hu & Yi's acyclic
 joins work (arXiv:1903.09717): maintenance cost proportional to *what
 changed*, not to instance size N.
 
-How one batch is applied, per touched relation in query order
-(sequential telescoping, so multi-relation batches compose exactly):
+A batch is first checked whole by :func:`~repro.ivm.delta.validate_batch`,
+so a rejected batch changes nothing.  It is then applied per touched
+relation in query order (sequential telescoping, so multi-relation
+batches compose exactly):
 
 1. the relation's changes become one *delta relation* ΔR over the
-   support semiring ``base × ℤ`` — a brand-new key carries ``(w, +1)``,
+   support semiring ``base × ℤ``, built in O(|Δ|) from the pre-batch
+   annotations of the keys they name — a brand-new key carries ``(w, +1)``,
    an annotation bump of an existing key carries ``(w, 0)``, and a
    deletion carries ``(negate(w_current), −1)`` so the pair product of a
    combination is already the compensating contribution;
@@ -26,7 +29,9 @@ How one batch is applied, per touched relation in query order
    — on a fresh cluster built from the pinned config), and the result is
    ⊕-merged into the maintained answer, dropping keys whose support
    count reaches zero;
-4. the stored relation and its indexes absorb the changes.
+4. the stored relation absorbs the changes through
+   :func:`~repro.ivm.delta.apply_to_relation`, the oracle's own rule, and
+   only the index entries of keys that left or joined it move.
 
 Steps with an empty ΔR or an empty restriction short-circuit: no cluster
 is built and nothing is metered.  All metering from step 3 accumulates
@@ -50,10 +55,9 @@ from ..errors import ConfigError
 from ..mpc.stats import TAGGED_FIELDS, CostReport
 from ..obs.events import MAINTENANCE_OP
 from .delta import (
-    DELETE,
-    INSERT,
     DeltaBatch,
     DeltaChange,
+    apply_to_relation,
     support_semiring,
     validate_batch,
 )
@@ -204,10 +208,7 @@ class MaterializedView:
         load = communication = rounds = products = runs = 0
         touched: List[str] = []
         for rel_name, _attrs in self.query.relations:
-            deletions = [c for c in batch
-                         if c.relation == rel_name and c.op == DELETE]
-            insertions = [c for c in batch
-                          if c.relation == rel_name and c.op == INSERT]
+            deletions, insertions = batch.split(rel_name)
             if not deletions and not insertions:
                 continue
             touched.append(rel_name)
@@ -230,7 +231,8 @@ class MaterializedView:
             # Telescoping: this relation's state (and indexes) absorb the
             # changes *before* the next touched relation runs, so later
             # runs see the updated neighbourhood.
-            self._apply_state(rel_name, deletions, insertions)
+            apply_to_relation(self._relations[rel_name], batch, self.semiring)
+            self._reindex(rel_name, deletions, insertions)
             if delta_answer:
                 self._merge_answer(delta_answer)
         tag = self._maintenance
@@ -281,33 +283,26 @@ class MaterializedView:
 
     def _delta_relation(self, rel_name: str, deletions: List[DeltaChange],
                         insertions: List[DeltaChange]) -> Relation:
-        """The batch's changes to one relation as a ΔR over ``base × ℤ``."""
+        """The batch's changes to one relation as a ΔR over ``base × ℤ``,
+        from the pre-batch annotations of the keys they name: O(|Δ|)."""
         rel = self._relations[rel_name]
         pair = self._pair
         entries: Dict[Tuple[Any, ...], Tuple[Any, int]] = {}
+        live: Dict[Tuple[Any, ...], bool] = {}  # named key → present so far
 
         def merge(key: Tuple[Any, ...], contribution: Tuple[Any, int]) -> None:
             current = entries.get(key)
             entries[key] = (contribution if current is None
                             else pair.add(current, contribution))
 
-        deleted: Set[Tuple[Any, ...]] = set()
         for change in deletions:
-            key = change.values
-            if key in deleted or key not in rel.tuples:
-                raise ConfigError(
-                    f"delete of absent tuple {key!r} from {rel_name!r}"
-                )
-            deleted.add(key)
-            merge(key, (self.semiring.negate(rel.tuples[key]), -1))
-        present = set(rel.tuples) - deleted
+            merge(change.values, (self.semiring.negate(rel.tuples[change.values]), -1))
+            live[change.values] = False
         for change in insertions:
             key = change.values
-            if key in present:
-                merge(key, (change.annotation, 0))  # bump: support unchanged
-            else:
-                merge(key, (change.annotation, 1))  # brand-new key
-                present.add(key)
+            # A brand-new key adds one to the support; a bump adds none.
+            merge(key, (change.annotation, 0 if live.get(key, key in rel.tuples) else 1))
+            live[key] = True
         # A delete+reinsert pair can cancel to the exact pair zero; such
         # entries contribute nothing and would only widen the restriction.
         zero = pair.zero
@@ -362,30 +357,22 @@ class MaterializedView:
                 frontier.append(neighbour)
         return restricted
 
-    def _apply_state(self, rel_name: str, deletions: List[DeltaChange],
-                     insertions: List[DeltaChange]) -> None:
-        rel = self._relations[rel_name]
+    def _reindex(self, rel_name: str, deletions: List[DeltaChange],
+                 insertions: List[DeltaChange]) -> None:
+        """Move the index entries of the keys that left or joined the
+        relation (re-adding a key an index holds is a no-op)."""
         first, second = self._indexes[rel_name]
         for change in deletions:
             key = change.values
-            del rel.tuples[key]
             for index, value in ((first, key[0]), (second, key[1])):
-                bucket = index.get(value)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del index[value]
+                bucket = index[value]
+                bucket.discard(key)
+                if not bucket:
+                    del index[value]
         for change in insertions:
             key = change.values
-            if key in rel.tuples:
-                rel.tuples[key] = self.semiring.add(
-                    rel.tuples[key], change.annotation
-                )
-            else:
-                rel.tuples[key] = change.annotation
-                first.setdefault(key[0], set()).add(key)
-                second.setdefault(key[1], set()).add(key)
-        rel._indexes.clear()
+            first.setdefault(key[0], set()).add(key)
+            second.setdefault(key[1], set()).add(key)
 
     def _merge_answer(
         self, delta_answer: Dict[Tuple[Any, ...], Tuple[Any, int]]

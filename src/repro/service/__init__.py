@@ -13,7 +13,7 @@ can plausibly serve traffic:
   deltas lose no update and a view read equals a recompute at the
   generation it reports;
 * **a result cache** (:mod:`~repro.service.cache`) keyed by
-  (instance digest, canonical query form, semiring, config fingerprint),
+  (endpoint, instance name, instance digest, config fingerprint),
   LRU-evicted under a byte budget and invalidated when an instance is
   mutated — warm hits return *bit-identical* bytes to cold execution;
 * **admission control** (:mod:`~repro.service.admission`) — a
@@ -26,8 +26,8 @@ can plausibly serve traffic:
 * **materialized views** — ``POST /views`` pins a
   :class:`~repro.ivm.MaterializedView` over a registered instance;
   ``POST /instances/<name>/deltas`` mutates the instance, invalidates only
-  the stale digest's cache entries, and refreshes dependent views by delta
-  propagation instead of recomputing (docs/ivm.md).
+  that name's entries under the stale digest, and refreshes dependent
+  views by delta propagation instead of recomputing (docs/ivm.md).
 
 See docs/service.md for the endpoint reference, the error → HTTP status
 table and the concurrency rules.

@@ -4,13 +4,14 @@ The service promises *bit-identical* responses for warm hits, so the
 cache stores the exact serialized response body and keys it by everything
 that could change that body:
 
-* the **instance digest** — a content hash of the registered data
+* the **endpoint**;
+* the **instance name** — bodies name the instance they answer, so two
+  names registered with the same data never share an entry;
+* the **instance digest** — a content hash of the registered data, its
+  canonical query form (:func:`canonical_query`) and its semiring
   (:func:`instance_digest`), stable under tuple insertion order and
   independent of any codec interning state, so re-registering the same
   logical data hits and mutating it misses;
-* the **canonical query form** (:func:`canonical_query`) — relation
-  names, schemas, and output attributes in sorted order;
-* the **semiring** name;
 * the **config fingerprint** (:func:`config_fingerprint`) — only the
   *semantic* :class:`~repro.config.ExecutionConfig` fields.  Observers
   (``tracer``, ``profiler``) never change answers, reports, or traces, so
@@ -20,7 +21,7 @@ that could change that body:
 
 Entries are evicted least-recently-used once the byte budget is
 exceeded, and dropped eagerly when their instance is mutated or
-unregistered (:meth:`ResultCache.invalidate`).
+unregistered (:meth:`ResultCache.invalidate` of its ``(name, digest)``).
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 from ..config import ExecutionConfig
 from ..data.query import Instance, TreeQuery
 from ..data.relation import Relation
+from ..io import jsonify
 
 __all__ = [
     "canonical_query",
-    "canonical_value",
     "config_fingerprint",
     "RowSums",
     "row_sums",
@@ -53,15 +54,6 @@ __all__ = [
 #: rejects schedules outright) is non-semantic under the library's
 #: bit-identity contracts.
 SEMANTIC_CONFIG_FIELDS = ("p", "algorithm", "validate")
-
-
-def canonical_value(value: Any) -> Any:
-    """A JSON-able form of an attribute/annotation value with a total
-    order-friendly representation (tuples become tagged lists, exactly the
-    :mod:`repro.io` convention)."""
-    if isinstance(value, tuple):
-        return {"__tuple__": [canonical_value(v) for v in value]}
-    return value
 
 
 def canonical_query(query: TreeQuery) -> str:
@@ -83,6 +75,9 @@ def canonical_query(query: TreeQuery) -> str:
 #: hashes mod 2²⁵⁶, whether every key value is an exact ``int`` or ``str``).
 RowSums = Dict[str, Tuple[int, int, bool]]
 
+#: What a cache entry is tagged with: its instance's (name, digest).
+Tag = Tuple[str, str]
+
 _SUM_MODULUS = 1 << 256
 _encode_row = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), default=repr
@@ -91,7 +86,7 @@ _encode_row = json.JSONEncoder(
 
 def _row_hash(values: Tuple[Any, ...], annotation: Any) -> int:
     """256-bit BLAKE2b of one row's canonical JSON, as an integer."""
-    text = _encode_row([canonical_value(v) for v in (*values, annotation)])
+    text = _encode_row([jsonify(v) for v in (*values, annotation)])
     return int.from_bytes(
         hashlib.blake2b(text.encode("utf-8"), digest_size=32).digest(), "big")
 
@@ -186,24 +181,11 @@ def config_fingerprint(config: ExecutionConfig) -> str:
     )
 
 
-def cache_key(
-    endpoint: str,
-    digest: str,
-    query: TreeQuery,
-    semiring_name: str,
-    config: ExecutionConfig,
-) -> str:
-    """The full cache key for one request: endpoint × instance digest ×
-    canonical query form × semiring × config fingerprint."""
-    return "|".join(
-        (
-            endpoint,
-            digest,
-            canonical_query(query),
-            semiring_name,
-            config_fingerprint(config),
-        )
-    )
+def cache_key(endpoint: str, name: str, digest: str,
+              config: ExecutionConfig) -> str:
+    """The full cache key for one request: endpoint × instance name ×
+    instance digest × config fingerprint."""
+    return "|".join((endpoint, name, digest, config_fingerprint(config)))
 
 
 class ResultCache:
@@ -213,8 +195,9 @@ class ResultCache:
     ``max_bytes`` bounds the *sum of stored body sizes*; inserting past
     the budget evicts least-recently-used entries first.  A single body
     larger than the whole budget is simply not cached.  Each entry
-    remembers its instance digest so :meth:`invalidate` can drop every
-    response derived from a mutated or unregistered instance in one call.
+    remembers its instance's ``(name, digest)`` tag so :meth:`invalidate`
+    can drop every response derived from one registration of a mutated or
+    unregistered instance in one call.
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024) -> None:
@@ -224,7 +207,7 @@ class ResultCache:
             raise ConfigError("cache max_bytes must be >= 0")
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[str, bytes]]" = OrderedDict()
+        self._entries: "OrderedDict[str, Tuple[Tag, bytes]]" = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -251,9 +234,10 @@ class ResultCache:
             self.hits += 1
             return entry[1]
 
-    def put(self, key: str, digest: str, body: bytes) -> None:
-        """Store ``body`` under ``key`` (tagged with its instance digest),
-        evicting LRU entries to stay under the byte budget."""
+    def put(self, key: str, tag: Tag, body: bytes) -> None:
+        """Store ``body`` under ``key`` (tagged with its instance's
+        ``(name, digest)``), evicting LRU entries to stay under the byte
+        budget."""
         size = len(body)
         if size > self.max_bytes:
             return
@@ -261,20 +245,20 @@ class ResultCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= len(old[1])
-            self._entries[key] = (digest, body)
+            self._entries[key] = (tag, body)
             self._bytes += size
             while self._bytes > self.max_bytes and self._entries:
                 _, (_, evicted) = self._entries.popitem(last=False)
                 self._bytes -= len(evicted)
                 self.evictions += 1
 
-    def invalidate(self, digest: str) -> int:
-        """Drop every entry derived from instance ``digest``; returns how
-        many entries were removed."""
+    def invalidate(self, tag: Tag) -> int:
+        """Drop every entry tagged ``(name, digest)``; returns how many
+        entries were removed."""
         with self._lock:
             doomed = [
-                key for key, (entry_digest, _) in self._entries.items()
-                if entry_digest == digest
+                key for key, (entry_tag, _) in self._entries.items()
+                if entry_tag == tag
             ]
             for key in doomed:
                 _, body = self._entries.pop(key)

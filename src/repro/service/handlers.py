@@ -50,7 +50,7 @@ from ..errors import (
     ReproError,
     UnsupportedDeltaError,
 )
-from ..io import delta_from_json, instance_from_json
+from ..io import delta_from_json, instance_from_json, jsonify
 from ..ivm import mutate_instance
 from ..obs import RingBufferSink, Tracer, observe_report
 from ..obs.registry import MetricsRegistry
@@ -127,12 +127,6 @@ def _canonical_body(document: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return {"__tuple__": [_jsonify(v) for v in value]}
-    return value
-
-
 #: The sort key of an answer row: its JSON text.  One encoder for every
 #: row — ``json.dumps`` with these arguments builds a new one per call.
 _row_key = json.JSONEncoder(sort_keys=True, default=repr).encode
@@ -144,7 +138,7 @@ def _answer_rows(relation: Any) -> List[List[Any]]:
     Sorting by the canonical encoding makes the order independent of any
     execution detail, so cold and warm responses agree byte for byte."""
     rows = [
-        [_jsonify(v) for v in values] + [_jsonify(annotation)]
+        [jsonify(v) for v in values] + [jsonify(annotation)]
         for values, annotation in relation
     ]
     # Rows of exact ints print the same under ``repr`` as under JSON.
@@ -365,7 +359,7 @@ class ServiceState:
         the name's writer lock.  The one place a digest leaves the cache."""
         previous = self.registry.swap(name, entry)
         if previous is not None and (entry is None or entry.digest != previous.digest):
-            self.cache.invalidate(previous.digest)
+            self.cache.invalidate((name, previous.digest))
 
     def _predicted_load(self, entry, config: ExecutionConfig) -> Optional[float]:
         """The planner's load estimate for the algorithm this request runs,
@@ -480,10 +474,11 @@ class ServiceState:
         """Mutate a registered instance by one delta batch.
 
         The instance is replaced by its mutated form (new digest → only
-        the *old* digest's cache entries are invalidated; responses for
-        other instances stay warm), and every dependent view refreshes by
-        delta propagation — never by recomputation — before the name's
-        writer lock is released, so no read sees a view behind its data.
+        this name's entries under the *old* digest are invalidated;
+        responses for other names, even over the same data, stay warm),
+        and every dependent view refreshes by delta propagation — never by
+        recomputation — before the name's writer lock is released, so no
+        read sees a view behind its data.
         """
         name = path.rstrip("/").rsplit("/", 2)[-2]
         with self.registry.writer(name):
@@ -594,13 +589,7 @@ class ServiceState:
         budget = document.get("load_budget")
         if budget is not None and not isinstance(budget, (int, float)):
             raise ConfigError('"load_budget" must be a number')
-        key = cache_key(
-            endpoint,
-            entry.digest,
-            entry.instance.query,
-            entry.instance.semiring.name,
-            config,
-        )
+        key = cache_key(endpoint, entry.name, entry.digest, config)
         cached = self.cache.get(key)
         if cached is not None:
             self._cache_hits.inc(endpoint=endpoint)
@@ -615,12 +604,13 @@ class ServiceState:
             )
         with self.admission.slot():
             body = runner(endpoint, entry, config)
-        self.cache.put(key, entry.digest, body)
+        tag = (entry.name, entry.digest)
+        self.cache.put(key, tag, body)
         # A delta that retired this digest meanwhile has already invalidated
         # it (``_commit`` swaps, then invalidates): drop the body put after.
         current = self.registry.find(entry.name)
         if current is None or current.digest != entry.digest:
-            self.cache.invalidate(entry.digest)
+            self.cache.invalidate(tag)
         return 200, body, {"X-Repro-Cache": "miss"}
 
     def _run_query(self, endpoint: str, entry, config: ExecutionConfig) -> bytes:

@@ -184,6 +184,34 @@ def test_malformed_deltas_raise_config_error():
     _assert_identical(view, None)
 
 
+def test_rejected_batch_changes_nothing():
+    """A batch whose second relation fails the check moves nothing, not
+    even the relation checked first: the whole batch is checked before
+    any relation is applied."""
+    import copy
+
+    from repro.workloads import planted_out_matmul
+
+    view = materialize(planted_out_matmul(n=20, out=40))
+
+    def snapshot():
+        return (
+            list(view.answer()),
+            {name: list(rel) for name, rel in view.current_instance().relations.items()},
+            copy.deepcopy(view._indexes),
+            view.generation,
+            view.deltas_applied,
+            view.report(),
+        )
+
+    before = snapshot()
+    joins = next(iter(view.current_instance().relation("R2").tuples))[0]
+    with pytest.raises(ConfigError, match="delete of absent tuple"):
+        view.apply([insert("R1", (10**6, joins), 1),  # grows the answer
+                    delete("R2", (10**6, 10**6))])
+    assert snapshot() == before
+
+
 # -- cost shape ----------------------------------------------------------------
 
 

@@ -572,6 +572,17 @@ def test_delta_endpoint_rejects_malformed_documents():
     assert status == 404
 
 
+def test_unhashable_delta_values_are_400():
+    state = ServiceState()
+    _register(state, "m", planted_out_matmul(n=20, out=40))
+    delta = {"format": "repro-delta/v1", "changes": [
+        {"relation": "R1", "op": "insert", "values": [[1, 2], 3], "annotation": 1},
+    ]}
+    status, _, payload, _ = state.handle(
+        "POST", "/instances/m/deltas", _body({"delta": delta}))
+    assert (status, json.loads(payload)["error"]) == (400, "ConfigError")
+
+
 def test_dropping_or_replacing_an_instance_drops_its_views():
     from repro.workloads import zipf_matmul
 

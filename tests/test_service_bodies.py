@@ -20,17 +20,17 @@ import re
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ExecutionConfig
-from repro.io import delta_to_json, instance_to_json
+from repro.io import delta_to_json, instance_to_json, jsonify
 from repro.ivm import DeltaBatch, delete, insert
 from repro.service import ServiceState
-from repro.service.handlers import _answer_rows, _jsonify
+from repro.service.handlers import _answer_rows
 from repro.workloads import line_instance, zipf_matmul
 
 
 def _answer_rows_3_0_0(relation):
     """``repro.service.handlers._answer_rows`` as released in 3.0.0."""
     rows = [
-        [_jsonify(v) for v in values] + [_jsonify(annotation)]
+        [jsonify(v) for v in values] + [jsonify(annotation)]
         for values, annotation in relation
     ]
     rows.sort(key=lambda row: json.dumps(row, sort_keys=True, default=repr))

@@ -15,15 +15,19 @@ a *pure function of the request's semantics*:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import api
 from repro.config import ExecutionConfig
 from repro.data.query import Instance
 from repro.data.relation import Relation
+from repro.io import instance_to_json
 from repro.obs import Profiler, RingBufferSink, Tracer
 from repro.service import (
     ResultCache,
+    ServiceState,
     cache_key,
     canonical_query,
     config_fingerprint,
@@ -127,13 +131,11 @@ def test_cache_key_separates_endpoints_and_instances():
     instance = planted_out_matmul(n=10, out=20)
     config = ExecutionConfig(p=4)
     digest = instance_digest(instance)
-    query_key = cache_key("query", digest, instance.query,
-                          instance.semiring.name, config)
-    compare_key = cache_key("compare", digest, instance.query,
-                            instance.semiring.name, config)
-    other_key = cache_key("query", "f" * 32, instance.query,
-                          instance.semiring.name, config)
-    assert len({query_key, compare_key, other_key}) == 3
+    query_key = cache_key("query", "a", digest, config)
+    compare_key = cache_key("compare", "a", digest, config)
+    twin_key = cache_key("query", "b", digest, config)
+    other_key = cache_key("query", "a", "f" * 32, config)
+    assert len({query_key, compare_key, twin_key, other_key}) == 4
 
 
 def test_canonical_query_sorts_relations_and_output():
@@ -190,12 +192,14 @@ def test_cache_replaces_in_place_without_double_counting():
 
 def test_cache_invalidates_every_entry_of_a_digest():
     cache = ResultCache(max_bytes=1024)
-    cache.put("q1", "digest-a", b"1")
-    cache.put("q2", "digest-a", b"2")
-    cache.put("q3", "digest-b", b"3")
-    assert cache.invalidate("digest-a") == 2
+    cache.put("q1", ("a", "digest-a"), b"1")
+    cache.put("q2", ("a", "digest-a"), b"2")
+    cache.put("q3", ("a", "digest-b"), b"3")
+    cache.put("q4", ("twin", "digest-a"), b"4")
+    assert cache.invalidate(("a", "digest-a")) == 2
     assert cache.get("q1") is None and cache.get("q2") is None
     assert cache.get("q3") == b"3"
+    assert cache.get("q4") == b"4"  # same data under another name
     assert cache.stats()["invalidations"] == 2
 
 
@@ -205,6 +209,48 @@ def test_cache_zero_budget_disables_storage():
     # an empty body fits a zero budget; anything real does not
     cache.put("k2", "d", b"body")
     assert cache.get("k2") is None
+
+
+# -- twin names: one digest, two registrations -----------------------------
+
+
+def _twins() -> ServiceState:
+    state = ServiceState()
+    document = json.loads(instance_to_json(planted_out_matmul(n=20, out=40)))
+    for name in ("a", "b"):
+        status, _, payload, _ = state.handle(
+            "POST", "/instances",
+            json.dumps({"name": name, "instance": document}).encode())
+        assert status == 200, payload
+    return state
+
+
+def _query(state: ServiceState, name: str):
+    status, _, payload, headers = state.handle(
+        "POST", "/query", json.dumps({"instance": name}).encode())
+    assert status == 200, payload
+    return json.loads(payload), headers["X-Repro-Cache"]
+
+
+def test_twin_names_do_not_share_bodies():
+    state = _twins()
+    assert _query(state, "a")[1] == "miss"
+    body, cache = _query(state, "b")
+    assert cache == "miss"
+    assert body["instance"] == "b"
+
+
+def test_a_delta_to_one_twin_keeps_the_other_warm():
+    from repro.io import delta_to_json
+    from repro.ivm import DeltaBatch, insert
+
+    state = _twins()
+    assert [_query(state, "b")[1] for _ in range(2)] == ["miss", "hit"]
+    delta = json.loads(delta_to_json(DeltaBatch((insert("R1", (901, 902), 2),))))
+    status, _, payload, _ = state.handle(
+        "POST", "/instances/a/deltas", json.dumps({"delta": delta}).encode())
+    assert status == 200, payload
+    assert _query(state, "b")[1] == "hit"
 
 
 # -- the digest moved by deltas ------------------------------------------------

@@ -196,8 +196,8 @@ def test_no_cache_entry_outlives_its_digest():
 
     _run([lambda plan=plan: worker(plan) for plan in _plans(bases, random.Random(5))])
     assert set(statuses) == {200}
-    live = {entry.digest for entry in state.registry.entries()}
-    cached = {digest for digest, _body in state.cache._entries.values()}
+    live = {(entry.name, entry.digest) for entry in state.registry.entries()}
+    cached = {tag for tag, _body in state.cache._entries.values()}
     assert cached <= live, f"{len(cached - live)} of {len(cached)} cached digests retired"
 
 
