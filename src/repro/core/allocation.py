@@ -13,7 +13,7 @@ tuples that must meet land on the same virtual — hence real — server.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, List, Mapping, Tuple
+from typing import Any, Dict, Hashable, Mapping, Tuple
 
 from ..mpc.cluster import ClusterView
 from ..mpc.hashing import hash_to_bucket
@@ -56,13 +56,3 @@ class RangeAllocation:
         start, width = self.ranges[key]
         virtual = start + hash_to_bucket(colocate, width, salt)
         return virtual % self.view.p
-
-    def all_dests(self, key: Hashable) -> List[int]:
-        """All real servers of the task's range (for per-task broadcast)."""
-        start, width = self.ranges[key]
-        return sorted({(start + i) % self.view.p for i in range(width)})
-
-    def overlap_factor(self) -> float:
-        """How many virtual servers share a real server (≈ the constant by
-        which loads are inflated when the paper says "O(p) servers")."""
-        return max(1.0, self.virtual_total / self.view.p)

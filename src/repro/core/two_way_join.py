@@ -41,6 +41,7 @@ __all__ = [
     "JoinLayout",
     "local_join_aggregate",
     "local_join_partials",
+    "partials_batch",
     "join_tasked",
     "vector_profile",
 ]
@@ -298,38 +299,62 @@ def _products(
         )
 
 
-def _partials_batch(
+def partials_batch(
+    layout: JoinLayout,
+    left_ann: Any,
+    right_ann: Any,
+    out_codes: Sequence[Any],
+    l_pos: Any,
+    r_pos: Any,
+) -> Any:
+    """The elementary products at ``(l_pos, r_pos)`` ⊕-aggregated by out-key,
+    as a batch: the out-key's code columns and the reduced weights in
+    key-first-occurrence order — exactly the ``.items()`` of the dict the
+    scalar kernels build, still in codes.
+
+    ``left_ann``/``right_ann`` are each side's annotation column and
+    ``out_codes[k]`` the code column, over its side's rows, of the ``k``-th
+    ``layout.out_sources`` attribute; there is at least one product.
+    """
+    from ..backends.batch import ColumnarBatch
+    from ..backends.kernels import fold_rows
+
+    weights = _products(layout, left_ann, right_ann, l_pos, r_pos)
+    positions = {"L": l_pos, "R": r_pos}
+    out_columns = [  # per output attribute: its code for every product
+        codes[positions[side]] for codes, (side, _) in zip(out_codes, layout.out_sources)
+    ]
+    columns, reduced = fold_rows(
+        out_columns, weights, layout.profile.adder(weights, layout.semiring.add)
+    )
+    return ColumnarBatch(tuple(columns), reduced, int(reduced.shape[0]), "items")
+
+
+def _items_partials(
     layout: JoinLayout,
     left_items: Sequence[Tuple[Tuple, Any]],
     right_items: Sequence[Tuple[Tuple, Any]],
     l_pos: Any,
     r_pos: Any,
 ) -> Tuple[Any, int]:
-    """The elementary products at ``(l_pos, r_pos)`` ⊕-aggregated by out-key:
-    ``(batch, products)`` with the out-key's code columns and the reduced
-    weights in key-first-occurrence order — exactly the ``.items()`` of the
-    dict the scalar kernels build, still in codes."""
-    from ..backends.batch import ColumnarBatch
+    """:func:`partials_batch` of two item lists: ``(batch, products)``, or
+    ``([], 0)`` when there is no product."""
     from ..backends.columnar import encode_annotations
-    from ..backends.kernels import fold_rows
 
     products = int(l_pos.shape[0])
     if products == 0:
         return [], 0
-    profile = layout.profile
-    left_ann = encode_annotations([item[1] for item in left_items], profile)
-    right_ann = encode_annotations([item[1] for item in right_items], profile)
-    weights = _products(layout, left_ann, right_ann, l_pos, r_pos)
-    sides = {"L": (left_items, l_pos), "R": (right_items, r_pos)}
-    out_columns = []  # per output attribute: its code for every product
-    for side, index in layout.out_sources:
-        items, positions = sides[side]
-        codes = layout.codec.encode_many([item[0][index] for item in items])
-        out_columns.append(codes[positions])
-    columns, reduced = fold_rows(
-        out_columns, weights, profile.adder(weights, layout.semiring.add)
+    sides = {"L": left_items, "R": right_items}
+    out_codes = [
+        layout.codec.encode_many([item[0][index] for item in sides[side]])
+        for side, index in layout.out_sources
+    ]
+    batch = partials_batch(
+        layout,
+        encode_annotations([item[1] for item in left_items], layout.profile),
+        encode_annotations([item[1] for item in right_items], layout.profile),
+        out_codes, l_pos, r_pos,
     )
-    batch = ColumnarBatch(tuple(columns), reduced, int(reduced.shape[0]), "items")
     return batch, products
 
 
@@ -355,7 +380,7 @@ def _local_join_vec(
     ids = row_ids(columns, len(left_items) + len(right_items))[0]
     split = len(left_items)
     l_pos, r_pos = hash_join(ids[:split], ids[split:], outer="right")
-    return _partials_batch(layout, left_items, right_items, l_pos, r_pos)
+    return _items_partials(layout, left_items, right_items, l_pos, r_pos)
 
 
 def _local_join_cells_vec(
@@ -389,7 +414,7 @@ def _local_join_cells_vec(
     ranks = first_order[np.searchsorted(firsts[first_order], left_codes)]
     perm = np.argsort(ranks, kind="stable")
     l_block, r_pos = hash_join(left_codes[perm], right_codes, outer="left")
-    return _partials_batch(layout, left_rows, right_rows, perm[l_block], r_pos)
+    return _items_partials(layout, left_rows, right_rows, perm[l_block], r_pos)
 
 
 def aggregate_relation(

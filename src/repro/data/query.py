@@ -108,26 +108,6 @@ class TreeQuery:
             order.append(next_attrs[0])
         return order
 
-    def postorder(self, root: str) -> List[Tuple[int, str, str]]:
-        """Relations as ``(index, child_attr, parent_attr)`` in a bottom-up
-        order towards ``root`` (leaves first)."""
-        if root not in self.attributes:
-            raise KeyError(root)
-        order: List[Tuple[int, str, str]] = []
-        stack: List[Tuple[str, Optional[int]]] = [(root, None)]
-        visit: List[Tuple[int, str, str]] = []
-        seen_edges = set()
-        while stack:
-            attr, via = stack.pop()
-            for rel_index, neighbour in self.adjacency[attr]:
-                if rel_index == via or rel_index in seen_edges:
-                    continue
-                seen_edges.add(rel_index)
-                visit.append((rel_index, neighbour, attr))
-                stack.append((neighbour, rel_index))
-        order = list(reversed(visit))
-        return order
-
     def centre(self) -> Optional[str]:
         """The unique attribute of degree ≥ 3, if there is exactly one."""
         high = [a for a, d in self.degrees.items() if d >= 3]
@@ -226,9 +206,6 @@ class Instance:
     def total_size(self) -> int:
         """The paper's N = Σ_e |R_e|."""
         return sum(len(r) for r in self.relations.values())
-
-    def max_relation_size(self) -> int:
-        return max(len(r) for r in self.relations.values())
 
     def relation(self, name: str) -> Relation:
         return self.relations[name]

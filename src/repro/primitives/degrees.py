@@ -13,17 +13,21 @@ coordinator which classes exist.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..backends.batch import ColumnarBatch
+from ..backends.columnar import OBJECT_PROFILE, encode_annotations
 from ..backends.dispatch import np
 from ..data.relation import DistRelation
+from ..mpc.columnar import ColumnarData, server_cuts
 from ..mpc.distributed import Distributed
-from .multi_search import multi_search_reference, multi_search_rows
+from .multi_search import SearchRows, multi_search_reference, multi_search_rows
 from .reduce_by_key import count_by_key, distinct_keys
 
 __all__ = [
     "degree_table",
     "attach_by_key",
+    "attach_column",
     "label_tuples",
     "select_labelled",
     "distinct_labels",
@@ -51,7 +55,23 @@ def attach_by_key(
     many servers (a hash co-partitioning would stack them on one); missing
     keys get ``default``.  The result is key-sorted with ties split.
     """
-    rows = multi_search_rows(dist, table, key_fn, lambda pair: pair[0])
+    rows = multi_search_rows(dist, table, key_fn, _table_key)
+    return _attached_items(dist, table, key_fn, default, rows)
+
+
+def _table_key(pair: Any) -> Any:
+    return pair[0]
+
+
+def _attached_items(
+    dist: Distributed,
+    table: Distributed,
+    key_fn: Callable[[Any], Any],
+    default: Any,
+    rows: Optional[SearchRows],
+) -> Distributed:
+    """:func:`attach_by_key`'s pairs from the array search's ``rows``, or
+    from the item search when there are none."""
     if rows is not None:
         items = dist.collect()
         entries = [pair[1] for pair in table.items()] + [default]  # row −1
@@ -60,7 +80,7 @@ def attach_by_key(
             (items[q], entries[r])
             for q, r in zip(rows.queries.tolist(), matches.tolist())
         ])
-    matched = multi_search_reference(dist, table, key_fn, lambda pair: pair[0])
+    matched = multi_search_reference(dist, table, key_fn, _table_key)
     return matched.map_items(
         lambda row: (
             row[0],
@@ -69,6 +89,38 @@ def attach_by_key(
             else default,
         )
     )
+
+
+def attach_column(
+    dist: Distributed, table: Distributed, key_fn: Callable[[Any], Any]
+) -> Tuple[ColumnarData, Any]:
+    """:func:`attach_by_key` on a columnar view, the entries one column:
+    ``(rows, entries)`` — the items as an array dataset, laid out as
+    :func:`attach_by_key` lays out its pairs, and each row's integer table
+    entry (−1 for a key the table lacks).
+
+    An array dataset whose keys the array multi-search takes is taken at
+    the result rows, nothing decoded; anything else is attached as items
+    and encoded, its annotations an ``object`` column.
+    """
+    rows = multi_search_rows(dist, table, key_fn, _table_key)
+    if rows is not None and isinstance(dist, ColumnarData) and dist.batch.kind == "items":
+        entries = np.array([pair[1] for pair in table.items()] + [-1], dtype=np.int64)
+        matches = np.where(rows.exact, rows.predecessors, -1)
+        return dist.with_batch(dist.batch.take(rows.queries), rows.servers), entries[matches]
+    view = dist.view
+    attached = _attached_items(dist, table, key_fn, -1, rows)
+    pairs = attached.collect()
+    codec = view.cluster.codec
+    width = len(pairs[0][0][0]) if pairs else 0
+    batch = ColumnarBatch(
+        tuple(codec.encode_many([pair[0][0][j] for pair in pairs]) for j in range(width)),
+        encode_annotations([pair[0][1] for pair in pairs], OBJECT_PROFILE),
+        len(pairs),
+    )
+    servers = np.repeat(np.arange(view.p), attached.part_sizes())
+    entries = np.fromiter((pair[1] for pair in pairs), np.int64, count=len(pairs))
+    return ColumnarData(view, batch, server_cuts(servers, view.p), codec), entries
 
 
 def label_tuples(

@@ -117,16 +117,6 @@ def test_centre_detection():
     assert TWIG_QUERY.centre() is None  # two high-degree attributes
 
 
-def test_postorder_visits_all_edges_bottom_up():
-    order = TWIG_QUERY.postorder("B1")
-    assert len(order) == TWIG_QUERY.n
-    seen_children = set()
-    for _rel, child, parent in order:
-        # A child attribute is never used as a parent before being visited.
-        seen_children.add(child)
-    assert "B2" in seen_children
-
-
 def test_query_validation():
     with pytest.raises(ValueError):
         TreeQuery((("R1", ("A", "B")), ("R1", ("B", "C"))), frozenset())
@@ -139,7 +129,6 @@ def test_instance_validation():
     r2 = Relation("R2", ("B", "C"), [((2, 3), 1)])
     instance = Instance(MATMUL_QUERY, {"R1": r1, "R2": r2}, COUNTING)
     assert instance.total_size == 2
-    assert instance.max_relation_size() == 1
     with pytest.raises(ValueError):
         Instance(MATMUL_QUERY, {"R1": r1}, COUNTING)
     bad = Relation("R2", ("C", "B"), [((3, 2), 1)])
